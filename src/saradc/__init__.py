@@ -9,12 +9,11 @@ from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants
 from .track_hold import HeldSample, ktc_sigma, ron_of_input, sample
 from .comparator import (Decision, comparator_power, decide, decision_latency,
                          input_noise_power)
-from .capdac import (CapArray, DacState, SplitCapArray, TradeReport,
-                     build_cap_array, compare_topologies, inl_from_steps,
-                     monotonic_energy_oracle, ron_schedule, step_voltage,
-                     switch_bit, transfer_thresholds)
+from .capdac import (DacState, Ladder, TradeReport, build_cap_array,
+                     compare_topologies, inl_from_steps, monotonic_energy_oracle,
+                     ron_schedule, step_voltage, switch_bit, transfer_thresholds)
 from .timing import (TimingBudget, build_budget, max_sampling_rate,
-                     metastability_mc, sync_async_comparison, t_hard)
+                     metastability_mc, t_hard)
 from .engine import (ConversionRecord, NoiseBudget, PowerReport, WaveformResult,
                      convert, convert_waveform, ideal_quantizer_code,
                      noise_budget, power_report)
@@ -29,11 +28,11 @@ __all__ = [
     "HeldSample", "ktc_sigma", "ron_of_input", "sample",
     "Decision", "comparator_power", "decide", "decision_latency",
     "input_noise_power",
-    "CapArray", "DacState", "SplitCapArray", "TradeReport", "build_cap_array",
+    "DacState", "Ladder", "TradeReport", "build_cap_array",
     "compare_topologies", "inl_from_steps", "monotonic_energy_oracle",
     "ron_schedule", "step_voltage", "switch_bit", "transfer_thresholds",
     "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
-    "sync_async_comparison", "t_hard",
+    "t_hard",
     "ConversionRecord", "NoiseBudget", "PowerReport", "WaveformResult",
     "convert", "convert_waveform", "ideal_quantizer_code", "noise_budget",
     "power_report",

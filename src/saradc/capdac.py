@@ -35,8 +35,19 @@ falling side's fired bystanders, giving
     E_i = (v_ref^2 / 4) * [C_r * (N_r - C_r) / N_r + M_f * C_f / N_f]
 
 with M_f the fired capacitance on the falling side.  This is nonnegative
-for every event, and the same closed form drives the independent per-event
-oracle used in tests.
+for every event.  Bits fire MSB first and each fires on both sides, so M_f
+is the prefix sum of the falling side's bit capacitances whatever the
+earlier decisions were: E_i depends on decision i alone, and the ladder
+holds it as a (B-1) x 2 table.  The independent per-event oracle used in
+tests walks the same closed form without reading the table.
+
+Ladder
+------
+A realized array of either topology is compiled once into a ``Ladder``:
+per-side steps, equivalent single-node bit capacitances, node
+capacitances, the mismatch-free nominal caps, switch resistances and the
+event-energy table.  Conversion-time switching, energy accounting, the
+static transfer and the trade study all read it.
 
 Topology trade study
 --------------------
@@ -60,60 +71,39 @@ import numpy as np
 from .config import AdcConfig, ConfigError, K_BOLTZMANN, net_full_scale
 
 __all__ = [
-    "CapArray", "SplitCapArray", "DacState", "TradeReport", "TopologyRow",
-    "build_cap_array", "step_voltage", "switch_bit", "ron_schedule",
-    "net_full_scale", "initial_state", "monotonic_energy_oracle",
+    "Ladder", "DacState", "TradeReport", "TopologyRow",
+    "build_cap_array", "build_split_array", "step_voltage", "switch_bit",
+    "ron_schedule", "net_full_scale", "initial_state", "monotonic_energy_oracle",
     "conversion_energy", "conventional_energy", "splitcap_energy",
     "transfer_thresholds", "inl_from_steps", "compare_topologies",
 ]
 
 
 # ---------------------------------------------------------------------------
-# arrays
+# the compiled ladder
 
 @dataclass(frozen=True)
-class CapArray:
-    """Realized differential binary-weighted array (one object, both sides).
+class Ladder:
+    """A realized differential array, compiled once (both sides).
 
-    Bit capacitors are indexed 1..bits-1 MSB-first (array index i-1) and are
-    built from 2^(bits-1-i) unit quanta each plus a one-unit terminator per
-    side.  The construction quantum is c_dac / 2^(bits-1), which makes the
-    mismatch-free step ladder exactly binary in the net full scale; the
-    configured physical c_unit only bounds realizability.
+    Bits are indexed 1..bits-1 MSB-first (array index i-1).  The bit
+    capacitances are the single-node equivalents that reproduce the
+    realized comparator-node steps; for the binary array they are the
+    physical bit capacitors.
     """
     bits: int
     v_ref: float
-    c_par: float                 # per-side parasitic at the comparator node [F]
-    c_bits_p: np.ndarray         # switched bit caps, positive side [F]
+    c_bits_p: np.ndarray         # equivalent bit caps, positive side [F]
     c_bits_n: np.ndarray
-    c_term_p: float              # terminator [F]
-    c_term_n: float
-    dev_p: np.ndarray            # realized relative bit-cap deviations
-    dev_n: np.ndarray
-    c_unit_eff: float            # construction quantum [F]
-    topology: str = "binary"
-
-    @property
-    def c_total_p(self) -> float:
-        return float(np.sum(self.c_bits_p)) + self.c_term_p
-
-    @property
-    def c_total_n(self) -> float:
-        return float(np.sum(self.c_bits_n)) + self.c_term_n
-
-    @property
-    def node_p(self) -> float:
-        """Total grounded capacitance at the positive comparator node [F]."""
-        return self.c_total_p + self.c_par
-
-    @property
-    def node_n(self) -> float:
-        return self.c_total_n + self.c_par
-
-    def step_pair(self, i: int) -> tuple[float, float]:
-        """Per-side step magnitudes for bit i [V]."""
-        return (self.v_ref * self.c_bits_p[i - 1] / self.node_p,
-                self.v_ref * self.c_bits_n[i - 1] / self.node_n)
+    node_p: float                # grounded capacitance at the comparator node [F]
+    node_n: float
+    dp: np.ndarray               # per-side step when bit i swings by v_ref [V]
+    dn: np.ndarray
+    c_total_p: float             # physical capacitor total [F]
+    c_total_n: float
+    c_nom: np.ndarray            # mismatch-free equivalent bit caps [F]
+    r: np.ndarray                # switch on-resistances [Ohm]
+    e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
 
 def _draw_units(n_units: int, sigma_u: float, rng: np.random.Generator,
@@ -130,62 +120,133 @@ def _draw_units(n_units: int, sigma_u: float, rng: np.random.Generator,
     raise ConfigError("sigma_u: could not draw positive unit capacitors")
 
 
-def _side_caps(bits: int, u_eff: float, sigma_u: float,
-               rng: np.random.Generator) -> tuple[np.ndarray, float, np.ndarray]:
-    """One side's bit caps and terminator from per-unit draws.
+def _segment(counts: list, u: float, sigma_u: float,
+             rng: np.random.Generator) -> np.ndarray:
+    """Capacitors built from the given unit counts, from per-unit draws.
 
-    Bit i is the sum of its 2^(bits-1-i) constituent units, so its relative
+    Each capacitor is the sum of its constituent units, so its relative
     spread shrinks with the square root of the unit count.
     """
-    counts = [2 ** (bits - 1 - i) for i in range(1, bits)]
-    dev = _draw_units(2 ** (bits - 1), sigma_u, rng)
-    caps = np.empty(bits - 1)
+    dev = _draw_units(int(sum(counts)), sigma_u, rng)
+    caps = np.empty(len(counts))
     pos = 0
     for k, n in enumerate(counts):
-        caps[k] = u_eff * (n + float(np.sum(dev[pos:pos + n])))
+        caps[k] = u * (n + float(np.sum(dev[pos:pos + n])))
         pos += n
-    term = u_eff * (1.0 + float(dev[pos]))
-    nominal = u_eff * np.asarray(counts, dtype=float)
-    return caps, term, caps / nominal - 1.0
+    return caps
 
 
-def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> "CapArray | SplitCapArray":
-    """Draw a realized array for the configured topology."""
-    if cfg.topology == "split":
-        return build_split_array(cfg, rng)
-    u_eff = cfg.c_dac / 2 ** (cfg.bits - 1)
-    caps_p, term_p, dev_p = _side_caps(cfg.bits, u_eff, cfg.sigma_u, rng)
-    caps_n, term_n, dev_n = _side_caps(cfg.bits, u_eff, cfg.sigma_u, rng)
-    return CapArray(
-        bits=cfg.bits, v_ref=cfg.v_ref, c_par=cfg.c_p,
-        c_bits_p=caps_p, c_bits_n=caps_n, c_term_p=term_p, c_term_n=term_n,
-        dev_p=dev_p, dev_n=dev_n, c_unit_eff=u_eff,
-    )
-
-
-def step_voltage(i: int, array) -> float:
-    """Differential correction magnitude for bit i [V], both sides combined."""
-    if not 1 <= i <= array.bits - 1:
-        raise ValueError(f"step_voltage: bit index {i} outside 1..{array.bits - 1}")
-    dp, dn = array.step_pair(i)
-    return dp + dn
-
-
-def ron_schedule(array, cfg: AdcConfig, printed_form: bool = False) -> np.ndarray:
-    """Per-bit DAC switch on-resistances [Ohm].
+def ron_schedule(c_nom: np.ndarray, cfg: AdcConfig) -> np.ndarray:
+    """Per-bit DAC switch on-resistances [Ohm] for nominal bit caps c_nom.
 
     The constant-tau rule r_i * C_i = t_phic_low / n_settle gives every bit
     the same fractional settling error exp(-n_settle) inside the
-    comparator-off window.  ``printed_form`` selects the alternative
-    r_i = 1 / (n_settle * C_i * t_phic_low) rule preserved for fidelity
-    audits; its units do not reduce to ohms, so it is not the default.
+    comparator-off window.  An explicit ``ron_dac`` list overrides it.
     """
     if isinstance(cfg.ron_dac, tuple):
         return np.asarray(cfg.ron_dac, dtype=float)
-    c_nom = cfg.c_dac / 2.0 ** np.arange(1, cfg.bits)
-    if printed_form:
-        return 1.0 / (cfg.n_settle * c_nom * cfg.t_phic_low)
     return cfg.t_phic_low / (cfg.n_settle * c_nom)
+
+
+def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
+             c_nom: np.ndarray) -> Ladder:
+    """Ladder from per-side (bit caps, node cap, steps, physical total)."""
+    c_p, node_p, dp, total_p = side_p
+    c_n, node_n, dn, total_n = side_n
+    mid_p = np.concatenate(([0.0], np.cumsum(c_p)[:-1]))
+    mid_n = np.concatenate(([0.0], np.cumsum(c_n)[:-1]))
+    q = 0.25 * cfg.v_ref ** 2
+    e_down = q * (c_p * (node_p - c_p) / node_p + mid_n * c_n / node_n)
+    e_up = q * (c_n * (node_n - c_n) / node_n + mid_p * c_p / node_p)
+    return Ladder(
+        bits=cfg.bits, v_ref=cfg.v_ref, c_bits_p=c_p, c_bits_n=c_n,
+        node_p=node_p, node_n=node_n, dp=dp, dn=dn,
+        c_total_p=total_p, c_total_n=total_n, c_nom=c_nom,
+        r=ron_schedule(c_nom, cfg), e_event=np.stack([e_down, e_up], axis=1),
+    )
+
+
+def _binary_side(caps: np.ndarray, cfg: AdcConfig) -> tuple:
+    """Bit caps followed by the terminator -> one side of a binary ladder."""
+    c = caps[:-1]
+    total = float(np.sum(c)) + float(caps[-1])
+    node = total + cfg.c_p
+    return c, node, cfg.v_ref * c / node, total
+
+
+def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
+    """Draw and compile a realized array for the configured topology.
+
+    The binary array's bit i holds 2^(bits-1-i) construction quanta and
+    each side ends in a one-quantum terminator.  The quantum is
+    c_dac / 2^(bits-1), which makes the mismatch-free step ladder exactly
+    binary in the net full scale; the configured physical c_unit only
+    bounds realizability.
+    """
+    if cfg.topology == "split":
+        return build_split_array(cfg, rng)
+    u_eff = cfg.c_dac / 2 ** (cfg.bits - 1)
+    counts = [2 ** (cfg.bits - 1 - i) for i in range(1, cfg.bits)] + [1]
+    side_p = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng), cfg)
+    side_n = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng), cfg)
+    return _compile(cfg, side_p, side_n, u_eff * np.asarray(counts[:-1], dtype=float))
+
+
+def step_voltage(i: int, ladder: Ladder) -> float:
+    """Differential correction magnitude for bit i [V], both sides combined."""
+    if not 1 <= i <= ladder.bits - 1:
+        raise ValueError(f"step_voltage: bit index {i} outside 1..{ladder.bits - 1}")
+    return ladder.dp[i - 1] + ladder.dn[i - 1]
+
+
+# ---------------------------------------------------------------------------
+# split (attenuation-capacitor) array
+
+def _split_side(main: np.ndarray, sub: np.ndarray, c_att: float,
+                cfg: AdcConfig) -> tuple:
+    """Main caps, sub caps and sub terminator -> one side of a split ladder.
+
+    The comparator parasitic loads the main node and an equal parasitic
+    loads the attenuation node, which is where this topology's
+    nonlinearity comes from.  Each bit's main-node step is mapped to the
+    equivalent single-node capacitance at the main node, on which the
+    common-mode-preserving discipline and its energy accounting run
+    (documented behavioral equivalence; the trade study's textbook numbers
+    use exact networks).
+    """
+    sub, sub_term = sub[:-1], float(sub[-1])
+    a = float(np.sum(main)) + cfg.c_p                  # grounded at the main node
+    b = float(np.sum(sub)) + sub_term + cfg.c_p        # grounded at the sub node
+    k = c_att
+    node = a + k * b / (k + b)
+    step = np.concatenate([cfg.v_ref * main / node,
+                           cfg.v_ref * sub / (b + k * a / (k + a)) * k / (a + k)])
+    total = float(np.sum(main) + np.sum(sub)) + sub_term + c_att
+    return step * node / cfg.v_ref, node, step, total
+
+
+def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
+    """Draw and compile a realized split array in the physical unit.
+
+    Per side the switched ladder is divided into a main segment (bits
+    1..m_bits, binary-weighted in the physical unit) and a sub segment
+    coupled through c_att, sized so the series branch presents exactly one
+    unit at the main node; the sub terminator completes the sub segment.
+    """
+    l_bits = (cfg.bits - 1) // 2
+    m_bits = cfg.bits - 1 - l_bits
+    u = cfg.c_unit
+    main_counts = [2 ** (m_bits - i) for i in range(1, m_bits + 1)]
+    sub_counts = [2 ** (l_bits - j) for j in range(1, l_bits + 1)] + [1]
+    main_p = _segment(main_counts, u, cfg.sigma_u, rng)
+    main_n = _segment(main_counts, u, cfg.sigma_u, rng)
+    sub_p = _segment(sub_counts, u, cfg.sigma_u, rng)
+    sub_n = _segment(sub_counts, u, cfg.sigma_u, rng)
+    c_att = u * 2 ** l_bits / (2 ** l_bits - 1)
+    nominal = [u * np.asarray(c, dtype=float) for c in (main_counts, sub_counts)]
+    return _compile(cfg, _split_side(main_p, sub_p, c_att, cfg),
+                    _split_side(main_n, sub_n, c_att, cfg),
+                    _split_side(*nominal, c_att, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +260,6 @@ class DacState:
     target_p: float        # settled asymptote, positive side [V]
     target_n: float
     switched: tuple        # bit indices already fired this conversion
-    mid_p: float           # capacitance parked on the midpoint rail [F]
-    mid_n: float
     energy: float          # accumulated switching energy [J]
 
     @property
@@ -214,57 +273,41 @@ class DacState:
 
 def initial_state(v_p: float, v_n: float) -> DacState:
     return DacState(v_p=v_p, v_n=v_n, target_p=v_p, target_n=v_n,
-                    switched=(), mid_p=0.0, mid_n=0.0, energy=0.0)
-
-
-def _event_energy(c_fall: float, n_fall: float, mid_fall: float,
-                  c_rise: float, n_rise: float, v_ref: float) -> float:
-    """Delivered-charge energy of one equal-and-opposite event [J]."""
-    return 0.25 * v_ref ** 2 * (c_rise * (n_rise - c_rise) / n_rise
-                                + mid_fall * c_fall / n_fall)
+                    switched=(), energy=0.0)
 
 
 def switch_bit(state: DacState, i: int, decision: int, dt: float,
-               array, cfg: AdcConfig) -> DacState:
+               ladder: Ladder) -> DacState:
     """Apply the bit-i correction for a +/-1 decision over dt seconds.
 
     Each side's target moves by a quarter of the bit's ladder weight
     (half-reference bottom-plate swings, equal and opposite), so the
     differential correction is step_voltage(i) / 2.  Actual plate voltages
     settle exponentially toward the targets with the per-bit switch time
-    constant r_i * C_i.
+    constant r_i * C_i.  Bits must fire MSB first, the order the energy
+    table assumes.
     """
     if dt <= 0.0:
         raise ValueError(f"switch_bit: nonpositive settle window dt = {dt:g}")
     if i in state.switched:
         raise ValueError(f"switch_bit: bit {i} already switched this conversion")
+    if i != len(state.switched) + 1 or i > ladder.bits - 1:
+        raise ValueError(f"switch_bit: bit {i} out of MSB-first order "
+                         f"after {len(state.switched)} switched")
     if decision not in (-1, 1):
         raise ValueError(f"switch_bit: decision must be +/-1, got {decision!r}")
 
-    dp, dn = array.step_pair(i)
-    new_tp = state.target_p - decision * dp / 2.0
-    new_tn = state.target_n + decision * dn / 2.0
-
-    r_i = ron_schedule(array, cfg)[i - 1]
-    g_p = math.exp(-dt / (r_i * array.c_bits_p[i - 1]))
-    g_n = math.exp(-dt / (r_i * array.c_bits_n[i - 1]))
-    new_vp = new_tp - (new_tp - state.v_p) * g_p
-    new_vn = new_tn - (new_tn - state.v_n) * g_n
-
-    if decision > 0:
-        c_fall, n_fall, mid_fall = array.c_bits_p[i - 1], array.node_p, state.mid_p
-        c_rise, n_rise = array.c_bits_n[i - 1], array.node_n
-    else:
-        c_fall, n_fall, mid_fall = array.c_bits_n[i - 1], array.node_n, state.mid_n
-        c_rise, n_rise = array.c_bits_p[i - 1], array.node_p
-    e_event = _event_energy(c_fall, n_fall, mid_fall, c_rise, n_rise, array.v_ref)
-
+    k = i - 1
+    new_tp = state.target_p - decision * ladder.dp[k] / 2.0
+    new_tn = state.target_n + decision * ladder.dn[k] / 2.0
+    g_p = math.exp(-dt / (ladder.r[k] * ladder.c_bits_p[k]))
+    g_n = math.exp(-dt / (ladder.r[k] * ladder.c_bits_n[k]))
     return DacState(
-        v_p=new_vp, v_n=new_vn, target_p=new_tp, target_n=new_tn,
+        v_p=new_tp - (new_tp - state.v_p) * g_p,
+        v_n=new_tn - (new_tn - state.v_n) * g_n,
+        target_p=new_tp, target_n=new_tn,
         switched=state.switched + (i,),
-        mid_p=state.mid_p + array.c_bits_p[i - 1],
-        mid_n=state.mid_n + array.c_bits_n[i - 1],
-        energy=state.energy + e_event,
+        energy=state.energy + ladder.e_event[k, (decision + 1) // 2],
     )
 
 
@@ -273,8 +316,8 @@ def monotonic_energy_oracle(decisions, array) -> float:
 
     Walks the closed form
       E_i = (v_ref^2 / 4) * (C_r*(N_r - C_r)/N_r + M_f*C_f/N_f)
-    tracking the fired capacitance per side; cross-checks the incremental
-    accounting in switch_bit.
+    tracking the fired capacitance per side; cross-checks the ladder's
+    event-energy table without reading it.
     """
     q = 0.25 * array.v_ref ** 2
     mid_p = mid_n = 0.0
@@ -292,141 +335,14 @@ def monotonic_energy_oracle(decisions, array) -> float:
     return total
 
 
-def conversion_energy(code: int, array, cfg: AdcConfig) -> float:
+def conversion_energy(code: int, ladder: Ladder) -> float:
     """Converter-discipline switching energy for one output code [J].
 
     The decision sequence of a SAR conversion is the code's bit pattern,
     so sweeping codes sweeps every possible switching trajectory.
     """
-    bits = [(code >> (array.bits - 1 - k)) & 1 for k in range(array.bits)]
-    state = initial_state(cfg.v_cm, cfg.v_cm)
-    for k in range(array.bits - 1):
-        d = 1 if bits[k] else -1
-        state = switch_bit(state, k + 1, d, cfg.t_phic_low, array, cfg)
-    return state.energy
-
-
-# ---------------------------------------------------------------------------
-# split (attenuation-capacitor) array
-
-@dataclass(frozen=True)
-class SplitCapArray:
-    """Attenuation-capacitor split array, both sides.
-
-    Per side the switched ladder is divided into a main segment (bits
-    1..m_bits, binary-weighted in the physical unit) and a sub segment
-    coupled through c_att sized so the series branch presents exactly one
-    unit at the main node; the sub terminator completes the sub segment.
-    The comparator parasitic c_par loads the main node and an equal
-    parasitic loads the attenuation node, which is where this topology's
-    nonlinearity comes from.
-
-    For conversion-time energy accounting the realized per-side steps are
-    mapped to equivalent single-node capacitances at the main node, and the
-    common-mode-preserving discipline runs on those (documented behavioral
-    equivalence; the trade study's textbook numbers use exact networks).
-    """
-    bits: int
-    m_bits: int
-    l_bits: int
-    v_ref: float
-    c_par: float
-    c_att: float
-    main_p: np.ndarray      # main-segment switched caps [F]
-    main_n: np.ndarray
-    sub_p: np.ndarray       # sub-segment switched caps [F]
-    sub_n: np.ndarray
-    sub_term_p: float
-    sub_term_n: float
-    topology: str = "split"
-
-    def _net(self, side: str) -> tuple[float, float, float]:
-        """(grounded-at-main, grounded-at-sub, c_att) for one side [F]."""
-        if side == "p":
-            a = float(np.sum(self.main_p)) + self.c_par
-            b = float(np.sum(self.sub_p)) + self.sub_term_p + self.c_par
-        else:
-            a = float(np.sum(self.main_n)) + self.c_par
-            b = float(np.sum(self.sub_n)) + self.sub_term_n + self.c_par
-        return a, b, self.c_att
-
-    def _node_eff(self, side: str) -> float:
-        a, b, k = self._net(side)
-        return a + k * b / (k + b)
-
-    @property
-    def node_p(self) -> float:
-        """Effective grounded capacitance seen at the positive main node [F]."""
-        return self._node_eff("p")
-
-    @property
-    def node_n(self) -> float:
-        return self._node_eff("n")
-
-    @property
-    def c_total_p(self) -> float:
-        """Physical capacitor area total, positive side [F]."""
-        return float(np.sum(self.main_p) + np.sum(self.sub_p)) + self.sub_term_p + self.c_att
-
-    @property
-    def c_total_n(self) -> float:
-        return float(np.sum(self.main_n) + np.sum(self.sub_n)) + self.sub_term_n + self.c_att
-
-    def _side_step(self, i: int, side: str) -> float:
-        """Main-node voltage step when bit i swings by v_ref on one side [V]."""
-        a, b, k = self._net(side)
-        if i <= self.m_bits:
-            c = (self.main_p if side == "p" else self.main_n)[i - 1]
-            return self.v_ref * c / (a + k * b / (k + b))
-        c = (self.sub_p if side == "p" else self.sub_n)[i - self.m_bits - 1]
-        dv_s = self.v_ref * c / (b + k * a / (k + a))
-        return dv_s * k / (a + k)
-
-    def step_pair(self, i: int) -> tuple[float, float]:
-        return self._side_step(i, "p"), self._side_step(i, "n")
-
-    @property
-    def c_bits_p(self) -> np.ndarray:
-        """Equivalent single-node bit capacitances, positive side [F]."""
-        n = self.node_p
-        return np.array([self._side_step(i, "p") * n / self.v_ref
-                         for i in range(1, self.bits)])
-
-    @property
-    def c_bits_n(self) -> np.ndarray:
-        n = self.node_n
-        return np.array([self._side_step(i, "n") * n / self.v_ref
-                         for i in range(1, self.bits)])
-
-
-def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> SplitCapArray:
-    """Draw a realized split array using the physical unit capacitor."""
-    l_bits = (cfg.bits - 1) // 2
-    m_bits = cfg.bits - 1 - l_bits
-    u = cfg.c_unit
-
-    def segment(counts):
-        dev = _draw_units(int(sum(counts)), cfg.sigma_u, rng)
-        caps, pos = [], 0
-        for n in counts:
-            caps.append(u * (n + float(np.sum(dev[pos:pos + n]))))
-            pos += n
-        return np.asarray(caps)
-
-    main_counts = [2 ** (m_bits - i) for i in range(1, m_bits + 1)]
-    sub_counts = [2 ** (l_bits - j) for j in range(1, l_bits + 1)] + [1]
-    main_p = segment(main_counts)
-    main_n = segment(main_counts)
-    sub_all_p = segment(sub_counts)
-    sub_all_n = segment(sub_counts)
-    c_att = u * 2 ** l_bits / (2 ** l_bits - 1)
-    return SplitCapArray(
-        bits=cfg.bits, m_bits=m_bits, l_bits=l_bits, v_ref=cfg.v_ref,
-        c_par=cfg.c_p, c_att=c_att,
-        main_p=main_p, main_n=main_n,
-        sub_p=sub_all_p[:-1], sub_n=sub_all_n[:-1],
-        sub_term_p=float(sub_all_p[-1]), sub_term_n=float(sub_all_n[-1]),
-    )
+    decisions = (code >> np.arange(ladder.bits - 1, 0, -1)) & 1
+    return float(np.sum(ladder.e_event[np.arange(ladder.bits - 1), decisions]))
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +507,30 @@ def _sigma_ktc_diff(c_eff_side: float, t_kelvin: float) -> float:
     return math.sqrt(2.0 * K_BOLTZMANN * t_kelvin / c_eff_side)
 
 
-def _avg_conversion_energy(array, cfg: AdcConfig) -> float:
-    codes = range(2 ** cfg.bits)
-    return sum(conversion_energy(c, array, cfg) for c in codes) / 2 ** cfg.bits
+
+
+def _row(topology: str, ladder: Ladder, t_kelvin: float, e_textbook: float,
+         delta: float) -> TopologyRow:
+    """One topology's row; the all-code average of the converter-discipline
+    energy is half the table sum, since every decision is +1 in half the
+    codes."""
+    steps = ladder.dp + ladder.dn
+    return TopologyRow(
+        topology=topology,
+        c_total_side=0.5 * (ladder.c_total_p + ladder.c_total_n),
+        sigma_ktc=_sigma_ktc_diff(ladder.node_p, t_kelvin),
+        e_avg_conversion=0.5 * float(np.sum(ladder.e_event)),
+        e_avg_textbook=e_textbook,
+        inl_max=float(np.max(np.abs(inl_from_steps(steps, ladder.bits, delta)))),
+    )
 
 
 def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
     """Exhaustive-code energy, capacitance, noise and linearity comparison."""
     delta = net_full_scale(cfg.v_fs, cfg.c_dac, cfg.c_p) / 2 ** cfg.bits
 
-    bin_cfg = replace(cfg, topology="binary")
-    bin_array = build_cap_array(bin_cfg, rng)
-    split_array = build_split_array(cfg, rng)
+    bin_ladder = build_cap_array(replace(cfg, topology="binary"), rng)
+    split_ladder = build_split_array(cfg, rng)
 
     # Textbook disciplines, matched capacitance, no parasitics: single-ended
     # energies in (unit * v_ref^2), complementary code on the far side, unit
@@ -614,29 +542,10 @@ def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
                  conventional_energy(top - c, cfg.bits) for c in range(n_codes))
     e_recyc = sum(splitcap_energy(c, cfg.bits) +
                   splitcap_energy(top - c, cfg.bits) for c in range(n_codes))
-    e_conv_avg = e_conv / n_codes * u
-    e_recyc_avg = e_recyc / n_codes * u
 
-    steps_bin = np.array([step_voltage(i, bin_array) for i in range(1, cfg.bits)])
-    steps_split = np.array([step_voltage(i, split_array) for i in range(1, cfg.bits)])
-    delta_split = steps_split[0] / 2 ** (cfg.bits - 1)
-
-    binary = TopologyRow(
-        topology="binary",
-        c_total_side=0.5 * (bin_array.c_total_p + bin_array.c_total_n),
-        sigma_ktc=_sigma_ktc_diff(bin_array.node_p, cfg.t_kelvin),
-        e_avg_conversion=_avg_conversion_energy(bin_array, cfg),
-        e_avg_textbook=e_conv_avg,
-        inl_max=float(np.max(np.abs(inl_from_steps(steps_bin, cfg.bits, delta)))),
-    )
-    split = TopologyRow(
-        topology="split",
-        c_total_side=0.5 * (split_array.c_total_p + split_array.c_total_n),
-        sigma_ktc=_sigma_ktc_diff(split_array.node_p, cfg.t_kelvin),
-        e_avg_conversion=_avg_conversion_energy(split_array, cfg),
-        e_avg_textbook=e_recyc_avg,
-        inl_max=float(np.max(np.abs(inl_from_steps(steps_split, cfg.bits, delta_split)))),
-    )
+    delta_split = step_voltage(1, split_ladder) / 2 ** (cfg.bits - 1)
+    binary = _row("binary", bin_ladder, cfg.t_kelvin, e_conv / n_codes * u, delta)
+    split = _row("split", split_ladder, cfg.t_kelvin, e_recyc / n_codes * u, delta_split)
     return TradeReport(
         binary=binary,
         split=split,

@@ -3,7 +3,7 @@
 Commands: simulate | timing | power | dac-compare | metastability | sweep |
 print-defaults.  Every run that writes artifacts drops a manifest.json next
 to them so any output can be re-derived; data artifacts are byte-identical
-for a fixed seed and config regardless of worker count.  Exit codes:
+for a fixed seed and config.  Exit codes:
 0 success, 1 configuration error, 2 runtime precondition, 3 a --check
 verification failed.
 
@@ -69,8 +69,7 @@ def _cmd_simulate(args) -> int:
     d = derived_constants(cfg)
     amplitude = args.amplitude if args.amplitude is not None else 0.75
     tone = analysis.gen_coherent_tone(args.n, args.bin, amplitude, cfg.v_cm, cfg.f_s)
-    result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed,
-                                     workers=args.workers)
+    result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     power = analysis.spectrum(result.codes, cfg.bits)
     rep = engine.power_report(result)
     m = analysis.metrics(power, args.bin, rep.total, cfg.f_s)
@@ -143,8 +142,7 @@ def _cmd_power(args) -> int:
     cfg = _load(args.config)
     tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude,
                                       cfg.v_cm, cfg.f_s)
-    result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed,
-                                     workers=args.workers)
+    result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     rep = engine.power_report(result)
     outdir = Path(args.out)
     _write(outdir, "power.csv", rep.to_csv())
@@ -177,8 +175,7 @@ def _cmd_dac_compare(args) -> int:
 
 def _cmd_metastability(args) -> int:
     cfg = _load(args.config)
-    res = timing_mod.metastability_mc(cfg, args.trials, args.pmeta,
-                                      seed=args.seed, shards=args.workers)
+    res = timing_mod.metastability_mc(cfg, args.trials, args.pmeta, seed=args.seed)
     outdir = Path(args.out)
     _write(outdir, "metastability.json", _json_text(res))
     _manifest(outdir, args, args.seed)
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=_default_out(), help="output directory")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
 
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -56,14 +56,14 @@ def _code_from_bits(bits) -> int:
     return code
 
 
-def convert(v_in_p: float, v_in_n: float, cfg: AdcConfig, array,
+def convert(v_in_p: float, v_in_n: float, cfg: AdcConfig, ladder,
             rng: np.random.Generator,
             prev_held: tuple[float, float] | None = None) -> ConversionRecord:
     """One full conversion; all anomalies are flags in the record."""
     if not (0.0 <= v_in_p <= cfg.v_dd and 0.0 <= v_in_n <= cfg.v_dd):
         raise ValueError("convert: inputs must lie within [0, v_dd]")
     held = sample(v_in_p, v_in_n, cfg, rng, prev=prev_held)
-    return _convert_held(held, v_in_p - v_in_n, cfg, array, rng)
+    return _convert_held(held, v_in_p - v_in_n, cfg, ladder, rng)
 
 
 @dataclass
@@ -90,19 +90,19 @@ class WaveformResult:
 
 
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0,
-                     workers: int = 1, keep_records: bool = False) -> WaveformResult:
+                     keep_records: bool = False) -> WaveformResult:
     """Convert a sequence of differential inputs (volts, centered on v_cm).
 
-    The capacitor array is drawn once per run; each sample owns an
-    independent random stream derived from (seed, index), so results are
-    bit-identical for any worker count.  The held value of each sample is
-    the settling start point of the next, so the track-and-hold pass runs
-    sequentially before the (logically parallel) bit-cycling passes.
+    The capacitor array is drawn and compiled once per run; each sample
+    owns an independent random stream derived from (seed, index), so a
+    fixed seed gives bit-identical results.  The held value of each sample
+    is the settling start point of the next, so the track-and-hold pass
+    runs sequentially before the bit-cycling pass.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
-    array = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
+    ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
             for k in range(diff.size)]
 
@@ -118,15 +118,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0,
         helds.append(h)
         prev = (h.v_p, h.v_n)
 
-    def run(k: int) -> ConversionRecord:
-        return _convert_held(helds[k], diff[k], cfg, array, rngs[k])
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, range(diff.size)))
-    else:
-        records = [run(k) for k in range(diff.size)]
+    records = [_convert_held(helds[k], diff[k], cfg, ladder, rngs[k])
+               for k in range(diff.size)]
 
     blocks = {
         "comparator": sum(r.e_comparator for r in records),
@@ -148,7 +141,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0,
     )
 
 
-def _convert_held(held: HeldSample, v_diff_in: float, cfg: AdcConfig, array,
+def _convert_held(held: HeldSample, v_diff_in: float, cfg: AdcConfig, ladder,
                   rng: np.random.Generator) -> ConversionRecord:
     """Bit-cycling for an already-held sample (split out for batch runs)."""
     bits_n = cfg.bits
@@ -186,7 +179,7 @@ def _convert_held(held: HeldSample, v_diff_in: float, cfg: AdcConfig, array,
             bits.append(dec.bit)
         if i < bits_n:
             before = state
-            state = switch_bit(state, i, dec.bit, cfg.t_phic_low, array, cfg)
+            state = switch_bit(state, i, dec.bit, cfg.t_phic_low, ladder)
             residuals.append((state.target_p - state.v_p) - (state.target_n - state.v_n))
             energies.append(state.energy - before.energy)
 

@@ -84,26 +84,14 @@ def build_budget(cfg: AdcConfig) -> TimingBudget:
     )
 
 
-def sync_async_comparison(cfg: AdcConfig, t_easy_override: float | None = None) -> float:
-    """Fractional rate boost of the asynchronous schedule over a synchronous
-    baseline that must allocate the worst comparison time to every bit."""
-    d = derived_constants(cfg)
-    th = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, d.delta)
-    te = t_easy_of(cfg.bits, d.tau_reg) if t_easy_override is None else t_easy_override
-    f_async = max_sampling_rate(te, th, cfg.bits, cfg.t_fix, cfg.t_delay, cfg.t_track)
-    f_sync = 1.0 / (cfg.bits * (th + cfg.t_fix + cfg.t_delay) + cfg.t_track)
-    return f_async / f_sync - 1.0
-
-
 def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
-                     seed: int = 0, shards: int = 1,
-                     with_noise: bool = False) -> dict:
+                     seed: int = 0, with_noise: bool = False) -> dict:
     """Empirical metastability rate at an inflated test target.
 
     Comparator inputs are drawn uniformly over one LSB centered on the
     decision threshold; a trial counts when the regeneration latency exceeds
-    the settling time budgeted for rate p_meta_test.  Sharded draws merge
-    deterministically regardless of shard count.
+    the settling time budgeted for rate p_meta_test.  All trials come from
+    one random stream, so a fixed seed gives a fixed count.
     """
     if trials < 10.0 / p_meta_test:
         raise ValueError(
@@ -112,16 +100,12 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
         )
     d = derived_constants(cfg)
     limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, d.delta)
-    counts = 0
-    per_shard = [trials // shards + (1 if k < trials % shards else 0)
-                 for k in range(shards)]
-    for k, n in enumerate(per_shard):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=n)
-        if with_noise and cfg.sigma_n_comp > 0:
-            v = v + rng.normal(0.0, cfg.sigma_n_comp, size=n)
-        t = decision_latencies(np.abs(v), d.tau_reg, cfg.v_dd, cfg.a_v)
-        counts += int(np.sum(t > limit))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=trials)
+    if with_noise and cfg.sigma_n_comp > 0:
+        v = v + rng.normal(0.0, cfg.sigma_n_comp, size=trials)
+    t = decision_latencies(np.abs(v), d.tau_reg, cfg.v_dd, cfg.a_v)
+    counts = int(np.sum(t > limit))
     rate = counts / trials
     sigma = math.sqrt(max(rate * (1.0 - rate), p_meta_test) / trials)
     return {

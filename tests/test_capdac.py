@@ -26,12 +26,13 @@ def test_no_mismatch_binary_weights(ideal_cfg):
         assert math.isclose(arr.c_bits_p[i - 1], 2 ** (9 - i) * u, rel_tol=1e-12)
     assert math.isclose(arr.c_total_p, ideal_cfg.c_dac, rel_tol=1e-12)
     assert math.isclose(arr.c_total_n, ideal_cfg.c_dac, rel_tol=1e-12)
-    assert np.all(arr.dev_p == 0.0)
+    assert np.array_equal(arr.c_bits_p, arr.c_nom)
 
 
 def test_construction_quantum_close_to_physical_unit(ideal_cfg):
     arr = build_cap_array(ideal_cfg, np.random.default_rng(0))
-    assert abs(arr.c_unit_eff - ideal_cfg.c_unit) / ideal_cfg.c_unit < 0.02
+    quantum = arr.c_nom[-1]          # the LSB bit is one construction quantum
+    assert abs(quantum - ideal_cfg.c_unit) / ideal_cfg.c_unit < 0.02
 
 
 def test_mismatch_sqrt_unit_count_scaling(ref_cfg):
@@ -39,7 +40,8 @@ def test_mismatch_sqrt_unit_count_scaling(ref_cfg):
     # sigma_u / 16; check over many draws
     cfg = replace(ref_cfg, sigma_u=0.01)
     rng = np.random.default_rng(5)
-    devs = np.array([build_cap_array(cfg, rng).dev_p[0] for _ in range(4000)])
+    ladders = [build_cap_array(cfg, rng) for _ in range(4000)]
+    devs = np.array([a.c_bits_p[0] / a.c_nom[0] - 1.0 for a in ladders])
     expect = 0.01 / math.sqrt(256)
     assert abs(devs.std() / expect - 1.0) < 0.05
     assert abs(devs.mean()) < 3 * expect / math.sqrt(len(devs))
@@ -49,7 +51,8 @@ def test_all_caps_positive_under_extreme_mismatch(ref_cfg):
     cfg = replace(ref_cfg, sigma_u=0.3)
     arr = build_cap_array(cfg, np.random.default_rng(11))
     assert np.all(arr.c_bits_p > 0) and np.all(arr.c_bits_n > 0)
-    assert arr.c_term_p > 0 and arr.c_term_n > 0
+    # the physical totals include each side's terminator
+    assert arr.c_total_p > np.sum(arr.c_bits_p) and arr.c_total_n > np.sum(arr.c_bits_n)
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +79,19 @@ def test_applied_corrections_telescope_to_one_lsb(ideal_cfg, ideal_array):
 def test_ron_schedule_constant_tau(ref_cfg):
     cfg = replace(ref_cfg, c_dac=1.28e-12, t_phic_low=1e-9, n_settle=10.0)
     arr = build_cap_array(sa.ideal_config(cfg), np.random.default_rng(0))
-    r = ron_schedule(arr, cfg)
+    r = ron_schedule(arr.c_nom, cfg)
     assert math.isclose(r[0], 156.25, rel_tol=1e-9)          # 640 fF bit
     assert math.isclose(r[1], 2 * r[0], rel_tol=1e-12)       # half the cap
     c_nom = cfg.c_dac / 2.0 ** np.arange(1, 10)
     assert np.allclose(r * c_nom, cfg.t_phic_low / 10.0, rtol=1e-12)
+    # both topologies settle exactly n_settle time constants per bit
+    nominal = replace(cfg, sigma_u=0.0)
+    for topology in ("binary", "split"):
+        ladder = build_cap_array(replace(nominal, topology=topology),
+                                 np.random.default_rng(0))
+        n_tau = cfg.t_phic_low / (ladder.r * ladder.c_nom)
+        assert np.allclose(n_tau, cfg.n_settle, rtol=1e-12, atol=0.0)
+        assert np.array_equal(ladder.c_bits_p, ladder.c_nom)
 
 
 def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
@@ -91,16 +102,12 @@ def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
     assert residual < d.delta / (2 * d.v_fs_net)
 
 
-def test_ron_schedule_printed_form_flag(ref_cfg, ideal_array):
-    r = ron_schedule(ideal_array, ref_cfg, printed_form=True)
-    c_nom = ref_cfg.c_dac / 2.0 ** np.arange(1, 10)
-    expect = 1.0 / (ref_cfg.n_settle * c_nom * ref_cfg.t_phic_low)
-    assert np.allclose(r, expect, rtol=1e-12)
-
-
 def test_explicit_ron_list_used(ref_cfg, ideal_array):
     cfg = replace(ref_cfg, ron_dac=tuple(float(i) for i in range(1, 10)))
-    assert np.allclose(ron_schedule(ideal_array, cfg), np.arange(1.0, 10.0))
+    assert np.allclose(ron_schedule(ideal_array.c_nom, cfg), np.arange(1.0, 10.0))
+    for topology in ("binary", "split"):
+        ladder = build_cap_array(replace(cfg, topology=topology), np.random.default_rng(0))
+        assert np.array_equal(ladder.r, np.arange(1.0, 10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -110,43 +117,49 @@ def test_switch_preserves_common_mode_exactly(ideal_cfg, ideal_array):
     state = initial_state(0.9, 0.5)
     cm0 = state.v_cm
     for i, d in enumerate([1, -1, 1, 1, -1, -1, 1, -1, 1], start=1):
-        state = switch_bit(state, i, d, 1e-6, ideal_array, ideal_cfg)
+        state = switch_bit(state, i, d, 1e-6, ideal_array)
     assert abs(state.v_cm - cm0) < 1e-12 * ideal_cfg.v_dd
 
 
-def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array):
+def test_switch_applies_half_ladder_weight(ideal_array):
     state = initial_state(0.7, 0.7)
     s1 = step_voltage(1, ideal_array)
-    new = switch_bit(state, 1, 1, 1e-6, ideal_array, ideal_cfg)
+    new = switch_bit(state, 1, 1, 1e-6, ideal_array)
     assert math.isclose(new.v_diff, -s1 / 2, rel_tol=1e-12)
 
 
-def test_switch_settling_residual(ref_cfg, ideal_array):
+def test_switch_settling_residual(ref_cfg):
     # tau per bit is r_i * C_i; dt of ten tau leaves exp(-10) of the step
     cfg = replace(sa.ideal_config(ref_cfg), n_settle=10.0)
+    arr = build_cap_array(cfg, np.random.default_rng(0))
     state = initial_state(0.7, 0.7)
-    new = switch_bit(state, 1, 1, cfg.t_phic_low, ideal_array, cfg)
-    applied = step_voltage(1, ideal_array) / 2
+    new = switch_bit(state, 1, 1, cfg.t_phic_low, arr)
+    applied = step_voltage(1, arr) / 2
     residual = abs((new.target_p - new.v_p) - (new.target_n - new.v_n))
     assert math.isclose(residual, applied * math.exp(-10.0), rel_tol=1e-9)
 
 
-def test_switch_rejects_bad_calls(ideal_cfg, ideal_array):
+def test_switch_rejects_bad_calls(ideal_array):
     state = initial_state(0.7, 0.7)
     with pytest.raises(ValueError, match="settle window"):
-        switch_bit(state, 1, 1, 0.0, ideal_array, ideal_cfg)
-    state = switch_bit(state, 1, 1, 1e-9, ideal_array, ideal_cfg)
+        switch_bit(state, 1, 1, 0.0, ideal_array)
+    state = switch_bit(state, 1, 1, 1e-9, ideal_array)
     with pytest.raises(ValueError, match="already switched"):
-        switch_bit(state, 1, -1, 1e-9, ideal_array, ideal_cfg)
+        switch_bit(state, 1, -1, 1e-9, ideal_array)
     with pytest.raises(ValueError, match="decision"):
-        switch_bit(state, 2, 0, 1e-9, ideal_array, ideal_cfg)
+        switch_bit(state, 2, 0, 1e-9, ideal_array)
+    # the energy table's prefix sums assume MSB-first firing
+    with pytest.raises(ValueError, match="order"):
+        switch_bit(state, 3, 1, 1e-9, ideal_array)
+    with pytest.raises(ValueError, match="order"):
+        switch_bit(initial_state(0.7, 0.7), 2, 1, 1e-9, ideal_array)
 
 
-def test_each_capacitor_fires_at_most_once(ideal_cfg, ideal_array):
+def test_each_capacitor_fires_at_most_once(ideal_array):
     # the one-way discipline: a full conversion touches each bit exactly once
     state = initial_state(0.7, 0.7)
     for i, d in enumerate(_decisions(389, 10)[:9], start=1):
-        state = switch_bit(state, i, d, 1e-9, ideal_array, ideal_cfg)
+        state = switch_bit(state, i, d, 1e-9, ideal_array)
     assert sorted(state.switched) == list(range(1, 10))
     assert len(set(state.switched)) == 9
 
@@ -154,27 +167,28 @@ def test_each_capacitor_fires_at_most_once(ideal_cfg, ideal_array):
 # ---------------------------------------------------------------------------
 # energy
 
-def test_energy_matches_independent_oracle(ideal_cfg, ideal_array):
+def test_energy_matches_independent_oracle(ideal_array):
     for code in (0, 1, 511, 512, 682, 1023, 341):
-        e_inc = conversion_energy(code, ideal_array, ideal_cfg)
+        e_inc = conversion_energy(code, ideal_array)
         e_ora = monotonic_energy_oracle(_decisions(code, 10), ideal_array)
         assert math.isclose(e_inc, e_ora, rel_tol=1e-12)
 
 
 def test_energy_oracle_with_mismatch(ref_cfg):
     cfg = replace(ref_cfg, sigma_u=0.02)
-    arr = build_cap_array(cfg, np.random.default_rng(9))
-    for code in (5, 700, 1023):
-        e_inc = conversion_energy(code, arr, cfg)
-        e_ora = monotonic_energy_oracle(_decisions(code, 10), arr)
-        assert math.isclose(e_inc, e_ora, rel_tol=1e-12)
+    for build in (build_cap_array, build_split_array):
+        arr = build(cfg, np.random.default_rng(9))
+        for code in (5, 700, 1023):
+            e_table = conversion_energy(code, arr)
+            e_ora = monotonic_energy_oracle(_decisions(code, 10), arr)
+            assert math.isclose(e_table, e_ora, rel_tol=1e-12)
 
 
-def test_every_event_nonnegative(ideal_cfg, ideal_array):
+def test_every_event_nonnegative(ideal_array):
     for code in (0, 1023, 341, 682, 512):
         state = initial_state(0.7, 0.7)
         for i, d in enumerate(_decisions(code, 10)[:9], start=1):
-            new = switch_bit(state, i, d, 1e-9, ideal_array, ideal_cfg)
+            new = switch_bit(state, i, d, 1e-9, ideal_array)
             assert new.energy >= state.energy
             state = new
 
@@ -182,7 +196,7 @@ def test_every_event_nonnegative(ideal_cfg, ideal_array):
 def test_monotonic_cheaper_than_conventional_all_codes(ideal_cfg, ideal_array):
     u = ideal_cfg.c_dac / 1024 * ideal_cfg.v_ref ** 2
     for code in range(1024):
-        e_mono = conversion_energy(code, ideal_array, ideal_cfg)
+        e_mono = conversion_energy(code, ideal_array)
         e_conv = (conventional_energy(code, 10)
                   + conventional_energy(1023 - code, 10)) * u
         assert e_mono < e_conv
@@ -252,10 +266,13 @@ def test_trade_energy_saving_near_three_eighths(trade):
 
 
 def test_trade_binary_row_matches_exhaustive_switching(ref_cfg, trade):
+    # the closed-form all-code average equals the mean over every code
     rng = np.random.default_rng(5)
-    arr = build_cap_array(replace(ref_cfg, topology="binary"), rng)
-    total = sum(conversion_energy(c, arr, ref_cfg) for c in range(1024))
-    assert math.isclose(trade.binary.e_avg_conversion, total / 1024, rel_tol=1e-12)
+    binary = build_cap_array(replace(ref_cfg, topology="binary"), rng)
+    split = build_split_array(ref_cfg, rng)
+    for row, arr in ((trade.binary, binary), (trade.split, split)):
+        total = sum(conversion_energy(c, arr) for c in range(1024))
+        assert math.isclose(row.e_avg_conversion, total / 1024, rel_tol=1e-12)
 
 
 def test_trade_noise_follows_capacitance_scaling(trade, ref_cfg):

