@@ -7,8 +7,7 @@ from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants
                      ideal_config, load_config, net_full_scale, reference_defaults,
                      serialize)
 from .track_hold import HeldSample, ktc_sigma, ron_of_input, sample
-from .comparator import (Decision, comparator_power, decide, decision_latency,
-                         input_noise_power)
+from .comparator import Decision, comparator_power, decide, decision_latency
 from .capdac import (DacState, Ladder, TradeReport, build_cap_array,
                      compare_topologies, inl_from_steps, monotonic_energy_oracle,
                      ron_schedule, step_voltage, switch_bit, transfer_thresholds)
@@ -27,7 +26,6 @@ __all__ = [
     "serialize",
     "HeldSample", "ktc_sigma", "ron_of_input", "sample",
     "Decision", "comparator_power", "decide", "decision_latency",
-    "input_noise_power",
     "DacState", "Ladder", "TradeReport", "build_cap_array",
     "compare_topologies", "inl_from_steps", "monotonic_energy_oracle",
     "ron_schedule", "step_voltage", "switch_bit", "transfer_thresholds",

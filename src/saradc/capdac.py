@@ -381,70 +381,73 @@ def inl_from_steps(steps: np.ndarray, bits: int, delta: float) -> np.ndarray:
 # textbook disciplines at matched capacitance ("ideal accounting")
 
 def _transition_energy(caps: np.ndarray, n_total: float, on_before: np.ndarray,
-                       on_after: np.ndarray) -> float:
-    """Reference charge energy of one bottom-plate state change.
+                       on_after: np.ndarray) -> np.ndarray:
+    """Reference charge energy of one bottom-plate state change per code.
 
+    The last axis of the states runs over caps, any leading axes over codes.
     Normalized units (v_ref = 1); caps connected to the reference after the
     event pay/return C * (db - dv_top) each.
     """
-    dv = float(np.sum(caps * (on_after - on_before))) / n_total
     db = on_after - on_before
-    return float(np.sum(caps[on_after > 0] * (db[on_after > 0] - dv)))
+    dv = np.sum(caps * db, axis=-1, keepdims=True) / n_total
+    return np.sum(np.where(on_after > 0, caps * (db - dv), 0.0), axis=-1)
 
 
-def conventional_energy(code: int, bits: int) -> float:
+def conventional_energy(code, bits: int):
     """Classic trial/keep/reject charge-redistribution energy, single side.
 
-    Normalized to unit capacitance and unit reference; the array is the
-    full binary ladder plus terminator (2^bits units total).  The trial
-    sequence starts with the top bit set; a kept trial charges the next
-    capacitor, a rejected trial discharges its own and charges the next.
+    ``code`` is an int or an integer array; the result is a float or an
+    array of the same shape.  Normalized to unit capacitance and unit
+    reference; the array is the full binary ladder plus terminator (2^bits
+    units total).  The trial sequence starts with the top bit set; a kept
+    trial charges the next capacitor, a rejected trial discharges its own
+    and charges the next.
     """
+    codes = np.asarray(code)
     caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
     n_total = float(np.sum(caps))
-    state = np.zeros(bits + 1)
+    state = np.zeros(codes.shape + caps.shape)
     new = state.copy()
-    new[0] = 1.0
+    new[..., 0] = 1.0
     total = _transition_energy(caps, n_total, state, new)
     state = new
     for k in range(bits - 1):
-        keep = (code >> (bits - 1 - k)) & 1
+        keep = (codes >> (bits - 1 - k)) & 1
         new = state.copy()
-        if not keep:
-            new[k] = 0.0
-        new[k + 1] = 1.0
-        total += _transition_energy(caps, n_total, state, new)
+        new[..., k] = keep
+        new[..., k + 1] = 1.0
+        total = total + _transition_energy(caps, n_total, state, new)
         state = new
     return total
 
 
-def splitcap_energy(code: int, bits: int) -> float:
+def splitcap_energy(code, bits: int):
     """Recycling-discipline energy on the split array, single side.
 
+    ``code`` is an int or an integer array, as for ``conventional_energy``.
     Same total capacitance as the conventional array: the top weight is
     split into a bank replicating the lower ladder (sizes 2^(bits-2)..1
     plus a duplicate unit).  Every rejected trial discharges one bank
     capacitor of the next trial's weight; kept trials charge lower
     capacitors exactly as the conventional sequence does.
     """
+    codes = np.asarray(code)
     bank = [2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
     lower = [2.0 ** (bits - 1 - k) for k in range(1, bits)]
     caps = np.array(bank + lower + [1.0])
     n_total = float(np.sum(caps))
     n_bank = len(bank)
-    state = np.zeros(len(caps))
+    state = np.zeros(codes.shape + caps.shape)
     new = state.copy()
-    new[:n_bank] = 1.0
+    new[..., :n_bank] = 1.0
     total = _transition_energy(caps, n_total, state, new)
     state = new
     for k in range(bits - 1):
-        keep = (code >> (bits - 1 - k)) & 1
+        keep = (codes >> (bits - 1 - k)) & 1
         new = state.copy()
-        if keep:
-            new[n_bank + k] = 1.0
-        else:
-            new[k] = 0.0  # bank capacitor of weight 2^(bits-2-k)
-        total += _transition_energy(caps, n_total, state, new)
+        new[..., n_bank + k] = keep
+        new[..., k] = keep  # bank capacitor of weight 2^(bits-2-k)
+        total = total + _transition_energy(caps, n_total, state, new)
         state = new
     return total
 
@@ -537,11 +540,11 @@ def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
     # scaled so each scheme's per-side array totals c_dac.
     u = cfg.c_dac / 2 ** cfg.bits * cfg.v_ref ** 2
     n_codes = 2 ** cfg.bits
-    top = n_codes - 1
-    e_conv = sum(conventional_energy(c, cfg.bits) +
-                 conventional_energy(top - c, cfg.bits) for c in range(n_codes))
-    e_recyc = sum(splitcap_energy(c, cfg.bits) +
-                  splitcap_energy(top - c, cfg.bits) for c in range(n_codes))
+    codes = np.arange(n_codes)
+    e_conv = float(np.sum(conventional_energy(codes, cfg.bits)
+                          + conventional_energy(n_codes - 1 - codes, cfg.bits)))
+    e_recyc = float(np.sum(splitcap_energy(codes, cfg.bits)
+                           + splitcap_energy(n_codes - 1 - codes, cfg.bits)))
 
     delta_split = step_voltage(1, split_ladder) / 2 ** (cfg.bits - 1)
     binary = _row("binary", bin_ladder, cfg.t_kelvin, e_conv / n_codes * u, delta)

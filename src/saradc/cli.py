@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__, analysis, capdac, engine, timing as timing_mod
 from .config import (AdcConfig, ConfigError, REFERENCE_CONFIG_DOC, derived_constants,
-                     ideal_config, load_config, reference_defaults, serialize, validate)
+                     ideal_config, load_config, parse_value, reference_defaults,
+                     validate)
 
 _PRECONDITION_ERRORS = (ValueError, analysis.InsufficientDataError)
 
@@ -67,8 +68,7 @@ def _cmd_simulate(args) -> int:
     if args.ideal:
         cfg = ideal_config(cfg)
     d = derived_constants(cfg)
-    amplitude = args.amplitude if args.amplitude is not None else 0.75
-    tone = analysis.gen_coherent_tone(args.n, args.bin, amplitude, cfg.v_cm, cfg.f_s)
+    tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude, cfg.v_cm, cfg.f_s)
     result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     power = analysis.spectrum(result.codes, cfg.bits)
     rep = engine.power_report(result)
@@ -78,7 +78,7 @@ def _cmd_simulate(args) -> int:
     _write(outdir, "spectrum.csv", analysis.spectrum_csv(power, cfg.f_s))
     payload = m.to_json_dict()
     payload.update({
-        "amplitude_V": amplitude,
+        "amplitude_V": args.amplitude,
         "f_in_Hz": tone.f_in,
         "metastable_conversions": result.n_metastable_conversions,
         "timing_violations": result.n_violations,
@@ -192,15 +192,14 @@ def _cmd_sweep(args) -> int:
         values = np.linspace(float(start), float(stop), int(steps))
     except ValueError as err:
         raise ConfigError(f"--range: expected start:stop:steps, got {args.range!r}") from err
-    names = {f.name for f in dataclasses.fields(AdcConfig)}
-    if args.param not in names:
-        raise ConfigError(f"--param: unknown config key {args.param!r}")
+    if len(values) == 0:
+        raise ConfigError("--range: steps must be at least 1")
     header = f"{args.param},delta_V,v_fs_net_V,tau_reg_s,f_s_max_Hz"
     if args.sndr:
         header += ",sndr_dB"
     lines = [header]
     for v in values:
-        c = validate(dataclasses.replace(cfg, **{args.param: type(getattr(cfg, args.param))(v)}))
+        c = validate(dataclasses.replace(cfg, **{args.param: parse_value(args.param, v)}))
         d = derived_constants(c)
         b = timing_mod.build_budget(c)
         row = f"{v:.12g},{d.delta:.12g},{d.v_fs_net:.12g},{d.tau_reg:.12g},{b.f_s_max:.12g}"
@@ -241,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n", type=int, default=64, help="record length")
     sp.add_argument("--bin", type=int, default=3, help="tone bin (coprime to n)")
-    sp.add_argument("--amplitude", type=float, default=None,
-                    help="differential amplitude [V], default 0.75")
+    sp.add_argument("--amplitude", type=float, default=0.75,
+                    help="differential amplitude [V]")
     sp.add_argument("--ideal", action="store_true", help="disable all nonidealities")
     sp.add_argument("--check", action="store_true",
                     help="verify spectrum identities; exit 3 on failure")

@@ -7,10 +7,8 @@ constant tau_reg.  A comparison whose latency exceeds the time it was given
 is metastable; the logic then latches an arbitrary value, modeled as a fair
 random bit (worst-case-honest, flagged in the conversion record).
 
-The operative noise is the configured input-referred sigma.  The
-small-signal noise estimator below exists only as a budget cross-check; the
-overdrive-ratio prefactor of the expression it evaluates is dimensionally
-doubtful, which is exactly why it is not the operative source.
+The operative noise is the configured input-referred sigma
+(``sigma_n_comp``); it is one Gaussian draw per comparison.
 """
 
 import math
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AdcConfig, K_BOLTZMANN
+from .config import AdcConfig
 
 
 @dataclass(frozen=True)
@@ -27,25 +25,6 @@ class Decision:
     t_decide: float     # latency [s]; inf for a dead-zero input
     metastable: bool
     v_effective: float  # input plus realized noise [V]
-
-
-def input_noise_power(c_pq: float, c_xy: float, v_gs: float, v_thn: float,
-                      gamma: float, t_kelvin: float) -> float:
-    """Input-referred noise power of the latch input phase [V^2].
-
-    Advisory cross-check only (see module docstring); the returned value is
-      ((v_gs-v_thn)/v_thn) * [4*k*T*gamma/c_pq + ((v_gs-v_thn)/v_thn) * k*T/(2*c_pq)]
-    c_xy is accepted for interface symmetry with the power estimate but does
-    not enter the expression.
-    """
-    del c_xy
-    if min(c_pq, v_thn, gamma) <= 0 or t_kelvin < 0:
-        raise ValueError("input_noise_power: operands must be positive")
-    if v_gs < v_thn:
-        raise ValueError("input_noise_power: v_gs must not be below v_thn")
-    kt = K_BOLTZMANN * t_kelvin
-    ratio = (v_gs - v_thn) / v_thn
-    return ratio * (4.0 * kt * gamma / c_pq + ratio * kt / (2.0 * c_pq))
 
 
 def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> float:

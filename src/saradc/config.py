@@ -1,12 +1,14 @@
 """Converter configuration: every physical and timing parameter in SI units.
 
 A single immutable ``AdcConfig`` feeds all other modules.  Values can be
-loaded from a human-editable ``key = value`` document (numbers may carry an
-SI unit with an optional prefix, e.g. ``2.5 fF`` or ``130 MHz``) or from a
-JSON object holding bare SI floats.  Both formats use the same schema, and
-every key is range-checked so that a value entered in the wrong order of
-magnitude (farads where femtofarads were meant) is rejected with a message
-naming the offending key.
+loaded from a human-editable ``key = value`` document or from a JSON
+object.  Both formats go through one schema-driven parser: every number,
+including each ``ron_dac`` entry and the integer ``bits``, is a bare SI
+number or text carrying an SI unit with an optional prefix (``2.5 fF``,
+``130 MHz``, ``1 kOhm``).  Every key is range-checked so that a value
+entered in the wrong order of magnitude (farads where femtofarads were
+meant) is rejected, and every malformed value, unknown key or broken
+cross-field rule raises a ``ConfigError`` naming the offending key.
 
 Calibration notes
 -----------------
@@ -49,9 +51,6 @@ class AdcConfig:
     a_v: float              # gain accrued before regeneration [-] (assumption)
     sigma_n_comp: float     # operative input-referred noise [Vrms]
     v_cm: float             # comparator common mode [V]
-    gamma: float            # thermal noise excess factor [-]
-    v_gs: float             # input-pair gate-source voltage [V]
-    v_thn: float            # NMOS threshold [V]
     # Timing
     t_track: float          # tracking phase length [s]
     t_delay: float          # logic delay per bit cycle [s]
@@ -85,13 +84,12 @@ class DerivedConstants:
     delta: float       # LSB after parasitic attenuation [V]
     v_fs_net: float    # net differential full scale [V]
     tau_reg: float     # comparator regeneration time constant [s]
-    c_side: float      # total sampling capacitance per side [F]
-    t_easy: float      # settling time of all non-worst-case comparisons [s]
 
 
 # Schema: key -> (kind, unit, lo, hi, doc).  kind is the python type after
-# parsing; unit "" means dimensionless; bounds are generous decade guards
-# whose only job is to catch wrong-order-of-magnitude entries.
+# parsing (ron_dac is "auto" or a tuple); unit "" means dimensionless;
+# bounds are generous decade guards whose only job is to catch
+# wrong-order-of-magnitude entries.
 _SCHEMA = {
     "bits":         (int,   "",    2,      24,    "resolution"),
     "v_dd":         (float, "V",   0.1,    20.0,  "supply voltage"),
@@ -106,9 +104,6 @@ _SCHEMA = {
     "a_v":          (float, "",    1.0,    1e3,   "pre-regeneration gain (assumption)"),
     "sigma_n_comp": (float, "V",   0.0,    0.1,   "comparator input noise, rms"),
     "v_cm":         (float, "V",   0.0,    20.0,  "comparator common mode"),
-    "gamma":        (float, "",    0.1,    10.0,  "thermal noise excess factor"),
-    "v_gs":         (float, "V",   0.0,    20.0,  "input pair gate-source voltage"),
-    "v_thn":        (float, "V",   0.0,    20.0,  "NMOS threshold voltage"),
     "t_track":      (float, "s",   1e-15,  1.0,   "tracking phase length"),
     "t_delay":      (float, "s",   0.0,    1.0,   "logic delay per bit"),
     "t_fix":        (float, "s",   0.0,    1.0,   "fixed per-bit overhead"),
@@ -120,7 +115,7 @@ _SCHEMA = {
     "v_pedestal":   (float, "V",   -0.1,   0.1,   "charge-injection pedestal"),
     "sigma_u":      (float, "",    0.0,    0.3,   "relative unit-cap mismatch (calibration)"),
     "topology":     (str,   "",    None,   None,  "DAC topology: binary | split"),
-    "ron_dac":      (None,  "Ohm", 1e-6,   1e9,   "auto or per-bit switch resistances"),
+    "ron_dac":      (tuple, "Ohm", 1e-6,   1e9,   "auto or per-bit switch resistances"),
     "n_settle":     (float, "",    0.1,    1e3,   "DAC settling depth in time constants (calibration)"),
     "e_logic":      (float, "J",   0.0,    1e-6,  "logic energy per bit cycle (calibration)"),
     "e_track":      (float, "J",   0.0,    1e-6,  "track-and-hold energy per sample (calibration)"),
@@ -130,103 +125,94 @@ _SCHEMA = {
 _SI_PREFIX = {"T": 12, "G": 9, "M": 6, "k": 3, "": 0,
               "m": -3, "u": -6, "µ": -6, "n": -9, "p": -12, "f": -15}
 
-# Strictly-positive keys beyond what the decade bounds enforce.
-_STRICT_POSITIVE = {
-    "v_dd", "v_ref", "f_s", "c_unit", "c_dac", "c_pq", "c_xy", "g_m5",
-    "t_track", "t_phic_low", "r_on0", "n_settle",
-}
 
+def _parse_quantity(key: str, raw) -> float:
+    """Parse one number of ``key`` into an SI float.
 
-def _parse_quantity(key: str, text: str) -> float:
-    """Parse '<number> [prefix+unit]' into an SI float, exactly.
-
-    Scaling is done in decimal so that '2.5 fF' parses to the same float as
-    the literal 2.5e-15.
+    ``raw`` is a JSON number (not a bool) or text '<number> [prefix+unit]'.
+    Every numeric key, each ``ron_dac`` entry and the integer ``bits`` take
+    this one path, and every failure (wrong type, unit or prefix, overflow,
+    a non-finite value) is a ConfigError naming the key.  Scaling is done in
+    decimal so that '2.5 fF' parses to the same float as the literal 2.5e-15.
     """
-    unit = _SCHEMA[key][1]
-    parts = text.split()
-    if len(parts) == 1:
-        num, suffix = parts[0], ""
-    elif len(parts) == 2:
-        num, suffix = parts
-    else:
-        raise ConfigError(f"{key}: cannot parse value {text!r}")
-    exp = 0
-    if suffix:
-        if not unit:
-            raise ConfigError(f"{key}: dimensionless key takes a bare number, got {text!r}")
-        if suffix.endswith(unit) and suffix != unit:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ConfigError(f"{key}: expected a number, got {raw!r}")
+    num, exp = raw, 0
+    if isinstance(raw, str):
+        unit = _SCHEMA[key][1]
+        parts = raw.split()
+        if len(parts) not in (1, 2):
+            raise ConfigError(f"{key}: cannot parse value {raw!r}")
+        num, suffix = parts[0], parts[1] if len(parts) == 2 else ""
+        if suffix:
+            if not unit:
+                raise ConfigError(f"{key}: dimensionless key takes a bare number, got {raw!r}")
+            if not suffix.endswith(unit):
+                raise ConfigError(f"{key}: expected unit {unit!r}, got {suffix!r}")
             prefix = suffix[: -len(unit)]
             if prefix not in _SI_PREFIX:
-                raise ConfigError(f"{key}: unknown SI prefix {prefix!r} in {text!r}")
+                raise ConfigError(f"{key}: unknown SI prefix {prefix!r} in {raw!r}")
             exp = _SI_PREFIX[prefix]
-        elif suffix == unit:
-            exp = 0
-        else:
-            raise ConfigError(f"{key}: expected unit {unit!r}, got {suffix!r}")
     try:
-        return float(Decimal(num) * Decimal(10) ** exp)
+        value = float(Decimal(num) * Decimal(10) ** exp)
     except ArithmeticError as err:
         raise ConfigError(f"{key}: cannot parse number {num!r}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: non-finite value {raw!r}")
+    return value
 
 
-def _parse_value(key: str, raw):
+def parse_value(key: str, raw):
+    """Parse the raw value of one config key: document text or a JSON value.
+
+    Numbers go through ``_parse_quantity``; ``ron_dac`` is 'auto' or a list
+    of resistances (comma-separated in text), ``topology`` a string.  Ranges
+    and cross-field rules are left to ``validate``.
+    """
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown key {key!r}")
     kind = _SCHEMA[key][0]
-    if key == "ron_dac":
-        if isinstance(raw, str) and raw.strip() == "auto":
-            return "auto"
-        if isinstance(raw, str):
-            items = [s for s in raw.replace(",", " ").split() if s]
-            return tuple(float(s) for s in items)
-        if isinstance(raw, (list, tuple)):
-            return tuple(float(v) for v in raw)
-        raise ConfigError("ron_dac: expected 'auto' or a list of resistances")
     if kind is str:
         if not isinstance(raw, str):
             raise ConfigError(f"{key}: expected a string, got {raw!r}")
         return raw.strip()
-    if kind is int:
+    if kind is tuple:
         if isinstance(raw, str):
-            raw = _parse_quantity(key, raw)
-        if float(raw) != int(raw):
+            if raw.strip() == "auto":
+                return "auto"
+            raw = raw.split(",")
+        if not isinstance(raw, list):
+            raise ConfigError(f"{key}: expected 'auto' or a list of resistances, got {raw!r}")
+        return tuple(_parse_quantity(key, v) for v in raw)
+    value = _parse_quantity(key, raw)
+    if kind is int:
+        if not value.is_integer():
             raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-        return int(raw)
-    if isinstance(raw, str):
-        return _parse_quantity(key, raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    return float(raw)
+        return int(value)
+    return value
 
 
 def _check_ranges(key: str, value) -> None:
-    kind, _, lo, hi, _ = _SCHEMA[key]
+    _, _, lo, hi, _ = _SCHEMA[key]
     if key == "topology":
         if value not in ("binary", "split"):
             raise ConfigError("topology: must be 'binary' or 'split'")
-        return
-    vals = value if key == "ron_dac" and isinstance(value, tuple) else (value,)
-    if key == "ron_dac" and value == "auto":
-        return
-    for v in vals:
-        if not math.isfinite(v):
-            raise ConfigError(f"{key}: non-finite value {v!r}")
-        if lo is not None and not (lo <= v <= hi):
-            raise ConfigError(
-                f"{key}: value {v:g} outside plausible range [{lo:g}, {hi:g}] "
-                f"(check the unit prefix)"
-            )
-    if key in _STRICT_POSITIVE and value <= 0:
-        raise ConfigError(f"{key}: must be strictly positive, got {value:g}")
+    elif value != "auto":  # ron_dac = auto has nothing to range-check
+        for v in value if isinstance(value, tuple) else (value,):
+            if not lo <= v <= hi:
+                raise ConfigError(
+                    f"{key}: value {v:g} outside plausible range [{lo:g}, {hi:g}] "
+                    f"(check the unit prefix)"
+                )
     if key == "p_meta" and not (0.0 < value < 1.0):
         raise ConfigError(f"p_meta: must lie strictly inside (0, 1), got {value:g}")
 
 
 def validate(cfg: AdcConfig) -> AdcConfig:
-    """Check all cross-field invariants; returns the config on success."""
+    """Check all ranges and cross-field invariants; returns the config on
+    success.  Each message names every key its rule reads."""
     for f in fields(AdcConfig):
         _check_ranges(f.name, getattr(cfg, f.name))
-    if cfg.v_gs < cfg.v_thn:
-        raise ConfigError("v_gs: must be at least v_thn for the noise calculator")
     # Common-mode feasibility: both comparator inputs must stay on-rail at
     # the quarter-full-scale excursions seen during conversion.
     lo = cfg.v_cm - cfg.v_fs / 4.0
@@ -234,16 +220,17 @@ def validate(cfg: AdcConfig) -> AdcConfig:
     if lo < 0.0 or hi > cfg.v_dd:
         raise ConfigError(
             f"v_cm: common mode {cfg.v_cm:g} V with quarter-scale swing "
-            f"{cfg.v_fs / 4.0:g} V leaves [0, {cfg.v_dd:g}] V"
+            f"v_ref/2 = {cfg.v_fs / 4.0:g} V leaves [0, v_dd = {cfg.v_dd:g}] V"
         )
     if cfg.topology == "binary" and cfg.c_dac < 2 ** (cfg.bits - 1) * cfg.c_unit:
         raise ConfigError(
-            f"c_dac: {cfg.c_dac:g} F cannot realize {2 ** (cfg.bits - 1)} unit "
-            f"capacitors of c_unit = {cfg.c_unit:g} F"
+            f"c_dac: {cfg.c_dac:g} F cannot realize 2^(bits-1) = {2 ** (cfg.bits - 1)} "
+            f"unit capacitors of c_unit = {cfg.c_unit:g} F"
         )
     if isinstance(cfg.ron_dac, tuple) and len(cfg.ron_dac) != cfg.bits - 1:
         raise ConfigError(
-            f"ron_dac: expected {cfg.bits - 1} per-bit resistances, got {len(cfg.ron_dac)}"
+            f"ron_dac: expected bits-1 = {cfg.bits - 1} per-bit resistances, "
+            f"got {len(cfg.ron_dac)}"
         )
     return cfg
 
@@ -271,11 +258,9 @@ def load_config(text: str) -> AdcConfig:
             items.append((key.strip(), val.strip()))
     values = {}
     for key, raw in items:
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
         if key in values:
             raise ConfigError(f"duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_value(key, raw)
     missing = [k for k in _SCHEMA if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
@@ -309,13 +294,7 @@ def derived_constants(cfg: AdcConfig) -> DerivedConstants:
     v_fs_net = net_full_scale(cfg.v_fs, cfg.c_dac, cfg.c_p)
     delta = v_fs_net / 2 ** cfg.bits
     tau_reg = cfg.c_xy / cfg.g_m5
-    return DerivedConstants(
-        delta=delta,
-        v_fs_net=v_fs_net,
-        tau_reg=tau_reg,
-        c_side=cfg.c_dac + cfg.c_p,
-        t_easy=t_easy_of(cfg.bits, tau_reg),
-    )
+    return DerivedConstants(delta=delta, v_fs_net=v_fs_net, tau_reg=tau_reg)
 
 
 def net_full_scale(v_fs: float, c_dac: float, c_p: float) -> float:
@@ -382,9 +361,6 @@ g_m5         = 2 mS           # (cal)
 a_v          = 5              # assumed pre-regeneration gain
 sigma_n_comp = 312 uV
 v_cm         = 0.7 V
-gamma        = 1
-v_gs         = 0.7 V
-v_thn        = 0.35 V
 
 t_track      = 2 ns
 t_delay      = 100 ps

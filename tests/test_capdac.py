@@ -218,8 +218,14 @@ def test_splitcap_two_bit_hand_enumeration():
 
 
 def test_recycling_never_worse_per_code():
-    for code in range(1024):
-        assert splitcap_energy(code, 10) <= conventional_energy(code, 10) + 1e-12
+    conv = [conventional_energy(code, 10) for code in range(1024)]
+    recyc = [splitcap_energy(code, 10) for code in range(1024)]
+    for e_recyc, e_conv in zip(recyc, conv):
+        assert e_recyc <= e_conv + 1e-12
+    # one call over every code gives the per-code results exactly
+    codes = np.arange(1024)
+    assert conventional_energy(codes, 10).tolist() == conv
+    assert splitcap_energy(codes, 10).tolist() == recyc
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -54,10 +55,15 @@ def test_simulate_ideal_flag(tmp_path):
     assert abs(metrics["sndr_dB"] - 61.96) < 0.6
 
 
-def test_config_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(REFERENCE_CONFIG_DOC + "\nnot_a_key = 3\n")
-    assert run(["simulate", str(bad), "--out", str(tmp_path / "x")]) == 1
+def test_config_error_exit_code(tmp_path, capsys):
+    bits_null = json.dumps({**dataclasses.asdict(sa.reference_defaults()), "bits": None})
+    for text in (REFERENCE_CONFIG_DOC + "\nnot_a_key = 3\n",
+                 REFERENCE_CONFIG_DOC.replace("bits         = 10", "bits = nan"),
+                 bits_null):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert run(["simulate", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.count("configuration error") == 3
 
 
 def test_precondition_error_exit_code(tmp_path):
@@ -112,8 +118,16 @@ def test_sweep_parasitic_shrinks_full_scale(tmp_path):
 
 
 def test_sweep_rejects_unknown_param(tmp_path):
-    assert run(["sweep", "--param", "nope", "--range", "0:1:3",
-                "--out", str(tmp_path / "x")]) == 1
+    for span in ("0:1:3", "0:1:0"):
+        assert run(["sweep", "--param", "nope", "--range", span,
+                    "--out", str(tmp_path / "x")]) == 1
+
+
+def test_sweep_rejects_keys_it_cannot_sweep(tmp_path, capsys):
+    for param in ("ron_dac", "topology"):
+        assert run(["sweep", "--param", param, "--range", "1:2:2",
+                    "--out", str(tmp_path / "x")]) == 1
+        assert param in capsys.readouterr().err
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -2,37 +2,9 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import saradc as sa
-from saradc.comparator import (comparator_power, decide, decision_latency,
-                               input_noise_power)
-
-K = 1.380649e-23
-
-
-def test_noise_calculator_zero_overdrive():
-    assert input_noise_power(20e-15, 26e-15, 0.35, 0.35, 1.0, 300.0) == 0.0
-
-
-def test_noise_calculator_hand_value():
-    # ratio = 1 at v_gs = 0.7, v_thn = 0.35:
-    # 4kT/c_pq + kT/(2 c_pq), evaluated by hand
-    kt = K * 300.0
-    expect = 4 * kt / 20e-15 + kt / (2 * 20e-15)
-    got = input_noise_power(20e-15, 26e-15, 0.7, 0.35, 1.0, 300.0)
-    assert math.isclose(got, expect, rel_tol=1e-12)
-
-
-def test_noise_calculator_inverse_capacitance_scaling():
-    a = input_noise_power(20e-15, 26e-15, 0.7, 0.35, 1.0, 300.0)
-    b = input_noise_power(40e-15, 26e-15, 0.7, 0.35, 1.0, 300.0)
-    assert math.isclose(a, 2.0 * b, rel_tol=1e-12)
-
-
-def test_noise_calculator_domain_error():
-    with pytest.raises(ValueError):
-        input_noise_power(20e-15, 26e-15, 0.3, 0.35, 1.0, 300.0)
+from saradc.comparator import comparator_power, decide, decision_latency
 
 
 def test_power_hand_value():

@@ -1,10 +1,12 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
-from saradc.config import REFERENCE_CONFIG_DOC, ConfigError, t_easy_of
+from saradc.config import _SCHEMA, REFERENCE_CONFIG_DOC, ConfigError, t_easy_of
 
 
 def test_reference_defaults_core_values(ref_cfg):
@@ -134,3 +136,82 @@ def test_public_names_resolve():
     missing = [name for name in sa.__all__ if not hasattr(sa, name)]
     assert missing == []
     assert len(set(sa.__all__)) == len(sa.__all__)
+
+
+def _json_with(key, literal):
+    """The shipped config as JSON, with the raw JSON text ``literal`` as the
+    value of ``key``."""
+    doc = asdict(sa.reference_defaults())
+    doc[key] = "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+def _kv_with(key, text):
+    """The shipped document with ``key`` set to ``text``."""
+    return "\n".join(f"{key} = {text}" if line.split("=")[0].strip() == key else line
+                     for line in REFERENCE_CONFIG_DOC.splitlines())
+
+
+@pytest.mark.parametrize("key, doc, expected", [
+    pytest.param("bits", _json_with("bits", "null"), ConfigError, id="json-bits-null"),
+    pytest.param("bits", _json_with("bits", "1e400"), ConfigError, id="json-bits-1e400"),
+    pytest.param("bits", _json_with("bits", "NaN"), ConfigError, id="json-bits-nan"),
+    pytest.param("ron_dac", _json_with("ron_dac", '[1, "x"]'), ConfigError,
+                 id="json-ron_dac-text-entry"),
+    pytest.param("bits", _kv_with("bits", "1e400"), ConfigError, id="kv-bits-1e400"),
+    pytest.param("bits", _kv_with("bits", "nan"), ConfigError, id="kv-bits-nan"),
+    pytest.param("ron_dac", _kv_with("ron_dac", "1 kOhm, 2 kOhm"), ConfigError,
+                 id="kv-ron_dac-two-kohm"),
+    pytest.param("ron_dac", _kv_with("ron_dac", ", ".join(f"{k} kOhm" for k in range(1, 10))),
+                 tuple(1000.0 * k for k in range(1, 10)), id="kv-ron_dac-nine-kohm"),
+])
+def test_every_value_takes_one_parse_path(key, doc, expected):
+    if expected is ConfigError:
+        with pytest.raises(ConfigError, match=key):
+            sa.load_config(doc)
+    else:
+        assert getattr(sa.load_config(doc), key) == expected
+
+
+_KEYS = [f.name for f in fields(sa.AdcConfig)]
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=8), st.integers(),
+              st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=4,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.sampled_from(_KEYS), value=_JUNK)
+def test_any_value_loads_or_names_its_key(key, value):
+    doc = json.dumps({**asdict(sa.reference_defaults()), key: value})
+    try:
+        sa.load_config(doc)
+    except ConfigError as err:
+        assert key in str(err)
+
+
+def _in_bounds(key):
+    kind, _, lo, hi, _ = _SCHEMA[key]
+    if kind is int:
+        return st.integers(lo, hi)
+    if kind is str:
+        return st.sampled_from(["binary", "split"])
+    if kind is tuple:
+        return st.one_of(st.just("auto"), st.lists(st.floats(lo, hi), min_size=9, max_size=9))
+    return st.floats(lo, hi)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=6, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _in_bounds(key) for key in keys})))
+def test_loaded_config_round_trips(changes):
+    # in-bounds values for a few keys of the shipped config, so that most
+    # documents also meet the cross-field rules and load
+    try:
+        cfg = sa.load_config(json.dumps({**asdict(sa.reference_defaults()), **changes}))
+    except ConfigError:
+        assume(False)
+    assert sa.load_config(sa.serialize(cfg)) == cfg
