@@ -393,32 +393,56 @@ def _transition_energy(caps: np.ndarray, n_total: float, on_before: np.ndarray,
     return np.sum(np.where(on_after > 0, caps * (db - dv), 0.0), axis=-1)
 
 
+def _trial_sequence_energy(code, bits: int, caps: np.ndarray, first_on: np.ndarray,
+                           trial) -> np.ndarray:
+    """Summed transition energies of a trial sequence, per code.
+
+    ``first_on`` is the bottom-plate state after the first trial and
+    ``trial(state, k, keep)`` applies decision k (the code's bit bits-1-k)
+    to prefix rows in place.  The state after decision k depends only on the
+    code's top k+1 bits, so each transition is computed once per prefix
+    between the smallest and largest code's (at most 2^(k+1) rows) and
+    gathered per code; a code's value comes from the same row and the same
+    reduction as a walk over that code alone.
+    """
+    codes = np.asarray(code)
+    lo, hi = int(codes.min()), int(codes.max())
+    if lo < 0 or hi >= 2 ** bits:
+        raise ValueError(f"codes must lie in [0, 2^{bits}), got {lo}..{hi}")
+    n_total = float(np.sum(caps))
+    state = first_on[np.newaxis, :]
+    e = _transition_energy(caps, n_total, np.zeros_like(state), state)
+    total = e[np.zeros_like(codes)]  # one entry per code, as each later term
+    for k in range(bits - 1):
+        shift = bits - 1 - k
+        prefix = np.arange(lo >> shift, (hi >> shift) + 1)
+        before = state[(prefix >> 1) - (lo >> (shift + 1))]
+        state = before.copy()
+        trial(state, k, prefix & 1)
+        e = _transition_energy(caps, n_total, before, state)
+        total = total + e[(codes >> shift) - (lo >> shift)]
+    return total
+
+
 def conventional_energy(code, bits: int):
     """Classic trial/keep/reject charge-redistribution energy, single side.
 
-    ``code`` is an int or an integer array; the result is a float or an
-    array of the same shape.  Normalized to unit capacitance and unit
+    ``code`` is an int or an integer array of codes in [0, 2^bits); the
+    result is a float or an array of the same shape.  Normalized to unit capacitance and unit
     reference; the array is the full binary ladder plus terminator (2^bits
     units total).  The trial sequence starts with the top bit set; a kept
     trial charges the next capacitor, a rejected trial discharges its own
     and charges the next.
     """
-    codes = np.asarray(code)
     caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
-    n_total = float(np.sum(caps))
-    state = np.zeros(codes.shape + caps.shape)
-    new = state.copy()
-    new[..., 0] = 1.0
-    total = _transition_energy(caps, n_total, state, new)
-    state = new
-    for k in range(bits - 1):
-        keep = (codes >> (bits - 1 - k)) & 1
-        new = state.copy()
-        new[..., k] = keep
-        new[..., k + 1] = 1.0
-        total = total + _transition_energy(caps, n_total, state, new)
-        state = new
-    return total
+    first_on = np.zeros_like(caps)
+    first_on[0] = 1.0
+
+    def trial(state, k, keep):
+        state[:, k] = keep
+        state[:, k + 1] = 1.0
+
+    return _trial_sequence_energy(code, bits, caps, first_on, trial)
 
 
 def splitcap_energy(code, bits: int):
@@ -431,25 +455,18 @@ def splitcap_energy(code, bits: int):
     capacitor of the next trial's weight; kept trials charge lower
     capacitors exactly as the conventional sequence does.
     """
-    codes = np.asarray(code)
     bank = [2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
     lower = [2.0 ** (bits - 1 - k) for k in range(1, bits)]
     caps = np.array(bank + lower + [1.0])
-    n_total = float(np.sum(caps))
     n_bank = len(bank)
-    state = np.zeros(codes.shape + caps.shape)
-    new = state.copy()
-    new[..., :n_bank] = 1.0
-    total = _transition_energy(caps, n_total, state, new)
-    state = new
-    for k in range(bits - 1):
-        keep = (codes >> (bits - 1 - k)) & 1
-        new = state.copy()
-        new[..., n_bank + k] = keep
-        new[..., k] = keep  # bank capacitor of weight 2^(bits-2-k)
-        total = total + _transition_energy(caps, n_total, state, new)
-        state = new
-    return total
+    first_on = np.zeros_like(caps)
+    first_on[:n_bank] = 1.0
+
+    def trial(state, k, keep):
+        state[:, n_bank + k] = keep
+        state[:, k] = keep  # bank capacitor of weight 2^(bits-2-k)
+
+    return _trial_sequence_energy(code, bits, caps, first_on, trial)
 
 
 # ---------------------------------------------------------------------------

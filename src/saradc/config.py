@@ -227,6 +227,13 @@ def validate(cfg: AdcConfig) -> AdcConfig:
             f"c_dac: {cfg.c_dac:g} F cannot realize 2^(bits-1) = {2 ** (cfg.bits - 1)} "
             f"unit capacitors of c_unit = {cfg.c_unit:g} F"
         )
+    # The DAC settles during the comparator clock's off time, which the
+    # timing budget reserves as part of each bit's fixed overhead.
+    if cfg.t_phic_low > cfg.t_fix:
+        raise ConfigError(
+            f"t_phic_low: DAC settle window {cfg.t_phic_low:g} s exceeds the "
+            f"per-bit overhead t_fix = {cfg.t_fix:g} s that the schedule reserves"
+        )
     if isinstance(cfg.ron_dac, tuple) and len(cfg.ron_dac) != cfg.bits - 1:
         raise ConfigError(
             f"ron_dac: expected bits-1 = {cfg.bits - 1} per-bit resistances, "

@@ -15,6 +15,8 @@ import numpy as np
 from .comparator import decision_latencies
 from .config import AdcConfig, derived_constants, t_easy_of
 
+MC_BLOCK = 2 ** 16   # uniforms drawn per block by metastability_mc
+
 
 @dataclass(frozen=True)
 class TimingBudget:
@@ -92,7 +94,20 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
     decision threshold; a trial counts when the regeneration latency exceeds
     the settling time budgeted for rate p_meta_test.  All trials come from
     one random stream, so a fixed seed gives a fixed count.
+
+    The uniforms are drawn in blocks of ``MC_BLOCK`` from that stream; each
+    takes one 64-bit output, so they are the values a single draw of
+    ``trials`` would give, and memory does not grow with ``trials``.  Only
+    inputs with |v| <= bound * (1 + 1e-6) go through the latency law, where
+    bound = v_dd/a_v * exp(-limit/tau_reg) is the input that resolves exactly
+    at the limit.  An input above that margin resolves about 1e-6 * tau_reg
+    before the limit, far beyond rounding error, so the count equals the
+    count over every trial.  With ``with_noise`` each block's noise is drawn
+    right after that block's uniforms.
     """
+    if not 0.0 < p_meta_test < 1.0:
+        raise ValueError(
+            f"metastability_mc: target rate {p_meta_test:g} must lie in (0, 1)")
     if trials < 10.0 / p_meta_test:
         raise ValueError(
             f"metastability_mc: need at least {10.0 / p_meta_test:.0f} trials "
@@ -100,12 +115,17 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
         )
     d = derived_constants(cfg)
     limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, d.delta)
+    bound = cfg.v_dd / cfg.a_v * math.exp(-limit / d.tau_reg) * (1.0 + 1e-6)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=trials)
-    if with_noise and cfg.sigma_n_comp > 0:
-        v = v + rng.normal(0.0, cfg.sigma_n_comp, size=trials)
-    t = decision_latencies(np.abs(v), d.tau_reg, cfg.v_dd, cfg.a_v)
-    counts = int(np.sum(t > limit))
+    counts = 0
+    for start in range(0, trials, MC_BLOCK):
+        n = min(MC_BLOCK, trials - start)
+        v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=n)
+        if with_noise and cfg.sigma_n_comp > 0:
+            v = v + rng.normal(0.0, cfg.sigma_n_comp, size=n)
+        np.abs(v, out=v)
+        t = decision_latencies(v[v <= bound], d.tau_reg, cfg.v_dd, cfg.a_v)
+        counts += int(np.count_nonzero(t > limit))
     rate = counts / trials
     sigma = math.sqrt(max(rate * (1.0 - rate), p_meta_test) / trials)
     return {

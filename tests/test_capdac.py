@@ -228,6 +228,53 @@ def test_recycling_never_worse_per_code():
     assert splitcap_energy(codes, 10).tolist() == recyc
 
 
+def _transition(caps, before, after):
+    db = after - before
+    dv = np.sum(caps * db) / np.sum(caps)
+    return np.sum(np.where(after > 0, caps * (db - dv), 0.0))
+
+
+def _walk_energy(code, bits, caps, first_on, set_bits):
+    """Per-code state walk: copy the state and set each decision's caps."""
+    state = np.zeros_like(caps)
+    new = state.copy()
+    new[first_on] = 1.0
+    total = _transition(caps, state, new)
+    state = new
+    for k in range(bits - 1):
+        keep = (code >> (bits - 1 - k)) & 1
+        new = state.copy()
+        for j, value in set_bits(k, keep):
+            new[j] = value
+        total = total + _transition(caps, state, new)
+        state = new
+    return total
+
+
+@pytest.mark.parametrize("bits", [4, 10])
+def test_textbook_energies_match_per_code_walk(bits):
+    codes = np.arange(2 ** bits)
+    caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
+    conv = [_walk_energy(c, bits, caps, [0], lambda k, keep: [(k, keep), (k + 1, 1.0)])
+            for c in codes]
+    assert conventional_energy(codes, bits).tolist() == conv
+    n_bank = bits
+    caps = np.array([2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
+                    + [2.0 ** (bits - 1 - k) for k in range(1, bits)] + [1.0])
+    recyc = [_walk_energy(c, bits, caps, slice(0, n_bank),
+                          lambda k, keep: [(n_bank + k, keep), (k, keep)])
+             for c in codes]
+    assert splitcap_energy(codes, bits).tolist() == recyc
+    # a run of codes away from zero reads the same prefix rows
+    assert conventional_energy(codes[3:7], bits).tolist() == conv[3:7]
+    assert splitcap_energy(codes[3:7], bits).tolist() == recyc[3:7]
+    for bad in (-1, 2 ** bits):
+        with pytest.raises(ValueError, match="codes"):
+            conventional_energy(bad, bits)
+        with pytest.raises(ValueError, match="codes"):
+            splitcap_energy(np.array([0, bad]), bits)
+
+
 # ---------------------------------------------------------------------------
 # static transfer
 

@@ -164,6 +164,8 @@ def _kv_with(key, text):
                  id="kv-ron_dac-two-kohm"),
     pytest.param("ron_dac", _kv_with("ron_dac", ", ".join(f"{k} kOhm" for k in range(1, 10))),
                  tuple(1000.0 * k for k in range(1, 10)), id="kv-ron_dac-nine-kohm"),
+    pytest.param("t_phic_low.*t_fix", _kv_with("t_phic_low", "900 ps"), ConfigError,
+                 id="kv-t_phic_low-above-t_fix"),
 ])
 def test_every_value_takes_one_parse_path(key, doc, expected):
     if expected is ConfigError:

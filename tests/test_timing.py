@@ -1,10 +1,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import saradc as sa
-from saradc.timing import build_budget, max_sampling_rate, metastability_mc, t_hard
+from saradc.cli import main
+from saradc.comparator import decision_latencies
+from saradc.timing import (MC_BLOCK, build_budget, max_sampling_rate, metastability_mc,
+                           t_hard)
 
 
 def test_t_hard_reference_point(ref_cfg):
@@ -104,10 +108,33 @@ def test_metastability_noise_does_not_shift_rate(ref_cfg):
     assert abs(a["rate"] - b["rate"]) < 6 * sigma
 
 
+def _one_shot_count(cfg, trials, p_meta, seed):
+    """Every trial drawn at once and put through the latency law."""
+    d = sa.derived_constants(cfg)
+    limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta, d.delta)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=trials)
+    t = decision_latencies(np.abs(v), d.tau_reg, cfg.v_dd, cfg.a_v)
+    return int(np.sum(t > limit))
+
+
 def test_metastability_sharding_deterministic(ref_cfg):
-    a = metastability_mc(ref_cfg, 10 ** 5, 1e-2, seed=9)
-    b = metastability_mc(ref_cfg, 10 ** 5, 1e-2, seed=9)
-    assert a["count"] == b["count"]
+    # block-streamed candidates give the count of the one-shot draw, also
+    # for partial last blocks and when nearly every trial is a candidate
+    for seed in (9, 2 ** 32):
+        for trials in (10 ** 5 + 7, 3 * MC_BLOCK + 5):
+            for p in (1e-2, 0.999):
+                res = metastability_mc(ref_cfg, trials, p, seed=seed)
+                assert res["count"] == _one_shot_count(ref_cfg, trials, p, seed)
+
+
+@pytest.mark.parametrize("p_meta", [0.0, -1.0, 1.5, math.nan, math.inf])
+def test_metastability_target_outside_unit_interval(ref_cfg, tmp_path, p_meta):
+    with pytest.raises(ValueError, match="target rate"):
+        metastability_mc(ref_cfg, 10 ** 6, p_meta)
+    assert main(["metastability", f"--pmeta={p_meta!r}", "--trials", "1000000",
+                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "metastability.json").exists()
 
 
 def test_metastability_insufficient_trials(ref_cfg):
