@@ -6,16 +6,15 @@ __version__ = "0.1.0"
 from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants,
                      ideal_config, load_config, net_full_scale, reference_defaults,
                      serialize)
-from .track_hold import HeldSample, ktc_sigma, ron_of_input, sample
-from .comparator import Decision, comparator_power, decide, decision_latency
-from .capdac import (DacState, Ladder, TradeReport, build_cap_array,
-                     compare_topologies, inl_from_steps, monotonic_energy_oracle,
-                     ron_schedule, step_voltage, switch_bit, transfer_thresholds)
+from .track_hold import ktc_sigma, ron_of_input, sample
+from .comparator import comparator_power, decide, decision_latency
+from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
+                     inl_from_steps, monotonic_energy_oracle, ron_schedule,
+                     step_voltage, transfer_thresholds)
 from .timing import (TimingBudget, build_budget, max_sampling_rate,
                      metastability_mc, t_hard)
-from .engine import (ConversionRecord, NoiseBudget, PowerReport, WaveformResult,
-                     convert, convert_waveform, ideal_quantizer_code,
-                     noise_budget, power_report)
+from .engine import (NoiseBudget, PowerReport, WaveformResult, convert_waveform,
+                     ideal_quantizer_code, noise_budget, power_report)
 from .analysis import (InsufficientDataError, SpectrumMetrics, Tone,
                        gen_coherent_tone, inl_dnl, metrics, spectrum,
                        spectrum_csv)
@@ -24,16 +23,15 @@ __all__ = [
     "AdcConfig", "ConfigError", "DerivedConstants", "derived_constants",
     "ideal_config", "load_config", "net_full_scale", "reference_defaults",
     "serialize",
-    "HeldSample", "ktc_sigma", "ron_of_input", "sample",
-    "Decision", "comparator_power", "decide", "decision_latency",
-    "DacState", "Ladder", "TradeReport", "build_cap_array",
-    "compare_topologies", "inl_from_steps", "monotonic_energy_oracle",
-    "ron_schedule", "step_voltage", "switch_bit", "transfer_thresholds",
+    "ktc_sigma", "ron_of_input", "sample",
+    "comparator_power", "decide", "decision_latency",
+    "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
+    "inl_from_steps", "monotonic_energy_oracle", "ron_schedule", "step_voltage",
+    "transfer_thresholds",
     "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
     "t_hard",
-    "ConversionRecord", "NoiseBudget", "PowerReport", "WaveformResult",
-    "convert", "convert_waveform", "ideal_quantizer_code", "noise_budget",
-    "power_report",
+    "NoiseBudget", "PowerReport", "WaveformResult", "convert_waveform",
+    "ideal_quantizer_code", "noise_budget", "power_report",
     "InsufficientDataError", "SpectrumMetrics", "Tone", "gen_coherent_tone",
     "inl_dnl", "metrics", "spectrum", "spectrum_csv",
 ]

@@ -45,9 +45,9 @@ Ladder
 ------
 A realized array of either topology is compiled once into a ``Ladder``:
 per-side steps, equivalent single-node bit capacitances, node
-capacitances, the mismatch-free nominal caps, switch resistances and the
-event-energy table.  Conversion-time switching, energy accounting, the
-static transfer and the trade study all read it.
+capacitances, the mismatch-free nominal caps, switch resistances, per-bit
+settling fractions and the event-energy table.  The engine's bit cycle,
+energy accounting, the static transfer and the trade study all read it.
 
 Topology trade study
 --------------------
@@ -71,9 +71,9 @@ import numpy as np
 from .config import AdcConfig, ConfigError, K_BOLTZMANN, net_full_scale
 
 __all__ = [
-    "Ladder", "DacState", "TradeReport", "TopologyRow",
-    "build_cap_array", "build_split_array", "step_voltage", "switch_bit",
-    "ron_schedule", "net_full_scale", "initial_state", "monotonic_energy_oracle",
+    "Ladder", "TradeReport", "TopologyRow",
+    "build_cap_array", "build_split_array", "step_voltage",
+    "ron_schedule", "net_full_scale", "monotonic_energy_oracle",
     "conversion_energy", "conventional_energy", "splitcap_energy",
     "transfer_thresholds", "inl_from_steps", "compare_topologies",
 ]
@@ -103,6 +103,8 @@ class Ladder:
     c_total_n: float
     c_nom: np.ndarray            # mismatch-free equivalent bit caps [F]
     r: np.ndarray                # switch on-resistances [Ohm]
+    settle_p: np.ndarray         # unsettled fraction of bit i's step after t_phic_low
+    settle_n: np.ndarray
     e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
 
@@ -158,11 +160,16 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
     q = 0.25 * cfg.v_ref ** 2
     e_down = q * (c_p * (node_p - c_p) / node_p + mid_n * c_n / node_n)
     e_up = q * (c_n * (node_n - c_n) / node_n + mid_p * c_p / node_p)
+    r = ron_schedule(c_nom, cfg)
+    # scalar math.exp: numpy's vectorised exp may differ in the last bit
+    settle_p = np.array([math.exp(-cfg.t_phic_low / (ri * ci)) for ri, ci in zip(r, c_p)])
+    settle_n = np.array([math.exp(-cfg.t_phic_low / (ri * ci)) for ri, ci in zip(r, c_n)])
     return Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits_p=c_p, c_bits_n=c_n,
         node_p=node_p, node_n=node_n, dp=dp, dn=dn,
-        c_total_p=total_p, c_total_n=total_n, c_nom=c_nom,
-        r=ron_schedule(c_nom, cfg), e_event=np.stack([e_down, e_up], axis=1),
+        c_total_p=total_p, c_total_n=total_n, c_nom=c_nom, r=r,
+        settle_p=settle_p, settle_n=settle_n,
+        e_event=np.stack([e_down, e_up], axis=1),
     )
 
 
@@ -250,66 +257,7 @@ def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
 
 
 # ---------------------------------------------------------------------------
-# conversion-time switching
-
-@dataclass(frozen=True)
-class DacState:
-    """Comparator-side plate voltages plus switching bookkeeping."""
-    v_p: float
-    v_n: float
-    target_p: float        # settled asymptote, positive side [V]
-    target_n: float
-    switched: tuple        # bit indices already fired this conversion
-    energy: float          # accumulated switching energy [J]
-
-    @property
-    def v_diff(self) -> float:
-        return self.v_p - self.v_n
-
-    @property
-    def v_cm(self) -> float:
-        return 0.5 * (self.v_p + self.v_n)
-
-
-def initial_state(v_p: float, v_n: float) -> DacState:
-    return DacState(v_p=v_p, v_n=v_n, target_p=v_p, target_n=v_n,
-                    switched=(), energy=0.0)
-
-
-def switch_bit(state: DacState, i: int, decision: int, dt: float,
-               ladder: Ladder) -> DacState:
-    """Apply the bit-i correction for a +/-1 decision over dt seconds.
-
-    Each side's target moves by a quarter of the bit's ladder weight
-    (half-reference bottom-plate swings, equal and opposite), so the
-    differential correction is step_voltage(i) / 2.  Actual plate voltages
-    settle exponentially toward the targets with the per-bit switch time
-    constant r_i * C_i.  Bits must fire MSB first, the order the energy
-    table assumes.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"switch_bit: nonpositive settle window dt = {dt:g}")
-    if i in state.switched:
-        raise ValueError(f"switch_bit: bit {i} already switched this conversion")
-    if i != len(state.switched) + 1 or i > ladder.bits - 1:
-        raise ValueError(f"switch_bit: bit {i} out of MSB-first order "
-                         f"after {len(state.switched)} switched")
-    if decision not in (-1, 1):
-        raise ValueError(f"switch_bit: decision must be +/-1, got {decision!r}")
-
-    k = i - 1
-    new_tp = state.target_p - decision * ladder.dp[k] / 2.0
-    new_tn = state.target_n + decision * ladder.dn[k] / 2.0
-    g_p = math.exp(-dt / (ladder.r[k] * ladder.c_bits_p[k]))
-    g_n = math.exp(-dt / (ladder.r[k] * ladder.c_bits_n[k]))
-    return DacState(
-        v_p=new_tp - (new_tp - state.v_p) * g_p,
-        v_n=new_tn - (new_tn - state.v_n) * g_n,
-        target_p=new_tp, target_n=new_tn,
-        switched=state.switched + (i,),
-        energy=state.energy + ladder.e_event[k, (decision + 1) // 2],
-    )
-
+# energy of a decision sequence
 
 def monotonic_energy_oracle(decisions, array) -> float:
     """Independent per-event CV accounting for a full decision sequence [J].

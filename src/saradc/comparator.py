@@ -5,26 +5,17 @@ t = tau_reg * ln(v_dd / (a_v * |v|)), clamped at zero: the latch output must
 grow from the pre-amplified input to the supply with exponential time
 constant tau_reg.  A comparison whose latency exceeds the time it was given
 is metastable; the logic then latches an arbitrary value, modeled as a fair
-random bit (worst-case-honest, flagged in the conversion record).
+random bit (worst-case-honest; the engine counts it per sample).
 
 The operative noise is the configured input-referred sigma
 (``sigma_n_comp``); it is one Gaussian draw per comparison.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import AdcConfig
-
-
-@dataclass(frozen=True)
-class Decision:
-    bit: int            # -1 or +1
-    t_decide: float     # latency [s]; inf for a dead-zero input
-    metastable: bool
-    v_effective: float  # input plus realized noise [V]
 
 
 def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> float:
@@ -56,12 +47,14 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
 
 
 def decide(v_diff: float, t_available: float, cfg: AdcConfig,
-           rng: np.random.Generator) -> Decision:
+           rng: np.random.Generator) -> tuple[int, float, bool]:
     """One comparison of a differential input given t_available seconds.
 
-    The effective input is v_diff plus one Gaussian noise draw; an exactly
-    zero effective input never resolves (infinite latency) and is reported
-    metastable rather than raising.
+    Returns (bit, t_decide, metastable): the +/-1 decision, the latency
+    [s] and whether it exceeded t_available.  The effective input is v_diff
+    plus one Gaussian noise draw; an exactly zero effective input never
+    resolves (infinite latency) and is reported metastable rather than
+    raising.  A metastable comparison draws one more integer, its bit.
     """
     if t_available < 0.0:
         raise ValueError("decide: t_available must be nonnegative")
@@ -74,4 +67,4 @@ def decide(v_diff: float, t_available: float, cfg: AdcConfig,
         bit = 1 if rng.integers(0, 2) else -1
     else:
         bit = 1 if v_eff > 0 else -1
-    return Decision(bit=bit, t_decide=t_dec, metastable=metastable, v_effective=v_eff)
+    return bit, t_dec, metastable

@@ -91,7 +91,7 @@ class DerivedConstants:
 # bounds are generous decade guards whose only job is to catch
 # wrong-order-of-magnitude entries.
 _SCHEMA = {
-    "bits":         (int,   "",    2,      24,    "resolution"),
+    "bits":         (int,   "",    3,      24,    "resolution (the split array needs a sub bit)"),
     "v_dd":         (float, "V",   0.1,    20.0,  "supply voltage"),
     "v_ref":        (float, "V",   0.01,   20.0,  "DAC reference voltage"),
     "f_s":          (float, "Hz",  1e3,    1e12,  "sampling rate"),
@@ -336,7 +336,7 @@ def ideal_config(cfg: AdcConfig) -> AdcConfig:
         ron_beta=0.0,
         v_pedestal=0.0,
         t_kelvin=0.0,
-        r_on0=1e-3,
+        r_on0=1e-6,
         ron_dac="auto",
         n_settle=200.0,
     )

@@ -1,83 +1,56 @@
-"""Conversion engine: orchestrates sampling, asynchronous bit cycling,
-DAC switching, timing bookkeeping and energy accounting.
+"""Conversion engine: sampling, asynchronous bit cycling, DAC switching,
+timing bookkeeping and energy accounting in one pass per sample, on plain
+floats; the results are per-sample arrays and per-block energy totals.
 
 Scheduling model: the conversion window is one sample period minus the
 tracking phase.  Logic delay (every bit) and the fixed DAC-settle overhead
 (every bit but the last) are reserved up front; the comparators share the
 remaining slack greedily, each getting everything still unspent.  A
 comparison whose regeneration latency exceeds its allowance is metastable:
-the logic latches an arbitrary bit (random, flagged) and the slack is gone.
-Once a comparison both has zero slack and needs nonzero time, the converter
-gives up and completes the code at the middle of the unresolved range
-(first open bit one, the rest zero), raising the timing-violation flag;
-that bounds the error at half the unresolved span.
+the logic latches an arbitrary bit (random, counted per sample) and the
+slack is gone.  Once a comparison both has zero slack and needs nonzero
+time, the converter gives up and completes the code at the middle of the
+unresolved range (first open bit one, the rest zero), raising the
+timing-violation flag; that bounds the error at half the unresolved span.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
-from .capdac import build_cap_array, initial_state, switch_bit
-from .comparator import Decision, decide
+from .capdac import build_cap_array
+from .comparator import decide
 from .config import AdcConfig, K_BOLTZMANN, derived_constants, ideal_config
-from .track_hold import HeldSample, sample
-
-
-@dataclass(frozen=True)
-class ConversionRecord:
-    """Full trace of one conversion."""
-    v_diff_in: float                  # differential input [V]
-    held: HeldSample
-    bits: tuple                       # per-bit decisions, +/-1, MSB first
-    decisions: tuple                  # Decision objects for executed comparisons
-    t_alloc: tuple                    # slack offered to each executed comparison [s]
-    dac_residuals: tuple              # differential settle residual per switch [V]
-    dac_energies: tuple               # per-switch event energy [J]
-    code: int
-    t_total: float                    # [s]
-    metastable_bits: tuple            # indices (1-based) of metastable comparisons
-    timing_violation: bool
-    e_comparator: float               # [J]
-    e_dac: float
-    e_logic: float
-    e_track: float
-
-    @property
-    def e_total(self) -> float:
-        return self.e_comparator + self.e_dac + self.e_logic + self.e_track
-
-
-def _code_from_bits(bits) -> int:
-    code = 0
-    for b in bits:
-        code = (code << 1) | (1 if b > 0 else 0)
-    return code
-
-
-def convert(v_in_p: float, v_in_n: float, cfg: AdcConfig, ladder,
-            rng: np.random.Generator,
-            prev_held: tuple[float, float] | None = None) -> ConversionRecord:
-    """One full conversion; all anomalies are flags in the record."""
-    if not (0.0 <= v_in_p <= cfg.v_dd and 0.0 <= v_in_n <= cfg.v_dd):
-        raise ValueError("convert: inputs must lie within [0, v_dd]")
-    held = sample(v_in_p, v_in_n, cfg, rng, prev=prev_held)
-    return _convert_held(held, v_in_p - v_in_n, cfg, ladder, rng)
+from .track_hold import sample
 
 
 @dataclass
 class WaveformResult:
-    codes: np.ndarray
-    metastable: np.ndarray  # per sample: number of metastable comparisons
-    violation: np.ndarray   # per sample: window-exhaustion flag
-    n_samples: int
-    n_metastable_bits: int
-    n_metastable_conversions: int
-    n_violations: int
+    """Per-sample results of one record, plus energy per block."""
+    codes: np.ndarray       # output code
+    metastable: np.ndarray  # number of metastable comparisons
+    violation: np.ndarray   # window-exhaustion flag
+    t_total: np.ndarray     # conversion time, tracking included [s]
     e_blocks: dict          # block name -> total energy [J]
     f_s: float
-    records: list = field(default_factory=list)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.codes.size)
+
+    @property
+    def n_metastable_bits(self) -> int:
+        return int(self.metastable.sum())
+
+    @property
+    def n_metastable_conversions(self) -> int:
+        return int(np.count_nonzero(self.metastable))
+
+    @property
+    def n_violations(self) -> int:
+        return int(np.count_nonzero(self.violation))
 
     @property
     def e_total(self) -> float:
@@ -89,111 +62,94 @@ class WaveformResult:
         return self.e_total / self.n_samples * self.f_s
 
 
-def convert_waveform(samples, cfg: AdcConfig, seed: int = 0,
-                     keep_records: bool = False) -> WaveformResult:
+def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     """Convert a sequence of differential inputs (volts, centered on v_cm).
 
-    The capacitor array is drawn and compiled once per run; each sample
-    owns an independent random stream derived from (seed, index), so a
-    fixed seed gives bit-identical results.  The held value of each sample
-    is the settling start point of the next, so the track-and-hold pass
-    runs sequentially before the bit-cycling pass.
+    The capacitor array is drawn from SeedSequence((seed, 1)) and compiled
+    once per run.  Each sample k is one pass: open its random stream
+    SeedSequence((seed, 0, k)), sample the input (the previous held pair is
+    the settling start point), then cycle the bits.  The stream is drawn in
+    that order: the two track-and-hold noise normals, then per comparison
+    one noise normal and, if metastable, one integer for the latched bit
+    (noise draws only where the noise is on).  A fixed seed therefore gives
+    bit-identical results.
+
+    Bit i's switch moves each side's target by a quarter of the bit's
+    ladder weight, equal and opposite, so the differential correction is
+    step_voltage(i) / 2; each plate settles toward its target, leaving the
+    ladder's ``settle_p``/``settle_n`` fraction of the step after t_phic_low.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
+    n = diff.size
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
-            for k in range(diff.size)]
-
-    # Sequential pass: sampling (carries held state between conversions).
-    helds = []
-    prev = None
-    for k in range(diff.size):
-        v_p = cfg.v_cm + 0.5 * diff[k]
-        v_n = cfg.v_cm - 0.5 * diff[k]
-        if not (0.0 <= v_p <= cfg.v_dd and 0.0 <= v_n <= cfg.v_dd):
-            raise ValueError(f"convert_waveform: sample {k} leaves [0, v_dd]")
-        h = sample(v_p, v_n, cfg, rngs[k], prev=prev)
-        helds.append(h)
-        prev = (h.v_p, h.v_n)
-
-    records = [_convert_held(helds[k], diff[k], cfg, ladder, rngs[k])
-               for k in range(diff.size)]
-
-    blocks = {
-        "comparator": sum(r.e_comparator for r in records),
-        "dac": sum(r.e_dac for r in records),
-        "logic": sum(r.e_logic for r in records),
-        "track_hold": sum(r.e_track for r in records),
-    }
-    return WaveformResult(
-        codes=np.array([r.code for r in records], dtype=int),
-        metastable=np.array([len(r.metastable_bits) for r in records], dtype=int),
-        violation=np.array([r.timing_violation for r in records], dtype=bool),
-        n_samples=diff.size,
-        n_metastable_bits=sum(len(r.metastable_bits) for r in records),
-        n_metastable_conversions=sum(bool(r.metastable_bits) for r in records),
-        n_violations=sum(r.timing_violation for r in records),
-        e_blocks=blocks,
-        f_s=cfg.f_s,
-        records=records if keep_records else [],
-    )
-
-
-def _convert_held(held: HeldSample, v_diff_in: float, cfg: AdcConfig, ladder,
-                  rng: np.random.Generator) -> ConversionRecord:
-    """Bit-cycling for an already-held sample (split out for batch runs)."""
+    dp, dn = ladder.dp.tolist(), ladder.dn.tolist()
+    settle_p, settle_n = ladder.settle_p.tolist(), ladder.settle_n.tolist()
+    e_event = ladder.e_event.tolist()
     bits_n = cfg.bits
-    window = 1.0 / cfg.f_s - cfg.t_track
-    fixed = bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix
-    slack = window - fixed
+    slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
+    c_fire, v_dd2 = 2.0 * cfg.c_pq + cfg.c_xy, cfg.v_dd ** 2
 
-    state = initial_state(held.v_p, held.v_n)
-    bits, decisions, t_alloc = [], [], []
-    residuals, energies = [], []
-    meta, violation = [], False
-    consumed = 0.0
-    n_cycles = 0
-    for i in range(1, bits_n + 1):
-        avail = max(slack, 0.0)
-        dec = decide(state.v_diff, avail, cfg, rng)
-        n_cycles += 1
-        decisions.append(dec)
-        t_alloc.append(avail)
-        if dec.metastable:
-            meta.append(i)
-            consumed += avail
-            slack = 0.0
-            if math.isinf(dec.t_decide) or avail <= 0.0:
-                # A comparison that can never resolve, or one offered no
-                # time at all, exhausts the window: complete the remaining
-                # bits at the middle of the open range.
-                bits.extend([1] + [-1] * (bits_n - i))
-                violation = True
-                break
-            bits.append(dec.bit)
-        else:
-            consumed += dec.t_decide
-            slack -= dec.t_decide
-            bits.append(dec.bit)
-        if i < bits_n:
-            before = state
-            state = switch_bit(state, i, dec.bit, cfg.t_phic_low, ladder)
-            residuals.append((state.target_p - state.v_p) - (state.target_n - state.v_n))
-            energies.append(state.energy - before.energy)
+    codes = np.empty(n, dtype=int)
+    metastable = np.empty(n, dtype=int)
+    violation = np.empty(n, dtype=bool)
+    t_total = np.empty(n)
+    e_comp = e_dac = e_logic = e_track = 0.0
+    held = None
+    for k, v in enumerate(diff.tolist()):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
+        v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
+        if not (0.0 <= v_in_p <= cfg.v_dd and 0.0 <= v_in_n <= cfg.v_dd):
+            raise ValueError(f"convert_waveform: sample {k} leaves [0, v_dd]")
+        held = sample(v_in_p, v_in_n, cfg, rng, prev=held)
+        v_p, v_n = target_p, target_n = held
 
-    e_comp = n_cycles * (2.0 * cfg.c_pq + cfg.c_xy) * cfg.v_dd ** 2
-    t_total = cfg.t_track + n_cycles * cfg.t_delay \
-        + len(residuals) * cfg.t_fix + consumed
-    return ConversionRecord(
-        v_diff_in=v_diff_in, held=held, bits=tuple(bits),
-        decisions=tuple(decisions), t_alloc=tuple(t_alloc),
-        dac_residuals=tuple(residuals), dac_energies=tuple(energies),
-        code=_code_from_bits(bits), t_total=t_total,
-        metastable_bits=tuple(meta), timing_violation=violation,
-        e_comparator=e_comp, e_dac=state.energy,
-        e_logic=n_cycles * cfg.e_logic, e_track=cfg.e_track,
+        slack = slack0
+        consumed = energy = 0.0
+        code = n_meta = 0
+        exhausted = False
+        for i in range(bits_n):
+            avail = max(slack, 0.0)
+            bit, t_decide, meta = decide(v_p - v_n, avail, cfg, rng)
+            if meta:
+                n_meta += 1
+                consumed += avail
+                slack = 0.0
+                if math.isinf(t_decide) or avail <= 0.0:
+                    # A comparison that can never resolve, or one offered no
+                    # time at all, exhausts the window: complete the code at
+                    # the middle of the open range.
+                    code = ((code << 1) | 1) << (bits_n - 1 - i)
+                    exhausted = True
+                    break
+            else:
+                consumed += t_decide
+                slack -= t_decide
+            code = (code << 1) | (bit > 0)
+            if i < bits_n - 1:
+                target_p -= bit * dp[i] / 2.0
+                target_n += bit * dn[i] / 2.0
+                v_p = target_p - (target_p - v_p) * settle_p[i]
+                v_n = target_n - (target_n - v_n) * settle_n[i]
+                energy += e_event[i][(bit + 1) // 2]
+
+        n_cycles = i + 1
+        n_switched = i if exhausted else bits_n - 1
+        codes[k] = code
+        metastable[k] = n_meta
+        violation[k] = exhausted
+        t_total[k] = cfg.t_track + n_cycles * cfg.t_delay + n_switched * cfg.t_fix + consumed
+        e_comp += n_cycles * c_fire * v_dd2
+        e_dac += energy
+        e_logic += n_cycles * cfg.e_logic
+        e_track += cfg.e_track
+
+    return WaveformResult(
+        codes=codes, metastable=metastable, violation=violation, t_total=t_total,
+        e_blocks={"comparator": e_comp, "dac": e_dac, "logic": e_logic,
+                  "track_hold": e_track},
+        f_s=cfg.f_s,
     )
 
 
@@ -329,7 +285,6 @@ def power_report(result: WaveformResult) -> PowerReport:
 
 
 __all__ = [
-    "ConversionRecord", "WaveformResult", "NoiseBudget", "PowerReport",
-    "convert", "convert_waveform", "ideal_quantizer_code", "ideal_config",
-    "noise_budget", "measure_distortion_power", "power_report",
+    "WaveformResult", "NoiseBudget", "PowerReport", "convert_waveform",
+    "ideal_quantizer_code", "ideal_config", "noise_budget", "measure_distortion_power", "power_report",
 ]

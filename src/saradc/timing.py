@@ -87,7 +87,7 @@ def build_budget(cfg: AdcConfig) -> TimingBudget:
 
 
 def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
-                     seed: int = 0, with_noise: bool = False) -> dict:
+                     seed: int = 0) -> dict:
     """Empirical metastability rate at an inflated test target.
 
     Comparator inputs are drawn uniformly over one LSB centered on the
@@ -102,8 +102,7 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
     bound = v_dd/a_v * exp(-limit/tau_reg) is the input that resolves exactly
     at the limit.  An input above that margin resolves about 1e-6 * tau_reg
     before the limit, far beyond rounding error, so the count equals the
-    count over every trial.  With ``with_noise`` each block's noise is drawn
-    right after that block's uniforms.
+    count over every trial.
     """
     if not 0.0 < p_meta_test < 1.0:
         raise ValueError(
@@ -121,8 +120,6 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
     for start in range(0, trials, MC_BLOCK):
         n = min(MC_BLOCK, trials - start)
         v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=n)
-        if with_noise and cfg.sigma_n_comp > 0:
-            v = v + rng.normal(0.0, cfg.sigma_n_comp, size=n)
         np.abs(v, out=v)
         t = decision_latencies(v[v <= bound], d.tau_reg, cfg.v_dd, cfg.a_v)
         counts += int(np.count_nonzero(t > limit))

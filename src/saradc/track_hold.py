@@ -15,35 +15,10 @@ lumped into the constant pedestal (applied to both sides).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import AdcConfig, ConfigError, K_BOLTZMANN
-
-
-@dataclass(frozen=True)
-class HeldSample:
-    """One sampled pair of top-plate voltages."""
-    v_p: float          # held positive-side voltage [V]
-    v_n: float          # held negative-side voltage [V]
-    err_p: float        # signed settling residual, positive side [V]
-    err_n: float        # signed settling residual, negative side [V]
-    noise_p: float      # realized sampled-noise draw, positive side [V]
-    noise_n: float      # realized sampled-noise draw, negative side [V]
-
-    @property
-    def v_diff(self) -> float:
-        return self.v_p - self.v_n
-
-    @property
-    def v_cm(self) -> float:
-        return 0.5 * (self.v_p + self.v_n)
-
-    @property
-    def settling_error(self) -> float:
-        """Differential settling residual [V]."""
-        return self.err_p - self.err_n
 
 
 def ron_of_input(v: float, cfg: AdcConfig) -> float:
@@ -61,13 +36,14 @@ def ron_of_input(v: float, cfg: AdcConfig) -> float:
 
 
 def sample(v_in_p: float, v_in_n: float, cfg: AdcConfig, rng: np.random.Generator,
-           prev: tuple[float, float] | None = None) -> HeldSample:
+           prev: tuple[float, float] | None = None) -> tuple[float, float]:
     """Sample a differential input onto the DAC capacitance.
 
-    prev is the held pair left from the previous conversion (settling start
-    point); it defaults to the quiescent common mode.  Each side settles with
-    its own time constant r_on(v_in_side) * c_side and then receives an
-    independent Gaussian draw of rms sqrt(kT/c_side).
+    Returns the held pair (v_p, v_n) [V].  prev is the held pair left from
+    the previous conversion (settling start point); it defaults to the
+    quiescent common mode.  Each side settles with its own time constant
+    r_on(v_in_side) * c_side and then receives an independent Gaussian draw
+    of rms ``ktc_sigma``, the positive side first.
     """
     c_side = cfg.c_dac + cfg.c_p
     v_diff = v_in_p - v_in_n
@@ -81,18 +57,10 @@ def sample(v_in_p: float, v_in_n: float, cfg: AdcConfig, rng: np.random.Generato
     err_p = (target_p - prev[0]) * g_p
     err_n = (target_n - prev[1]) * g_n
 
-    sigma = math.sqrt(K_BOLTZMANN * cfg.t_kelvin / c_side) if cfg.t_kelvin > 0 else 0.0
+    sigma = ktc_sigma(cfg)
     noise_p = sigma * rng.standard_normal() if sigma > 0 else 0.0
     noise_n = sigma * rng.standard_normal() if sigma > 0 else 0.0
-
-    return HeldSample(
-        v_p=target_p - err_p + noise_p,
-        v_n=target_n - err_n + noise_n,
-        err_p=err_p,
-        err_n=err_n,
-        noise_p=noise_p,
-        noise_n=noise_n,
-    )
+    return target_p - err_p + noise_p, target_n - err_n + noise_n
 
 
 def ktc_sigma(cfg: AdcConfig) -> float:

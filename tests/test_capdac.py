@@ -6,10 +6,9 @@ import pytest
 
 import saradc as sa
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
-                           conventional_energy, conversion_energy, initial_state,
-                           inl_from_steps, monotonic_energy_oracle, ron_schedule,
-                           splitcap_energy, step_voltage, switch_bit,
-                           transfer_thresholds)
+                           conventional_energy, conversion_energy, inl_from_steps,
+                           monotonic_energy_oracle, ron_schedule, splitcap_energy,
+                           step_voltage, transfer_thresholds)
 
 
 def _decisions(code, bits):
@@ -113,55 +112,43 @@ def test_explicit_ron_list_used(ref_cfg, ideal_array):
 # ---------------------------------------------------------------------------
 # switching
 
-def test_switch_preserves_common_mode_exactly(ideal_cfg, ideal_array):
-    state = initial_state(0.9, 0.5)
-    cm0 = state.v_cm
-    for i, d in enumerate([1, -1, 1, 1, -1, -1, 1, -1, 1], start=1):
-        state = switch_bit(state, i, d, 1e-6, ideal_array)
-    assert abs(state.v_cm - cm0) < 1e-12 * ideal_cfg.v_dd
+def test_switch_preserves_common_mode_exactly(ideal_array):
+    # mismatch-free sides step and settle alike, so every event moves the
+    # two plates by equal and opposite amounts
+    assert np.array_equal(ideal_array.dp, ideal_array.dn)
+    assert np.array_equal(ideal_array.settle_p, ideal_array.settle_n)
 
 
-def test_switch_applies_half_ladder_weight(ideal_array):
-    state = initial_state(0.7, 0.7)
-    s1 = step_voltage(1, ideal_array)
-    new = switch_bit(state, 1, 1, 1e-6, ideal_array)
-    assert math.isclose(new.v_diff, -s1 / 2, rel_tol=1e-12)
+def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array, comparator_calls):
+    sa.convert_waveform([0.3], ideal_cfg)
+    (v1, bit1), (v2, _) = comparator_calls[:2]
+    assert bit1 == 1                   # the ladder steps down
+    assert math.isclose(v2 - v1, -step_voltage(1, ideal_array) / 2, rel_tol=1e-12)
 
 
-def test_switch_settling_residual(ref_cfg):
-    # tau per bit is r_i * C_i; dt of ten tau leaves exp(-10) of the step
+def test_switch_settling_residual(ref_cfg, comparator_calls):
+    # tau per bit is r_i * C_i; the t_phic_low window of ten tau leaves
+    # exp(-10) of the step
     cfg = replace(sa.ideal_config(ref_cfg), n_settle=10.0)
     arr = build_cap_array(cfg, np.random.default_rng(0))
-    state = initial_state(0.7, 0.7)
-    new = switch_bit(state, 1, 1, cfg.t_phic_low, arr)
+    assert np.allclose(arr.settle_p, math.exp(-10.0), rtol=1e-12, atol=0)
+    assert np.allclose(arr.settle_n, math.exp(-10.0), rtol=1e-12, atol=0)
+    sa.convert_waveform([0.3], cfg)
+    (v1, _), (v2, _) = comparator_calls[:2]
     applied = step_voltage(1, arr) / 2
-    residual = abs((new.target_p - new.v_p) - (new.target_n - new.v_n))
+    residual = abs(v2 - (v1 - applied))
     assert math.isclose(residual, applied * math.exp(-10.0), rel_tol=1e-9)
 
 
-def test_switch_rejects_bad_calls(ideal_array):
-    state = initial_state(0.7, 0.7)
-    with pytest.raises(ValueError, match="settle window"):
-        switch_bit(state, 1, 1, 0.0, ideal_array)
-    state = switch_bit(state, 1, 1, 1e-9, ideal_array)
-    with pytest.raises(ValueError, match="already switched"):
-        switch_bit(state, 1, -1, 1e-9, ideal_array)
-    with pytest.raises(ValueError, match="decision"):
-        switch_bit(state, 2, 0, 1e-9, ideal_array)
-    # the energy table's prefix sums assume MSB-first firing
-    with pytest.raises(ValueError, match="order"):
-        switch_bit(state, 3, 1, 1e-9, ideal_array)
-    with pytest.raises(ValueError, match="order"):
-        switch_bit(initial_state(0.7, 0.7), 2, 1, 1e-9, ideal_array)
-
-
-def test_each_capacitor_fires_at_most_once(ideal_array):
-    # the one-way discipline: a full conversion touches each bit exactly once
-    state = initial_state(0.7, 0.7)
-    for i, d in enumerate(_decisions(389, 10)[:9], start=1):
-        state = switch_bit(state, i, d, 1e-9, ideal_array)
-    assert sorted(state.switched) == list(range(1, 10))
-    assert len(set(state.switched)) == 9
+def test_each_capacitor_fires_at_most_once(ref_cfg, comparator_calls):
+    # the one-way discipline: a full conversion compares once per bit and
+    # pays each of the bits-1 switch events exactly once
+    cfg = replace(ref_cfg, sigma_u=0.02)
+    res = sa.convert_waveform([0.1234], cfg)
+    assert not res.violation[0] and len(comparator_calls) == cfg.bits
+    ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
+    assert math.isclose(res.e_blocks["dac"], conversion_energy(int(res.codes[0]), ladder),
+                        rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +171,11 @@ def test_energy_oracle_with_mismatch(ref_cfg):
             assert math.isclose(e_table, e_ora, rel_tol=1e-12)
 
 
-def test_every_event_nonnegative(ideal_array):
-    for code in (0, 1023, 341, 682, 512):
-        state = initial_state(0.7, 0.7)
-        for i, d in enumerate(_decisions(code, 10)[:9], start=1):
-            new = switch_bit(state, i, d, 1e-9, ideal_array)
-            assert new.energy >= state.energy
-            state = new
+def test_every_event_nonnegative(ideal_array, ref_cfg):
+    assert np.all(ideal_array.e_event >= 0)
+    cfg = replace(ref_cfg, sigma_u=0.05)
+    for build in (build_cap_array, build_split_array):
+        assert np.all(build(cfg, np.random.default_rng(2)).e_event >= 0)
 
 
 def test_monotonic_cheaper_than_conventional_all_codes(ideal_cfg, ideal_array):

@@ -128,6 +128,9 @@ def test_ideal_config_disables_nonidealities(ref_cfg):
     assert ic.sigma_u == 0.0
     assert ic.ron_alpha == ic.ron_beta == 0.0
     assert ic.t_kelvin == 0.0
+    # tracking settles completely even at the largest capacitances the schema allows
+    c_side = _SCHEMA["c_dac"][3] + _SCHEMA["c_p"][3]
+    assert math.exp(-ic.t_track / (ic.r_on0 * c_side)) == 0.0
     # still a valid config
     assert sa.load_config(sa.serialize(ic)) == ic
 
@@ -166,6 +169,8 @@ def _kv_with(key, text):
                  tuple(1000.0 * k for k in range(1, 10)), id="kv-ron_dac-nine-kohm"),
     pytest.param("t_phic_low.*t_fix", _kv_with("t_phic_low", "900 ps"), ConfigError,
                  id="kv-t_phic_low-above-t_fix"),
+    # a split array needs a sub-array bit behind its attenuation capacitor
+    pytest.param("bits", _kv_with("bits", "2"), ConfigError, id="kv-bits-2"),
 ])
 def test_every_value_takes_one_parse_path(key, doc, expected):
     if expected is ConfigError:

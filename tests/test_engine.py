@@ -1,83 +1,86 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
-from saradc.engine import (convert, convert_waveform, ideal_quantizer_code,
+from saradc.capdac import conversion_energy
+from saradc.config import _SCHEMA, ConfigError, validate
+from saradc.engine import (convert_waveform, ideal_quantizer_code,
                            measure_distortion_power, noise_budget, power_report)
 
 
-def test_ideal_ramp_subset_matches_oracle(ideal_cfg, ideal_array, rng):
+def test_ideal_ramp_subset_matches_oracle(ideal_cfg):
     # grid points sit an eighth of an LSB away from every decision threshold
     d = sa.derived_constants(ideal_cfg)
     n = 4096
-    v = (np.arange(n) + 0.5) / n * d.v_fs_net - d.v_fs_net / 2
-    for vv in v[::57]:
-        rec = convert(ideal_cfg.v_cm + vv / 2, ideal_cfg.v_cm - vv / 2,
-                      ideal_cfg, ideal_array, rng)
-        assert rec.code == ideal_quantizer_code(vv, ideal_cfg)
-        assert not rec.timing_violation
+    v = ((np.arange(n) + 0.5) / n * d.v_fs_net - d.v_fs_net / 2)[::57]
+    res = convert_waveform(v, ideal_cfg, seed=0)
+    assert res.codes.tolist() == [ideal_quantizer_code(vv, ideal_cfg) for vv in v]
+    assert not res.violation.any()
 
 
-def test_positive_full_scale_saturates(ideal_cfg, ideal_array, rng):
+def test_positive_full_scale_saturates(ideal_cfg):
     d = sa.derived_constants(ideal_cfg)
-    rec = convert(ideal_cfg.v_cm + d.v_fs_net / 4, ideal_cfg.v_cm - d.v_fs_net / 4,
-                  ideal_cfg, ideal_array, rng)
-    assert rec.code == 1023
+    assert convert_waveform([d.v_fs_net / 2], ideal_cfg).codes[0] == 1023
 
 
-def test_zero_input_flags_metastable(ideal_cfg, ideal_array, rng):
-    rec = convert(ideal_cfg.v_cm, ideal_cfg.v_cm, ideal_cfg, ideal_array, rng)
-    assert rec.metastable_bits == (1,)
-    assert rec.timing_violation
-    assert rec.code == 512           # mid-scale completion from the first bit
+def test_zero_input_flags_metastable(ideal_cfg):
+    res = convert_waveform([0.0], ideal_cfg)
+    assert res.metastable[0] == 1 and res.n_metastable_bits == 1
+    assert res.violation[0] and res.n_violations == 1
+    assert res.codes[0] == 512       # mid-scale completion from the first bit
 
 
-def test_out_of_rail_input_rejected(ideal_cfg, ideal_array, rng):
-    with pytest.raises(ValueError):
-        convert(ideal_cfg.v_dd + 0.1, 0.5, ideal_cfg, ideal_array, rng)
+def test_out_of_rail_input_rejected(ideal_cfg):
+    v = 2.0 * (ideal_cfg.v_dd - ideal_cfg.v_cm) + 0.2
+    with pytest.raises(ValueError, match="sample 1 leaves"):
+        convert_waveform([0.1, v], ideal_cfg)
 
 
-def test_code_reproduces_decisions(ref_cfg, rng):
-    arr = sa.build_cap_array(ref_cfg, np.random.default_rng(0))
-    rec = convert(ref_cfg.v_cm + 0.1, ref_cfg.v_cm - 0.1, ref_cfg, arr, rng)
-    if not rec.metastable_bits:
-        code = 0
-        for dec in rec.decisions:
-            code = (code << 1) | (dec.bit > 0)
-        assert code == rec.code
+def test_code_reproduces_decisions(ref_cfg, comparator_calls):
+    res = convert_waveform([0.2], ref_cfg, seed=3)
+    assert res.metastable[0] == 0 and len(comparator_calls) == ref_cfg.bits
+    code = 0
+    for _, bit in comparator_calls:
+        code = (code << 1) | (bit > 0)
+    assert code == res.codes[0]
 
 
-def test_energy_conservation_identity(ref_cfg, rng):
-    arr = sa.build_cap_array(ref_cfg, np.random.default_rng(0))
-    rec = convert(ref_cfg.v_cm + 0.2, ref_cfg.v_cm - 0.2, ref_cfg, arr, rng)
-    assert math.isclose(rec.e_dac, sum(rec.dac_energies), rel_tol=1e-12)
-    assert math.isclose(rec.e_total,
-                        rec.e_comparator + rec.e_dac + rec.e_logic + rec.e_track,
-                        rel_tol=1e-15)
-    # one comparator firing per executed bit at the dynamic energy law
+def test_energy_conservation_identity(ref_cfg):
+    # without a violation every code pays one table event per switched bit,
+    # and every bit fires the comparator and the logic once
+    tone = sa.gen_coherent_tone(256, 19, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
+    res = convert_waveform(tone.v_diff, ref_cfg, seed=4)
+    assert res.n_violations == 0
+    ladder = sa.build_cap_array(ref_cfg, np.random.default_rng(np.random.SeedSequence((4, 1))))
+    e_dac = sum(conversion_energy(int(c), ladder) for c in res.codes)
+    assert math.isclose(res.e_blocks["dac"], e_dac, rel_tol=1e-12)
+    slots = res.n_samples * ref_cfg.bits
     e_fire = (2 * ref_cfg.c_pq + ref_cfg.c_xy) * ref_cfg.v_dd ** 2
-    assert math.isclose(rec.e_comparator, len(rec.decisions) * e_fire, rel_tol=1e-12)
+    assert math.isclose(res.e_blocks["comparator"], slots * e_fire, rel_tol=1e-12)
+    assert math.isclose(res.e_blocks["logic"], slots * ref_cfg.e_logic, rel_tol=1e-12)
+    assert math.isclose(res.e_total, sum(res.e_blocks.values()), rel_tol=1e-15)
 
 
-def test_window_accounting(ref_cfg, rng):
-    arr = sa.build_cap_array(ref_cfg, np.random.default_rng(0))
-    for v in (0.31, -0.02, 0.6):
-        rec = convert(ref_cfg.v_cm + v / 2, ref_cfg.v_cm - v / 2,
-                      ref_cfg, arr, rng)
-        if not rec.timing_violation:
-            assert rec.t_total <= 1.0 / ref_cfg.f_s + 1e-18
+def test_window_accounting(ref_cfg):
+    res = convert_waveform([0.31, -0.02, 0.6], ref_cfg, seed=1)
+    assert not res.violation.any()
+    assert np.all(res.t_total <= 1.0 / ref_cfg.f_s + 1e-18)
+    # at least the fixed overheads: tracking, logic delay per bit, t_fix per switch
+    floor = ref_cfg.t_track + ref_cfg.bits * ref_cfg.t_delay + (ref_cfg.bits - 1) * ref_cfg.t_fix
+    assert np.all(res.t_total >= floor)
 
 
-def test_starved_schedule_flags_violation(ref_cfg, rng):
+def test_starved_schedule_flags_violation(ref_cfg):
     # window smaller than the fixed overheads: conversion must give up
     cfg = replace(ref_cfg, f_s=500e6, t_track=1.5e-9)
-    arr = sa.build_cap_array(cfg, np.random.default_rng(0))
-    rec = convert(cfg.v_cm + 1e-4, cfg.v_cm - 1e-4, cfg, arr, rng)
-    assert rec.timing_violation
-    assert rec.t_total <= 1.0 / cfg.f_s
+    res = convert_waveform([2e-4], cfg)
+    assert res.violation[0]
+    assert res.t_total[0] <= 1.0 / cfg.f_s
 
 
 def test_waveform_determinism_across_workers(ref_cfg):
@@ -85,6 +88,7 @@ def test_waveform_determinism_across_workers(ref_cfg):
     a = convert_waveform(tone.v_diff, ref_cfg, seed=5)
     b = convert_waveform(tone.v_diff, ref_cfg, seed=5)
     assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a.t_total, b.t_total)
     assert a.e_blocks == b.e_blocks
 
 
@@ -108,8 +112,11 @@ def test_empty_waveform_rejected(ref_cfg):
 
 def test_waveform_energy_bookkeeping(ref_cfg):
     tone = sa.gen_coherent_tone(128, 11, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
-    res = convert_waveform(tone.v_diff, ref_cfg, seed=2, keep_records=True)
-    total = sum(r.e_total for r in res.records)
+    res = convert_waveform(tone.v_diff, ref_cfg, seed=2)
+    assert res.n_samples == 128
+    assert list(res.e_blocks) == ["comparator", "dac", "logic", "track_hold"]
+    assert math.isclose(res.e_blocks["track_hold"], 128 * ref_cfg.e_track, rel_tol=1e-12)
+    total = sum(res.e_blocks.values())
     assert math.isclose(res.e_total, total, rel_tol=1e-12)
     assert math.isclose(res.mean_power, total / 128 * ref_cfg.f_s, rel_tol=1e-12)
 
@@ -169,8 +176,8 @@ def test_power_scales_linearly_with_rate(ref_cfg):
     # doubling the rate doubles every dynamic block (ideal scaling: the
     # schedule must still close, so tracking is shortened with the period)
     tone = sa.gen_coherent_tone(128, 11, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
-    fast = replace(ref_cfg, f_s=2 * ref_cfg.f_s, t_track=ref_cfg.t_track / 2,
-                   t_fix=75e-12, t_delay=50e-12)
+    fast = validate(replace(ref_cfg, f_s=2 * ref_cfg.f_s, t_track=ref_cfg.t_track / 2,
+                            t_fix=75e-12, t_phic_low=75e-12, t_delay=50e-12))
     a = power_report(convert_waveform(tone.v_diff, ref_cfg, seed=1))
     b = power_report(convert_waveform(tone.v_diff, fast, seed=1))
     for k in a.blocks:
@@ -183,3 +190,80 @@ def test_power_csv_layout(ref_cfg):
     lines = rep.to_csv().splitlines()
     assert lines[0] == "block,power_W,fraction"
     assert lines[-1].startswith("total,")
+
+
+# ---------------------------------------------------------------------------
+# properties over schema-bounded configs
+
+_KEYS = [f.name for f in fields(sa.AdcConfig)]
+# keys the ideal converter keeps: static quantities, plus the nonidealities
+# ideal_config zeroes; timing stays at the reference operating point
+_IDEAL_KEYS = ["bits", "v_dd", "v_ref", "v_cm", "c_unit", "c_dac", "c_p", "sigma_u",
+               "sigma_n_comp", "ron_alpha", "ron_beta", "v_pedestal", "t_kelvin"]
+
+
+def _in_bounds(key):
+    kind, _, lo, hi, _ = _SCHEMA[key]
+    if key == "bits":
+        return st.integers(lo, min(hi, 12))   # keeps the per-unit mismatch draw small
+    if kind is str:
+        return st.sampled_from(["binary", "split"])
+    if kind is tuple:
+        return st.one_of(st.just("auto"), st.lists(st.floats(lo, hi), min_size=9, max_size=9))
+    return st.floats(lo, hi)
+
+
+def _configs(keys):
+    """Reference config with up to four keys at in-bounds values, loaded."""
+    changes = st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True).flatmap(
+        lambda ks: st.fixed_dictionaries({k: _in_bounds(k) for k in ks}))
+    return changes.map(lambda c: json.dumps({**asdict(sa.reference_defaults()), **c}))
+
+
+def _load(doc):
+    try:
+        return sa.load_config(doc)
+    except ConfigError:
+        assume(False)
+
+
+_FRACTIONS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(doc=_configs(_KEYS), fractions=_FRACTIONS, seed=st.integers(0, 2 ** 32))
+def test_engine_invariants_hold_for_any_config(doc, fractions, seed):
+    cfg = _load(doc)
+    d = sa.derived_constants(cfg)
+    v = np.array(fractions) * d.v_fs_net / 2
+    try:
+        res = convert_waveform(v, cfg, seed=seed)
+    except ConfigError as err:      # an on-resistance polynomial that turns negative
+        assert "nonphysical" in str(err)
+        assume(False)
+    assert np.all((res.codes >= 0) & (res.codes < 2 ** cfg.bits))
+    assert np.all(res.metastable <= cfg.bits) and np.all(res.t_total > 0)
+    for topology in ("binary", "split"):
+        ladder = sa.build_cap_array(replace(cfg, topology=topology), np.random.default_rng(seed))
+        assert np.all(ladder.e_event >= 0)
+    rep = power_report(res)
+    assert all(p >= 0 for p in rep.blocks.values())
+    assert rep.total == sum(rep.blocks.values())
+    assert math.isclose(rep.total, res.mean_power, rel_tol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(doc=_configs(_IDEAL_KEYS), offsets=st.lists(st.floats(0.125, 0.875), min_size=1,
+                                                   max_size=8), data=st.data())
+def test_ideal_mode_matches_quantizer_for_any_config(doc, offsets, data):
+    # inputs sit at least an eighth of an LSB away from every threshold
+    cfg = replace(sa.ideal_config(_load(doc)), topology="binary")
+    d = sa.derived_constants(cfg)
+    half = 2 ** (cfg.bits - 1)
+    steps = data.draw(st.lists(st.integers(-half, half - 1), min_size=len(offsets),
+                               max_size=len(offsets)))
+    v = (np.array(steps) + np.array(offsets)) * d.delta
+    res = convert_waveform(v, cfg)
+    clean = res.metastable == 0
+    oracle = np.array([ideal_quantizer_code(x, cfg) for x in v])
+    assert np.array_equal(res.codes[clean], oracle[clean])

@@ -101,13 +101,6 @@ def test_metastability_rate_saturates_at_loose_target(ref_cfg):
     assert res["rate"] > 0.99
 
 
-def test_metastability_noise_does_not_shift_rate(ref_cfg):
-    a = metastability_mc(ref_cfg, 10 ** 6, 1e-3, seed=5, with_noise=False)
-    b = metastability_mc(ref_cfg, 10 ** 6, 1e-3, seed=6, with_noise=True)
-    sigma = math.sqrt(1e-3 / 10 ** 6)
-    assert abs(a["rate"] - b["rate"]) < 6 * sigma
-
-
 def _one_shot_count(cfg, trials, p_meta, seed):
     """Every trial drawn at once and put through the latency law."""
     d = sa.derived_constants(cfg)

@@ -30,9 +30,9 @@ def test_ron_nonphysical_raises(ref_cfg):
 
 def test_full_settling_reproduces_input(ref_cfg, rng):
     cfg = replace(sa.ideal_config(ref_cfg), t_track=1e-3)
-    h = sample(cfg.v_cm + 0.123, cfg.v_cm - 0.123, cfg, rng)
-    assert math.isclose(h.v_diff, 0.246, rel_tol=1e-12)
-    assert math.isclose(h.v_cm, cfg.v_cm, rel_tol=1e-12)
+    v_p, v_n = sample(cfg.v_cm + 0.123, cfg.v_cm - 0.123, cfg, rng)
+    assert math.isclose(v_p - v_n, 0.246, rel_tol=1e-12)
+    assert math.isclose(0.5 * (v_p + v_n), cfg.v_cm, rel_tol=1e-12)
 
 
 def test_settling_factor_value(ref_cfg, rng):
@@ -42,9 +42,9 @@ def test_settling_factor_value(ref_cfg, rng):
     c_side = cfg.c_dac + cfg.c_p
     g_expect = math.exp(-cfg.t_track / (200.0 * c_side))
     assert math.isclose(g_expect, 5.12e-4, rel_tol=2e-3)
-    h = sample(cfg.v_cm + 0.2, cfg.v_cm - 0.2, cfg, rng)
+    v_p, _ = sample(cfg.v_cm + 0.2, cfg.v_cm - 0.2, cfg, rng)
     # positive-side target sits v_diff/2 = 0.2 V above the quiescent v_cm
-    assert math.isclose(h.err_p, 0.2 * g_expect, rel_tol=1e-9)
+    assert math.isclose(cfg.v_cm + 0.2 - v_p, 0.2 * g_expect, rel_tol=1e-9)
 
 
 def test_ktc_sigma_value(ref_cfg):
@@ -59,8 +59,8 @@ def test_sampled_noise_variance_matches_ktc(ref_cfg):
     sigma = ktc_sigma(cfg)
     draws = np.empty(n)
     for k in range(n):
-        h = sample(cfg.v_cm, cfg.v_cm, cfg, rng)
-        draws[k] = h.v_diff
+        v_p, v_n = sample(cfg.v_cm, cfg.v_cm, cfg, rng)
+        draws[k] = v_p - v_n
     sig_diff = draws.std()
     expect = sigma * math.sqrt(2.0)
     assert math.isclose(expect, 79.2e-6, rel_tol=0.01)
@@ -73,7 +73,7 @@ def test_linearity_affine_map(ref_cfg):
     cfg = replace(ref_cfg, ron_alpha=0.0, ron_beta=0.0, t_kelvin=0.0)
     rng = np.random.default_rng(0)
     vs = np.linspace(-0.75, 0.75, 41)
-    held = np.array([sample(cfg.v_cm + v / 2, cfg.v_cm - v / 2, cfg, rng).v_diff
+    held = np.array([np.subtract(*sample(cfg.v_cm + v / 2, cfg.v_cm - v / 2, cfg, rng))
                      for v in vs])
     gain = (held[-1] - held[0]) / (vs[-1] - vs[0])
     fit = held[0] + gain * (vs - vs[0])
@@ -88,9 +88,8 @@ def _th_tone_spectrum(cfg, n=256, tone_bin=5, amp=0.75):
     prev = None
     held = []
     for vv in v:
-        h = sample(cfg.v_cm + vv / 2, cfg.v_cm - vv / 2, cfg, rng, prev=prev)
-        prev = (h.v_p, h.v_n)
-        held.append(h.v_diff)
+        prev = sample(cfg.v_cm + vv / 2, cfg.v_cm - vv / 2, cfg, rng, prev=prev)
+        held.append(prev[0] - prev[1])
     x = np.array(held[n:])
     spec = np.abs(np.fft.rfft(x) / n) ** 2
     return spec / spec[tone_bin]
@@ -110,6 +109,6 @@ def test_harmonic_generation_with_curvature(ref_cfg):
 
 def test_pedestal_shifts_common_mode_only(ref_cfg, rng):
     cfg = replace(sa.ideal_config(ref_cfg), v_pedestal=5e-3, t_track=1e-3)
-    h = sample(cfg.v_cm + 0.1, cfg.v_cm - 0.1, cfg, rng)
-    assert math.isclose(h.v_cm, cfg.v_cm + 5e-3, rel_tol=1e-9)
-    assert math.isclose(h.v_diff, 0.2, rel_tol=1e-12)
+    v_p, v_n = sample(cfg.v_cm + 0.1, cfg.v_cm - 0.1, cfg, rng)
+    assert math.isclose(0.5 * (v_p + v_n), cfg.v_cm + 5e-3, rel_tol=1e-9)
+    assert math.isclose(v_p - v_n, 0.2, rel_tol=1e-12)
