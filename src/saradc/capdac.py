@@ -502,14 +502,16 @@ def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
 
     # Textbook disciplines, matched capacitance, no parasitics: single-ended
     # energies in (unit * v_ref^2), complementary code on the far side, unit
-    # scaled so each scheme's per-side array totals c_dac.
+    # scaled so each scheme's per-side array totals c_dac.  Over all codes
+    # the complementary codes n-1-code are the codes reversed, and each
+    # code's energy depends on that code alone, so the far side is e[::-1].
     u = cfg.c_dac / 2 ** cfg.bits * cfg.v_ref ** 2
     n_codes = 2 ** cfg.bits
     codes = np.arange(n_codes)
-    e_conv = float(np.sum(conventional_energy(codes, cfg.bits)
-                          + conventional_energy(n_codes - 1 - codes, cfg.bits)))
-    e_recyc = float(np.sum(splitcap_energy(codes, cfg.bits)
-                           + splitcap_energy(n_codes - 1 - codes, cfg.bits)))
+    e = conventional_energy(codes, cfg.bits)
+    e_conv = float(np.sum(e + e[::-1]))
+    e = splitcap_energy(codes, cfg.bits)
+    e_recyc = float(np.sum(e + e[::-1]))
 
     delta_split = step_voltage(1, split_ladder) / 2 ** (cfg.bits - 1)
     binary = _row("binary", bin_ladder, cfg.t_kelvin, e_conv / n_codes * u, delta)

@@ -8,11 +8,14 @@ for a fixed seed and config.  Exit codes:
 verification failed.
 
 The default output directory is ./saradc_out, overridable with the
-SARADC_OUT environment variable or --out.
+SARADC_OUT environment variable or --out.  ``main`` may be called any number
+of times in one process: the parser is built once, and SARADC_OUT is read on
+every call.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -198,7 +201,7 @@ def _cmd_sweep(args) -> int:
     if args.sndr:
         header += ",sndr_dB"
     lines = [header]
-    for v in values:
+    for v in values.tolist():
         c = validate(dataclasses.replace(cfg, **{args.param: parse_value(args.param, v)}))
         d = derived_constants(c)
         b = timing_mod.build_budget(c)
@@ -223,14 +226,18 @@ def _cmd_print_defaults(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``--out`` defaults to
+    None so that ``main`` resolves it from the environment on every call."""
     p = argparse.ArgumentParser(prog="saradc",
                                 description="SAR ADC behavioral simulator")
 
     def common(sp, seed=True):
         sp.add_argument("config", nargs="?", default=None,
                         help="config document; omitted = shipped defaults")
-        sp.add_argument("--out", default=_default_out(), help="output directory")
+        sp.add_argument("--out", default=None,
+                        help="output directory (default: $SARADC_OUT or ./saradc_out)")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 
@@ -289,6 +296,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "out", None) is None:
+        args.out = _default_out()
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as err:

@@ -21,6 +21,7 @@ energy constants were tuned once against the target dynamic performance and
 are frozen here; see the schema entries marked "calibration".
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -391,6 +392,10 @@ t_kelvin     = 300 K
 """
 
 
+@functools.cache
 def reference_defaults() -> AdcConfig:
-    """The shipped reference-design configuration."""
+    """The shipped reference-design configuration, parsed once per process.
+
+    Every call returns the same frozen instance.
+    """
     return load_config(REFERENCE_CONFIG_DOC)

@@ -95,14 +95,21 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
     the settling time budgeted for rate p_meta_test.  All trials come from
     one random stream, so a fixed seed gives a fixed count.
 
-    The uniforms are drawn in blocks of ``MC_BLOCK`` from that stream; each
-    takes one 64-bit output, so they are the values a single draw of
-    ``trials`` would give, and memory does not grow with ``trials``.  Only
-    inputs with |v| <= bound * (1 + 1e-6) go through the latency law, where
-    bound = v_dd/a_v * exp(-limit/tau_reg) is the input that resolves exactly
-    at the limit.  An input above that margin resolves about 1e-6 * tau_reg
-    before the limit, far beyond rounding error, so the count equals the
-    count over every trial.
+    The trials are drawn in blocks of ``MC_BLOCK`` into one preallocated
+    buffer that every block reuses.  ``rng.random(out=...)`` fills it with u
+    in [0, 1), one 64-bit output each: the outputs that
+    ``uniform(-delta/2, delta/2)`` scales to v = -delta/2 + delta*u, so the
+    count is that of a single draw of ``trials``, and memory does not grow
+    with ``trials``.  The computed |v| lies within delta * 2^-53 of
+    delta * |u - 0.5|, so only a trial with 0.5 - w <= u <= 0.5 + w, where
+    w = bound/delta * (1 + 1e-12) + 1e-15, can pass the test below; the
+    additive term covers a bound far below delta.  On those candidates v is
+    rebuilt bit for bit, and the exact test |v| <= bound picks the inputs
+    that go through the latency law, where
+    bound = v_dd/a_v * exp(-limit/tau_reg) * (1 + 1e-6) lies just above the
+    input that resolves exactly at the limit.  An input above it resolves
+    about 1e-6 * tau_reg before the limit, far beyond rounding error, so the
+    count equals the count over every trial.
     """
     if not 0.0 < p_meta_test < 1.0:
         raise ValueError(
@@ -115,12 +122,16 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
     d = derived_constants(cfg)
     limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, d.delta)
     bound = cfg.v_dd / cfg.a_v * math.exp(-limit / d.tau_reg) * (1.0 + 1e-6)
+    w = bound / d.delta * (1.0 + 1e-12) + 1e-15
+    low = -d.delta / 2.0
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    buf = np.empty(min(MC_BLOCK, trials))
     counts = 0
     for start in range(0, trials, MC_BLOCK):
-        n = min(MC_BLOCK, trials - start)
-        v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=n)
-        np.abs(v, out=v)
+        u = buf[:min(MC_BLOCK, trials - start)]
+        rng.random(out=u)
+        u = u[(u >= 0.5 - w) & (u <= 0.5 + w)]
+        v = np.abs(low + d.delta * u)
         t = decision_latencies(v[v <= bound], d.tau_reg, cfg.v_dd, cfg.a_v)
         counts += int(np.count_nonzero(t > limit))
     rate = counts / trials

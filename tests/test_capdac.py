@@ -253,6 +253,11 @@ def test_textbook_energies_match_per_code_walk(bits):
     # a run of codes away from zero reads the same prefix rows
     assert conventional_energy(codes[3:7], bits).tolist() == conv[3:7]
     assert splitcap_energy(codes[3:7], bits).tolist() == recyc[3:7]
+    # the complementary codes give the energies reversed, bit for bit, which
+    # lets compare_topologies compute each discipline once
+    for f in (conventional_energy, splitcap_energy):
+        assert (f(2 ** bits - 1 - codes, bits).tolist()
+                == f(codes, bits)[::-1].tolist())
     for bad in (-1, 2 ** bits):
         with pytest.raises(ValueError, match="codes"):
             conventional_energy(bad, bits)

@@ -138,6 +138,16 @@ def test_sweep_rejects_unknown_param(tmp_path):
                     "--out", str(tmp_path / "x")]) == 1
 
 
+def test_sweep_rejects_non_finite_point(tmp_path, capsys):
+    # each swept point reaches the config parser as a plain float
+    assert run(["sweep", "--param", "c_p", "--range", "0:nan:3",
+                "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "c_p: non-finite value nan" in err
+    assert "np.float64" not in err
+    assert not (tmp_path / "x" / "sweep.csv").exists()
+
+
 def test_sweep_rejects_keys_it_cannot_sweep(tmp_path, capsys):
     for param in ("ron_dac", "topology"):
         assert run(["sweep", "--param", param, "--range", "1:2:2",
@@ -146,6 +156,11 @@ def test_sweep_rejects_keys_it_cannot_sweep(tmp_path, capsys):
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SARADC_OUT", str(tmp_path / "envout"))
-    assert run(["timing"]) == 0
+    # the parser is built once per process; SARADC_OUT is read on every call
+    for name in ("envout", "envout2"):
+        monkeypatch.setenv("SARADC_OUT", str(tmp_path / name))
+        assert run(["timing"]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["output_dir"] == str(tmp_path / name)
     assert (tmp_path / "envout" / "timing.json").exists()
+    assert (tmp_path / "envout2" / "timing.json").exists()

@@ -113,12 +113,14 @@ def _one_shot_count(cfg, trials, p_meta, seed):
 
 def test_metastability_sharding_deterministic(ref_cfg):
     # block-streamed candidates give the count of the one-shot draw, also
-    # for partial last blocks and when nearly every trial is a candidate
+    # for partial last blocks, when nearly every trial is a candidate, and
+    # at a small target, where the candidate bound is tiny next to one LSB
+    cases = [(trials, p) for trials in (10 ** 5 + 7, 3 * MC_BLOCK + 5)
+             for p in (1e-2, 0.999)] + [(10 ** 6 + 7, 1e-5)]
     for seed in (9, 2 ** 32):
-        for trials in (10 ** 5 + 7, 3 * MC_BLOCK + 5):
-            for p in (1e-2, 0.999):
-                res = metastability_mc(ref_cfg, trials, p, seed=seed)
-                assert res["count"] == _one_shot_count(ref_cfg, trials, p, seed)
+        for trials, p in cases:
+            res = metastability_mc(ref_cfg, trials, p, seed=seed)
+            assert res["count"] == _one_shot_count(ref_cfg, trials, p, seed)
 
 
 @pytest.mark.parametrize("p_meta", [0.0, -1.0, 1.5, math.nan, math.inf])
