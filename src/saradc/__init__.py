@@ -10,7 +10,7 @@ from .track_hold import ktc_sigma, ron_of_input, sample
 from .comparator import comparator_power, decide, decision_latency
 from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
                      inl_from_steps, monotonic_energy_oracle, ron_schedule,
-                     step_voltage, transfer_thresholds)
+                     transfer_thresholds)
 from .timing import (TimingBudget, build_budget, max_sampling_rate,
                      metastability_mc, t_hard)
 from .engine import (NoiseBudget, PowerReport, WaveformResult, convert_waveform,
@@ -26,7 +26,7 @@ __all__ = [
     "ktc_sigma", "ron_of_input", "sample",
     "comparator_power", "decide", "decision_latency",
     "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
-    "inl_from_steps", "monotonic_energy_oracle", "ron_schedule", "step_voltage",
+    "inl_from_steps", "monotonic_energy_oracle", "ron_schedule",
     "transfer_thresholds",
     "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
     "t_hard",

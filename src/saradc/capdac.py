@@ -44,10 +44,11 @@ tests walks the same closed form without reading the table.
 Ladder
 ------
 A realized array of either topology is compiled once into a ``Ladder``:
-per-side steps, equivalent single-node bit capacitances, node
-capacitances, the mismatch-free nominal caps, switch resistances, per-bit
-settling fractions and the event-energy table.  The engine's bit cycle,
-energy accounting, the static transfer and the trade study all read it.
+per-side steps, the differential correction of each decision, equivalent
+single-node bit capacitances, node capacitances, the mismatch-free nominal
+caps, switch resistances, per-bit settling fractions and the event-energy
+table.  The engine's bit cycle, energy accounting, the static transfer and
+the trade study all read it.
 
 Topology trade study
 --------------------
@@ -68,12 +69,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import AdcConfig, ConfigError, K_BOLTZMANN, net_full_scale
+from .config import AdcConfig, ConfigError, derived_constants, kt_over_c
 
 __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
-    "build_cap_array", "build_split_array", "step_voltage",
-    "ron_schedule", "net_full_scale", "monotonic_energy_oracle",
+    "build_cap_array", "build_split_array",
+    "ron_schedule", "monotonic_energy_oracle",
     "conversion_energy", "conventional_energy", "splitcap_energy",
     "transfer_thresholds", "inl_from_steps", "compare_topologies",
 ]
@@ -99,6 +100,7 @@ class Ladder:
     node_n: float
     dp: np.ndarray               # per-side step when bit i swings by v_ref [V]
     dn: np.ndarray
+    corrections: np.ndarray      # differential correction applied after decision i [V]
     c_total_p: float             # physical capacitor total [F]
     c_total_n: float
     c_nom: np.ndarray            # mismatch-free equivalent bit caps [F]
@@ -166,7 +168,7 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
     settle_n = np.array([math.exp(-cfg.t_phic_low / (ri * ci)) for ri, ci in zip(r, c_n)])
     return Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits_p=c_p, c_bits_n=c_n,
-        node_p=node_p, node_n=node_n, dp=dp, dn=dn,
+        node_p=node_p, node_n=node_n, dp=dp, dn=dn, corrections=(dp + dn) / 2,
         c_total_p=total_p, c_total_n=total_n, c_nom=c_nom, r=r,
         settle_p=settle_p, settle_n=settle_n,
         e_event=np.stack([e_down, e_up], axis=1),
@@ -197,13 +199,6 @@ def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
     side_p = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng), cfg)
     side_n = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng), cfg)
     return _compile(cfg, side_p, side_n, u_eff * np.asarray(counts[:-1], dtype=float))
-
-
-def step_voltage(i: int, ladder: Ladder) -> float:
-    """Differential correction magnitude for bit i [V], both sides combined."""
-    if not 1 <= i <= ladder.bits - 1:
-        raise ValueError(f"step_voltage: bit index {i} outside 1..{ladder.bits - 1}")
-    return ladder.dp[i - 1] + ladder.dn[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +278,29 @@ def monotonic_energy_oracle(decisions, array) -> float:
     return total
 
 
-def conversion_energy(code: int, ladder: Ladder) -> float:
-    """Converter-discipline switching energy for one output code [J].
+def _per_code(first: np.ndarray, steps) -> np.ndarray:
+    """Energy of every code from per-decision prefix energies.
+
+    ``first`` holds the one energy spent before any decision; the k-th entry
+    of ``steps`` holds decision k's energy for each prefix of the top k+1
+    code bits, in prefix order (2^(k+1) entries).  Each code sums its own
+    terms in decision order; the last bit switches nothing.
+    """
+    total = first
+    for step in steps:
+        total = np.repeat(total, 2) + step
+    return np.repeat(total, 2)
+
+
+def conversion_energy(ladder: Ladder) -> np.ndarray:
+    """Converter-discipline switching energy of every output code [J].
 
     The decision sequence of a SAR conversion is the code's bit pattern,
-    so sweeping codes sweeps every possible switching trajectory.
+    so the 2^bits entries cover every switching trajectory; decision i
+    picks its event from the ladder's table whatever came before it.
     """
-    decisions = (code >> np.arange(ladder.bits - 1, 0, -1)) & 1
-    return float(np.sum(ladder.e_event[np.arange(ladder.bits - 1), decisions]))
+    return _per_code(np.zeros(1), (np.tile(ladder.e_event[k], 2 ** k)
+                                   for k in range(ladder.bits - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,57 +340,48 @@ def inl_from_steps(steps: np.ndarray, bits: int, delta: float) -> np.ndarray:
 
 def _transition_energy(caps: np.ndarray, n_total: float, on_before: np.ndarray,
                        on_after: np.ndarray) -> np.ndarray:
-    """Reference charge energy of one bottom-plate state change per code.
+    """Reference charge energy of one bottom-plate state change per row.
 
-    The last axis of the states runs over caps, any leading axes over codes.
-    Normalized units (v_ref = 1); caps connected to the reference after the
-    event pay/return C * (db - dv_top) each.
+    The last axis of the states runs over caps, any leading axes over code
+    prefixes.  Normalized units (v_ref = 1); caps connected to the reference
+    after the event pay/return C * (db - dv_top) each.
     """
     db = on_after - on_before
     dv = np.sum(caps * db, axis=-1, keepdims=True) / n_total
     return np.sum(np.where(on_after > 0, caps * (db - dv), 0.0), axis=-1)
 
 
-def _trial_sequence_energy(code, bits: int, caps: np.ndarray, first_on: np.ndarray,
+def _trial_sequence_energy(bits: int, caps: np.ndarray, first_on: np.ndarray,
                            trial) -> np.ndarray:
-    """Summed transition energies of a trial sequence, per code.
+    """Summed transition energies of a trial sequence for every code.
 
     ``first_on`` is the bottom-plate state after the first trial and
     ``trial(state, k, keep)`` applies decision k (the code's bit bits-1-k)
     to prefix rows in place.  The state after decision k depends only on the
-    code's top k+1 bits, so each transition is computed once per prefix
-    between the smallest and largest code's (at most 2^(k+1) rows) and
-    gathered per code; a code's value comes from the same row and the same
-    reduction as a walk over that code alone.
+    code's top k+1 bits, so each transition is computed once per prefix.
     """
-    codes = np.asarray(code)
-    lo, hi = int(codes.min()), int(codes.max())
-    if lo < 0 or hi >= 2 ** bits:
-        raise ValueError(f"codes must lie in [0, 2^{bits}), got {lo}..{hi}")
     n_total = float(np.sum(caps))
-    state = first_on[np.newaxis, :]
-    e = _transition_energy(caps, n_total, np.zeros_like(state), state)
-    total = e[np.zeros_like(codes)]  # one entry per code, as each later term
-    for k in range(bits - 1):
-        shift = bits - 1 - k
-        prefix = np.arange(lo >> shift, (hi >> shift) + 1)
-        before = state[(prefix >> 1) - (lo >> (shift + 1))]
-        state = before.copy()
-        trial(state, k, prefix & 1)
-        e = _transition_energy(caps, n_total, before, state)
-        total = total + e[(codes >> shift) - (lo >> shift)]
-    return total
+
+    def transitions(state):
+        for k in range(bits - 1):
+            before = np.repeat(state, 2, axis=0)
+            state = before.copy()
+            trial(state, k, np.tile([0.0, 1.0], 2 ** k))
+            yield _transition_energy(caps, n_total, before, state)
+
+    start = first_on[np.newaxis, :]
+    return _per_code(_transition_energy(caps, n_total, np.zeros_like(start), start),
+                     transitions(start))
 
 
-def conventional_energy(code, bits: int):
-    """Classic trial/keep/reject charge-redistribution energy, single side.
+def conventional_energy(bits: int) -> np.ndarray:
+    """Classic trial/keep/reject charge-redistribution energy of every code,
+    single side.
 
-    ``code`` is an int or an integer array of codes in [0, 2^bits); the
-    result is a float or an array of the same shape.  Normalized to unit capacitance and unit
-    reference; the array is the full binary ladder plus terminator (2^bits
-    units total).  The trial sequence starts with the top bit set; a kept
-    trial charges the next capacitor, a rejected trial discharges its own
-    and charges the next.
+    Normalized to unit capacitance and unit reference; the array is the full
+    binary ladder plus terminator (2^bits units total).  The trial sequence
+    starts with the top bit set; a kept trial charges the next capacitor, a
+    rejected trial discharges its own and charges the next.
     """
     caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
     first_on = np.zeros_like(caps)
@@ -390,13 +391,13 @@ def conventional_energy(code, bits: int):
         state[:, k] = keep
         state[:, k + 1] = 1.0
 
-    return _trial_sequence_energy(code, bits, caps, first_on, trial)
+    return _trial_sequence_energy(bits, caps, first_on, trial)
 
 
-def splitcap_energy(code, bits: int):
-    """Recycling-discipline energy on the split array, single side.
+def splitcap_energy(bits: int) -> np.ndarray:
+    """Recycling-discipline energy of every code on the split array, single
+    side.
 
-    ``code`` is an int or an integer array, as for ``conventional_energy``.
     Same total capacitance as the conventional array: the top weight is
     split into a bank replicating the lower ladder (sizes 2^(bits-2)..1
     plus a duplicate unit).  Every rejected trial discharges one bank
@@ -414,7 +415,7 @@ def splitcap_energy(code, bits: int):
         state[:, n_bank + k] = keep
         state[:, k] = keep  # bank capacitor of weight 2^(bits-2-k)
 
-    return _trial_sequence_energy(code, bits, caps, first_on, trial)
+    return _trial_sequence_energy(bits, caps, first_on, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -468,53 +469,43 @@ class TradeReport:
         return "\n".join(lines) + "\n"
 
 
-def _sigma_ktc_diff(c_eff_side: float, t_kelvin: float) -> float:
-    """Differential sampled-noise rms for a per-side capacitance [V]."""
-    if t_kelvin <= 0:
-        return 0.0
-    return math.sqrt(2.0 * K_BOLTZMANN * t_kelvin / c_eff_side)
-
-
-
-
 def _row(topology: str, ladder: Ladder, t_kelvin: float, e_textbook: float,
          delta: float) -> TopologyRow:
     """One topology's row; the all-code average of the converter-discipline
     energy is half the table sum, since every decision is +1 in half the
     codes."""
-    steps = ladder.dp + ladder.dn
     return TopologyRow(
         topology=topology,
         c_total_side=0.5 * (ladder.c_total_p + ladder.c_total_n),
-        sigma_ktc=_sigma_ktc_diff(ladder.node_p, t_kelvin),
+        sigma_ktc=math.sqrt(2.0 * kt_over_c(ladder.node_p, t_kelvin)),
         e_avg_conversion=0.5 * float(np.sum(ladder.e_event)),
         e_avg_textbook=e_textbook,
-        inl_max=float(np.max(np.abs(inl_from_steps(steps, ladder.bits, delta)))),
+        inl_max=float(np.max(np.abs(inl_from_steps(ladder.corrections, ladder.bits, delta)))),
     )
 
 
 def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
     """Exhaustive-code energy, capacitance, noise and linearity comparison."""
-    delta = net_full_scale(cfg.v_fs, cfg.c_dac, cfg.c_p) / 2 ** cfg.bits
-
     bin_ladder = build_cap_array(replace(cfg, topology="binary"), rng)
     split_ladder = build_split_array(cfg, rng)
 
     # Textbook disciplines, matched capacitance, no parasitics: single-ended
     # energies in (unit * v_ref^2), complementary code on the far side, unit
-    # scaled so each scheme's per-side array totals c_dac.  Over all codes
-    # the complementary codes n-1-code are the codes reversed, and each
-    # code's energy depends on that code alone, so the far side is e[::-1].
+    # scaled so each scheme's per-side array totals c_dac.  The complementary
+    # codes n-1-code are the codes reversed, and each code's energy depends
+    # on that code alone, so the far side is e[::-1].
     u = cfg.c_dac / 2 ** cfg.bits * cfg.v_ref ** 2
     n_codes = 2 ** cfg.bits
-    codes = np.arange(n_codes)
-    e = conventional_energy(codes, cfg.bits)
+    e = conventional_energy(cfg.bits)
     e_conv = float(np.sum(e + e[::-1]))
-    e = splitcap_energy(codes, cfg.bits)
+    e = splitcap_energy(cfg.bits)
     e_recyc = float(np.sum(e + e[::-1]))
 
-    delta_split = step_voltage(1, split_ladder) / 2 ** (cfg.bits - 1)
-    binary = _row("binary", bin_ladder, cfg.t_kelvin, e_conv / n_codes * u, delta)
+    # the split row's INL is in the split array's own LSB: its first
+    # correction is a quarter of its full scale
+    delta_split = split_ladder.corrections[0] / 2 ** (cfg.bits - 2)
+    binary = _row("binary", bin_ladder, cfg.t_kelvin, e_conv / n_codes * u,
+                  derived_constants(cfg).delta)
     split = _row("split", split_ladder, cfg.t_kelvin, e_recyc / n_codes * u, delta_split)
     return TradeReport(
         binary=binary,

@@ -30,7 +30,8 @@ from .config import (AdcConfig, ConfigError, REFERENCE_CONFIG_DOC, derived_const
                      ideal_config, load_config, parse_value, reference_defaults,
                      validate)
 
-_PRECONDITION_ERRORS = (ValueError, analysis.InsufficientDataError)
+# OSError: an output path that cannot be written, e.g. --out naming a file
+_PRECONDITION_ERRORS = (ValueError, OSError)
 
 
 def _default_out() -> str:
@@ -40,7 +41,11 @@ def _default_out() -> str:
 def _load(path: str | None) -> AdcConfig:
     if path is None:
         return reference_defaults()
-    return load_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config document {path}: {err}") from err
+    return load_config(text)
 
 
 def _write(outdir: Path, name: str, text: str) -> None:

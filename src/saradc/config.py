@@ -312,6 +312,11 @@ def net_full_scale(v_fs: float, c_dac: float, c_p: float) -> float:
     return v_fs * c_dac / (c_dac + c_p)
 
 
+def kt_over_c(c: float, t_kelvin: float) -> float:
+    """Sampled thermal-noise power kT/C on capacitance c [V^2]; 0 at 0 K."""
+    return K_BOLTZMANN * t_kelvin / c if t_kelvin > 0 else 0.0
+
+
 def t_easy_of(bits: int, tau_reg: float) -> float:
     """Total settling time of the non-worst-case comparisons [s].
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import analysis
 from .capdac import build_cap_array
 from .comparator import decide
-from .config import AdcConfig, K_BOLTZMANN, derived_constants, ideal_config
-from .track_hold import sample
+from .config import AdcConfig, derived_constants, ideal_config
+from .track_hold import ktc_sigma, sample
 
 
 @dataclass
@@ -52,15 +52,6 @@ class WaveformResult:
     def n_violations(self) -> int:
         return int(np.count_nonzero(self.violation))
 
-    @property
-    def e_total(self) -> float:
-        return sum(self.e_blocks.values())
-
-    @property
-    def mean_power(self) -> float:
-        """Average conversion energy times the sampling rate [W]."""
-        return self.e_total / self.n_samples * self.f_s
-
 
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     """Convert a sequence of differential inputs (volts, centered on v_cm).
@@ -76,8 +67,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
-    step_voltage(i) / 2; each plate settles toward its target, leaving the
-    ladder's ``settle_p``/``settle_n`` fraction of the step after t_phic_low.
+    the ladder's ``corrections[i-1]``; each plate settles toward its
+    target, leaving the ladder's ``settle_p``/``settle_n`` fraction of the
+    step after t_phic_low.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.size == 0:
@@ -167,7 +159,7 @@ def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:
 class NoiseBudget:
     """Input-referred error powers against an SNDR target [V^2]."""
     comparator: float
-    sampling: float        # 2kT / c_dac
+    sampling: float        # 2kT / (c_dac + c_p), both sides' sampled noise
     quantization: float    # delta^2 / 12
     distortion: float      # measured from a noiseless distortion run
     signal_power: float
@@ -244,7 +236,7 @@ def noise_budget(cfg: AdcConfig, target_sndr: float, signal_power: float,
     amplitude = math.sqrt(2.0 * signal_power)
     return NoiseBudget(
         comparator=cfg.sigma_n_comp ** 2,
-        sampling=2.0 * K_BOLTZMANN * cfg.t_kelvin / cfg.c_dac,
+        sampling=2.0 * ktc_sigma(cfg) ** 2,
         quantization=d.delta ** 2 / 12.0,
         distortion=measure_distortion_power(cfg, amplitude, n=n,
                                             tone_bin=tone_bin, seeds=seeds),

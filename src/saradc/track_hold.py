@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .config import AdcConfig, ConfigError, K_BOLTZMANN
+from .config import AdcConfig, ConfigError, kt_over_c
 
 
 def ron_of_input(v: float, cfg: AdcConfig) -> float:
@@ -65,5 +65,4 @@ def sample(v_in_p: float, v_in_n: float, cfg: AdcConfig, rng: np.random.Generato
 
 def ktc_sigma(cfg: AdcConfig) -> float:
     """Per-side sampled-noise rms sqrt(kT/c_side) [V]."""
-    c_side = cfg.c_dac + cfg.c_p
-    return math.sqrt(K_BOLTZMANN * cfg.t_kelvin / c_side) if cfg.t_kelvin > 0 else 0.0
+    return math.sqrt(kt_over_c(cfg.c_dac + cfg.c_p, cfg.t_kelvin))

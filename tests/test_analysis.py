@@ -175,7 +175,7 @@ def _ramp_codes(cfg, per_code=32, seed=0, span=None):
 def _realized_span(cfg, seed):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     arr = sa.build_cap_array(cfg, rng)
-    return 2 * sa.step_voltage(1, arr)
+    return 4 * arr.corrections[0]
 
 
 def test_inl_dnl_ideal_ramp_is_flat(ideal_cfg):

@@ -8,7 +8,8 @@ import saradc as sa
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
                            conventional_energy, conversion_energy, inl_from_steps,
                            monotonic_energy_oracle, ron_schedule, splitcap_energy,
-                           step_voltage, transfer_thresholds)
+                           transfer_thresholds)
+from saradc.config import kt_over_c
 
 
 def _decisions(code, bits):
@@ -57,21 +58,20 @@ def test_all_caps_positive_under_extreme_mismatch(ref_cfg):
 # ---------------------------------------------------------------------------
 # step ladder
 
-def test_step_voltage_examples(ideal_cfg, ideal_array):
+def test_corrections_examples(ideal_cfg, ideal_array):
     d = sa.derived_constants(ideal_cfg)
-    assert math.isclose(step_voltage(1, ideal_array), d.v_fs_net / 2, rel_tol=1e-12)
-    assert math.isclose(step_voltage(1, ideal_array), 0.7879, rel_tol=1e-3)
-    assert math.isclose(step_voltage(9, ideal_array), d.v_fs_net / 512, rel_tol=1e-12)
-    assert math.isclose(step_voltage(9, ideal_array), 3.078e-3, rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        step_voltage(10, ideal_array)
+    corrections = ideal_array.corrections
+    assert corrections.shape == (ideal_cfg.bits - 1,)     # bits 1..9, none for the LSB
+    assert math.isclose(corrections[0], d.v_fs_net / 4, rel_tol=1e-12)
+    assert math.isclose(corrections[0], 0.7879 / 2, rel_tol=1e-3)
+    assert math.isclose(corrections[8], d.v_fs_net / 1024, rel_tol=1e-12)
+    assert math.isclose(corrections[8], 3.078e-3 / 2, rel_tol=1e-3)
 
 
 def test_applied_corrections_telescope_to_one_lsb(ideal_cfg, ideal_array):
     # binary search: after all corrections the worst residue is one LSB
     d = sa.derived_constants(ideal_cfg)
-    applied = [step_voltage(i, ideal_array) / 2 for i in range(1, 10)]
-    worst = d.v_fs_net / 2 - sum(applied)
+    worst = d.v_fs_net / 2 - sum(ideal_array.corrections)
     assert 0 < worst <= d.delta + 1e-15
 
 
@@ -123,7 +123,7 @@ def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array, comparator_ca
     sa.convert_waveform([0.3], ideal_cfg)
     (v1, bit1), (v2, _) = comparator_calls[:2]
     assert bit1 == 1                   # the ladder steps down
-    assert math.isclose(v2 - v1, -step_voltage(1, ideal_array) / 2, rel_tol=1e-12)
+    assert math.isclose(v2 - v1, -ideal_array.corrections[0], rel_tol=1e-12)
 
 
 def test_switch_settling_residual(ref_cfg, comparator_calls):
@@ -135,7 +135,7 @@ def test_switch_settling_residual(ref_cfg, comparator_calls):
     assert np.allclose(arr.settle_n, math.exp(-10.0), rtol=1e-12, atol=0)
     sa.convert_waveform([0.3], cfg)
     (v1, _), (v2, _) = comparator_calls[:2]
-    applied = step_voltage(1, arr) / 2
+    applied = arr.corrections[0]
     residual = abs(v2 - (v1 - applied))
     assert math.isclose(residual, applied * math.exp(-10.0), rel_tol=1e-9)
 
@@ -147,7 +147,7 @@ def test_each_capacitor_fires_at_most_once(ref_cfg, comparator_calls):
     res = sa.convert_waveform([0.1234], cfg)
     assert not res.violation[0] and len(comparator_calls) == cfg.bits
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
-    assert math.isclose(res.e_blocks["dac"], conversion_energy(int(res.codes[0]), ladder),
+    assert math.isclose(res.e_blocks["dac"], conversion_energy(ladder)[res.codes[0]],
                         rel_tol=1e-12)
 
 
@@ -155,20 +155,21 @@ def test_each_capacitor_fires_at_most_once(ref_cfg, comparator_calls):
 # energy
 
 def test_energy_matches_independent_oracle(ideal_array):
+    energy = conversion_energy(ideal_array)
+    assert energy.shape == (1024,)
     for code in (0, 1, 511, 512, 682, 1023, 341):
-        e_inc = conversion_energy(code, ideal_array)
         e_ora = monotonic_energy_oracle(_decisions(code, 10), ideal_array)
-        assert math.isclose(e_inc, e_ora, rel_tol=1e-12)
+        assert math.isclose(energy[code], e_ora, rel_tol=1e-12)
 
 
 def test_energy_oracle_with_mismatch(ref_cfg):
     cfg = replace(ref_cfg, sigma_u=0.02)
     for build in (build_cap_array, build_split_array):
         arr = build(cfg, np.random.default_rng(9))
+        energy = conversion_energy(arr)
         for code in (5, 700, 1023):
-            e_table = conversion_energy(code, arr)
             e_ora = monotonic_energy_oracle(_decisions(code, 10), arr)
-            assert math.isclose(e_table, e_ora, rel_tol=1e-12)
+            assert math.isclose(energy[code], e_ora, rel_tol=1e-12)
 
 
 def test_every_event_nonnegative(ideal_array, ref_cfg):
@@ -179,38 +180,33 @@ def test_every_event_nonnegative(ideal_array, ref_cfg):
 
 
 def test_monotonic_cheaper_than_conventional_all_codes(ideal_cfg, ideal_array):
+    # the far side converts the complementary code 1023 - code
     u = ideal_cfg.c_dac / 1024 * ideal_cfg.v_ref ** 2
-    for code in range(1024):
-        e_mono = conversion_energy(code, ideal_array)
-        e_conv = (conventional_energy(code, 10)
-                  + conventional_energy(1023 - code, 10)) * u
-        assert e_mono < e_conv
+    conv = conventional_energy(10)
+    assert np.all(conversion_energy(ideal_array) < (conv + conv[::-1]) * u)
 
 
 def test_conventional_two_bit_hand_enumeration():
     # hand-walked: initial top-weight charge costs 1.0, a kept trial 0.25,
     # a rejected trial 1.25 (all in units of C_unit * V_ref^2)
-    assert math.isclose(conventional_energy(3, 2), 1.25, rel_tol=1e-12)
-    assert math.isclose(conventional_energy(2, 2), 1.25, rel_tol=1e-12)
-    assert math.isclose(conventional_energy(1, 2), 2.25, rel_tol=1e-12)
-    assert math.isclose(conventional_energy(0, 2), 2.25, rel_tol=1e-12)
+    e = conventional_energy(2)
+    assert e.shape == (4,)
+    assert math.isclose(e[3], 1.25, rel_tol=1e-12)
+    assert math.isclose(e[2], 1.25, rel_tol=1e-12)
+    assert math.isclose(e[1], 2.25, rel_tol=1e-12)
+    assert math.isclose(e[0], 2.25, rel_tol=1e-12)
 
 
 def test_splitcap_two_bit_hand_enumeration():
     # the recycling reject is a single small discharge costing 0.25
-    assert math.isclose(splitcap_energy(3, 2), 1.25, rel_tol=1e-12)
-    assert math.isclose(splitcap_energy(1, 2), 1.25, rel_tol=1e-12)
+    e = splitcap_energy(2)
+    assert e.shape == (4,)
+    assert math.isclose(e[3], 1.25, rel_tol=1e-12)
+    assert math.isclose(e[1], 1.25, rel_tol=1e-12)
 
 
 def test_recycling_never_worse_per_code():
-    conv = [conventional_energy(code, 10) for code in range(1024)]
-    recyc = [splitcap_energy(code, 10) for code in range(1024)]
-    for e_recyc, e_conv in zip(recyc, conv):
-        assert e_recyc <= e_conv + 1e-12
-    # one call over every code gives the per-code results exactly
-    codes = np.arange(1024)
-    assert conventional_energy(codes, 10).tolist() == conv
-    assert splitcap_energy(codes, 10).tolist() == recyc
+    assert np.all(splitcap_energy(10) <= conventional_energy(10) + 1e-12)
 
 
 def _transition(caps, before, after):
@@ -236,33 +232,21 @@ def _walk_energy(code, bits, caps, first_on, set_bits):
     return total
 
 
-@pytest.mark.parametrize("bits", [4, 10])
+@pytest.mark.parametrize("bits", [3, 4, 10])
 def test_textbook_energies_match_per_code_walk(bits):
-    codes = np.arange(2 ** bits)
+    # entry c of each array is code c's own walk, bit for bit
+    codes = range(2 ** bits)
     caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
     conv = [_walk_energy(c, bits, caps, [0], lambda k, keep: [(k, keep), (k + 1, 1.0)])
             for c in codes]
-    assert conventional_energy(codes, bits).tolist() == conv
+    assert conventional_energy(bits).tolist() == conv
     n_bank = bits
     caps = np.array([2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
                     + [2.0 ** (bits - 1 - k) for k in range(1, bits)] + [1.0])
     recyc = [_walk_energy(c, bits, caps, slice(0, n_bank),
                           lambda k, keep: [(n_bank + k, keep), (k, keep)])
              for c in codes]
-    assert splitcap_energy(codes, bits).tolist() == recyc
-    # a run of codes away from zero reads the same prefix rows
-    assert conventional_energy(codes[3:7], bits).tolist() == conv[3:7]
-    assert splitcap_energy(codes[3:7], bits).tolist() == recyc[3:7]
-    # the complementary codes give the energies reversed, bit for bit, which
-    # lets compare_topologies compute each discipline once
-    for f in (conventional_energy, splitcap_energy):
-        assert (f(2 ** bits - 1 - codes, bits).tolist()
-                == f(codes, bits)[::-1].tolist())
-    for bad in (-1, 2 ** bits):
-        with pytest.raises(ValueError, match="codes"):
-            conventional_energy(bad, bits)
-        with pytest.raises(ValueError, match="codes"):
-            splitcap_energy(np.array([0, bad]), bits)
+    assert splitcap_energy(bits).tolist() == recyc
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +254,7 @@ def test_textbook_energies_match_per_code_walk(bits):
 
 def test_ideal_thresholds_are_uniform(ideal_cfg, ideal_array):
     d = sa.derived_constants(ideal_cfg)
-    steps = np.array([step_voltage(i, ideal_array) / 2 for i in range(1, 10)])
+    steps = ideal_array.corrections
     t = transfer_thresholds(steps, 10)
     ideal = (np.arange(1, 1024) - 512) * d.delta
     assert np.max(np.abs(t - ideal)) < 1e-12
@@ -281,16 +265,16 @@ def test_ideal_thresholds_are_uniform(ideal_cfg, ideal_array):
 def test_split_ladder_matches_binary_without_parasitics(ref_cfg):
     cfg = replace(sa.ideal_config(ref_cfg), c_p=0.0)
     split = build_split_array(cfg, np.random.default_rng(0))
-    s1 = step_voltage(1, split)
-    assert math.isclose(s1, 0.8, rel_tol=1e-12)
+    s1 = split.corrections[0]
+    assert math.isclose(s1, 0.4, rel_tol=1e-12)
     for i in range(2, 10):
-        assert math.isclose(step_voltage(i, split), s1 / 2 ** (i - 1), rel_tol=1e-9)
+        assert math.isclose(split.corrections[i - 1], s1 / 2 ** (i - 1), rel_tol=1e-9)
 
 
 def test_split_parasitic_breaks_linearity(ref_cfg):
     cfg = sa.ideal_config(ref_cfg)   # keeps c_p = 20 fF, no mismatch
     split = build_split_array(cfg, np.random.default_rng(0))
-    steps = np.array([step_voltage(i, split) / 2 for i in range(1, 10)])
+    steps = split.corrections
     delta = steps[0] / 256
     inl = inl_from_steps(steps, 10, delta)
     assert np.max(np.abs(inl)) > 0.5
@@ -314,16 +298,21 @@ def test_trade_binary_row_matches_exhaustive_switching(ref_cfg, trade):
     binary = build_cap_array(replace(ref_cfg, topology="binary"), rng)
     split = build_split_array(ref_cfg, rng)
     for row, arr in ((trade.binary, binary), (trade.split, split)):
-        total = sum(conversion_energy(c, arr) for c in range(1024))
+        total = float(np.sum(conversion_energy(arr)))
         assert math.isclose(row.e_avg_conversion, total / 1024, rel_tol=1e-12)
 
 
 def test_trade_noise_follows_capacitance_scaling(trade, ref_cfg):
-    # kT/C law: sixteen times less capacitance means four times the noise
-    from saradc.capdac import _sigma_ktc_diff
+    # kT/C law: sixteen times less capacitance means sixteen times the
+    # noise power, four times the rms
     c = ref_cfg.c_dac + ref_cfg.c_p
-    assert math.isclose(_sigma_ktc_diff(c / 16.0, 300.0),
-                        4.0 * _sigma_ktc_diff(c, 300.0), rel_tol=1e-12)
+    assert math.isclose(kt_over_c(c / 16.0, 300.0), 16.0 * kt_over_c(c, 300.0),
+                        rel_tol=1e-12)
+    assert kt_over_c(c, 0.0) == 0.0
+    # the binary row is the sampler's per-side noise on both sides, up to the
+    # drawn array's mismatch
+    assert math.isclose(trade.binary.sigma_ktc, math.sqrt(2.0) * sa.ktc_sigma(ref_cfg),
+                        rel_tol=5e-3)
     # and the realized split array is substantially noisier than binary
     assert trade.split.sigma_ktc / trade.binary.sigma_ktc > 2.5
 
@@ -336,6 +325,18 @@ def test_trade_split_reduces_capacitance(trade):
 def test_trade_split_inl_worse_paired_seed(ref_cfg):
     a = compare_topologies(ref_cfg, np.random.default_rng(17))
     assert a.split.inl_max > a.binary.inl_max
+
+
+def test_trade_inl_matches_engine_ramp(ref_cfg):
+    # the binary row's ladder INL equals the code-density INL of a noiseless
+    # engine ramp converted on the same drawn ladder (seed 0 draws it first)
+    cfg = replace(sa.ideal_config(ref_cfg), sigma_u=ref_cfg.sigma_u)
+    trade = compare_topologies(cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
+    span = sa.derived_constants(cfg).v_fs_net
+    n = 16 * 2 ** cfg.bits
+    v = (np.arange(n) + 0.5) / n * span - span / 2
+    inl = sa.inl_dnl(sa.convert_waveform(v, cfg, seed=0).codes, cfg.bits, min_hits=8)[1]
+    assert abs(trade.binary.inl_max - np.max(np.abs(inl))) < 0.15
 
 
 def test_trade_report_serializes(trade):

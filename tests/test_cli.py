@@ -81,6 +81,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.count("configuration error") == 3
 
 
+def test_unreadable_config_exit_code(tmp_path, capsys):
+    # a missing path, a directory and a file that is not UTF-8 text are
+    # configuration errors that name the path
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(REFERENCE_CONFIG_DOC.replace("uV", "\xb5V").encode("latin-1"))
+    for path in (tmp_path / "missing.cfg", tmp_path, undecodable):
+        assert run(["timing", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(path) in err
+
+
+def test_out_naming_a_file_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["timing", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and str(taken) in err
+
+
 def test_precondition_error_exit_code(tmp_path):
     # bin 4 shares a factor with 64: coherence precondition fails at runtime
     assert run(["simulate", "--n", "64", "--bin", "4",
