@@ -48,9 +48,22 @@ def _load(path: str | None) -> AdcConfig:
     return load_config(text)
 
 
-def _write(outdir: Path, name: str, text: str) -> None:
+def _fresh(outdir: Path, name: str) -> Path:
+    """The artifact path, with any earlier file there removed.
+
+    A new file is created in its place: reopening an existing file with
+    truncation makes ext4 (``auto_da_alloc``) flush it on close, which costs
+    several times the write itself.  A symlink there is replaced, not
+    written through.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / name, "w", newline="\n") as fh:
+    path = outdir / name
+    path.unlink(missing_ok=True)
+    return path
+
+
+def _write(outdir: Path, name: str, text: str) -> None:
+    with open(_fresh(outdir, name), "w", newline="\n") as fh:
         fh.write(text)
 
 
@@ -102,7 +115,7 @@ def _cmd_simulate(args) -> int:
                            zip(result.codes, result.metastable, result.violation)))
         _write(outdir, "codes.csv", "index,code,metastable,violation\n" + rows)
     else:
-        np.savez_compressed(outdir / "codes.npz", codes=result.codes,
+        np.savez_compressed(_fresh(outdir, "codes.npz"), codes=result.codes,
                             metastable=result.metastable,
                             violation=result.violation)
     _manifest(outdir, args, args.seed)

@@ -228,12 +228,21 @@ def noise_budget(cfg: AdcConfig, target_sndr: float, signal_power: float,
     a dedicated noiseless simulation at the stated tone condition (same
     record length, bin and seed set as the run being budgeted), so the
     budget checks that the random noise terms add orthogonally on top of
-    the deterministic error floor.
+    the deterministic error floor.  The tone amplitude sqrt(2*signal_power)
+    must lie within the net half scale, so that clipping is never booked as
+    distortion.
     """
     if target_sndr <= 0:
         raise ValueError("noise_budget: target_sndr must be positive")
+    if not signal_power > 0:
+        raise ValueError(
+            f"noise_budget: signal_power {signal_power:g} must be positive")
     d = derived_constants(cfg)
     amplitude = math.sqrt(2.0 * signal_power)
+    if not amplitude <= d.v_fs_net / 2.0:
+        raise ValueError(
+            f"noise_budget: signal_power {signal_power:g} implies an amplitude of "
+            f"{amplitude:g} V, beyond the net half scale {d.v_fs_net / 2.0:g} V")
     return NoiseBudget(
         comparator=cfg.sigma_n_comp ** 2,
         sampling=2.0 * ktc_sigma(cfg) ** 2,

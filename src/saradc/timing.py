@@ -15,7 +15,7 @@ import numpy as np
 from .comparator import decision_latencies
 from .config import AdcConfig, derived_constants, t_easy_of
 
-MC_BLOCK = 2 ** 16   # uniforms drawn per block by metastability_mc
+MC_BLOCK = 2 ** 16   # candidates drawn per block by metastability_mc
 
 
 @dataclass(frozen=True)
@@ -86,30 +86,37 @@ def build_budget(cfg: AdcConfig) -> TimingBudget:
     )
 
 
+def _window(cfg: AdcConfig, p_meta_test: float) -> tuple[float, float]:
+    """(limit, bound): the settling time budgeted for rate p_meta_test, and
+    an input magnitude just above the one that resolves exactly at limit.
+
+    bound = v_dd/a_v * exp(-limit/tau_reg) * (1 + 1e-6): an input at or
+    above it resolves about 1e-6 * tau_reg before the limit, far beyond
+    rounding error, so every metastable input lies below it.
+    """
+    d = derived_constants(cfg)
+    limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, d.delta)
+    bound = cfg.v_dd / cfg.a_v * math.exp(-limit / d.tau_reg) * (1.0 + 1e-6)
+    return limit, bound
+
+
 def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
                      seed: int = 0) -> dict:
     """Empirical metastability rate at an inflated test target.
 
-    Comparator inputs are drawn uniformly over one LSB centered on the
-    decision threshold; a trial counts when the regeneration latency exceeds
-    the settling time budgeted for rate p_meta_test.  All trials come from
-    one random stream, so a fixed seed gives a fixed count.
-
-    The trials are drawn in blocks of ``MC_BLOCK`` into one preallocated
-    buffer that every block reuses.  ``rng.random(out=...)`` fills it with u
-    in [0, 1), one 64-bit output each: the outputs that
-    ``uniform(-delta/2, delta/2)`` scales to v = -delta/2 + delta*u, so the
-    count is that of a single draw of ``trials``, and memory does not grow
-    with ``trials``.  The computed |v| lies within delta * 2^-53 of
-    delta * |u - 0.5|, so only a trial with 0.5 - w <= u <= 0.5 + w, where
-    w = bound/delta * (1 + 1e-12) + 1e-15, can pass the test below; the
-    additive term covers a bound far below delta.  On those candidates v is
-    rebuilt bit for bit, and the exact test |v| <= bound picks the inputs
-    that go through the latency law, where
-    bound = v_dd/a_v * exp(-limit/tau_reg) * (1 + 1e-6) lies just above the
-    input that resolves exactly at the limit.  An input above it resolves
-    about 1e-6 * tau_reg before the limit, far beyond rounding error, so the
-    count equals the count over every trial.
+    Each trial is a comparator input uniform over one LSB centered on the
+    decision threshold; it counts when the regeneration latency exceeds the
+    settling time budgeted for rate p_meta_test.  Only an input with
+    |v| < bound (see ``_window``) can count, and one uniform over the LSB
+    lands there with probability p = min(2*bound/delta, 1), uniform on
+    [0, min(bound, delta/2)) once it does.  So the Monte Carlo draws the
+    candidate count K ~ Binomial(trials, p), then the K candidate
+    magnitudes, and puts those through the latency law: the count has the
+    distribution of the per-trial draw, and time follows p*trials, not
+    trials.  The candidates are drawn in blocks of ``MC_BLOCK`` into one
+    reused buffer, so memory stays flat however large p*trials is.
+    Everything comes from one stream seeded by ``SeedSequence((seed, 0))``,
+    so a fixed seed gives a fixed count.
     """
     if not 0.0 < p_meta_test < 1.0:
         raise ValueError(
@@ -119,20 +126,22 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
             f"metastability_mc: need at least {10.0 / p_meta_test:.0f} trials "
             f"to resolve a rate of {p_meta_test:g}"
         )
+    if trials > 2 ** 63 - 1:
+        raise ValueError(
+            f"metastability_mc: trials {trials} exceeds 2**63 - 1, the largest "
+            f"count one binomial draw takes")
     d = derived_constants(cfg)
-    limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, d.delta)
-    bound = cfg.v_dd / cfg.a_v * math.exp(-limit / d.tau_reg) * (1.0 + 1e-6)
-    w = bound / d.delta * (1.0 + 1e-12) + 1e-15
-    low = -d.delta / 2.0
+    limit, bound = _window(cfg, p_meta_test)
+    edge = min(bound, d.delta / 2.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    buf = np.empty(min(MC_BLOCK, trials))
+    k = int(rng.binomial(trials, edge / (d.delta / 2.0)))
+    buf = np.empty(min(MC_BLOCK, k))
     counts = 0
-    for start in range(0, trials, MC_BLOCK):
-        u = buf[:min(MC_BLOCK, trials - start)]
-        rng.random(out=u)
-        u = u[(u >= 0.5 - w) & (u <= 0.5 + w)]
-        v = np.abs(low + d.delta * u)
-        t = decision_latencies(v[v <= bound], d.tau_reg, cfg.v_dd, cfg.a_v)
+    for start in range(0, k, MC_BLOCK):
+        v = buf[:min(MC_BLOCK, k - start)]
+        rng.random(out=v)
+        v *= edge
+        t = decision_latencies(v, d.tau_reg, cfg.v_dd, cfg.a_v)
         counts += int(np.count_nonzero(t > limit))
     rate = counts / trials
     sigma = math.sqrt(max(rate * (1.0 - rate), p_meta_test) / trials)

@@ -116,6 +116,23 @@ def test_timing_report(tmp_path, capsys):
     assert (out / "timing.csv").exists()
 
 
+def test_stale_artifacts_are_replaced(tmp_path):
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    assert run(["timing", "--out", str(fresh)]) == 0
+    stale.mkdir()
+    junk = "x" * 4 * len((fresh / "timing.json").read_bytes())
+    (stale / "timing.json").write_text(junk)
+    # a symlinked artifact is replaced, not written through
+    target = tmp_path / "target.csv"
+    target.write_text(junk)
+    (stale / "timing.csv").symlink_to(target)
+    assert run(["timing", "--out", str(stale)]) == 0
+    for name in ("timing.json", "timing.csv"):
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+    assert not (stale / "timing.csv").is_symlink()
+    assert target.read_text() == junk
+
+
 def test_power_report_artifacts(tmp_path):
     out = tmp_path / "p"
     assert run(["power", "--n", "256", "--bin", "19", "--out", str(out)]) == 0

@@ -164,6 +164,16 @@ def test_budget_rejects_bad_target(ref_cfg):
         noise_budget(ref_cfg, -3.0, 0.1)
 
 
+def test_budget_rejects_signal_outside_full_scale(ref_cfg):
+    # a tone that clips would book the clipping as front-end distortion
+    half = sa.derived_constants(ref_cfg).v_fs_net / 2
+    small = validate(replace(ref_cfg, c_p=ref_cfg.c_dac))
+    for cfg, power in [(ref_cfg, 0.0), (ref_cfg, -0.1), (ref_cfg, math.nan),
+                       (ref_cfg, (half * 1.001) ** 2 / 2), (small, 0.75 ** 2 / 2)]:
+        with pytest.raises(ValueError, match="signal_power"):
+            noise_budget(cfg, 56.4, power, seeds=1)
+
+
 def test_distortion_power_grows_with_curvature(ref_cfg):
     flat = replace(ref_cfg, ron_beta=0.0, sigma_u=0.0, n_settle=30.0)
     bent = replace(ref_cfg, ron_beta=0.9, sigma_u=0.0, n_settle=30.0)

@@ -1,14 +1,16 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import saradc as sa
+from saradc import timing
 from saradc.cli import main
-from saradc.comparator import decision_latencies
-from saradc.timing import (MC_BLOCK, build_budget, max_sampling_rate, metastability_mc,
-                           t_hard)
+from saradc.comparator import decision_latencies, decision_latency
+from saradc.timing import (MC_BLOCK, _window, build_budget, max_sampling_rate,
+                           metastability_mc, t_hard)
 
 
 def test_t_hard_reference_point(ref_cfg):
@@ -101,26 +103,57 @@ def test_metastability_rate_saturates_at_loose_target(ref_cfg):
     assert res["rate"] > 0.99
 
 
-def _one_shot_count(cfg, trials, p_meta, seed):
-    """Every trial drawn at once and put through the latency law."""
-    d = sa.derived_constants(cfg)
-    limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta, d.delta)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    v = rng.uniform(-d.delta / 2.0, d.delta / 2.0, size=trials)
-    t = decision_latencies(np.abs(v), d.tau_reg, cfg.v_dd, cfg.a_v)
-    return int(np.sum(t > limit))
-
-
 def test_metastability_sharding_deterministic(ref_cfg):
-    # block-streamed candidates give the count of the one-shot draw, also
-    # for partial last blocks, when nearly every trial is a candidate, and
-    # at a small target, where the candidate bound is tiny next to one LSB
-    cases = [(trials, p) for trials in (10 ** 5 + 7, 3 * MC_BLOCK + 5)
-             for p in (1e-2, 0.999)] + [(10 ** 6 + 7, 1e-5)]
-    for seed in (9, 2 ** 32):
-        for trials, p in cases:
-            res = metastability_mc(ref_cfg, trials, p, seed=seed)
-            assert res["count"] == _one_shot_count(ref_cfg, trials, p, seed)
+    # the count is Binomial(trials, p) over seeds, also for partial last
+    # candidate blocks, when nearly every trial is a candidate, and at a
+    # small target, where the candidate window is tiny next to one LSB; one
+    # seed gives one count
+    seeds = range(300)
+    for trials, p in [(10 ** 5 + 7, 1e-2), (3 * MC_BLOCK + 5, 0.999),
+                      (10 ** 6 + 7, 1e-5)]:
+        counts = np.array([metastability_mc(ref_cfg, trials, p, seed=s)["count"]
+                           for s in seeds])
+        mean, var = trials * p, trials * p * (1 - p)
+        # 4 standard errors of the sample mean and of the sample variance
+        assert abs(counts.mean() - mean) < 4 * math.sqrt(var / len(seeds))
+        assert abs(counts.var(ddof=1) / var - 1) < 4 * math.sqrt(2 / (len(seeds) - 1))
+        assert metastability_mc(ref_cfg, trials, p, seed=2 ** 32)["count"] == \
+            metastability_mc(ref_cfg, trials, p, seed=2 ** 32)["count"]
+
+
+@pytest.mark.parametrize("p_meta", [1 - 1e-7, 0.999, 1e-2, 1e-3, 1e-5, 1e-6, 1e-12])
+def test_metastability_window_holds_every_metastable_input(ref_cfg, p_meta):
+    # the window edge resolves strictly before the limit under the scalar
+    # and the vector law, so no metastable input lies outside the candidates
+    d = sa.derived_constants(ref_cfg)
+    limit, bound = _window(ref_cfg, p_meta)
+    assert decision_latency(bound, d.tau_reg, ref_cfg.v_dd, ref_cfg.a_v) < limit
+    assert decision_latencies(np.array([bound]), d.tau_reg, ref_cfg.v_dd,
+                              ref_cfg.a_v)[0] < limit
+
+
+def test_metastability_cost_follows_candidates(ref_cfg, monkeypatch):
+    # 10^10 trials at p = 1e-6 draw about 10^4 candidates, not 10^10 uniforms
+    seen = []
+
+    def latencies(v, *args):
+        seen.append(len(v))
+        return decision_latencies(v, *args)
+
+    monkeypatch.setattr(timing, "decision_latencies", latencies)
+    t0 = time.process_time()
+    res = metastability_mc(ref_cfg, 10 ** 10, 1e-6, seed=5)
+    assert time.process_time() - t0 < 2.0
+    assert abs(sum(seen) - 10 ** 4) < 5 * math.sqrt(10 ** 4)
+    assert abs(res["rate"] - 1e-6) < 5 * math.sqrt(1e-6 / 10 ** 10)
+
+
+def test_metastability_rejects_huge_trial_counts(ref_cfg, tmp_path):
+    with pytest.raises(ValueError, match="trials"):
+        metastability_mc(ref_cfg, 2 ** 63, 1e-3)
+    assert main(["metastability", "--trials", "10000000000000000000000",
+                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "metastability.json").exists()
 
 
 @pytest.mark.parametrize("p_meta", [0.0, -1.0, 1.5, math.nan, math.inf])
