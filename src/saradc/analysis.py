@@ -35,6 +35,9 @@ class Tone:
 def gen_coherent_tone(n: int, tone_bin: int, amplitude: float, v_cm: float,
                       f_s: float) -> Tone:
     """Sine at bin/n of the sampling rate, leakage-free by construction."""
+    if n < 3:
+        raise ValueError(f"gen_coherent_tone: record length n = {n} is below 3, "
+                         f"which leaves no tone bin between DC and Nyquist")
     if not 1 <= tone_bin < n / 2:
         raise ValueError(f"gen_coherent_tone: bin {tone_bin} outside 1..{n // 2 - 1}")
     if math.gcd(tone_bin, n) != 1:

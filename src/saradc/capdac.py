@@ -317,11 +317,10 @@ def transfer_thresholds(steps: np.ndarray, bits: int) -> np.ndarray:
     positions = np.array([0.0])
     for j in range(1, bits + 1):
         stride = 2 ** (bits - j)
-        idx = (2 * np.arange(len(positions)) + 1) * stride - 1
-        thresholds[idx] = positions
+        thresholds[stride - 1::2 * stride] = positions
         if j <= bits - 1:
             s = steps[j - 1]
-            positions = np.stack([positions - s, positions + s], axis=1).ravel()
+            positions = np.add.outer(positions, (-s, s)).ravel()
     return thresholds
 
 
@@ -418,6 +417,23 @@ def splitcap_energy(bits: int) -> np.ndarray:
     return _trial_sequence_energy(bits, caps, first_on, trial)
 
 
+def _textbook_totals(bits: int) -> tuple:
+    """Both sides' all-code energy totals of the two textbook disciplines.
+
+    Exact integers in (unit * v_ref^2), rounded once to float.  One side's
+    conventional total over the 2^B codes is sum_i 4^(B-i) (2^i - 1), which
+    is 2^B times half the differential average sum_i 2^(B+1-2i) (2^i - 1)
+    of Liu et al. (IEEE JSSC 2010); the recycling discipline saves
+    2^(B-1) (2^(B-1) - 1) of it (Ginsburg & Chandrakasan, IEEE JSSC 2007).
+    The far side's complementary codes run over every code again, hence the
+    factor 2.  These are the sums of ``conventional_energy`` and
+    ``splitcap_energy`` without building either array.
+    """
+    conv = sum(4 ** (bits - i) * (2 ** i - 1) for i in range(1, bits + 1))
+    recyc = conv - 2 ** (bits - 1) * (2 ** (bits - 1) - 1)
+    return float(2 * conv), float(2 * recyc)
+
+
 # ---------------------------------------------------------------------------
 # topology trade study
 
@@ -489,17 +505,12 @@ def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
     bin_ladder = build_cap_array(replace(cfg, topology="binary"), rng)
     split_ladder = build_split_array(cfg, rng)
 
-    # Textbook disciplines, matched capacitance, no parasitics: single-ended
-    # energies in (unit * v_ref^2), complementary code on the far side, unit
-    # scaled so each scheme's per-side array totals c_dac.  The complementary
-    # codes n-1-code are the codes reversed, and each code's energy depends
-    # on that code alone, so the far side is e[::-1].
+    # Textbook disciplines, matched capacitance, no parasitics: both sides'
+    # all-code totals in (unit * v_ref^2), unit scaled so each scheme's
+    # per-side array totals c_dac.
     u = cfg.c_dac / 2 ** cfg.bits * cfg.v_ref ** 2
     n_codes = 2 ** cfg.bits
-    e = conventional_energy(cfg.bits)
-    e_conv = float(np.sum(e + e[::-1]))
-    e = splitcap_energy(cfg.bits)
-    e_recyc = float(np.sum(e + e[::-1]))
+    e_conv, e_recyc = _textbook_totals(cfg.bits)
 
     # the split row's INL is in the split array's own LSB: its first
     # correction is a quarter of its full scale

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -262,6 +263,24 @@ def test_ideal_thresholds_are_uniform(ideal_cfg, ideal_array):
     assert np.max(np.abs(inl)) < 1e-9
 
 
+def _sequential_threshold(c, bits, steps):
+    """Boundary below code c: its binary-search prefix added step by step."""
+    depth = bits - ((c & -c).bit_length() - 1)
+    position = 0.0
+    for k in range(depth - 1):
+        position += steps[k] if (c >> (bits - 1 - k)) & 1 else -steps[k]
+    return position
+
+
+@pytest.mark.parametrize("bits", range(3, 13))
+def test_thresholds_match_sequential_prefix_walk(bits):
+    # mismatched steps: every boundary is its own prefix sum, bit for bit
+    rng = np.random.default_rng(bits)
+    steps = 0.5 ** np.arange(1, bits) * (1.0 + 0.01 * rng.standard_normal(bits - 1))
+    walk = [_sequential_threshold(c, bits, steps) for c in range(1, 2 ** bits)]
+    assert transfer_thresholds(steps, bits).tolist() == walk
+
+
 def test_split_ladder_matches_binary_without_parasitics(ref_cfg):
     cfg = replace(sa.ideal_config(ref_cfg), c_p=0.0)
     split = build_split_array(cfg, np.random.default_rng(0))
@@ -290,6 +309,26 @@ def trade(ref_cfg):
 
 def test_trade_energy_saving_near_three_eighths(trade):
     assert abs(trade.energy_saving - 0.375) < 0.05
+
+
+def test_trade_textbook_average_matches_per_code_arrays(ref_cfg):
+    # the closed-form totals equal the summed per-code arrays exactly
+    for bits in range(3, 17):
+        cfg = replace(ref_cfg, bits=bits)
+        trade = compare_topologies(cfg, np.random.default_rng(bits))
+        u = cfg.c_dac / 2 ** bits * cfg.v_ref ** 2
+        for row, energy in ((trade.binary, conventional_energy),
+                            (trade.split, splitcap_energy)):
+            e = energy(bits)
+            assert row.e_avg_textbook == float(np.sum(e + e[::-1])) / 2 ** bits * u
+    # and the study no longer builds an array per code
+    tracemalloc.start()
+    try:
+        compare_topologies(replace(ref_cfg, bits=20), np.random.default_rng(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
 
 
 def test_trade_binary_row_matches_exhaustive_switching(ref_cfg, trade):

@@ -106,6 +106,18 @@ def test_precondition_error_exit_code(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
 
 
+def test_short_record_names_its_length(tmp_path, capsys):
+    # a record too short for any tone bin is blamed on n, not on the bin
+    out = tmp_path / "x"
+    for args in (["simulate", "--n", "0"], ["simulate", "--n", "2"],
+                 ["power", "--n", "0"],
+                 ["sweep", "--param", "c_p", "--range", "0:1e-15:2", "--sndr", "--n", "0"]):
+        assert run(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"record length n = {args[-1]}" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_timing_report(tmp_path, capsys):
     out = tmp_path / "t"
     assert run(["timing", "--out", str(out)]) == 0
