@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["Tone", "gen_coherent_tone", "spectrum", "SpectrumMetrics", "metrics", "spectrum_csv",
+           "InsufficientDataError", "inl_dnl"]
+
 
 @dataclass(frozen=True)
 class Tone:
@@ -22,14 +25,6 @@ class Tone:
     bin: int
     n: int
     f_in: float            # tone frequency [Hz]
-
-    @property
-    def v_p(self) -> np.ndarray:
-        return self.v_cm + 0.5 * self.v_diff
-
-    @property
-    def v_n(self) -> np.ndarray:
-        return self.v_cm - 0.5 * self.v_diff
 
 
 def gen_coherent_tone(n: int, tone_bin: int, amplitude: float, v_cm: float,
@@ -78,12 +73,11 @@ def spectrum(codes, bits: int) -> np.ndarray:
 class SpectrumMetrics:
     n: int
     signal_bin: int
-    power: np.ndarray          # one-sided normalized per-bin power
     sndr: float                # [dB]
     sfdr: float                # [dB]
     thd: float                 # harmonic-to-signal ratio [dB], negative
     enob: float                # (sndr - 1.76) / 6.02 exactly [bits]
-    fom_walden: float          # p_total / (2^enob * f_s) [J/conversion-step]
+    fom_walden: float          # p_total / (2^enob * f_s) [J/conversion-step]; NaN at infinite ENOB
     fom_literal: float         # p_total / f_s^2, reported verbatim
     fom_literal_unit: str
 
@@ -120,7 +114,8 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     """Extract dynamic metrics from a one-sided power spectrum.
 
     A record with no measurable non-signal power reports SNDR (and SFDR)
-    as +inf sentinels rather than failing.
+    as +inf sentinels rather than failing; its Walden FOM, which needs a
+    finite ENOB, is then NaN rather than a best-possible zero.
     """
     n_half = power.size - 1
     if not 1 <= signal_bin <= n_half:
@@ -136,9 +131,9 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     p_harm = float(np.sum(power[harm])) if harm else 0.0
     thd = 10.0 * math.log10(p_harm / p_sig) if p_harm > 0.0 else -math.inf
     enob = (sndr - 1.76) / 6.02
-    fom_w = power_total / (2.0 ** enob * f_s) if math.isfinite(enob) else 0.0
+    fom_w = power_total / (2.0 ** enob * f_s) if math.isfinite(enob) else math.nan
     return SpectrumMetrics(
-        n=n, signal_bin=signal_bin, power=power,
+        n=n, signal_bin=signal_bin,
         sndr=sndr, sfdr=sfdr, thd=thd, enob=enob,
         fom_walden=fom_w,
         fom_literal=power_total / f_s ** 2,

@@ -75,9 +75,11 @@ __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
     "build_cap_array", "build_split_array",
     "ron_schedule", "monotonic_energy_oracle",
-    "conversion_energy", "conventional_energy", "splitcap_energy",
-    "transfer_thresholds", "inl_from_steps", "compare_topologies",
+    "conversion_energy", "transfer_thresholds", "inl_from_steps",
+    "compare_topologies",
 ]
+
+MAX_REDRAWS = 100   # redraw rounds for dead unit capacitors before giving up
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +112,12 @@ class Ladder:
     e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
 
-def _draw_units(n_units: int, sigma_u: float, rng: np.random.Generator,
-                max_retries: int = 100) -> np.ndarray:
+def _draw_units(n_units: int, sigma_u: float, rng: np.random.Generator) -> np.ndarray:
     """Relative unit deviations, redrawing any that would kill a capacitor."""
     if sigma_u == 0.0:
         return np.zeros(n_units)
     dev = rng.normal(0.0, sigma_u, size=n_units)
-    for _ in range(max_retries):
+    for _ in range(MAX_REDRAWS):
         bad = dev <= -1.0
         if not bad.any():
             return dev
@@ -278,29 +279,19 @@ def monotonic_energy_oracle(decisions, array) -> float:
     return total
 
 
-def _per_code(first: np.ndarray, steps) -> np.ndarray:
-    """Energy of every code from per-decision prefix energies.
-
-    ``first`` holds the one energy spent before any decision; the k-th entry
-    of ``steps`` holds decision k's energy for each prefix of the top k+1
-    code bits, in prefix order (2^(k+1) entries).  Each code sums its own
-    terms in decision order; the last bit switches nothing.
-    """
-    total = first
-    for step in steps:
-        total = np.repeat(total, 2) + step
-    return np.repeat(total, 2)
-
-
 def conversion_energy(ladder: Ladder) -> np.ndarray:
     """Converter-discipline switching energy of every output code [J].
 
     The decision sequence of a SAR conversion is the code's bit pattern,
     so the 2^bits entries cover every switching trajectory; decision i
-    picks its event from the ladder's table whatever came before it.
+    picks its event from the ladder's table whatever came before it.  The
+    walk runs over code prefixes: each decision doubles the prefixes and adds
+    its event to each, and the last bit switches nothing.
     """
-    return _per_code(np.zeros(1), (np.tile(ladder.e_event[k], 2 ** k)
-                                   for k in range(ladder.bits - 1)))
+    total = np.zeros(1)
+    for k in range(ladder.bits - 1):
+        total = np.repeat(total, 2) + np.tile(ladder.e_event[k], 2 ** k)
+    return np.repeat(total, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -337,86 +328,6 @@ def inl_from_steps(steps: np.ndarray, bits: int, delta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # textbook disciplines at matched capacitance ("ideal accounting")
 
-def _transition_energy(caps: np.ndarray, n_total: float, on_before: np.ndarray,
-                       on_after: np.ndarray) -> np.ndarray:
-    """Reference charge energy of one bottom-plate state change per row.
-
-    The last axis of the states runs over caps, any leading axes over code
-    prefixes.  Normalized units (v_ref = 1); caps connected to the reference
-    after the event pay/return C * (db - dv_top) each.
-    """
-    db = on_after - on_before
-    dv = np.sum(caps * db, axis=-1, keepdims=True) / n_total
-    return np.sum(np.where(on_after > 0, caps * (db - dv), 0.0), axis=-1)
-
-
-def _trial_sequence_energy(bits: int, caps: np.ndarray, first_on: np.ndarray,
-                           trial) -> np.ndarray:
-    """Summed transition energies of a trial sequence for every code.
-
-    ``first_on`` is the bottom-plate state after the first trial and
-    ``trial(state, k, keep)`` applies decision k (the code's bit bits-1-k)
-    to prefix rows in place.  The state after decision k depends only on the
-    code's top k+1 bits, so each transition is computed once per prefix.
-    """
-    n_total = float(np.sum(caps))
-
-    def transitions(state):
-        for k in range(bits - 1):
-            before = np.repeat(state, 2, axis=0)
-            state = before.copy()
-            trial(state, k, np.tile([0.0, 1.0], 2 ** k))
-            yield _transition_energy(caps, n_total, before, state)
-
-    start = first_on[np.newaxis, :]
-    return _per_code(_transition_energy(caps, n_total, np.zeros_like(start), start),
-                     transitions(start))
-
-
-def conventional_energy(bits: int) -> np.ndarray:
-    """Classic trial/keep/reject charge-redistribution energy of every code,
-    single side.
-
-    Normalized to unit capacitance and unit reference; the array is the full
-    binary ladder plus terminator (2^bits units total).  The trial sequence
-    starts with the top bit set; a kept trial charges the next capacitor, a
-    rejected trial discharges its own and charges the next.
-    """
-    caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
-    first_on = np.zeros_like(caps)
-    first_on[0] = 1.0
-
-    def trial(state, k, keep):
-        state[:, k] = keep
-        state[:, k + 1] = 1.0
-
-    return _trial_sequence_energy(bits, caps, first_on, trial)
-
-
-def splitcap_energy(bits: int) -> np.ndarray:
-    """Recycling-discipline energy of every code on the split array, single
-    side.
-
-    Same total capacitance as the conventional array: the top weight is
-    split into a bank replicating the lower ladder (sizes 2^(bits-2)..1
-    plus a duplicate unit).  Every rejected trial discharges one bank
-    capacitor of the next trial's weight; kept trials charge lower
-    capacitors exactly as the conventional sequence does.
-    """
-    bank = [2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
-    lower = [2.0 ** (bits - 1 - k) for k in range(1, bits)]
-    caps = np.array(bank + lower + [1.0])
-    n_bank = len(bank)
-    first_on = np.zeros_like(caps)
-    first_on[:n_bank] = 1.0
-
-    def trial(state, k, keep):
-        state[:, n_bank + k] = keep
-        state[:, k] = keep  # bank capacitor of weight 2^(bits-2-k)
-
-    return _trial_sequence_energy(bits, caps, first_on, trial)
-
-
 def _textbook_totals(bits: int) -> tuple:
     """Both sides' all-code energy totals of the two textbook disciplines.
 
@@ -426,8 +337,7 @@ def _textbook_totals(bits: int) -> tuple:
     of Liu et al. (IEEE JSSC 2010); the recycling discipline saves
     2^(B-1) (2^(B-1) - 1) of it (Ginsburg & Chandrakasan, IEEE JSSC 2007).
     The far side's complementary codes run over every code again, hence the
-    factor 2.  These are the sums of ``conventional_energy`` and
-    ``splitcap_energy`` without building either array.
+    factor 2.  The tests check both totals against a per-code state walk.
     """
     conv = sum(4 ** (bits - i) * (2 ** i - 1) for i in range(1, bits + 1))
     recyc = conv - 2 ** (bits - 1) * (2 ** (bits - 1) - 1)

@@ -17,12 +17,15 @@ import numpy as np
 
 from .config import AdcConfig
 
+__all__ = ["comparator_power", "decision_latency", "decision_latencies", "decide"]
+
 
 def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> float:
     """Dynamic power f_ck * (2*c_pq + c_xy) * v_dd^2 [W].
 
     For the full converter the comparator fires once per bit, so
-    f_ck = bits * f_s.
+    f_ck = bits * f_s.  Given a firing count instead of a rate it returns
+    the energy of that many firings [J], which is how the engine books it.
     """
     if min(c_pq, c_xy, v_dd) <= 0 or f_ck < 0:
         raise ValueError("comparator_power: operands must be positive")

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import analysis
 from .capdac import build_cap_array
-from .comparator import decide
-from .config import AdcConfig, derived_constants, ideal_config
+from .comparator import comparator_power, decide
+from .config import AdcConfig, derived_constants
 from .track_hold import ktc_sigma, sample
 
 
@@ -81,7 +81,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     e_event = ladder.e_event.tolist()
     bits_n = cfg.bits
     slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
-    c_fire, v_dd2 = 2.0 * cfg.c_pq + cfg.c_xy, cfg.v_dd ** 2
+    # comparator energy of a conversion that fired the latch c times
+    e_comp_of = [comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd) for c in range(bits_n + 1)]
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)
@@ -132,7 +133,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         metastable[k] = n_meta
         violation[k] = exhausted
         t_total[k] = cfg.t_track + n_cycles * cfg.t_delay + n_switched * cfg.t_fix + consumed
-        e_comp += n_cycles * c_fire * v_dd2
+        e_comp += e_comp_of[n_cycles]
         e_dac += energy
         e_logic += n_cycles * cfg.e_logic
         e_track += cfg.e_track
@@ -287,5 +288,5 @@ def power_report(result: WaveformResult) -> PowerReport:
 
 __all__ = [
     "WaveformResult", "NoiseBudget", "PowerReport", "convert_waveform",
-    "ideal_quantizer_code", "ideal_config", "noise_budget", "measure_distortion_power", "power_report",
+    "ideal_quantizer_code", "noise_budget", "measure_distortion_power", "power_report",
 ]

@@ -15,6 +15,9 @@ import numpy as np
 from .comparator import decision_latencies
 from .config import AdcConfig, derived_constants, t_easy_of
 
+__all__ = ["MC_BLOCK", "TimingBudget", "t_hard", "max_sampling_rate", "build_budget",
+           "metastability_mc"]
+
 MC_BLOCK = 2 ** 16   # candidates drawn per block by metastability_mc
 
 

