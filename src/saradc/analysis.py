@@ -77,7 +77,7 @@ class SpectrumMetrics:
     sfdr: float                # [dB]
     thd: float                 # harmonic-to-signal ratio [dB], negative
     enob: float                # (sndr - 1.76) / 6.02 exactly [bits]
-    fom_walden: float          # p_total / (2^enob * f_s) [J/conversion-step]; NaN at infinite ENOB
+    fom_walden: float          # p_total / (2^enob * f_s) [J/conversion-step]; NaN unless ENOB is finite
     fom_literal: float         # p_total / f_s^2, reported verbatim
     fom_literal_unit: str
 
@@ -115,7 +115,9 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
 
     A record with no measurable non-signal power reports SNDR (and SFDR)
     as +inf sentinels rather than failing; its Walden FOM, which needs a
-    finite ENOB, is then NaN rather than a best-possible zero.
+    finite ENOB, is then NaN rather than a best-possible zero.  A record
+    with no power in the signal bin (a silent input) has no ratio to the
+    signal to measure: SNDR, SFDR, THD, ENOB and the Walden FOM are NaN.
     """
     n_half = power.size - 1
     if not 1 <= signal_bin <= n_half:
@@ -124,12 +126,15 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     rest = float(np.sum(power[1:]) - p_sig)
     others = np.delete(power[1:], signal_bin - 1)
     p_spur = float(np.max(others)) if others.size else 0.0
-    sndr = 10.0 * math.log10(p_sig / rest) if rest > 0.0 else math.inf
-    sfdr = 10.0 * math.log10(p_sig / p_spur) if p_spur > 0.0 else math.inf
     n = 2 * n_half
     harm = _harmonic_bins(signal_bin, n)
     p_harm = float(np.sum(power[harm])) if harm else 0.0
-    thd = 10.0 * math.log10(p_harm / p_sig) if p_harm > 0.0 else -math.inf
+    if p_sig > 0.0:
+        sndr = 10.0 * math.log10(p_sig / rest) if rest > 0.0 else math.inf
+        sfdr = 10.0 * math.log10(p_sig / p_spur) if p_spur > 0.0 else math.inf
+        thd = 10.0 * math.log10(p_harm / p_sig) if p_harm > 0.0 else -math.inf
+    else:
+        sndr = sfdr = thd = math.nan
     enob = (sndr - 1.76) / 6.02
     fom_w = power_total / (2.0 ** enob * f_s) if math.isfinite(enob) else math.nan
     return SpectrumMetrics(
@@ -149,7 +154,7 @@ def spectrum_csv(power: np.ndarray, f_s: float) -> str:
     n = 2 * (power.size - 1)
     p_fs = 1.0 / 8.0
     lines = ["bin,frequency_Hz,power_dBFS"]
-    for k, p in enumerate(power):
+    for k, p in enumerate(power.tolist()):
         db = 10.0 * math.log10(p / p_fs) if p > 0.0 else -math.inf
         lines.append(f"{k},{k * f_s / n:.12g},{db:.6f}" if math.isfinite(db)
                      else f"{k},{k * f_s / n:.12g},-inf")

@@ -110,9 +110,10 @@ def _cmd_simulate(args) -> int:
     })
     _write(outdir, "metrics.json", _json_text(payload))
     if args.n <= 65536:
-        rows = "".join(f"{k},{int(c)},{int(m)},{int(v)}\n"
+        rows = "".join(f"{k},{c},{m},{int(v)}\n"
                        for k, (c, m, v) in enumerate(
-                           zip(result.codes, result.metastable, result.violation)))
+                           zip(result.codes.tolist(), result.metastable.tolist(),
+                               result.violation.tolist())))
         _write(outdir, "codes.csv", "index,code,metastable,violation\n" + rows)
     else:
         np.savez_compressed(_fresh(outdir, "codes.npz"), codes=result.codes,
@@ -125,7 +126,8 @@ def _cmd_simulate(args) -> int:
     if args.check:
         x = (result.codes + 0.5) / 2.0 ** cfg.bits - 0.5
         parseval = abs(float(np.sum(power)) - float(np.mean(x * x)))
-        ok = (parseval <= 1e-9 * max(float(np.mean(x * x)), 1e-30)
+        ok = (not math.isnan(m.sndr)      # a silent record measures nothing
+              and parseval <= 1e-9 * max(float(np.mean(x * x)), 1e-30)
               and m.sfdr >= m.sndr
               and math.isclose(m.enob, (m.sndr - 1.76) / 6.02, rel_tol=0, abs_tol=0))
         if not ok:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import analysis
 from .capdac import build_cap_array
@@ -57,9 +58,11 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     """Convert a sequence of differential inputs (volts, centered on v_cm).
 
     The capacitor array is drawn from SeedSequence((seed, 1)) and compiled
-    once per run.  Each sample k is one pass: open its random stream
-    SeedSequence((seed, 0, k)), sample the input (the previous held pair is
-    the settling start point), then cycle the bits.  The stream is drawn in
+    once per run.  Each sample k is one pass: open its random stream, the
+    PCG64 generator that SeedSequence((seed, 0, k)) seeds (the seed words of
+    a block of samples are hashed in one vectorised pass, see
+    ``_stream_states``), sample the input (the previous held pair is the
+    settling start point), then cycle the bits.  The stream is drawn in
     that order: the two track-and-hold noise normals, then per comparison
     one noise normal and, if metastable, one integer for the latched bit
     (noise draws only where the noise is on).  A fixed seed therefore gives
@@ -90,8 +93,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     t_total = np.empty(n)
     e_comp = e_dac = e_logic = e_track = 0.0
     held = None
-    for k, v in enumerate(diff.tolist()):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
+    for k, (v, rng) in enumerate(zip(diff.tolist(), _sample_streams(seed, n))):
         v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
         if not (0.0 <= v_in_p <= cfg.v_dd and 0.0 <= v_in_n <= cfg.v_dd):
             raise ValueError(f"convert_waveform: sample {k} leaves [0, v_dd]")
@@ -144,6 +146,110 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                   "track_hold": e_track},
         f_s=cfg.f_s,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-sample random streams
+#
+# Sample k draws from np.random.Generator(PCG64(SeedSequence((seed, 0, k)))).
+# Building a SeedSequence per sample costs about ten times the generator
+# itself, so the words it would hand PCG64 are computed here for a block of
+# samples at once, following numpy's SeedSequence hash (bit_generator.pyx)
+# on uint32 arrays, whose arithmetic wraps as the reference's does.
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_STREAM_BLOCK = 4096        # samples seeded per pass; bounds the scratch arrays
+
+
+def _hash_consts(init: int, mult: int):
+    """The reference's running hash constant: (value before, value after)
+    each multiplication, as uint32 scalars."""
+    h = init
+    while True:
+        after = h * mult & _M32
+        yield np.uint32(h), np.uint32(after)
+        h = after
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    before, after = next(consts)
+    value = (value ^ before) * after
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ r >> _XSHIFT
+
+
+def _pool_state(entropy: list) -> np.ndarray:
+    """generate_state(4, np.uint64) of SeedSequences given their entropy
+    words, one uint32 array per word position (at least three positions);
+    one row per sequence."""
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]), consts)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    words = [_hashmix(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[0::2], words[1::2])],
+                    axis=1)
+
+
+def _stream_states(seed: int, ks) -> np.ndarray:
+    """Row j is SeedSequence((seed, 0, ks[j])).generate_state(4, np.uint64).
+
+    Entropy words are 32-bit little-endian pieces of each integer, so an
+    index of 2**32 or more takes two words; the two widths are hashed apart.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    head = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        head.append(seed & _M32)
+    head.append(0)
+    ks = np.asarray(ks, dtype=np.uint64)
+    wide = ks > _M32
+    out = np.empty((ks.size, 4), dtype=np.uint64)
+    for sel, n_words in ((~wide, 1), (wide, 2)):
+        k = ks[sel]
+        if k.size:
+            entropy = [np.full(k.size, w, dtype=np.uint32) for w in head]
+            entropy += [(k >> np.uint64(32 * i) & np.uint64(_M32)).astype(np.uint32)
+                        for i in range(n_words)]
+            out[sel] = _pool_state(entropy)
+    return out
+
+
+class _Preseeded(ISeedSequence):
+    """A seed sequence whose words are already computed: PCG64 seeds itself
+    from generate_state(4, np.uint64), which returns them as they are."""
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def _sample_streams(seed: int, n: int):
+    """The random stream of every sample k < n, in order."""
+    for start in range(0, n, _STREAM_BLOCK):
+        ks = np.arange(start, min(start + _STREAM_BLOCK, n), dtype=np.uint64)
+        for state in _stream_states(seed, ks):
+            yield np.random.Generator(np.random.PCG64(_Preseeded(state)))
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:

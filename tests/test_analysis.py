@@ -134,6 +134,16 @@ def test_single_bin_spectrum_sentinels():
     assert math.isnan(m.fom_walden)
 
 
+def test_empty_signal_bin_is_not_measurable():
+    # noise but no tone: every ratio to the signal is NaN, not a crash on
+    # log10(0) and not an infinite SNDR
+    p = np.zeros(33)
+    p[5] = p[9] = 1e-6
+    m = metrics(p, 3, 1.0, 130e6)
+    for value in (m.sndr, m.sfdr, m.thd, m.enob, m.fom_walden):
+        assert math.isnan(value)
+
+
 def test_amplitude_sweep_rises_then_flattens(ref_cfg):
     # about one dB of SNDR per dB of amplitude while quantization-limited,
     # then the curve flattens as distortion takes over near full scale

@@ -55,7 +55,10 @@ def test_engine_output_pinned(tmp_path):
             (["dac-compare", "--seed", "42"], "dac_compare.json",
              "626de7890cf5181c00778767b3963508295158f99475817c8a1a34246214788f"),
             (["timing"], "timing.json",
-             "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd")]
+             "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd"),
+            # a seed of two 32-bit words, as the benchmark derives per op
+            (["simulate", "--n", "256", "--bin", "19", "--seed", "4294967299"], "codes.csv",
+             "7d3827cf5b3b885286c629bcf52f5178a1522b1fffcfa5b759630a3697ae7bca")]
     for argv, name, digest in pins:
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 0
@@ -83,6 +86,24 @@ def test_unmeasurable_record_reports_nan_fom(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["enob_bits"] == "inf"
     assert metrics["fom_walden_J_per_step"] == "nan"
+
+
+def test_silent_record_is_not_measurable(tmp_path, capsys):
+    # a zero-amplitude tone leaves the signal bin empty: no SNDR can be
+    # measured, so none may read as a perfect converter, and --check fails
+    out = tmp_path / "silent"
+    assert run(["simulate", "--ideal", "--amplitude", "0", "--n", "64", "--bin", "3",
+                "--check", "--out", str(out)]) == 3
+    assert "simulate --check: FAILED" in capsys.readouterr().err
+    metrics = json.loads((out / "metrics.json").read_text())
+    for key in ("sndr_dB", "sfdr_dB", "thd_dB", "enob_bits", "fom_walden_J_per_step"):
+        assert metrics[key] == "nan"
+
+
+def test_negative_seed_exit_code(tmp_path):
+    out = tmp_path / "neg"
+    assert run(["simulate", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

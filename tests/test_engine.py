@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
+from saradc import engine
 from saradc.capdac import conversion_energy
 from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
-from saradc.engine import (convert_waveform, ideal_quantizer_code,
+from saradc.engine import (_Preseeded, _stream_states, convert_waveform, ideal_quantizer_code,
                            measure_distortion_power, noise_budget, power_report)
 
 
@@ -92,6 +93,37 @@ def test_waveform_determinism_across_workers(ref_cfg):
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.t_total, b.t_total)
     assert a.e_blocks == b.e_blocks
+
+
+def test_stream_states_match_seed_sequence():
+    # the bulk hash gives exactly the words SeedSequence((seed, 0, k)) hands
+    # PCG64, for one- and two-word indices and for seeds of up to three words
+    draw = np.random.default_rng(12)
+    ks = [0, 1, 2, 2**32 - 1, 2**32, 2**40,
+          *draw.integers(0, 2**32, 100).tolist(),
+          *draw.integers(2**32, 2**64, 100, dtype=np.uint64).tolist()]
+    for seed in (0, 1, 42, 2**32, 2**32 + 3, 2**64 + 5):
+        rows = _stream_states(seed, np.array(ks, dtype=np.uint64))
+        for k, row in zip(ks, rows):
+            ref = np.random.SeedSequence((seed, 0, k))
+            assert row.tolist() == ref.generate_state(4, np.uint64).tolist()
+            assert (np.random.Generator(np.random.PCG64(_Preseeded(row))).bit_generator.state
+                    == np.random.default_rng(ref).bit_generator.state)
+
+
+def test_sample_streams_continue_across_blocks(monkeypatch):
+    monkeypatch.setattr(engine, "_STREAM_BLOCK", 3)
+    streams = list(engine._sample_streams(7, 8))
+    assert [g.bit_generator.state for g in streams] == [
+        np.random.default_rng(np.random.SeedSequence((7, 0, k))).bit_generator.state
+        for k in range(8)]
+
+
+def test_negative_seed_rejected(ref_cfg):
+    with pytest.raises(ValueError):
+        _stream_states(-1, np.arange(4, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        convert_waveform([0.1], ref_cfg, seed=-1)
 
 
 def test_waveform_seed_changes_results(ref_cfg):
