@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants,
                      ideal_config, load_config, net_full_scale, reference_defaults,
                      serialize)
-from .track_hold import ktc_sigma, ron_of_input, sample
-from .comparator import comparator_power, decide, decision_latency
+from .track_hold import ktc_sigma, ron_of_input
+from .comparator import comparator_power
 from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
                      inl_from_steps, monotonic_energy_oracle, ron_schedule,
                      transfer_thresholds)
@@ -23,8 +23,7 @@ __all__ = [
     "AdcConfig", "ConfigError", "DerivedConstants", "derived_constants",
     "ideal_config", "load_config", "net_full_scale", "reference_defaults",
     "serialize",
-    "ktc_sigma", "ron_of_input", "sample",
-    "comparator_power", "decide", "decision_latency",
+    "ktc_sigma", "ron_of_input", "comparator_power",
     "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
     "inl_from_steps", "monotonic_energy_oracle", "ron_schedule",
     "transfer_thresholds",

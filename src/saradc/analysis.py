@@ -109,9 +109,22 @@ def _harmonic_bins(signal_bin: int, n: int, count: int = 5):
     return sorted(set(out))
 
 
+def _record_length(power: np.ndarray, n) -> int:
+    """Length of the record a one-sided spectrum came from: n as given,
+    which must fit the spectrum, or by default the even length."""
+    if n is None:
+        return 2 * (power.size - 1)
+    if n // 2 != power.size - 1:
+        raise ValueError(f"record length {n} does not give a {power.size}-bin spectrum")
+    return n
+
+
 def metrics(power: np.ndarray, signal_bin: int, power_total: float,
-            f_s: float) -> SpectrumMetrics:
+            f_s: float, n: int | None = None) -> SpectrumMetrics:
     """Extract dynamic metrics from a one-sided power spectrum.
+
+    n is the length of the record; a spectrum alone cannot tell an odd
+    length from the even one below it, so the default is the even one.
 
     A record with no measurable non-signal power reports SNDR (and SFDR)
     as +inf sentinels rather than failing; its Walden FOM, which needs a
@@ -126,7 +139,7 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     rest = float(np.sum(power[1:]) - p_sig)
     others = np.delete(power[1:], signal_bin - 1)
     p_spur = float(np.max(others)) if others.size else 0.0
-    n = 2 * n_half
+    n = _record_length(power, n)
     harm = _harmonic_bins(signal_bin, n)
     p_harm = float(np.sum(power[harm])) if harm else 0.0
     if p_sig > 0.0:
@@ -146,12 +159,13 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     )
 
 
-def spectrum_csv(power: np.ndarray, f_s: float) -> str:
+def spectrum_csv(power: np.ndarray, f_s: float, n: int | None = None) -> str:
     """Plot-ready spectrum table: bin, frequency, power in dB full scale.
 
     0 dBFS is a full-scale sine (power 1/8 in the normalized convention).
+    n is the record length, as for ``metrics``.
     """
-    n = 2 * (power.size - 1)
+    n = _record_length(power, n)
     p_fs = 1.0 / 8.0
     lines = ["bin,frequency_Hz,power_dBFS"]
     for k, p in enumerate(power.tolist()):

@@ -93,10 +93,10 @@ def _cmd_simulate(args) -> int:
     result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     power = analysis.spectrum(result.codes, cfg.bits)
     rep = engine.power_report(result)
-    m = analysis.metrics(power, args.bin, rep.total, cfg.f_s)
+    m = analysis.metrics(power, args.bin, rep.total, cfg.f_s, n=args.n)
 
     outdir = Path(args.out)
-    _write(outdir, "spectrum.csv", analysis.spectrum_csv(power, cfg.f_s))
+    _write(outdir, "spectrum.csv", analysis.spectrum_csv(power, cfg.f_s, n=args.n))
     payload = m.to_json_dict()
     payload.update({
         "amplitude_V": args.amplitude,
@@ -231,7 +231,7 @@ def _cmd_sweep(args) -> int:
                                               c.v_cm, c.f_s)
             result = engine.convert_waveform(tone.v_diff, c, seed=args.seed)
             power = analysis.spectrum(result.codes, c.bits)
-            m = analysis.metrics(power, args.bin, 1.0, c.f_s)
+            m = analysis.metrics(power, args.bin, 1.0, c.f_s, n=args.n)
             row += f",{m.sndr:.6f}"
         lines.append(row)
     outdir = Path(args.out)

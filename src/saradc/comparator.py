@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import AdcConfig
 
-__all__ = ["comparator_power", "decision_latency", "decision_latencies", "decide"]
+__all__ = ["comparator_power", "decision_latencies", "decisions"]
 
 
 def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> float:
@@ -32,42 +32,43 @@ def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> floa
     return f_ck * (2.0 * c_pq + c_xy) * v_dd ** 2
 
 
-def decision_latency(v_abs: float, tau_reg: float, v_dd: float, a_v: float) -> float:
-    """Latency of the regeneration log law for |input| = v_abs [s]."""
-    if v_abs <= 0.0:
-        return math.inf
-    return max(tau_reg * math.log(v_dd / (a_v * v_abs)), 0.0)
-
-
 def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
-                       a_v: float) -> np.ndarray:
-    """Vectorized decision_latency; zeros map to +inf."""
+                       a_v: float, libm: bool = False) -> np.ndarray:
+    """Latency of the regeneration log law for each |input| in v_abs [s];
+    zeros map to +inf.
+
+    The log is numpy's vectorised one, or with ``libm`` the C library's
+    (``math.log``, value by value), which numpy's SIMD log does not match
+    in the last bit on every input.  The engine takes the libm form.
+    """
     v = np.asarray(v_abs, dtype=float)
     with np.errstate(divide="ignore"):
-        t = tau_reg * np.log(v_dd / (a_v * np.where(v > 0, v, np.nan)))
+        x = v_dd / (a_v * np.where(v > 0, v, np.nan))
+        if libm:
+            t = tau_reg * np.fromiter(map(math.log, x.ravel().tolist()), float,
+                                      x.size).reshape(x.shape)
+        else:
+            t = tau_reg * np.log(x)
     t = np.where(v > 0, np.maximum(t, 0.0), np.inf)
     return t
 
 
-def decide(v_diff: float, t_available: float, cfg: AdcConfig,
-           rng: np.random.Generator) -> tuple[int, float, bool]:
-    """One comparison of a differential input given t_available seconds.
+def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise, cfg: AdcConfig,
+              latch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One comparison per entry of v_diff, given t_available seconds each.
 
-    Returns (bit, t_decide, metastable): the +/-1 decision, the latency
-    [s] and whether it exceeded t_available.  The effective input is v_diff
-    plus one Gaussian noise draw; an exactly zero effective input never
-    resolves (infinite latency) and is reported metastable rather than
-    raising.  A metastable comparison draws one more integer, its bit.
+    Returns (bit, t_decide, metastable) arrays: the +/-1 decisions, the
+    latencies [s] and whether each exceeded its allowance.  The effective
+    input is v_diff plus ``noise`` (the input-referred draws, or 0.0); an
+    exactly zero effective input never resolves (infinite latency) and is
+    reported metastable.  ``latch(metastable)`` gives the bits the logic
+    latches for the metastable entries, in order.
     """
-    if t_available < 0.0:
-        raise ValueError("decide: t_available must be nonnegative")
-    noise = cfg.sigma_n_comp * rng.standard_normal() if cfg.sigma_n_comp > 0 else 0.0
     v_eff = v_diff + noise
-    tau_reg = cfg.c_xy / cfg.g_m5
-    t_dec = decision_latency(abs(v_eff), tau_reg, cfg.v_dd, cfg.a_v)
+    t_dec = decision_latencies(np.abs(v_eff), cfg.c_xy / cfg.g_m5, cfg.v_dd, cfg.a_v,
+                               libm=True)
     metastable = t_dec > t_available
-    if metastable:
-        bit = 1 if rng.integers(0, 2) else -1
-    else:
-        bit = 1 if v_eff > 0 else -1
+    bit = np.where(v_eff > 0, 1, -1)
+    if metastable.any():
+        bit[metastable] = latch(metastable)
     return bit, t_dec, metastable

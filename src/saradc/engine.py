@@ -1,6 +1,7 @@
 """Conversion engine: sampling, asynchronous bit cycling, DAC switching,
-timing bookkeeping and energy accounting in one pass per sample, on plain
-floats; the results are per-sample arrays and per-block energy totals.
+timing bookkeeping and energy accounting over blocks of samples with array
+operations, looping in Python only over the bits; the results are
+per-sample arrays and per-block energy totals.
 
 Scheduling model: the conversion window is one sample period minus the
 tracking phase.  Logic delay (every bit) and the fixed DAC-settle overhead
@@ -21,10 +22,10 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import analysis
-from .capdac import build_cap_array
-from .comparator import comparator_power, decide
+from .capdac import Ladder, build_cap_array
+from .comparator import comparator_power, decisions
 from .config import AdcConfig, derived_constants
-from .track_hold import ktc_sigma, sample
+from .track_hold import hold, ktc_sigma
 
 
 @dataclass
@@ -58,94 +59,169 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     """Convert a sequence of differential inputs (volts, centered on v_cm).
 
     The capacitor array is drawn from SeedSequence((seed, 1)) and compiled
-    once per run.  Each sample k is one pass: open its random stream, the
-    PCG64 generator that SeedSequence((seed, 0, k)) seeds (the seed words of
-    a block of samples are hashed in one vectorised pass, see
-    ``_stream_states``), sample the input (the previous held pair is the
-    settling start point), then cycle the bits.  The stream is drawn in
-    that order: the two track-and-hold noise normals, then per comparison
-    one noise normal and, if metastable, one integer for the latched bit
-    (noise draws only where the noise is on).  A fixed seed therefore gives
-    bit-identical results.
+    once per run.  Every sample k has its own random stream, the PCG64
+    generator that SeedSequence((seed, 0, k)) seeds, and draws from it in
+    this order: two track-and-hold noise normals (positive side first),
+    then per comparison one noise normal and, if the comparison is
+    metastable, one integer for the latched bit (noise draws only where
+    the noise is on).  A fixed seed therefore gives bit-identical results,
+    however the record is split.
+
+    The record is converted in blocks of up to ``_STREAM_BLOCK`` samples:
+
+    * the seed words of the block's streams are hashed in one vectorised
+      pass (``_stream_states``), and each stream gives all of its sample's
+      normals in one call; a noise-free config opens none;
+    * ``track_hold.hold`` solves the block's held pairs by Jacobi sweeps,
+      starting from the pair the previous block left;
+    * ``_bit_cycle`` runs the comparisons and DAC switches of the whole
+      block, one bit at a time;
+    * a sample whose metastable comparison latched a bit and went on drew
+      one integer the block pass did not, which shifts its later normals,
+      so it is run through ``_bit_cycle`` again, drawing live from its own
+      stream (one whose metastable comparison ended it draws nothing
+      after, and keeps its block result).
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
     target, leaving the ladder's ``settle_p``/``settle_n`` fraction of the
-    step after t_phic_low.
+    step after t_phic_low.  Energies add per sample bit by bit, and the
+    block totals add in sample order, as a sequential walk would.
     """
     diff = np.asarray(samples, dtype=float)
+    if diff.ndim != 1:
+        raise ValueError("convert_waveform: samples must be a one-dimensional sequence")
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
     n = diff.size
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    dp, dn = ladder.dp.tolist(), ladder.dn.tolist()
-    settle_p, settle_n = ladder.settle_p.tolist(), ladder.settle_n.tolist()
-    e_event = ladder.e_event.tolist()
-    bits_n = cfg.bits
-    slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
+    v_in_p, v_in_n = cfg.v_cm + 0.5 * diff, cfg.v_cm - 0.5 * diff
+    outside = ~((0.0 <= v_in_p) & (v_in_p <= cfg.v_dd) & (0.0 <= v_in_n) & (v_in_n <= cfg.v_dd))
+    if outside.any():
+        raise ValueError(f"convert_waveform: sample {int(np.argmax(outside))} leaves [0, v_dd]")
+    n_hold = 2 if ktc_sigma(cfg) > 0 else 0
+    n_draws = n_hold + (cfg.bits if cfg.sigma_n_comp > 0 else 0)
     # comparator energy of a conversion that fired the latch c times
-    e_comp_of = [comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd) for c in range(bits_n + 1)]
+    e_comp_of = np.array([comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd)
+                          for c in range(cfg.bits + 1)])
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)
     violation = np.empty(n, dtype=bool)
     t_total = np.empty(n)
-    e_comp = e_dac = e_logic = e_track = 0.0
-    held = None
-    for k, (v, rng) in enumerate(zip(diff.tolist(), _sample_streams(seed, n))):
-        v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
-        if not (0.0 <= v_in_p <= cfg.v_dd and 0.0 <= v_in_n <= cfg.v_dd):
-            raise ValueError(f"convert_waveform: sample {k} leaves [0, v_dd]")
-        held = sample(v_in_p, v_in_n, cfg, rng, prev=held)
-        v_p, v_n = target_p, target_n = held
+    totals = np.zeros(4)        # comparator, dac, logic, track_hold [J]
+    held = np.array([cfg.v_cm, cfg.v_cm])
+    for start in range(0, n, _STREAM_BLOCK):
+        ks = np.arange(start, min(start + _STREAM_BLOCK, n), dtype=np.uint64)
+        normals = np.empty((ks.size, n_draws))
+        if n_draws:
+            for row, state in zip(normals, _stream_states(seed, ks)):
+                _stream(state).standard_normal(out=row)
+        block = slice(start, start + ks.size)
+        pair = hold(v_in_p[block], v_in_n[block], cfg, normals[:, :2], held)
+        held = pair[-1]
+        comp_noise = cfg.sigma_n_comp * normals[:, n_hold:]
+        # the bits latched here are placeholders: a conversion whose
+        # metastable comparison ended it drew its last number there, and
+        # one that latched a bit and went on is run again
+        out = _bit_cycle(pair[:, 0], pair[:, 1], cfg, ladder,
+                         (lambda i, live: comp_noise[:, i]) if cfg.sigma_n_comp > 0 else None,
+                         lambda meta, live: 1)
+        again = np.flatnonzero(out[1] > out[2])
+        if again.size:
+            noise, latch = _live_draws(seed, ks[again], n_hold, cfg.sigma_n_comp)
+            rerun = _bit_cycle(pair[again, 0], pair[again, 1], cfg, ladder, noise, latch)
+            for whole, part in zip(out, rerun):
+                whole[again] = part
+        code, n_meta, exhausted, t_conv, e_dac, n_cycles = out
+        codes[block], metastable[block], violation[block], t_total[block] = (
+            code, n_meta, exhausted, t_conv)
+        # running totals in sample order, carried across blocks
+        totals = np.cumsum(np.column_stack(
+            [totals, np.stack([e_comp_of[n_cycles], e_dac, n_cycles * cfg.e_logic,
+                               np.full(ks.size, cfg.e_track)])]), axis=1)[:, -1]
 
-        slack = slack0
-        consumed = energy = 0.0
-        code = n_meta = 0
-        exhausted = False
-        for i in range(bits_n):
-            avail = max(slack, 0.0)
-            bit, t_decide, meta = decide(v_p - v_n, avail, cfg, rng)
-            if meta:
-                n_meta += 1
-                consumed += avail
-                slack = 0.0
-                if math.isinf(t_decide) or avail <= 0.0:
-                    # A comparison that can never resolve, or one offered no
-                    # time at all, exhausts the window: complete the code at
-                    # the middle of the open range.
-                    code = ((code << 1) | 1) << (bits_n - 1 - i)
-                    exhausted = True
-                    break
-            else:
-                consumed += t_decide
-                slack -= t_decide
-            code = (code << 1) | (bit > 0)
-            if i < bits_n - 1:
-                target_p -= bit * dp[i] / 2.0
-                target_n += bit * dn[i] / 2.0
-                v_p = target_p - (target_p - v_p) * settle_p[i]
-                v_n = target_n - (target_n - v_n) * settle_n[i]
-                energy += e_event[i][(bit + 1) // 2]
-
-        n_cycles = i + 1
-        n_switched = i if exhausted else bits_n - 1
-        codes[k] = code
-        metastable[k] = n_meta
-        violation[k] = exhausted
-        t_total[k] = cfg.t_track + n_cycles * cfg.t_delay + n_switched * cfg.t_fix + consumed
-        e_comp += e_comp_of[n_cycles]
-        e_dac += energy
-        e_logic += n_cycles * cfg.e_logic
-        e_track += cfg.e_track
-
+    e_comp, e_dac, e_logic, e_track = totals.tolist()
     return WaveformResult(
         codes=codes, metastable=metastable, violation=violation, t_total=t_total,
         e_blocks={"comparator": e_comp, "dac": e_dac, "logic": e_logic,
                   "track_hold": e_track},
         f_s=cfg.f_s,
     )
+
+
+def _bit_cycle(v_p: np.ndarray, v_n: np.ndarray, cfg: AdcConfig, ladder: Ladder,
+               noise, latch) -> list:
+    """Bit cycle of conversions whose held pairs are (v_p, v_n).
+
+    ``noise(i, live)`` gives the comparator noise of bit i per conversion
+    (None when the noise is off) and ``latch(metastable, live)`` the bits
+    latched by the metastable comparisons (see ``comparator.decisions``);
+    ``live`` marks the conversions still running.  Returns the per-conversion
+    arrays [code, metastable comparisons, exhausted, conversion time, DAC
+    energy, comparisons made].  A conversion stops at the comparison that
+    exhausts its window; what it would compare after that is not read.
+    """
+    bits_n, size = cfg.bits, v_p.size
+    slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
+    target_p, target_n = v_p, v_n
+    slack = np.full(size, slack0)
+    consumed = np.zeros(size)
+    energy = np.zeros(size)
+    code = np.zeros(size, dtype=int)
+    n_meta = np.zeros(size, dtype=int)
+    n_cycles = np.full(size, bits_n)
+    exhausted = np.zeros(size, dtype=bool)
+    for i in range(bits_n):
+        live = ~exhausted
+        avail = np.maximum(slack, 0.0)
+        bit, t_decide, meta = decisions(v_p - v_n, avail,
+                                        0.0 if noise is None else noise(i, live), cfg,
+                                        lambda metastable: latch(metastable, live))
+        up = bit > 0
+        # a comparison that can never resolve, or one offered no time at
+        # all, exhausts the window: the code is completed at the middle of
+        # the open range (first open bit one, the rest zero)
+        stop = meta & (np.isinf(t_decide) | (avail <= 0.0)) & live
+        n_meta += meta & live
+        # an exhausted conversion has no slack left, so it adds zero here
+        consumed += np.where(meta, avail, t_decide)
+        slack = np.where(meta, 0.0, slack - t_decide)
+        code = np.where(exhausted, code, (code << 1) | (up | stop))
+        n_cycles[stop] = i + 1
+        exhausted |= stop
+        if i < bits_n - 1:
+            target_p = target_p - bit * ladder.dp[i] / 2.0
+            target_n = target_n + bit * ladder.dn[i] / 2.0
+            v_p = target_p - (target_p - v_p) * ladder.settle_p[i]
+            v_n = target_n - (target_n - v_n) * ladder.settle_n[i]
+            e_down, e_up = ladder.e_event[i]
+            energy = np.where(exhausted, energy, energy + np.where(up, e_up, e_down))
+    # every comparison but the last switches the DAC
+    t_conv = cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix + consumed
+    return [code << (bits_n - n_cycles), n_meta, exhausted, t_conv, energy, n_cycles]
+
+
+def _live_draws(seed: int, ks: np.ndarray, n_hold: int, sigma: float) -> tuple:
+    """noise and latch for ``_bit_cycle`` that draw from the streams of
+    samples ks as a sequential walk would, past their track-and-hold draws;
+    a conversion that has stopped draws nothing more."""
+    streams = [_stream(state) for state in _stream_states(seed, ks)]
+    for stream in streams:
+        stream.standard_normal(n_hold)
+
+    def noise(i, live):
+        z = np.zeros(len(streams))
+        for j in np.flatnonzero(live).tolist():
+            z[j] = streams[j].standard_normal()
+        return sigma * z
+
+    def latch(meta, live):
+        return [(1 if streams[j].integers(0, 2) else -1) if live[j] else 1
+                for j in np.flatnonzero(meta).tolist()]
+
+    return (noise if sigma > 0 else None), latch
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +238,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_STREAM_BLOCK = 4096        # samples seeded per pass; bounds the scratch arrays
+_STREAM_BLOCK = 4096        # samples per block pass; bounds the scratch arrays
 
 
 def _hash_consts(init: int, mult: int):
@@ -244,12 +320,9 @@ class _Preseeded(ISeedSequence):
         return self._state
 
 
-def _sample_streams(seed: int, n: int):
-    """The random stream of every sample k < n, in order."""
-    for start in range(0, n, _STREAM_BLOCK):
-        ks = np.arange(start, min(start + _STREAM_BLOCK, n), dtype=np.uint64)
-        for state in _stream_states(seed, ks):
-            yield np.random.Generator(np.random.PCG64(_Preseeded(state)))
+def _stream(state: np.ndarray) -> np.random.Generator:
+    """The generator of one row of stream states."""
+    return np.random.Generator(np.random.PCG64(_Preseeded(state)))
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:

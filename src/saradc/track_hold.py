@@ -20,49 +20,67 @@ import numpy as np
 
 from .config import AdcConfig, ConfigError, kt_over_c
 
-__all__ = ["ron_of_input", "sample", "ktc_sigma"]
+__all__ = ["ron_of_input", "hold", "ktc_sigma"]
 
 
-def ron_of_input(v: float, cfg: AdcConfig) -> float:
-    """Switch on-resistance at input voltage v [Ohm].
+def ron_of_input(v, cfg: AdcConfig) -> np.ndarray:
+    """Switch on-resistance at each input voltage in v [Ohm].
 
     r(v) = r_on0 * (1 + alpha*v + beta*v^2); a nonpositive result means the
-    configured polynomial is nonphysical at this input.
+    configured polynomial is nonphysical there, and the first such input
+    (in flat order) is named in the error.
     """
+    v = np.asarray(v, dtype=float)
     r = cfg.r_on0 * (1.0 + cfg.ron_alpha * v + cfg.ron_beta * v * v)
-    if r <= 0.0:
+    bad = r <= 0.0
+    if bad.any():
+        first = int(np.argmax(bad.ravel()))
         raise ConfigError(
-            f"ron_alpha/ron_beta: nonphysical on-resistance {r:g} Ohm at v = {v:g} V"
+            f"ron_alpha/ron_beta: nonphysical on-resistance {r.flat[first]:g} Ohm "
+            f"at v = {v.flat[first]:g} V"
         )
     return r
 
 
-def sample(v_in_p: float, v_in_n: float, cfg: AdcConfig, rng: np.random.Generator,
-           prev: tuple[float, float] | None = None) -> tuple[float, float]:
-    """Sample a differential input onto the DAC capacitance.
+def hold(v_in_p: np.ndarray, v_in_n: np.ndarray, cfg: AdcConfig, normals,
+         prev: np.ndarray) -> np.ndarray:
+    """Held pairs of consecutive conversions of a differential input.
 
-    Returns the held pair (v_p, v_n) [V].  prev is the held pair left from
-    the previous conversion (settling start point); it defaults to the
-    quiescent common mode.  Each side settles with its own time constant
-    r_on(v_in_side) * c_side and then receives an independent Gaussian draw
-    of rms ``ktc_sigma``, the positive side first.
+    Returns an (n, 2) array of (v_p, v_n) [V].  ``prev`` is the pair held
+    before the first of them (the settling start point).  Each side settles
+    with its own time constant r_on(v_in_side) * c_side and then receives a
+    Gaussian draw of rms ``ktc_sigma``: ``normals`` holds one standard
+    normal pair per conversion, the positive side first, and is read only
+    when that rms is nonzero.
+
+    Conversion k holds h_k = target_k - (target_k - h_{k-1}) * g_k + noise_k.
+    Jacobi sweeps over the whole run solve it: after j sweeps the first j
+    pairs are final, and a sweep that changes nothing has reached the one
+    fixed point, the sequential values, so the result is exact.  With
+    g_k < 1e-2, as at the shipped config, a handful of sweeps suffice.
     """
     c_side = cfg.c_dac + cfg.c_p
     v_diff = v_in_p - v_in_n
-    target_p = cfg.v_cm + 0.5 * v_diff + cfg.v_pedestal
-    target_n = cfg.v_cm - 0.5 * v_diff + cfg.v_pedestal
-    if prev is None:
-        prev = (cfg.v_cm, cfg.v_cm)
-
-    g_p = math.exp(-cfg.t_track / (ron_of_input(v_in_p, cfg) * c_side))
-    g_n = math.exp(-cfg.t_track / (ron_of_input(v_in_n, cfg) * c_side))
-    err_p = (target_p - prev[0]) * g_p
-    err_n = (target_n - prev[1]) * g_n
-
+    target = np.stack([cfg.v_cm + 0.5 * v_diff + cfg.v_pedestal,
+                       cfg.v_cm - 0.5 * v_diff + cfg.v_pedestal], axis=1)
+    # per side in sample order, so a nonphysical input is named as the
+    # sequential walk would meet it; libm exp, which numpy's SIMD exp does
+    # not match in the last bit on every input
+    x = -cfg.t_track / (ron_of_input(np.stack([v_in_p, v_in_n], axis=1), cfg) * c_side)
+    g = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
     sigma = ktc_sigma(cfg)
-    noise_p = sigma * rng.standard_normal() if sigma > 0 else 0.0
-    noise_n = sigma * rng.standard_normal() if sigma > 0 else 0.0
-    return target_p - err_p + noise_p, target_n - err_n + noise_n
+    noise = sigma * normals if sigma > 0 else 0.0
+
+    held = target + noise
+    before = np.empty_like(target)
+    before[0] = prev
+    for _ in range(len(target)):
+        before[1:] = held[:-1]
+        swept = target - (target - before) * g + noise
+        if np.array_equal(swept, held):
+            break
+        held = swept
+    return held
 
 
 def ktc_sigma(cfg: AdcConfig) -> float:

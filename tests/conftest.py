@@ -26,13 +26,14 @@ def ideal_array(ideal_cfg):
 
 @pytest.fixture()
 def comparator_calls(monkeypatch):
-    """(v_diff, bit) of every comparison the engine makes, in order."""
+    """(v_diff, bit) of sample 0 at every comparison the engine makes, in order."""
     calls = []
+    decisions = sa.engine.decisions
 
-    def recorded(v_diff, t_available, cfg, rng):
-        bit, t_decide, metastable = sa.decide(v_diff, t_available, cfg, rng)
-        calls.append((v_diff, bit))
+    def recorded(v_diff, t_available, noise, cfg, latch):
+        bit, t_decide, metastable = decisions(v_diff, t_available, noise, cfg, latch)
+        calls.append((float(v_diff[0]), int(bit[0])))
         return bit, t_decide, metastable
 
-    monkeypatch.setattr(sa.engine, "decide", recorded)
+    monkeypatch.setattr(sa.engine, "decisions", recorded)
     return calls

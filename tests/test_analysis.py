@@ -144,6 +144,20 @@ def test_empty_signal_bin_is_not_measurable():
         assert math.isnan(value)
 
 
+def test_odd_record_length_from_caller():
+    # a 5-point record has a 3-bin spectrum, as a 4-point one does: bin 2
+    # lies at 2/5 of the rate, and the second harmonic (4 of 5) aliases to
+    # bin 1, which only the odd length knows
+    p = spectrum(np.array([512, 900, 300, 700, 100]), 10)
+    m = metrics(p, 2, 1.0, 130e6, n=5)
+    assert m.n == 5 and math.isfinite(m.thd)
+    assert metrics(p, 2, 1.0, 130e6).n == 4
+    assert spectrum_csv(p, 130e6, n=5).splitlines()[3].startswith("2,52000000,")
+    for call in (lambda: metrics(p, 2, 1.0, 130e6, n=6), lambda: spectrum_csv(p, 130e6, n=3)):
+        with pytest.raises(ValueError, match="record length"):
+            call()
+
+
 def test_amplitude_sweep_rises_then_flattens(ref_cfg):
     # about one dB of SNDR per dB of amplitude while quantization-limited,
     # then the curve flattens as distortion takes over near full scale

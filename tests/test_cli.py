@@ -88,6 +88,17 @@ def test_unmeasurable_record_reports_nan_fom(tmp_path):
     assert metrics["fom_walden_J_per_step"] == "nan"
 
 
+def test_odd_record_keeps_its_length(tmp_path):
+    # the spectrum of a 5-point record has as many bins as a 4-point one's;
+    # the metrics and the spectrum table take the length from --n
+    out = tmp_path / "odd"
+    assert run(["simulate", "--n", "5", "--bin", "2", "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n"] == 5 and metrics["thd_dB"] != "-inf"
+    rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    assert float(rows[2][1]) == metrics["f_in_Hz"] == 52e6
+
+
 def test_silent_record_is_not_measurable(tmp_path, capsys):
     # a zero-amplitude tone leaves the signal bin empty: no SNDR can be
     # measured, so none may read as a perfect converter, and --check fails

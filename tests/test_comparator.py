@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 
 import saradc as sa
-from saradc.comparator import (comparator_power, decide, decision_latencies,
-                               decision_latency)
+from saradc.comparator import comparator_power, decision_latencies
+from reference_engine import decide, decision_latency
 
 
 def test_power_hand_value():
@@ -38,7 +38,7 @@ def test_latency_log_law_values(ref_cfg):
 def test_vector_latency_law_matches_scalar(ref_cfg):
     # one law, two forms: exact at the dead zero (inf) and at and above the
     # rail (0); elsewhere numpy's log may differ from math.log in the last
-    # bit, which is why the engine keeps the scalar form
+    # bit, which is why the engine takes the libm form, equal to the scalar
     d = sa.derived_constants(ref_cfg)
     args = (d.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
     rail = ref_cfg.v_dd / ref_cfg.a_v
@@ -49,6 +49,7 @@ def test_vector_latency_law_matches_scalar(ref_cfg):
     assert vec[1] == ref[1] == 0.0 and vec[2] == ref[2] == 0.0
     assert np.array_equal(vec == 0.0, ref == 0.0)
     assert np.allclose(vec, ref, rtol=1e-15, atol=0)
+    assert np.array_equal(decision_latencies(v, *args, libm=True), ref)
 
 
 def test_decide_noise_off_sign_correct(ref_cfg, rng):

@@ -141,10 +141,13 @@ def test_public_names_resolve():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
-    # the per-code textbook walk lives in the tests; nothing reads the rest
+    # the per-code textbook walk and the per-sample engine walk live in
+    # the tests; nothing reads the rest
+    walk = ("sample", "decide", "decision_latency")
     deleted = {capdac: ("conventional_energy", "splitcap_energy", "_trial_sequence_energy",
                         "_transition_energy", "_per_code"),
-               engine: ("ideal_config",),
+               engine: ("ideal_config", "_sample_streams", *walk),
+               sa: walk, track_hold: walk, comparator: walk,
                analysis.Tone: ("v_p", "v_n")}
     for owner, names in deleted.items():
         for name in names:

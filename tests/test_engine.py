@@ -11,8 +11,10 @@ from saradc import engine
 from saradc.capdac import conversion_energy
 from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
-from saradc.engine import (_Preseeded, _stream_states, convert_waveform, ideal_quantizer_code,
-                           measure_distortion_power, noise_budget, power_report)
+from saradc.engine import (_Preseeded, _stream, _stream_states, convert_waveform,
+                           ideal_quantizer_code, measure_distortion_power, noise_budget,
+                           power_report)
+import reference_engine as reference
 
 
 def test_ideal_ramp_subset_matches_oracle(ideal_cfg):
@@ -111,12 +113,39 @@ def test_stream_states_match_seed_sequence():
                     == np.random.default_rng(ref).bit_generator.state)
 
 
-def test_sample_streams_continue_across_blocks(monkeypatch):
-    monkeypatch.setattr(engine, "_STREAM_BLOCK", 3)
-    streams = list(engine._sample_streams(7, 8))
-    assert [g.bit_generator.state for g in streams] == [
+def test_sample_streams_continue_across_blocks(ref_cfg, monkeypatch):
+    ks = np.arange(8, dtype=np.uint64)
+    assert [_stream(row).bit_generator.state for row in _stream_states(7, ks)] == [
         np.random.default_rng(np.random.SeedSequence((7, 0, k))).bit_generator.state
         for k in range(8)]
+    # blocks of three samples: the streams, the held pair and the running
+    # energy totals carry across every block edge
+    tone = sa.gen_coherent_tone(8, 3, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
+    whole = convert_waveform(tone.v_diff, ref_cfg, seed=7)
+    monkeypatch.setattr(engine, "_STREAM_BLOCK", 3)
+    _assert_same(convert_waveform(tone.v_diff, ref_cfg, seed=7), whole)
+    _assert_same(whole, reference.convert_waveform(tone.v_diff, ref_cfg, seed=7))
+
+
+def _assert_same(res, ref):
+    for name in ("codes", "metastable", "violation", "t_total"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    assert res.e_blocks == ref.e_blocks
+
+
+@pytest.mark.parametrize("f_s", [130e6, 210e6, 225e6])
+def test_block_pass_matches_reference_walk(ref_cfg, f_s):
+    # one sample past a block, at the shipped rate, at a rate where some
+    # conversions are metastable and at one where every conversion runs out
+    # of window; the seed takes two words
+    cfg = replace(ref_cfg, f_s=f_s)
+    tone = sa.gen_coherent_tone(engine._STREAM_BLOCK + 1, 101, 0.75, cfg.v_cm, cfg.f_s)
+    res = convert_waveform(tone.v_diff, cfg, seed=2 ** 32 + 3)
+    _assert_same(res, reference.convert_waveform(tone.v_diff, cfg, seed=2 ** 32 + 3))
+    if f_s == 210e6:
+        assert 0 < res.n_metastable_conversions < res.n_samples
+    if f_s == 225e6:
+        assert res.n_violations == res.n_samples
 
 
 def test_negative_seed_rejected(ref_cfg):
@@ -142,6 +171,8 @@ def test_constant_midscale_input(ideal_cfg):
 def test_empty_waveform_rejected(ref_cfg):
     with pytest.raises(ValueError):
         convert_waveform([], ref_cfg)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        convert_waveform(0.1, ref_cfg)
 
 
 def test_waveform_energy_bookkeeping(ref_cfg):
@@ -303,6 +334,32 @@ def test_engine_invariants_hold_for_any_config(doc, fractions, seed):
     assert rep.total == sum(rep.blocks.values())
     assert math.isclose(rep.total, sum(res.e_blocks.values()) / res.n_samples * cfg.f_s,
                         rel_tol=1e-12)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(doc=_configs(_KEYS), fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+       seed=st.sampled_from([0, 2 ** 32 + 3, 2 ** 64 + 5]) | st.integers(0, 2 ** 32),
+       block=st.integers(1, 5), quiet=st.booleans(), f_s=st.sampled_from([None, 210e6, 225e6]))
+def test_block_pass_equals_reference_walk_for_any_config(doc, fractions, seed, block, quiet,
+                                                         f_s):
+    # field by field and bit for bit, with and without noise, at rates
+    # where comparisons go metastable, over records split into short blocks
+    cfg = _load(doc)
+    if quiet:
+        cfg = replace(cfg, sigma_n_comp=0.0, t_kelvin=0.0)
+    if f_s is not None:
+        cfg = replace(cfg, f_s=f_s)
+    v = np.array(fractions) * sa.derived_constants(cfg).v_fs_net / 2
+    try:
+        ref = reference.convert_waveform(v, cfg, seed=seed)
+    except ValueError as err:       # out of the rails, or a nonphysical on-resistance
+        with pytest.raises(type(err)) as raised:
+            convert_waveform(v, cfg, seed=seed)
+        assert str(raised.value) == str(err)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_STREAM_BLOCK", block)
+        _assert_same(convert_waveform(v, cfg, seed=seed), ref)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -8,9 +8,10 @@ import pytest
 import saradc as sa
 from saradc import timing
 from saradc.cli import main
-from saradc.comparator import decision_latencies, decision_latency
+from saradc.comparator import decision_latencies
 from saradc.timing import (MC_BLOCK, _window, build_budget, max_sampling_rate,
                            metastability_mc, t_hard)
+from reference_engine import decision_latency
 
 
 def test_t_hard_reference_point(ref_cfg):

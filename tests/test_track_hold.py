@@ -6,7 +6,8 @@ import pytest
 
 import saradc as sa
 from saradc.config import ConfigError
-from saradc.track_hold import ktc_sigma, ron_of_input, sample
+from saradc.track_hold import hold, ktc_sigma, ron_of_input
+from reference_engine import sample
 
 
 def test_ron_ideal_bootstrap_is_flat(ref_cfg):
@@ -26,6 +27,30 @@ def test_ron_nonphysical_raises(ref_cfg):
     cfg = replace(ref_cfg, r_on0=200.0, ron_alpha=-2.0, ron_beta=0.0)
     with pytest.raises(ConfigError, match="on-resistance"):
         ron_of_input(0.6, cfg)
+
+
+def test_ron_names_first_nonphysical_input(ref_cfg):
+    # the polynomial crosses zero at 0.5 V; inputs are met row by row
+    cfg = replace(ref_cfg, r_on0=200.0, ron_alpha=-2.0, ron_beta=0.0)
+    assert ron_of_input(np.array([0.1, 0.2, 0.3]), cfg).shape == (3,)
+    with pytest.raises(ConfigError, match=r"on-resistance -40 Ohm at v = 0\.6 V"):
+        ron_of_input(np.array([[0.1, 0.2], [0.3, 0.6], [0.7, 0.8]]), cfg)
+
+
+@pytest.mark.parametrize("r_on0", [None, 1e5])
+def test_hold_matches_sequential_sampler(ref_cfg, r_on0):
+    # the Jacobi sweeps reach the sequential values exactly, also when each
+    # conversion keeps most of the previous one (g near 0.985 at 100 kOhm)
+    cfg = ref_cfg if r_on0 is None else replace(ref_cfg, r_on0=r_on0)
+    v = 0.7 * np.sin(0.9 * np.arange(50))
+    v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
+    normals = np.random.default_rng(3).standard_normal((50, 2))
+    held = hold(v_in_p, v_in_n, cfg, normals, np.array([cfg.v_cm, cfg.v_cm]))
+    rng, prev, walk = np.random.default_rng(3), None, []
+    for p, n in zip(v_in_p.tolist(), v_in_n.tolist()):
+        prev = sample(p, n, cfg, rng, prev=prev)
+        walk.append(prev)
+    assert np.array_equal(held, np.array(walk))
 
 
 def test_full_settling_reproduces_input(ref_cfg, rng):
