@@ -197,6 +197,8 @@ def inl_dnl(codes, bits: int, min_hits: int = 30) -> tuple[np.ndarray, np.ndarra
     """
     c = np.asarray(codes)
     n_codes = 2 ** bits
+    if c.size and (c.min() < 0 or c.max() > n_codes - 1):
+        raise ValueError(f"inl_dnl: codes outside [0, {n_codes - 1}]")
     hist = np.bincount(c, minlength=n_codes).astype(float)
     interior = hist[1:-1]
     short = np.nonzero(interior < min_hits)[0] + 1

@@ -5,7 +5,8 @@ t = tau_reg * ln(v_dd / (a_v * |v|)), clamped at zero: the latch output must
 grow from the pre-amplified input to the supply with exponential time
 constant tau_reg.  A comparison whose latency exceeds the time it was given
 is metastable; the logic then latches an arbitrary value, modeled as a fair
-random bit (worst-case-honest; the engine counts it per sample).
+random bit (worst-case-honest; the engine draws it from the sample's
+stream and counts it per sample).
 
 The operative noise is the configured input-referred sigma
 (``sigma_n_comp``); it is one Gaussian draw per comparison.
@@ -53,22 +54,19 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
     return t
 
 
-def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise, cfg: AdcConfig,
-              latch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,
+              cfg: AdcConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One comparison per entry of v_diff, given t_available seconds each.
 
-    Returns (bit, t_decide, metastable) arrays: the +/-1 decisions, the
-    latencies [s] and whether each exceeded its allowance.  The effective
-    input is v_diff plus ``noise`` (the input-referred draws, or 0.0); an
-    exactly zero effective input never resolves (infinite latency) and is
-    reported metastable.  ``latch(metastable)`` gives the bits the logic
-    latches for the metastable entries, in order.
+    Returns (bit, t_decide, metastable) arrays: the sign of each effective
+    input as +/-1, the latencies [s] and whether each exceeded its
+    allowance.  The effective input is v_diff plus ``noise`` (the
+    input-referred draws, or 0.0); an exactly zero effective input never
+    resolves (infinite latency) and is reported metastable.  The bit of a
+    metastable entry is the logic's arbitrary latch, which the engine
+    supplies in place of the sign.
     """
     v_eff = v_diff + noise
     t_dec = decision_latencies(np.abs(v_eff), cfg.c_xy / cfg.g_m5, cfg.v_dd, cfg.a_v,
                                libm=True)
-    metastable = t_dec > t_available
-    bit = np.where(v_eff > 0, 1, -1)
-    if metastable.any():
-        bit[metastable] = latch(metastable)
-    return bit, t_dec, metastable
+    return np.where(v_eff > 0, 1, -1), t_dec, t_dec > t_available

@@ -13,6 +13,12 @@ slack is gone.  Once a comparison both has zero slack and needs nonzero
 time, the converter gives up and completes the code at the middle of the
 unresolved range (first open bit one, the rest zero), raising the
 timing-violation flag; that bounds the error at half the unresolved span.
+
+So a conversion latches at most one bit and goes on: that leaves no
+slack, and any later comparison that needs time is offered none and stops
+the conversion.  Its metastable count exceeds its violation flag by at
+most one, and the engine reopens a sample's stream at most once, for
+that latch.
 """
 
 import math
@@ -22,7 +28,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import analysis
-from .capdac import Ladder, build_cap_array
+from .capdac import build_cap_array
 from .comparator import comparator_power, decisions
 from .config import AdcConfig, derived_constants
 from .track_hold import hold, ktc_sigma
@@ -74,13 +80,14 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
       normals in one call; a noise-free config opens none;
     * ``track_hold.hold`` solves the block's held pairs by Jacobi sweeps,
       starting from the pair the previous block left;
-    * ``_bit_cycle`` runs the comparisons and DAC switches of the whole
-      block, one bit at a time;
-    * a sample whose metastable comparison latched a bit and went on drew
-      one integer the block pass did not, which shifts its later normals,
-      so it is run through ``_bit_cycle`` again, drawing live from its own
-      stream (one whose metastable comparison ended it draws nothing
-      after, and keeps its block result).
+    * the comparisons and DAC switches of the whole block run one bit at a
+      time, a conversion stopping at the comparison that exhausts its
+      window;
+    * a conversion whose metastable comparison at bit i latches a bit and
+      goes on draws one integer the block's normals left out: its stream
+      is reopened past the normals it has used, the bit is drawn, and its
+      remaining comparator normals are redrawn in place, before bit i
+      moves the DAC.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -94,17 +101,18 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError("convert_waveform: samples must be a one-dimensional sequence")
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
-    n = diff.size
+    n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
     v_in_p, v_in_n = cfg.v_cm + 0.5 * diff, cfg.v_cm - 0.5 * diff
     outside = ~((0.0 <= v_in_p) & (v_in_p <= cfg.v_dd) & (0.0 <= v_in_n) & (v_in_n <= cfg.v_dd))
     if outside.any():
         raise ValueError(f"convert_waveform: sample {int(np.argmax(outside))} leaves [0, v_dd]")
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
-    n_draws = n_hold + (cfg.bits if cfg.sigma_n_comp > 0 else 0)
+    n_draws = n_hold + (bits_n if sigma > 0 else 0)
+    slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
     # comparator energy of a conversion that fired the latch c times
     e_comp_of = np.array([comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd)
-                          for c in range(cfg.bits + 1)])
+                          for c in range(bits_n + 1)])
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)
@@ -114,33 +122,71 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     held = np.array([cfg.v_cm, cfg.v_cm])
     for start in range(0, n, _STREAM_BLOCK):
         ks = np.arange(start, min(start + _STREAM_BLOCK, n), dtype=np.uint64)
-        normals = np.empty((ks.size, n_draws))
+        size = ks.size
+        normals = np.empty((size, n_draws))
         if n_draws:
             for row, state in zip(normals, _stream_states(seed, ks)):
                 _stream(state).standard_normal(out=row)
-        block = slice(start, start + ks.size)
+        block = slice(start, start + size)
         pair = hold(v_in_p[block], v_in_n[block], cfg, normals[:, :2], held)
         held = pair[-1]
-        comp_noise = cfg.sigma_n_comp * normals[:, n_hold:]
-        # the bits latched here are placeholders: a conversion whose
-        # metastable comparison ended it drew its last number there, and
-        # one that latched a bit and went on is run again
-        out = _bit_cycle(pair[:, 0], pair[:, 1], cfg, ladder,
-                         (lambda i, live: comp_noise[:, i]) if cfg.sigma_n_comp > 0 else None,
-                         lambda meta, live: 1)
-        again = np.flatnonzero(out[1] > out[2])
-        if again.size:
-            noise, latch = _live_draws(seed, ks[again], n_hold, cfg.sigma_n_comp)
-            rerun = _bit_cycle(pair[again, 0], pair[again, 1], cfg, ladder, noise, latch)
-            for whole, part in zip(out, rerun):
-                whole[again] = part
-        code, n_meta, exhausted, t_conv, e_dac, n_cycles = out
-        codes[block], metastable[block], violation[block], t_total[block] = (
-            code, n_meta, exhausted, t_conv)
+        comp_noise = sigma * normals[:, n_hold:]
+
+        v_p, v_n = target_p, target_n = pair[:, 0], pair[:, 1]
+        slack = np.full(size, slack0)
+        consumed = np.zeros(size)
+        energy = np.zeros(size)
+        code = np.zeros(size, dtype=int)
+        n_meta = np.zeros(size, dtype=int)
+        n_cycles = np.full(size, bits_n)
+        exhausted = np.zeros(size, dtype=bool)
+        for i in range(bits_n):
+            live = ~exhausted
+            avail = np.maximum(slack, 0.0)
+            bit, t_decide, meta = decisions(v_p - v_n, avail,
+                                            comp_noise[:, i] if sigma > 0 else 0.0, cfg)
+            latched = meta & live
+            # a comparison that can never resolve, or one offered no time at
+            # all, exhausts the window: the code is completed at the middle of
+            # the open range (first open bit one, the rest zero)
+            stop = latched & (np.isinf(t_decide) | (avail <= 0.0))
+            if latched.any():
+                # the rest latch a random bit and go on with no slack left, so
+                # any later metastable comparison stops them: this is their
+                # first, and their streams have given the block's normals up
+                # to here
+                goes_on = np.flatnonzero(latched & ~stop)
+                for row, state in zip(goes_on.tolist(), _stream_states(seed, ks[goes_on])):
+                    stream = _stream(state)
+                    stream.standard_normal(n_hold + (i + 1 if sigma > 0 else 0))
+                    bit[row] = 1 if stream.integers(0, 2) else -1
+                    if sigma > 0:
+                        comp_noise[row, i + 1:] = sigma * stream.standard_normal(bits_n - i - 1)
+            up = bit > 0
+            n_meta += latched
+            # an exhausted conversion has no slack left, so it adds zero here
+            consumed += np.where(meta, avail, t_decide)
+            slack = np.where(meta, 0.0, slack - t_decide)
+            code = np.where(exhausted, code, (code << 1) | (up | stop))
+            n_cycles[stop] = i + 1
+            exhausted |= stop
+            if i < bits_n - 1:
+                target_p = target_p - bit * ladder.dp[i] / 2.0
+                target_n = target_n + bit * ladder.dn[i] / 2.0
+                v_p = target_p - (target_p - v_p) * ladder.settle_p[i]
+                v_n = target_n - (target_n - v_n) * ladder.settle_n[i]
+                e_down, e_up = ladder.e_event[i]
+                energy = np.where(exhausted, energy, energy + np.where(up, e_up, e_down))
+
+        codes[block] = code << (bits_n - n_cycles)
+        metastable[block], violation[block] = n_meta, exhausted
+        # every comparison but the last switches the DAC
+        t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
+                          + consumed)
         # running totals in sample order, carried across blocks
         totals = np.cumsum(np.column_stack(
-            [totals, np.stack([e_comp_of[n_cycles], e_dac, n_cycles * cfg.e_logic,
-                               np.full(ks.size, cfg.e_track)])]), axis=1)[:, -1]
+            [totals, np.stack([e_comp_of[n_cycles], energy, n_cycles * cfg.e_logic,
+                               np.full(size, cfg.e_track)])]), axis=1)[:, -1]
 
     e_comp, e_dac, e_logic, e_track = totals.tolist()
     return WaveformResult(
@@ -149,79 +195,6 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                   "track_hold": e_track},
         f_s=cfg.f_s,
     )
-
-
-def _bit_cycle(v_p: np.ndarray, v_n: np.ndarray, cfg: AdcConfig, ladder: Ladder,
-               noise, latch) -> list:
-    """Bit cycle of conversions whose held pairs are (v_p, v_n).
-
-    ``noise(i, live)`` gives the comparator noise of bit i per conversion
-    (None when the noise is off) and ``latch(metastable, live)`` the bits
-    latched by the metastable comparisons (see ``comparator.decisions``);
-    ``live`` marks the conversions still running.  Returns the per-conversion
-    arrays [code, metastable comparisons, exhausted, conversion time, DAC
-    energy, comparisons made].  A conversion stops at the comparison that
-    exhausts its window; what it would compare after that is not read.
-    """
-    bits_n, size = cfg.bits, v_p.size
-    slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
-    target_p, target_n = v_p, v_n
-    slack = np.full(size, slack0)
-    consumed = np.zeros(size)
-    energy = np.zeros(size)
-    code = np.zeros(size, dtype=int)
-    n_meta = np.zeros(size, dtype=int)
-    n_cycles = np.full(size, bits_n)
-    exhausted = np.zeros(size, dtype=bool)
-    for i in range(bits_n):
-        live = ~exhausted
-        avail = np.maximum(slack, 0.0)
-        bit, t_decide, meta = decisions(v_p - v_n, avail,
-                                        0.0 if noise is None else noise(i, live), cfg,
-                                        lambda metastable: latch(metastable, live))
-        up = bit > 0
-        # a comparison that can never resolve, or one offered no time at
-        # all, exhausts the window: the code is completed at the middle of
-        # the open range (first open bit one, the rest zero)
-        stop = meta & (np.isinf(t_decide) | (avail <= 0.0)) & live
-        n_meta += meta & live
-        # an exhausted conversion has no slack left, so it adds zero here
-        consumed += np.where(meta, avail, t_decide)
-        slack = np.where(meta, 0.0, slack - t_decide)
-        code = np.where(exhausted, code, (code << 1) | (up | stop))
-        n_cycles[stop] = i + 1
-        exhausted |= stop
-        if i < bits_n - 1:
-            target_p = target_p - bit * ladder.dp[i] / 2.0
-            target_n = target_n + bit * ladder.dn[i] / 2.0
-            v_p = target_p - (target_p - v_p) * ladder.settle_p[i]
-            v_n = target_n - (target_n - v_n) * ladder.settle_n[i]
-            e_down, e_up = ladder.e_event[i]
-            energy = np.where(exhausted, energy, energy + np.where(up, e_up, e_down))
-    # every comparison but the last switches the DAC
-    t_conv = cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix + consumed
-    return [code << (bits_n - n_cycles), n_meta, exhausted, t_conv, energy, n_cycles]
-
-
-def _live_draws(seed: int, ks: np.ndarray, n_hold: int, sigma: float) -> tuple:
-    """noise and latch for ``_bit_cycle`` that draw from the streams of
-    samples ks as a sequential walk would, past their track-and-hold draws;
-    a conversion that has stopped draws nothing more."""
-    streams = [_stream(state) for state in _stream_states(seed, ks)]
-    for stream in streams:
-        stream.standard_normal(n_hold)
-
-    def noise(i, live):
-        z = np.zeros(len(streams))
-        for j in np.flatnonzero(live).tolist():
-            z[j] = streams[j].standard_normal()
-        return sigma * z
-
-    def latch(meta, live):
-        return [(1 if streams[j].integers(0, 2) else -1) if live[j] else 1
-                for j in np.flatnonzero(meta).tolist()]
-
-    return (noise if sigma > 0 else None), latch
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ def comparator_calls(monkeypatch):
     calls = []
     decisions = sa.engine.decisions
 
-    def recorded(v_diff, t_available, noise, cfg, latch):
-        bit, t_decide, metastable = decisions(v_diff, t_available, noise, cfg, latch)
+    def recorded(v_diff, t_available, noise, cfg):
+        bit, t_decide, metastable = decisions(v_diff, t_available, noise, cfg)
         calls.append((float(v_diff[0]), int(bit[0])))
         return bit, t_decide, metastable
 

@@ -211,6 +211,14 @@ def test_inl_dnl_insufficient_data_lists_codes():
     assert 2 in err.value.missing
 
 
+def test_inl_dnl_rejects_codes_outside_range(ideal_cfg):
+    # a code past the top would grow the histogram by one more DNL entry
+    codes = _ramp_codes(ideal_cfg)
+    for bad in (1024, -1):
+        with pytest.raises(ValueError, match=r"codes outside \[0, 1023\]"):
+            inl_dnl(np.append(codes, bad), 10)
+
+
 def test_inl_reproducible_and_nonzero_with_mismatch(ref_cfg):
     cfg = replace(sa.ideal_config(ref_cfg), bits=8, sigma_u=0.01)
     a = inl_dnl(_ramp_codes(cfg, seed=4), 8)[1]

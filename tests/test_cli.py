@@ -88,6 +88,17 @@ def test_unmeasurable_record_reports_nan_fom(tmp_path):
     assert metrics["fom_walden_J_per_step"] == "nan"
 
 
+def test_check_fails_an_unmeasurable_record(tmp_path, capsys):
+    # an infinite SNDR is no more a measurement than a NaN one; the
+    # artifacts are the same as without --check
+    plain, checked = tmp_path / "plain", tmp_path / "checked"
+    assert run(["simulate", "--n", "3", "--bin", "1", "--out", str(plain)]) == 0
+    assert run(["simulate", "--n", "3", "--bin", "1", "--check", "--out", str(checked)]) == 3
+    assert "simulate --check: FAILED" in capsys.readouterr().err
+    for name in ("metrics.json", "spectrum.csv", "codes.csv"):
+        assert (checked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 def test_odd_record_keeps_its_length(tmp_path):
     # the spectrum of a 5-point record has as many bins as a 4-point one's;
     # the metrics and the spectrum table take the length from --n

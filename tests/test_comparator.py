@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 
 import saradc as sa
-from saradc.comparator import comparator_power, decision_latencies
+from saradc.comparator import comparator_power, decision_latencies, decisions
 from reference_engine import decide, decision_latency
 
 
@@ -104,3 +104,12 @@ def test_decide_noise_statistics(ref_cfg):
     phi1 = 0.841344746
     tol = 3 * math.sqrt(phi1 * (1 - phi1) / n)
     assert abs(pos / n - phi1) < tol
+
+
+def test_decisions_give_the_sign_even_when_metastable(ref_cfg):
+    # the logic's latch for a metastable entry is the engine's to draw
+    v = np.array([1e-6, -1e-6, 0.0, 0.3])
+    bit, t_decide, metastable = decisions(v, np.zeros(4), 0.0, ref_cfg)
+    assert metastable.tolist() == [True, True, True, False]
+    assert bit.tolist() == [1, -1, -1, 1]
+    assert t_decide[2] == math.inf and t_decide[3] == 0.0

@@ -146,7 +146,7 @@ def test_public_names_resolve():
     walk = ("sample", "decide", "decision_latency")
     deleted = {capdac: ("conventional_energy", "splitcap_energy", "_trial_sequence_energy",
                         "_transition_energy", "_per_code"),
-               engine: ("ideal_config", "_sample_streams", *walk),
+               engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk),
                sa: walk, track_hold: walk, comparator: walk,
                analysis.Tone: ("v_p", "v_n")}
     for owner, names in deleted.items():

@@ -133,18 +133,34 @@ def _assert_same(res, ref):
     assert res.e_blocks == ref.e_blocks
 
 
-@pytest.mark.parametrize("f_s", [130e6, 210e6, 225e6])
-def test_block_pass_matches_reference_walk(ref_cfg, f_s):
+# config changes after the rate, each shown in the test id as key=value:
+# every mix of the two noise sources, and a pre-amplifier gain that lets the
+# comparisons after a latch resolve, with noise large enough to decide some
+# of their bits
+_QUIET = [{}, {"sigma_n_comp": 0.0}, {"t_kelvin": 0.0}, {"sigma_n_comp": 0.0, "t_kelvin": 0.0}]
+_WALKS = [(130e6, {}), *((f_s, quiet) for f_s in (210e6, 225e6) for quiet in _QUIET),
+          (225e6, {"a_v": 100.0, "sigma_n_comp": 5e-3})]
+
+
+@pytest.mark.parametrize("f_s, changes", [
+    pytest.param(f_s, changes, id="-".join([str(f_s), *(f"{k}={v}" for k, v in changes.items())]))
+    for f_s, changes in _WALKS])
+def test_block_pass_matches_reference_walk(ref_cfg, f_s, changes):
     # one sample past a block, at the shipped rate, at a rate where some
     # conversions are metastable and at one where every conversion runs out
-    # of window; the seed takes two words
-    cfg = replace(ref_cfg, f_s=f_s)
+    # of window; the seed takes two words.  Where a latch goes on, the
+    # remaining comparator normals are redrawn past the track-and-hold ones
+    # (or past none)
+    cfg = replace(ref_cfg, f_s=f_s, **changes)
     tone = sa.gen_coherent_tone(engine._STREAM_BLOCK + 1, 101, 0.75, cfg.v_cm, cfg.f_s)
     res = convert_waveform(tone.v_diff, cfg, seed=2 ** 32 + 3)
     _assert_same(res, reference.convert_waveform(tone.v_diff, cfg, seed=2 ** 32 + 3))
+    assert np.all(res.metastable - res.violation <= 1)
     if f_s == 210e6:
         assert 0 < res.n_metastable_conversions < res.n_samples
-    if f_s == 225e6:
+    if "a_v" in changes:
+        assert np.any((res.metastable == 1) & ~res.violation)
+    elif f_s == 225e6:
         assert res.n_violations == res.n_samples
 
 
@@ -326,6 +342,8 @@ def test_engine_invariants_hold_for_any_config(doc, fractions, seed):
         assume(False)
     assert np.all((res.codes >= 0) & (res.codes < 2 ** cfg.bits))
     assert np.all(res.metastable <= cfg.bits) and np.all(res.t_total > 0)
+    # at most one latch goes on: it leaves no slack for a later one
+    assert np.all(res.metastable - res.violation <= 1)
     for topology in ("binary", "split"):
         ladder = sa.build_cap_array(replace(cfg, topology=topology), np.random.default_rng(seed))
         assert np.all(ladder.e_event >= 0)
