@@ -197,7 +197,11 @@ def inl_dnl(codes, bits: int, min_hits: int = 30) -> tuple[np.ndarray, np.ndarra
     """
     c = np.asarray(codes)
     n_codes = 2 ** bits
-    if c.size and (c.min() < 0 or c.max() > n_codes - 1):
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("inl_dnl: need a non-empty one-dimensional record")
+    if not np.issubdtype(c.dtype, np.integer):
+        raise ValueError(f"inl_dnl: codes must be integers, not {c.dtype}")
+    if c.min() < 0 or c.max() > n_codes - 1:
         raise ValueError(f"inl_dnl: codes outside [0, {n_codes - 1}]")
     hist = np.bincount(c, minlength=n_codes).astype(float)
     interior = hist[1:-1]

@@ -5,8 +5,8 @@ t = tau_reg * ln(v_dd / (a_v * |v|)), clamped at zero: the latch output must
 grow from the pre-amplified input to the supply with exponential time
 constant tau_reg.  A comparison whose latency exceeds the time it was given
 is metastable; the logic then latches an arbitrary value, modeled as a fair
-random bit (worst-case-honest; the engine draws it from the sample's
-stream and counts it per sample).
+random bit (worst-case-honest; the engine takes it from the sign of the
+sample's latch normal and counts it per sample).
 
 The operative noise is the configured input-referred sigma
 (``sigma_n_comp``); it is one Gaussian draw per comparison.

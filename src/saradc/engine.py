@@ -17,15 +17,14 @@ timing-violation flag; that bounds the error at half the unresolved span.
 So a conversion latches at most one bit and goes on: that leaves no
 slack, and any later comparison that needs time is offered none and stops
 the conversion.  Its metastable count exceeds its violation flag by at
-most one, and the engine reopens a sample's stream at most once, for
-that latch.
+most one, and each sample draws one latch normal up front, whose sign is
+the bit it latches.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import analysis
 from .capdac import build_cap_array
@@ -61,33 +60,33 @@ class WaveformResult:
         return int(np.count_nonzero(self.violation))
 
 
+_STREAM_BLOCK = 4096        # samples per block pass; bounds the scratch arrays
+
+
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     """Convert a sequence of differential inputs (volts, centered on v_cm).
 
     The capacitor array is drawn from SeedSequence((seed, 1)) and compiled
-    once per run.  Every sample k has its own random stream, the PCG64
-    generator that SeedSequence((seed, 0, k)) seeds, and draws from it in
-    this order: two track-and-hold noise normals (positive side first),
-    then per comparison one noise normal and, if the comparison is
-    metastable, one integer for the latched bit (noise draws only where
-    the noise is on).  A fixed seed therefore gives bit-identical results,
-    however the record is split.
+    once per run.  The noise comes from one record stream, the generator
+    that SeedSequence((seed, 0)) seeds: sample k takes one row of standard
+    normals from it, in sample order, holding the two track-and-hold
+    normals (positive side first) if kT/C is on, one normal per comparison
+    if the comparator noise is on (all ``bits`` of them, even when the
+    conversion stops early), and last the latch normal, whose sign is the
+    bit a metastable comparison latches before the conversion goes on.  A
+    fixed seed therefore gives bit-identical results, however the record
+    is split.
 
     The record is converted in blocks of up to ``_STREAM_BLOCK`` samples:
 
-    * the seed words of the block's streams are hashed in one vectorised
-      pass (``_stream_states``), and each stream gives all of its sample's
-      normals in one call; a noise-free config opens none;
+    * the block takes its rows in one call, which the generator fills in
+      sample order, so consecutive blocks continue one sequence;
     * ``track_hold.hold`` solves the block's held pairs by Jacobi sweeps,
       starting from the pair the previous block left;
     * the comparisons and DAC switches of the whole block run one bit at a
       time, a conversion stopping at the comparison that exhausts its
-      window;
-    * a conversion whose metastable comparison at bit i latches a bit and
-      goes on draws one integer the block's normals left out: its stream
-      is reopened past the normals it has used, the bit is drawn, and its
-      remaining comparator normals are redrawn in place, before bit i
-      moves the DAC.
+      window and latching its latch normal's sign at the one metastable
+      comparison it goes on from.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -108,7 +107,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     if outside.any():
         raise ValueError(f"convert_waveform: sample {int(np.argmax(outside))} leaves [0, v_dd]")
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
-    n_draws = n_hold + (bits_n if sigma > 0 else 0)
+    n_noise = bits_n if sigma > 0 else 0
     slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
     # comparator energy of a conversion that fired the latch c times
     e_comp_of = np.array([comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd)
@@ -120,17 +119,15 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     t_total = np.empty(n)
     totals = np.zeros(4)        # comparator, dac, logic, track_hold [J]
     held = np.array([cfg.v_cm, cfg.v_cm])
+    stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     for start in range(0, n, _STREAM_BLOCK):
-        ks = np.arange(start, min(start + _STREAM_BLOCK, n), dtype=np.uint64)
-        size = ks.size
-        normals = np.empty((size, n_draws))
-        if n_draws:
-            for row, state in zip(normals, _stream_states(seed, ks)):
-                _stream(state).standard_normal(out=row)
-        block = slice(start, start + size)
-        pair = hold(v_in_p[block], v_in_n[block], cfg, normals[:, :2], held)
+        block = slice(start, min(start + _STREAM_BLOCK, n))
+        size = block.stop - start
+        normals = stream.standard_normal((size, n_hold + n_noise + 1))
+        pair = hold(v_in_p[block], v_in_n[block], cfg, normals[:, :n_hold], held)
         held = pair[-1]
-        comp_noise = sigma * normals[:, n_hold:]
+        comp_noise = sigma * normals[:, n_hold:-1]
+        coin = np.where(normals[:, -1] > 0, 1, -1)
 
         v_p, v_n = target_p, target_n = pair[:, 0], pair[:, 1]
         slack = np.full(size, slack0)
@@ -150,18 +147,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             # all, exhausts the window: the code is completed at the middle of
             # the open range (first open bit one, the rest zero)
             stop = latched & (np.isinf(t_decide) | (avail <= 0.0))
-            if latched.any():
-                # the rest latch a random bit and go on with no slack left, so
-                # any later metastable comparison stops them: this is their
-                # first, and their streams have given the block's normals up
-                # to here
-                goes_on = np.flatnonzero(latched & ~stop)
-                for row, state in zip(goes_on.tolist(), _stream_states(seed, ks[goes_on])):
-                    stream = _stream(state)
-                    stream.standard_normal(n_hold + (i + 1 if sigma > 0 else 0))
-                    bit[row] = 1 if stream.integers(0, 2) else -1
-                    if sigma > 0:
-                        comp_noise[row, i + 1:] = sigma * stream.standard_normal(bits_n - i - 1)
+            # the rest latch their coin and go on with no slack left, so any
+            # later metastable comparison stops them
+            bit = np.where(latched & ~stop, coin, bit)
             up = bit > 0
             n_meta += latched
             # an exhausted conversion has no slack left, so it adds zero here
@@ -195,107 +183,6 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                   "track_hold": e_track},
         f_s=cfg.f_s,
     )
-
-
-# ---------------------------------------------------------------------------
-# per-sample random streams
-#
-# Sample k draws from np.random.Generator(PCG64(SeedSequence((seed, 0, k)))).
-# Building a SeedSequence per sample costs about ten times the generator
-# itself, so the words it would hand PCG64 are computed here for a block of
-# samples at once, following numpy's SeedSequence hash (bit_generator.pyx)
-# on uint32 arrays, whose arithmetic wraps as the reference's does.
-
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_STREAM_BLOCK = 4096        # samples per block pass; bounds the scratch arrays
-
-
-def _hash_consts(init: int, mult: int):
-    """The reference's running hash constant: (value before, value after)
-    each multiplication, as uint32 scalars."""
-    h = init
-    while True:
-        after = h * mult & _M32
-        yield np.uint32(h), np.uint32(after)
-        h = after
-
-
-def _hashmix(value: np.ndarray, consts) -> np.ndarray:
-    before, after = next(consts)
-    value = (value ^ before) * after
-    return value ^ value >> _XSHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ r >> _XSHIFT
-
-
-def _pool_state(entropy: list) -> np.ndarray:
-    """generate_state(4, np.uint64) of SeedSequences given their entropy
-    words, one uint32 array per word position (at least three positions);
-    one row per sequence."""
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]), consts)
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    words = [_hashmix(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[0::2], words[1::2])],
-                    axis=1)
-
-
-def _stream_states(seed: int, ks) -> np.ndarray:
-    """Row j is SeedSequence((seed, 0, ks[j])).generate_state(4, np.uint64).
-
-    Entropy words are 32-bit little-endian pieces of each integer, so an
-    index of 2**32 or more takes two words; the two widths are hashed apart.
-    """
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    head = [seed & _M32]
-    while seed > _M32:
-        seed >>= 32
-        head.append(seed & _M32)
-    head.append(0)
-    ks = np.asarray(ks, dtype=np.uint64)
-    wide = ks > _M32
-    out = np.empty((ks.size, 4), dtype=np.uint64)
-    for sel, n_words in ((~wide, 1), (wide, 2)):
-        k = ks[sel]
-        if k.size:
-            entropy = [np.full(k.size, w, dtype=np.uint32) for w in head]
-            entropy += [(k >> np.uint64(32 * i) & np.uint64(_M32)).astype(np.uint32)
-                        for i in range(n_words)]
-            out[sel] = _pool_state(entropy)
-    return out
-
-
-class _Preseeded(ISeedSequence):
-    """A seed sequence whose words are already computed: PCG64 seeds itself
-    from generate_state(4, np.uint64), which returns them as they are."""
-    __slots__ = ("_state",)
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._state
-
-
-def _stream(state: np.ndarray) -> np.random.Generator:
-    """The generator of one row of stream states."""
-    return np.random.Generator(np.random.PCG64(_Preseeded(state)))
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:

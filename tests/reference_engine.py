@@ -5,8 +5,10 @@ The program converts a block of samples per array pass
 against, field by field and bit for bit.  It keeps the scalar forms of the
 sampler (``sample``), the comparison (``decide``) and the latency law
 (``decision_latency``), evaluated with Python floats and the C library's
-exp and log, and opens every sample's stream from its definition,
-``SeedSequence((seed, 0, k))``.
+exp and log, and takes every sample's row of normals from the record
+stream, ``SeedSequence((seed, 0))``, one scalar ``standard_normal()`` call
+at a time: the track-and-hold pair, every comparison's normal and last the
+latch normal, whose sign a metastable comparison latches.
 """
 
 import math
@@ -64,19 +66,20 @@ def decision_latency(v_abs: float, tau_reg: float, v_dd: float, a_v: float) -> f
     return max(tau_reg * math.log(v_dd / (a_v * v_abs)), 0.0)
 
 
-def decide(v_diff: float, t_available: float, cfg: AdcConfig,
-           rng: np.random.Generator) -> tuple[int, float, bool]:
-    """One comparison: (bit, t_decide, metastable).  A metastable
-    comparison draws one more integer, its bit."""
+def decide(v_diff: float, t_available: float, cfg: AdcConfig, normal: float,
+           latch: float) -> tuple[int, float, bool]:
+    """One comparison: (bit, t_decide, metastable).  ``normal`` is the
+    comparison's standard normal draw, read when the comparator noise is
+    on; a metastable comparison latches the sign of ``latch``."""
     if t_available < 0.0:
         raise ValueError("decide: t_available must be nonnegative")
-    noise = cfg.sigma_n_comp * rng.standard_normal() if cfg.sigma_n_comp > 0 else 0.0
+    noise = cfg.sigma_n_comp * normal if cfg.sigma_n_comp > 0 else 0.0
     v_eff = v_diff + noise
     tau_reg = cfg.c_xy / cfg.g_m5
     t_dec = decision_latency(abs(v_eff), tau_reg, cfg.v_dd, cfg.a_v)
     metastable = t_dec > t_available
     if metastable:
-        bit = 1 if rng.integers(0, 2) else -1
+        bit = 1 if latch > 0 else -1
     else:
         bit = 1 if v_eff > 0 else -1
     return bit, t_dec, metastable
@@ -100,12 +103,15 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     t_total = np.empty(n)
     e_comp = e_dac = e_logic = e_track = 0.0
     held = None
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     for k, v in enumerate(diff.tolist()):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
         v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
         if not (0.0 <= v_in_p <= cfg.v_dd and 0.0 <= v_in_n <= cfg.v_dd):
             raise ValueError(f"convert_waveform: sample {k} leaves [0, v_dd]")
         held = sample(v_in_p, v_in_n, cfg, rng, prev=held)
+        normals = [rng.standard_normal() if cfg.sigma_n_comp > 0 else 0.0
+                   for _ in range(bits_n)]
+        latch = rng.standard_normal()
         v_p, v_n = target_p, target_n = held
 
         slack = slack0
@@ -114,7 +120,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         exhausted = False
         for i in range(bits_n):
             avail = max(slack, 0.0)
-            bit, t_decide, meta = decide(v_p - v_n, avail, cfg, rng)
+            bit, t_decide, meta = decide(v_p - v_n, avail, cfg, normals[i], latch)
             if meta:
                 n_meta += 1
                 consumed += avail

@@ -219,6 +219,15 @@ def test_inl_dnl_rejects_codes_outside_range(ideal_cfg):
             inl_dnl(np.append(codes, bad), 10)
 
 
+def test_inl_dnl_rejects_malformed_records():
+    # each would reach np.bincount and fail there with numpy's own message
+    for codes, message in [([0.5, 1.0], "integers, not float64"),
+                           ([], "non-empty one-dimensional"),
+                           (np.zeros((2, 2), dtype=int), "non-empty one-dimensional")]:
+        with pytest.raises(ValueError, match=message):
+            inl_dnl(codes, 10)
+
+
 def test_inl_reproducible_and_nonzero_with_mismatch(ref_cfg):
     cfg = replace(sa.ideal_config(ref_cfg), bits=8, sigma_u=0.01)
     a = inl_dnl(_ramp_codes(cfg, seed=4), 8)[1]

@@ -49,16 +49,16 @@ def test_engine_output_pinned(tmp_path):
     # trade study or the timing budget shows here
     record = ["--n", "256", "--bin", "19", "--seed", "42"]
     pins = [(["simulate", *record], "codes.csv",
-             "163c0acee4349292a99212a935423149979f59ffdda339d2ca75eefffe213fb4"),
+             "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2"),
             (["power", *record], "power.json",
-             "26f78e16968f017e3f28ea8efba32696475ead83fed461d092831356f23ff4c9"),
+             "678aa2bc45f69b77577f154c1bffd5fa543fd281a3ab8a3ac0bc30361f59b4bf"),
             (["dac-compare", "--seed", "42"], "dac_compare.json",
              "626de7890cf5181c00778767b3963508295158f99475817c8a1a34246214788f"),
             (["timing"], "timing.json",
              "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd"),
             # a seed of two 32-bit words, as the benchmark derives per op
             (["simulate", "--n", "256", "--bin", "19", "--seed", "4294967299"], "codes.csv",
-             "7d3827cf5b3b885286c629bcf52f5178a1522b1fffcfa5b759630a3697ae7bca")]
+             "289a2e77e1d4f3242764aea916f925d463fc5e3d84ea836e9d1ef2649e516180")]
     for argv, name, digest in pins:
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 0

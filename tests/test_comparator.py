@@ -56,7 +56,8 @@ def test_decide_noise_off_sign_correct(ref_cfg, rng):
     cfg = replace(ref_cfg, sigma_n_comp=0.0)
     tau_reg = cfg.c_xy / cfg.g_m5
     for v in (-0.3, -1e-4, 1e-6, 0.2):
-        bit, t_decide, metastable = decide(v, 1e-9, cfg, rng)
+        bit, t_decide, metastable = decide(v, 1e-9, cfg, rng.standard_normal(),
+                                           rng.standard_normal())
         assert not metastable
         assert bit == (1 if v > 0 else -1)
         # no noise added: the latency is the law's at |v| itself
@@ -65,20 +66,22 @@ def test_decide_noise_off_sign_correct(ref_cfg, rng):
 
 def test_decide_rail_input_instant(ref_cfg, rng):
     cfg = replace(ref_cfg, sigma_n_comp=0.0)
-    bit, t_decide, metastable = decide(cfg.v_dd / cfg.a_v, 0.0, cfg, rng)
+    bit, t_decide, metastable = decide(cfg.v_dd / cfg.a_v, 0.0, cfg, rng.standard_normal(),
+                                       rng.standard_normal())
     assert t_decide == 0.0 and not metastable and bit == 1
 
 
 def test_decide_latency_ordering(ref_cfg, rng):
     cfg = replace(ref_cfg, sigma_n_comp=0.0)
     vs = np.logspace(-6, -1, 30)
-    ts = [decide(v, 1.0, cfg, rng)[1] for v in vs]
+    ts = [decide(v, 1.0, cfg, rng.standard_normal(), rng.standard_normal())[1] for v in vs]
     assert all(a >= b for a, b in zip(ts, ts[1:]))
 
 
 def test_decide_zero_input_metastable(ref_cfg, rng):
     cfg = replace(ref_cfg, sigma_n_comp=0.0)
-    bit, t_decide, metastable = decide(0.0, 1e-6, cfg, rng)
+    bit, t_decide, metastable = decide(0.0, 1e-6, cfg, rng.standard_normal(),
+                                       rng.standard_normal())
     assert metastable
     assert t_decide == math.inf
     assert bit in (-1, 1)
@@ -87,9 +90,10 @@ def test_decide_zero_input_metastable(ref_cfg, rng):
 def test_decide_timeout_metastable_randomizes(ref_cfg):
     cfg = replace(ref_cfg, sigma_n_comp=0.0)
     rng = np.random.default_rng(3)
-    bits = [decide(1e-9, 1e-12, cfg, rng)[0] for _ in range(400)]
+    # the latched bit is the sign of the latch normal passed in
+    bits = [decide(1e-9, 1e-12, cfg, 0.0, rng.standard_normal())[0] for _ in range(400)]
     frac = np.mean([b > 0 for b in bits])
-    assert all(decide(1e-9, 1e-12, cfg, rng)[2] for _ in range(5))
+    assert all(decide(1e-9, 1e-12, cfg, 0.0, rng.standard_normal())[2] for _ in range(5))
     assert 0.4 < frac < 0.6
 
 
@@ -99,7 +103,7 @@ def test_decide_noise_statistics(ref_cfg):
     n = 200_000
     pos = 0
     for _ in range(n):
-        bit, _, _ = decide(ref_cfg.sigma_n_comp, 1e-6, ref_cfg, rng)
+        bit, _, _ = decide(ref_cfg.sigma_n_comp, 1e-6, ref_cfg, rng.standard_normal(), 0.0)
         pos += bit > 0
     phi1 = 0.841344746
     tol = 3 * math.sqrt(phi1 * (1 - phi1) / n)

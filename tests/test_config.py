@@ -146,7 +146,9 @@ def test_public_names_resolve():
     walk = ("sample", "decide", "decision_latency")
     deleted = {capdac: ("conventional_energy", "splitcap_energy", "_trial_sequence_energy",
                         "_transition_energy", "_per_code"),
-               engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk),
+               engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk,
+                        "_stream_states", "_pool_state", "_hashmix", "_mix", "_hash_consts",
+                        "_Preseeded", "_stream", "ISeedSequence"),
                sa: walk, track_hold: walk, comparator: walk,
                analysis.Tone: ("v_p", "v_n")}
     for owner, names in deleted.items():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict, fields, replace
@@ -11,9 +12,8 @@ from saradc import engine
 from saradc.capdac import conversion_energy
 from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
-from saradc.engine import (_Preseeded, _stream, _stream_states, convert_waveform,
-                           ideal_quantizer_code, measure_distortion_power, noise_budget,
-                           power_report)
+from saradc.engine import (convert_waveform, ideal_quantizer_code, measure_distortion_power,
+                           noise_budget, power_report)
 import reference_engine as reference
 
 
@@ -97,42 +97,6 @@ def test_waveform_determinism_across_workers(ref_cfg):
     assert a.e_blocks == b.e_blocks
 
 
-def test_stream_states_match_seed_sequence():
-    # the bulk hash gives exactly the words SeedSequence((seed, 0, k)) hands
-    # PCG64, for one- and two-word indices and for seeds of up to three words
-    draw = np.random.default_rng(12)
-    ks = [0, 1, 2, 2**32 - 1, 2**32, 2**40,
-          *draw.integers(0, 2**32, 100).tolist(),
-          *draw.integers(2**32, 2**64, 100, dtype=np.uint64).tolist()]
-    for seed in (0, 1, 42, 2**32, 2**32 + 3, 2**64 + 5):
-        rows = _stream_states(seed, np.array(ks, dtype=np.uint64))
-        for k, row in zip(ks, rows):
-            ref = np.random.SeedSequence((seed, 0, k))
-            assert row.tolist() == ref.generate_state(4, np.uint64).tolist()
-            assert (np.random.Generator(np.random.PCG64(_Preseeded(row))).bit_generator.state
-                    == np.random.default_rng(ref).bit_generator.state)
-
-
-def test_sample_streams_continue_across_blocks(ref_cfg, monkeypatch):
-    ks = np.arange(8, dtype=np.uint64)
-    assert [_stream(row).bit_generator.state for row in _stream_states(7, ks)] == [
-        np.random.default_rng(np.random.SeedSequence((7, 0, k))).bit_generator.state
-        for k in range(8)]
-    # blocks of three samples: the streams, the held pair and the running
-    # energy totals carry across every block edge
-    tone = sa.gen_coherent_tone(8, 3, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
-    whole = convert_waveform(tone.v_diff, ref_cfg, seed=7)
-    monkeypatch.setattr(engine, "_STREAM_BLOCK", 3)
-    _assert_same(convert_waveform(tone.v_diff, ref_cfg, seed=7), whole)
-    _assert_same(whole, reference.convert_waveform(tone.v_diff, ref_cfg, seed=7))
-
-
-def _assert_same(res, ref):
-    for name in ("codes", "metastable", "violation", "t_total"):
-        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
-    assert res.e_blocks == ref.e_blocks
-
-
 # config changes after the rate, each shown in the test id as key=value:
 # every mix of the two noise sources, and a pre-amplifier gain that lets the
 # comparisons after a latch resolve, with noise large enough to decide some
@@ -142,6 +106,29 @@ _WALKS = [(130e6, {}), *((f_s, quiet) for f_s in (210e6, 225e6) for quiet in _QU
           (225e6, {"a_v": 100.0, "sigma_n_comp": 5e-3})]
 
 
+def test_sample_streams_continue_across_blocks(ref_cfg, monkeypatch):
+    # blocks of three samples: the record stream, the held pair and the
+    # running energy totals carry across every block edge, also where a
+    # latch goes on inside a block
+    tone = sa.gen_coherent_tone(8, 3, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
+    f_s, changes = _WALKS[-1]
+    latching = replace(ref_cfg, f_s=f_s, **changes)
+    for cfg in (ref_cfg, latching):
+        whole = convert_waveform(tone.v_diff, cfg, seed=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_STREAM_BLOCK", 3)
+            _assert_same(convert_waveform(tone.v_diff, cfg, seed=7), whole)
+        _assert_same(whole, reference.convert_waveform(tone.v_diff, cfg, seed=7))
+    # a latch that went on: more metastable comparisons than stops
+    assert np.any(whole.metastable > whole.violation)
+
+
+def _assert_same(res, ref):
+    for name in ("codes", "metastable", "violation", "t_total"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    assert res.e_blocks == ref.e_blocks
+
+
 @pytest.mark.parametrize("f_s, changes", [
     pytest.param(f_s, changes, id="-".join([str(f_s), *(f"{k}={v}" for k, v in changes.items())]))
     for f_s, changes in _WALKS])
@@ -149,8 +136,8 @@ def test_block_pass_matches_reference_walk(ref_cfg, f_s, changes):
     # one sample past a block, at the shipped rate, at a rate where some
     # conversions are metastable and at one where every conversion runs out
     # of window; the seed takes two words.  Where a latch goes on, the
-    # remaining comparator normals are redrawn past the track-and-hold ones
-    # (or past none)
+    # latch normal decides its bit and the comparator normals after it
+    # decide the rest
     cfg = replace(ref_cfg, f_s=f_s, **changes)
     tone = sa.gen_coherent_tone(engine._STREAM_BLOCK + 1, 101, 0.75, cfg.v_cm, cfg.f_s)
     res = convert_waveform(tone.v_diff, cfg, seed=2 ** 32 + 3)
@@ -165,10 +152,22 @@ def test_block_pass_matches_reference_walk(ref_cfg, f_s, changes):
 
 
 def test_negative_seed_rejected(ref_cfg):
-    with pytest.raises(ValueError):
-        _stream_states(-1, np.arange(4, dtype=np.uint64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
         convert_waveform([0.1], ref_cfg, seed=-1)
+
+
+def test_latched_bit_is_a_fair_coin(ref_cfg):
+    # at 225 MHz with every noise source and the mismatch off, a 1 uV input
+    # makes every MSB comparison latch and go on; the next comparison that
+    # needs time stops the conversion, so the MSB is the latched bit
+    cfg = replace(ref_cfg, f_s=225e6, sigma_n_comp=0.0, t_kelvin=0.0, sigma_u=0.0)
+    n = 4096
+    res = convert_waveform(np.full(n, 1e-6), cfg, seed=0)
+    assert set(res.codes.tolist()) <= {384, 640}
+    assert np.all(res.metastable == 2) and np.all(res.violation)
+    assert abs((res.codes >> 9).mean() - 0.5) < 4 * math.sqrt(0.25 / n)
+    assert hashlib.sha256(res.codes.astype("<i8").tobytes()).hexdigest() == (
+        "ec3eea92cff498e0bd134c6e7de2b539f4087f043b46781c144b03487bc125a1")
 
 
 def test_waveform_seed_changes_results(ref_cfg):
