@@ -167,12 +167,12 @@ def spectrum_csv(power: np.ndarray, f_s: float, n: int | None = None) -> str:
     """
     n = _record_length(power, n)
     p_fs = 1.0 / 8.0
-    lines = ["bin,frequency_Hz,power_dBFS"]
-    for k, p in enumerate(power.tolist()):
-        db = 10.0 * math.log10(p / p_fs) if p > 0.0 else -math.inf
-        lines.append(f"{k},{k * f_s / n:.12g},{db:.6f}" if math.isfinite(db)
-                     else f"{k},{k * f_s / n:.12g},-inf")
-    return "\n".join(lines) + "\n"
+    rows = [None] * (3 * power.size)
+    rows[0::3] = range(power.size)
+    rows[1::3] = (np.arange(power.size) * f_s / n).tolist()
+    rows[2::3] = [10.0 * math.log10(p / p_fs) if p > 0.0 else -math.inf
+                  for p in power.tolist()]
+    return "bin,frequency_Hz,power_dBFS\n" + ("%d,%.12g,%.6f\n" * power.size) % tuple(rows)
 
 
 # ---------------------------------------------------------------------------

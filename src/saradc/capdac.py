@@ -164,9 +164,8 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
     e_down = q * (c_p * (node_p - c_p) / node_p + mid_n * c_n / node_n)
     e_up = q * (c_n * (node_n - c_n) / node_n + mid_p * c_p / node_p)
     r = ron_schedule(c_nom, cfg)
-    # scalar math.exp: numpy's vectorised exp may differ in the last bit
-    settle_p = np.array([math.exp(-cfg.t_phic_low / (ri * ci)) for ri, ci in zip(r, c_p)])
-    settle_n = np.array([math.exp(-cfg.t_phic_low / (ri * ci)) for ri, ci in zip(r, c_n)])
+    settle_p = np.exp(-cfg.t_phic_low / (r * c_p))
+    settle_n = np.exp(-cfg.t_phic_low / (r * c_n))
     return Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits_p=c_p, c_bits_n=c_n,
         node_p=node_p, node_n=node_n, dp=dp, dn=dn, corrections=(dp + dn) / 2,

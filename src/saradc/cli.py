@@ -110,11 +110,10 @@ def _cmd_simulate(args) -> int:
     })
     _write(outdir, "metrics.json", _json_text(payload))
     if args.n <= 65536:
-        rows = "".join(f"{k},{c},{m},{int(v)}\n"
-                       for k, (c, m, v) in enumerate(
-                           zip(result.codes.tolist(), result.metastable.tolist(),
-                               result.violation.tolist())))
-        _write(outdir, "codes.csv", "index,code,metastable,violation\n" + rows)
+        rows = np.column_stack((np.arange(args.n), result.codes, result.metastable,
+                                result.violation)).ravel().tolist()
+        _write(outdir, "codes.csv", "index,code,metastable,violation\n"
+               + ("%d,%d,%d,%d\n" * args.n) % tuple(rows))
     else:
         np.savez_compressed(_fresh(outdir, "codes.npz"), codes=result.codes,
                             metastable=result.metastable,

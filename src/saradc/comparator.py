@@ -12,8 +12,6 @@ The operative noise is the configured input-referred sigma
 (``sigma_n_comp``); it is one Gaussian draw per comparison.
 """
 
-import math
-
 import numpy as np
 
 from .config import AdcConfig
@@ -34,24 +32,13 @@ def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> floa
 
 
 def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
-                       a_v: float, libm: bool = False) -> np.ndarray:
+                       a_v: float) -> np.ndarray:
     """Latency of the regeneration log law for each |input| in v_abs [s];
-    zeros map to +inf.
-
-    The log is numpy's vectorised one, or with ``libm`` the C library's
-    (``math.log``, value by value), which numpy's SIMD log does not match
-    in the last bit on every input.  The engine takes the libm form.
-    """
+    zeros map to +inf."""
     v = np.asarray(v_abs, dtype=float)
     with np.errstate(divide="ignore"):
-        x = v_dd / (a_v * np.where(v > 0, v, np.nan))
-        if libm:
-            t = tau_reg * np.fromiter(map(math.log, x.ravel().tolist()), float,
-                                      x.size).reshape(x.shape)
-        else:
-            t = tau_reg * np.log(x)
-    t = np.where(v > 0, np.maximum(t, 0.0), np.inf)
-    return t
+        t = tau_reg * np.log(v_dd / (a_v * np.where(v > 0, v, np.nan)))
+    return np.where(v > 0, np.maximum(t, 0.0), np.inf)
 
 
 def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,
@@ -67,6 +54,5 @@ def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,
     supplies in place of the sign.
     """
     v_eff = v_diff + noise
-    t_dec = decision_latencies(np.abs(v_eff), cfg.c_xy / cfg.g_m5, cfg.v_dd, cfg.a_v,
-                               libm=True)
+    t_dec = decision_latencies(np.abs(v_eff), cfg.c_xy / cfg.g_m5, cfg.v_dd, cfg.a_v)
     return np.where(v_eff > 0, 1, -1), t_dec, t_dec > t_available

@@ -64,10 +64,9 @@ def hold(v_in_p: np.ndarray, v_in_n: np.ndarray, cfg: AdcConfig, normals,
     target = np.stack([cfg.v_cm + 0.5 * v_diff + cfg.v_pedestal,
                        cfg.v_cm - 0.5 * v_diff + cfg.v_pedestal], axis=1)
     # per side in sample order, so a nonphysical input is named as the
-    # sequential walk would meet it; libm exp, which numpy's SIMD exp does
-    # not match in the last bit on every input
-    x = -cfg.t_track / (ron_of_input(np.stack([v_in_p, v_in_n], axis=1), cfg) * c_side)
-    g = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    # sequential walk would meet it
+    r_on = ron_of_input(np.stack([v_in_p, v_in_n], axis=1), cfg)
+    g = np.exp(-cfg.t_track / (r_on * c_side))
     sigma = ktc_sigma(cfg)
     noise = sigma * normals if sigma > 0 else 0.0
 

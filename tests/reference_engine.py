@@ -4,11 +4,13 @@ The program converts a block of samples per array pass
 (``engine.convert_waveform``); this walk is what the tests check it
 against, field by field and bit for bit.  It keeps the scalar forms of the
 sampler (``sample``), the comparison (``decide``) and the latency law
-(``decision_latency``), evaluated with Python floats and the C library's
-exp and log, and takes every sample's row of normals from the record
-stream, ``SeedSequence((seed, 0))``, one scalar ``standard_normal()`` call
-at a time: the track-and-hold pair, every comparison's normal and last the
-latch normal, whose sign a metastable comparison latches.
+(``decision_latency``), evaluated one Python float at a time; their exp and
+log are numpy's, which the engine applies to whole arrays and which give an
+element the same value on any call shape (``test_numpy_exp_log_shape_free``).
+It takes every sample's row of normals from the record stream,
+``SeedSequence((seed, 0))``, one scalar ``standard_normal()`` call at a
+time: the track-and-hold pair, every comparison's normal and last the latch
+normal, whose sign a metastable comparison latches.
 """
 
 import math
@@ -48,8 +50,8 @@ def sample(v_in_p: float, v_in_n: float, cfg: AdcConfig, rng: np.random.Generato
     if prev is None:
         prev = (cfg.v_cm, cfg.v_cm)
 
-    g_p = math.exp(-cfg.t_track / (_ron(v_in_p, cfg) * c_side))
-    g_n = math.exp(-cfg.t_track / (_ron(v_in_n, cfg) * c_side))
+    g_p = float(np.exp(-cfg.t_track / (_ron(v_in_p, cfg) * c_side)))
+    g_n = float(np.exp(-cfg.t_track / (_ron(v_in_n, cfg) * c_side)))
     err_p = (target_p - prev[0]) * g_p
     err_n = (target_n - prev[1]) * g_n
 
@@ -63,7 +65,7 @@ def decision_latency(v_abs: float, tau_reg: float, v_dd: float, a_v: float) -> f
     """Latency of the regeneration log law for |input| = v_abs [s]."""
     if v_abs <= 0.0:
         return math.inf
-    return max(tau_reg * math.log(v_dd / (a_v * v_abs)), 0.0)
+    return max(tau_reg * float(np.log(v_dd / (a_v * v_abs))), 0.0)
 
 
 def decide(v_diff: float, t_available: float, cfg: AdcConfig, normal: float,

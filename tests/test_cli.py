@@ -44,25 +44,39 @@ def test_simulate_byte_identical_across_workers(tmp_path):
 
 
 def test_engine_output_pinned(tmp_path):
-    # sha256 of the engine's and the design study's artifacts at one seed; a
-    # change to the conversion arithmetic, the order of the random draws, the
-    # trade study or the timing budget shows here
+    # sha256 of the engine's and the design study's artifacts; a change to
+    # the conversion arithmetic, the order of the random draws, the trade
+    # study, the timing budget or the formatting of a table shows here
     record = ["--n", "256", "--bin", "19", "--seed", "42"]
-    pins = [(["simulate", *record], "codes.csv",
-             "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2"),
-            (["power", *record], "power.json",
-             "678aa2bc45f69b77577f154c1bffd5fa543fd281a3ab8a3ac0bc30361f59b4bf"),
-            (["dac-compare", "--seed", "42"], "dac_compare.json",
-             "626de7890cf5181c00778767b3963508295158f99475817c8a1a34246214788f"),
-            (["timing"], "timing.json",
-             "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd"),
+    pins = [(["simulate", *record], {
+                "codes.csv": "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2",
+                "spectrum.csv":
+                    "bbb1d936d63a6c6f8bb16de4aef22850f30415a5497a3adc7c1c9f6cacdb5636"}),
+            (["power", *record], {
+                "power.json": "678aa2bc45f69b77577f154c1bffd5fa543fd281a3ab8a3ac0bc30361f59b4bf"}),
+            (["dac-compare", "--seed", "42"], {
+                "dac_compare.json":
+                    "626de7890cf5181c00778767b3963508295158f99475817c8a1a34246214788f"}),
+            (["timing"], {
+                "timing.json": "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd"}),
             # a seed of two 32-bit words, as the benchmark derives per op
-            (["simulate", "--n", "256", "--bin", "19", "--seed", "4294967299"], "codes.csv",
-             "289a2e77e1d4f3242764aea916f925d463fc5e3d84ea836e9d1ef2649e516180")]
-    for argv, name, digest in pins:
-        out = tmp_path / argv[0]
+            (["simulate", "--n", "256", "--bin", "19", "--seed", "4294967299"], {
+                "codes.csv": "289a2e77e1d4f3242764aea916f925d463fc5e3d84ea836e9d1ef2649e516180"}),
+            # the DC row of this record is "0,0,-inf"
+            (["simulate", "--n", "64", "--bin", "31", "--seed", "0"], {
+                "codes.csv": "49a4be469e17555b0384109b17cf12b7025d179534230e8e9410bafff1ec0558",
+                "spectrum.csv":
+                    "b0ab12e1eae2c36d3382d4ba2b1bbd27d215370ba6d62fbfff084d654514f7ce"}),
+            # an odd record: 64 bins, frequencies k * f_s / 127
+            (["simulate", "--n", "127", "--bin", "5", "--seed", "0"], {
+                "codes.csv": "993bc7922503bf45a3fabfd4af9f3b45e04e839ec40942735913ba0dafec1918",
+                "spectrum.csv":
+                    "a26ea6a753f26c9b393a71ff2af986e5e95c09c20de1bceb81565eeab8cea8b1"})]
+    for k, (argv, digests) in enumerate(pins):
+        out = tmp_path / f"{k}_{argv[0]}"
         assert run([*argv, "--out", str(out)]) == 0
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_simulate_check_passes(tmp_path):

@@ -151,6 +151,28 @@ def test_block_pass_matches_reference_walk(ref_cfg, f_s, changes):
         assert res.n_violations == res.n_samples
 
 
+@pytest.mark.parametrize("fn, lo, hi", [(np.exp, -20.0, 0.0), (np.log, 1e-3, 1e9)],
+                         ids=["exp", "log"])
+def test_numpy_exp_log_shape_free(fn, lo, hi):
+    # the engine takes exp (held-chain settling) and log (decision latency)
+    # of blocks of any length, the reference walk of one float at a time;
+    # a record is byte-identical however it is split only if an element's
+    # value does not depend on the call's length, chunking, stride or rank.
+    # Over the ranges the engine feeds: hold exponents and latency arguments
+    rng = np.random.default_rng(16)
+    span = rng.random(4 * 4095)
+    x = lo + (hi - lo) * span if fn is np.exp else lo * (hi / lo) ** span
+    whole = fn(x)
+    assert np.array_equal([fn(v) for v in x.tolist()], whole)
+    # lengths around the SIMD widths and a block's tail
+    for size in (1, 7, 16, 17, 4095):
+        chunks = [fn(x[i:i + size]) for i in range(0, x.size, size)]
+        assert np.array_equal(np.concatenate(chunks), whole), size
+    assert np.array_equal(fn(x[1::3]), whole[1::3])
+    assert np.array_equal(fn(x.reshape(-1, 2)), whole.reshape(-1, 2))
+    assert np.array_equal(fn(x.reshape(2, -1).T), whole.reshape(2, -1).T)
+
+
 def test_negative_seed_rejected(ref_cfg):
     with pytest.raises(ValueError, match="expected non-negative integer"):
         convert_waveform([0.1], ref_cfg, seed=-1)
