@@ -170,8 +170,8 @@ def spectrum_csv(power: np.ndarray, f_s: float, n: int | None = None) -> str:
     rows = [None] * (3 * power.size)
     rows[0::3] = range(power.size)
     rows[1::3] = (np.arange(power.size) * f_s / n).tolist()
-    rows[2::3] = [10.0 * math.log10(p / p_fs) if p > 0.0 else -math.inf
-                  for p in power.tolist()]
+    with np.errstate(divide="ignore"):
+        rows[2::3] = (10.0 * np.log10(power / p_fs)).tolist()
     return "bin,frequency_Hz,power_dBFS\n" + ("%d,%.12g,%.6f\n" * power.size) % tuple(rows)
 
 

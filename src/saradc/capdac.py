@@ -144,12 +144,10 @@ def _segment(counts: list, u: float, sigma_u: float,
 def ron_schedule(c_nom: np.ndarray, cfg: AdcConfig) -> np.ndarray:
     """Per-bit DAC switch on-resistances [Ohm] for nominal bit caps c_nom.
 
-    The constant-tau rule r_i * C_i = t_phic_low / n_settle gives every bit
-    the same fractional settling error exp(-n_settle) inside the
-    comparator-off window.  An explicit ``ron_dac`` list overrides it.
+    The constant-tau rule r_i * C_i = t_phic_low / n_settle is the only
+    sizing: every bit of either topology settles to the same fractional
+    error exp(-n_settle) inside the comparator-off window.
     """
-    if isinstance(cfg.ron_dac, tuple):
-        return np.asarray(cfg.ron_dac, dtype=float)
     return cfg.t_phic_low / (cfg.n_settle * c_nom)
 
 

@@ -109,6 +109,8 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
     })
     _write(outdir, "metrics.json", _json_text(payload))
+    # a record is written in one of two formats; drop the other one's stale file
+    (outdir / ("codes.npz" if args.n <= 65536 else "codes.csv")).unlink(missing_ok=True)
     if args.n <= 65536:
         rows = np.column_stack((np.arange(args.n), result.codes, result.metastable,
                                 result.violation)).ravel().tolist()

@@ -35,10 +35,9 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
                        a_v: float) -> np.ndarray:
     """Latency of the regeneration log law for each |input| in v_abs [s];
     zeros map to +inf."""
-    v = np.asarray(v_abs, dtype=float)
     with np.errstate(divide="ignore"):
-        t = tau_reg * np.log(v_dd / (a_v * np.where(v > 0, v, np.nan)))
-    return np.where(v > 0, np.maximum(t, 0.0), np.inf)
+        t = tau_reg * np.log(v_dd / (a_v * np.asarray(v_abs, dtype=float)))
+    return np.maximum(t, 0.0)
 
 
 def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,

@@ -3,10 +3,10 @@
 A single immutable ``AdcConfig`` feeds all other modules.  Values can be
 loaded from a human-editable ``key = value`` document or from a JSON
 object.  Both formats go through one schema-driven parser: every number,
-including each ``ron_dac`` entry and the integer ``bits``, is a bare SI
-number or text carrying an SI unit with an optional prefix (``2.5 fF``,
-``130 MHz``, ``1 kOhm``).  Every key is range-checked so that a value
-entered in the wrong order of magnitude (farads where femtofarads were
+including the integer ``bits``, is a bare SI number or text carrying an SI
+unit with an optional prefix (``2.5 fF``, ``130 MHz``, ``1 kOhm``); the one
+other value is the ``topology`` name.  Every key is range-checked so that a
+value entered in the wrong order of magnitude (farads where femtofarads were
 meant) is rejected, and every malformed value, unknown key or broken
 cross-field rule raises a ``ConfigError`` naming the offending key.
 
@@ -66,7 +66,6 @@ class AdcConfig:
     # DAC behavior
     sigma_u: float          # relative unit-capacitor mismatch sigma [-]
     topology: str           # "binary" | "split"
-    ron_dac: str | tuple    # "auto" or explicit per-bit switch resistances [Ohm]
     n_settle: float         # DAC settling depth in time constants [-] (calibration)
     # Bookkeeping
     e_logic: float          # logic energy per bit cycle [J] (calibration)
@@ -88,9 +87,8 @@ class DerivedConstants:
 
 
 # Schema: key -> (kind, unit, lo, hi, doc).  kind is the python type after
-# parsing (ron_dac is "auto" or a tuple); unit "" means dimensionless;
-# bounds are generous decade guards whose only job is to catch
-# wrong-order-of-magnitude entries.
+# parsing; unit "" means dimensionless; bounds are generous decade guards
+# whose only job is to catch wrong-order-of-magnitude entries.
 _SCHEMA = {
     "bits":         (int,   "",    3,      24,    "resolution (the split array needs a sub bit)"),
     "v_dd":         (float, "V",   0.1,    20.0,  "supply voltage"),
@@ -116,7 +114,6 @@ _SCHEMA = {
     "v_pedestal":   (float, "V",   -0.1,   0.1,   "charge-injection pedestal"),
     "sigma_u":      (float, "",    0.0,    0.3,   "relative unit-cap mismatch (calibration)"),
     "topology":     (str,   "",    None,   None,  "DAC topology: binary | split"),
-    "ron_dac":      (tuple, "Ohm", 1e-6,   1e9,   "auto or per-bit switch resistances"),
     "n_settle":     (float, "",    0.1,    1e3,   "DAC settling depth in time constants (calibration)"),
     "e_logic":      (float, "J",   0.0,    1e-6,  "logic energy per bit cycle (calibration)"),
     "e_track":      (float, "J",   0.0,    1e-6,  "track-and-hold energy per sample (calibration)"),
@@ -131,9 +128,9 @@ def _parse_quantity(key: str, raw) -> float:
     """Parse one number of ``key`` into an SI float.
 
     ``raw`` is a JSON number (not a bool) or text '<number> [prefix+unit]'.
-    Every numeric key, each ``ron_dac`` entry and the integer ``bits`` take
-    this one path, and every failure (wrong type, unit or prefix, overflow,
-    a non-finite value) is a ConfigError naming the key.  Scaling is done in
+    Every numeric key, the integer ``bits`` included, takes this one path,
+    and every failure (wrong type, unit or prefix, overflow, a non-finite
+    value) is a ConfigError naming the key.  Scaling is done in
     decimal so that '2.5 fF' parses to the same float as the literal 2.5e-15.
     """
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
@@ -166,9 +163,8 @@ def _parse_quantity(key: str, raw) -> float:
 def parse_value(key: str, raw):
     """Parse the raw value of one config key: document text or a JSON value.
 
-    Numbers go through ``_parse_quantity``; ``ron_dac`` is 'auto' or a list
-    of resistances (comma-separated in text), ``topology`` a string.  Ranges
-    and cross-field rules are left to ``validate``.
+    Numbers go through ``_parse_quantity``; ``topology`` is a string.
+    Ranges and cross-field rules are left to ``validate``.
     """
     if key not in _SCHEMA:
         raise ConfigError(f"unknown key {key!r}")
@@ -177,14 +173,6 @@ def parse_value(key: str, raw):
         if not isinstance(raw, str):
             raise ConfigError(f"{key}: expected a string, got {raw!r}")
         return raw.strip()
-    if kind is tuple:
-        if isinstance(raw, str):
-            if raw.strip() == "auto":
-                return "auto"
-            raw = raw.split(",")
-        if not isinstance(raw, list):
-            raise ConfigError(f"{key}: expected 'auto' or a list of resistances, got {raw!r}")
-        return tuple(_parse_quantity(key, v) for v in raw)
     value = _parse_quantity(key, raw)
     if kind is int:
         if not value.is_integer():
@@ -198,13 +186,11 @@ def _check_ranges(key: str, value) -> None:
     if key == "topology":
         if value not in ("binary", "split"):
             raise ConfigError("topology: must be 'binary' or 'split'")
-    elif value != "auto":  # ron_dac = auto has nothing to range-check
-        for v in value if isinstance(value, tuple) else (value,):
-            if not lo <= v <= hi:
-                raise ConfigError(
-                    f"{key}: value {v:g} outside plausible range [{lo:g}, {hi:g}] "
-                    f"(check the unit prefix)"
-                )
+    elif not lo <= value <= hi:
+        raise ConfigError(
+            f"{key}: value {value:g} outside plausible range [{lo:g}, {hi:g}] "
+            f"(check the unit prefix)"
+        )
     if key == "p_meta" and not (0.0 < value < 1.0):
         raise ConfigError(f"p_meta: must lie strictly inside (0, 1), got {value:g}")
 
@@ -234,11 +220,6 @@ def validate(cfg: AdcConfig) -> AdcConfig:
         raise ConfigError(
             f"t_phic_low: DAC settle window {cfg.t_phic_low:g} s exceeds the "
             f"per-bit overhead t_fix = {cfg.t_fix:g} s that the schedule reserves"
-        )
-    if isinstance(cfg.ron_dac, tuple) and len(cfg.ron_dac) != cfg.bits - 1:
-        raise ConfigError(
-            f"ron_dac: expected bits-1 = {cfg.bits - 1} per-bit resistances, "
-            f"got {len(cfg.ron_dac)}"
         )
     return cfg
 
@@ -281,9 +262,7 @@ def serialize(cfg: AdcConfig) -> str:
     for f in fields(AdcConfig):
         v = getattr(cfg, f.name)
         unit = _SCHEMA[f.name][1]
-        if f.name == "ron_dac":
-            body = "auto" if v == "auto" else ", ".join(repr(x) for x in v)
-        elif isinstance(v, str):
+        if isinstance(v, str):
             body = v
         elif isinstance(v, int):
             body = str(v)
@@ -343,7 +322,6 @@ def ideal_config(cfg: AdcConfig) -> AdcConfig:
         v_pedestal=0.0,
         t_kelvin=0.0,
         r_on0=1e-6,
-        ron_dac="auto",
         n_settle=200.0,
     )
 
@@ -388,7 +366,6 @@ v_pedestal   = 0 V
 
 sigma_u      = 0.035          # (cal) lumps mismatch and unmodeled device error
 topology     = binary
-ron_dac      = auto
 n_settle     = 6.0            # (cal) DAC settling depth, time constants
 
 e_logic      = 280 fJ         # (cal) per bit cycle

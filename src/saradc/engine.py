@@ -108,7 +108,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError(f"convert_waveform: sample {int(np.argmax(outside))} leaves [0, v_dd]")
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
-    slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
+    # an overbooked window offers every comparison no time, as an empty one does
+    slack0 = max((1.0 / cfg.f_s - cfg.t_track)
+                 - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
     # comparator energy of a conversion that fired the latch c times
     e_comp_of = np.array([comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd)
                           for c in range(bits_n + 1)])
@@ -139,21 +141,20 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         exhausted = np.zeros(size, dtype=bool)
         for i in range(bits_n):
             live = ~exhausted
-            avail = np.maximum(slack, 0.0)
-            bit, t_decide, meta = decisions(v_p - v_n, avail,
+            bit, t_decide, meta = decisions(v_p - v_n, slack,
                                             comp_noise[:, i] if sigma > 0 else 0.0, cfg)
             latched = meta & live
             # a comparison that can never resolve, or one offered no time at
             # all, exhausts the window: the code is completed at the middle of
             # the open range (first open bit one, the rest zero)
-            stop = latched & (np.isinf(t_decide) | (avail <= 0.0))
+            stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
             # the rest latch their coin and go on with no slack left, so any
             # later metastable comparison stops them
             bit = np.where(latched & ~stop, coin, bit)
             up = bit > 0
             n_meta += latched
             # an exhausted conversion has no slack left, so it adds zero here
-            consumed += np.where(meta, avail, t_decide)
+            consumed += np.where(meta, slack, t_decide)
             slack = np.where(meta, 0.0, slack - t_decide)
             code = np.where(exhausted, code, (code << 1) | (up | stop))
             n_cycles[stop] = i + 1

@@ -92,6 +92,9 @@ def test_ron_schedule_constant_tau(ref_cfg):
         n_tau = cfg.t_phic_low / (ladder.r * ladder.c_nom)
         assert np.allclose(n_tau, cfg.n_settle, rtol=1e-12, atol=0.0)
         assert np.array_equal(ladder.c_bits_p, ladder.c_nom)
+        # the step fractions the bit loop leaves unsettled are exp(-n_settle)
+        for settle in (ladder.settle_p, ladder.settle_n):
+            assert np.allclose(-np.log(settle), cfg.n_settle, rtol=1e-12, atol=0.0)
 
 
 def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
@@ -100,14 +103,6 @@ def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
     residual = math.exp(-cfg.n_settle)
     assert math.isclose(residual, 4.54e-5, rel_tol=1e-2)
     assert residual < d.delta / (2 * d.v_fs_net)
-
-
-def test_explicit_ron_list_used(ref_cfg, ideal_array):
-    cfg = replace(ref_cfg, ron_dac=tuple(float(i) for i in range(1, 10)))
-    assert np.allclose(ron_schedule(ideal_array.c_nom, cfg), np.arange(1.0, 10.0))
-    for topology in ("binary", "split"):
-        ladder = build_cap_array(replace(cfg, topology=topology), np.random.default_rng(0))
-        assert np.array_equal(ladder.r, np.arange(1.0, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,17 @@ def test_stale_artifacts_are_replaced(tmp_path):
     assert target.read_text() == junk
 
 
+@pytest.mark.parametrize("first, second", [("65537", "64"), ("64", "65537")])
+def test_codes_file_of_another_format_is_removed(tmp_path, first, second):
+    # records up to 65,536 samples write codes.csv, longer ones codes.npz;
+    # a later run into the same directory leaves only its own format
+    out = str(tmp_path / "run")
+    for n, bin_ in ((first, "1"), (second, "3")):
+        assert run(["simulate", "--n", n, "--bin", bin_, "--out", out]) == 0
+    codes = {p.name for p in (tmp_path / "run").glob("codes.*")}
+    assert codes == {"codes.csv" if second == "64" else "codes.npz"}
+
+
 def test_power_report_artifacts(tmp_path):
     out = tmp_path / "p"
     assert run(["power", "--n", "256", "--bin", "19", "--out", str(out)]) == 0

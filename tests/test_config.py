@@ -58,7 +58,7 @@ def test_net_full_scale_examples():
 
 def test_round_trip_serialize(ref_cfg):
     assert sa.load_config(sa.serialize(ref_cfg)) == ref_cfg
-    mutated = replace(ref_cfg, c_p=13.7e-15, ron_dac=tuple(float(i) for i in range(1, 10)))
+    mutated = replace(ref_cfg, c_p=13.7e-15)
     assert sa.load_config(sa.serialize(mutated)) == mutated
 
 
@@ -86,8 +86,14 @@ def test_missing_key_reported():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        sa.load_config(REFERENCE_CONFIG_DOC + "\nwidgets = 3\n")
+    # ron_dac, the old switch-resistance override, is no longer a key
+    for key, doc in [
+        ("widgets", REFERENCE_CONFIG_DOC + "\nwidgets = 3\n"),
+        ("ron_dac", REFERENCE_CONFIG_DOC + "\nron_dac = auto\n"),
+        ("ron_dac", json.dumps({**asdict(sa.reference_defaults()), "ron_dac": "auto"})),
+    ]:
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            sa.load_config(doc)
 
 
 def test_wrong_magnitude_caught():
@@ -176,14 +182,8 @@ def _kv_with(key, text):
     pytest.param("bits", _json_with("bits", "null"), ConfigError, id="json-bits-null"),
     pytest.param("bits", _json_with("bits", "1e400"), ConfigError, id="json-bits-1e400"),
     pytest.param("bits", _json_with("bits", "NaN"), ConfigError, id="json-bits-nan"),
-    pytest.param("ron_dac", _json_with("ron_dac", '[1, "x"]'), ConfigError,
-                 id="json-ron_dac-text-entry"),
     pytest.param("bits", _kv_with("bits", "1e400"), ConfigError, id="kv-bits-1e400"),
     pytest.param("bits", _kv_with("bits", "nan"), ConfigError, id="kv-bits-nan"),
-    pytest.param("ron_dac", _kv_with("ron_dac", "1 kOhm, 2 kOhm"), ConfigError,
-                 id="kv-ron_dac-two-kohm"),
-    pytest.param("ron_dac", _kv_with("ron_dac", ", ".join(f"{k} kOhm" for k in range(1, 10))),
-                 tuple(1000.0 * k for k in range(1, 10)), id="kv-ron_dac-nine-kohm"),
     pytest.param("t_phic_low.*t_fix", _kv_with("t_phic_low", "900 ps"), ConfigError,
                  id="kv-t_phic_low-above-t_fix"),
     # a split array needs a sub-array bit behind its attenuation capacitor
@@ -223,8 +223,6 @@ def _in_bounds(key):
         return st.integers(lo, hi)
     if kind is str:
         return st.sampled_from(["binary", "split"])
-    if kind is tuple:
-        return st.one_of(st.just("auto"), st.lists(st.floats(lo, hi), min_size=9, max_size=9))
     return st.floats(lo, hi)
 
 

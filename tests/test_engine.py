@@ -328,8 +328,6 @@ def _in_bounds(key):
         return st.integers(lo, min(hi, 12))   # keeps the per-unit mismatch draw small
     if kind is str:
         return st.sampled_from(["binary", "split"])
-    if kind is tuple:
-        return st.one_of(st.just("auto"), st.lists(st.floats(lo, hi), min_size=9, max_size=9))
     return st.floats(lo, hi)
 
 
