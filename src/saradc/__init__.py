@@ -9,7 +9,7 @@ from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants
 from .track_hold import ktc_sigma, ron_of_input
 from .comparator import comparator_power
 from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
-                     inl_from_steps, monotonic_energy_oracle, ron_schedule,
+                     inl_from_steps, monotonic_energy_oracle,
                      transfer_thresholds)
 from .timing import (TimingBudget, build_budget, max_sampling_rate,
                      metastability_mc, t_hard)
@@ -25,8 +25,7 @@ __all__ = [
     "serialize",
     "ktc_sigma", "ron_of_input", "comparator_power",
     "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
-    "inl_from_steps", "monotonic_energy_oracle", "ron_schedule",
-    "transfer_thresholds",
+    "inl_from_steps", "monotonic_energy_oracle", "transfer_thresholds",
     "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
     "t_hard",
     "NoiseBudget", "PowerReport", "WaveformResult", "convert_waveform",

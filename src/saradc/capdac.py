@@ -46,9 +46,9 @@ Ladder
 A realized array of either topology is compiled once into a ``Ladder``:
 per-side steps, the differential correction of each decision, equivalent
 single-node bit capacitances, node capacitances, the mismatch-free nominal
-caps, switch resistances, per-bit settling fractions and the event-energy
-table.  The engine's bit cycle, energy accounting, the static transfer and
-the trade study all read it.
+caps, per-bit settling fractions and the event-energy table.  The engine's
+bit cycle, energy accounting, the static transfer and the trade study all
+read it.
 
 Topology trade study
 --------------------
@@ -74,7 +74,7 @@ from .config import AdcConfig, ConfigError, derived_constants, kt_over_c
 __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
     "build_cap_array", "build_split_array",
-    "ron_schedule", "monotonic_energy_oracle",
+    "monotonic_energy_oracle",
     "conversion_energy", "transfer_thresholds", "inl_from_steps",
     "compare_topologies",
 ]
@@ -106,8 +106,7 @@ class Ladder:
     c_total_p: float             # physical capacitor total [F]
     c_total_n: float
     c_nom: np.ndarray            # mismatch-free equivalent bit caps [F]
-    r: np.ndarray                # switch on-resistances [Ohm]
-    settle_p: np.ndarray         # unsettled fraction of bit i's step after t_phic_low
+    settle_p: np.ndarray         # unsettled fraction of bit i's step after its settle time
     settle_n: np.ndarray
     e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
@@ -141,19 +140,14 @@ def _segment(counts: list, u: float, sigma_u: float,
     return caps
 
 
-def ron_schedule(c_nom: np.ndarray, cfg: AdcConfig) -> np.ndarray:
-    """Per-bit DAC switch on-resistances [Ohm] for nominal bit caps c_nom.
-
-    The constant-tau rule r_i * C_i = t_phic_low / n_settle is the only
-    sizing: every bit of either topology settles to the same fractional
-    error exp(-n_settle) inside the comparator-off window.
-    """
-    return cfg.t_phic_low / (cfg.n_settle * c_nom)
-
-
 def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
              c_nom: np.ndarray) -> Ladder:
-    """Ladder from per-side (bit caps, node cap, steps, physical total)."""
+    """Ladder from per-side (bit caps, node cap, steps, physical total).
+
+    Each bit's switch is sized for its nominal cap c_nom alone (constant
+    tau), so a bit settles n_settle * c_nom / c time constants and leaves
+    exp(-n_settle) of its step when its cap is nominal, in either topology.
+    """
     c_p, node_p, dp, total_p = side_p
     c_n, node_n, dn, total_n = side_n
     mid_p = np.concatenate(([0.0], np.cumsum(c_p)[:-1]))
@@ -161,13 +155,12 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
     q = 0.25 * cfg.v_ref ** 2
     e_down = q * (c_p * (node_p - c_p) / node_p + mid_n * c_n / node_n)
     e_up = q * (c_n * (node_n - c_n) / node_n + mid_p * c_p / node_p)
-    r = ron_schedule(c_nom, cfg)
-    settle_p = np.exp(-cfg.t_phic_low / (r * c_p))
-    settle_n = np.exp(-cfg.t_phic_low / (r * c_n))
+    settle_p = np.exp(-cfg.n_settle * (c_nom / c_p))
+    settle_n = np.exp(-cfg.n_settle * (c_nom / c_n))
     return Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits_p=c_p, c_bits_n=c_n,
         node_p=node_p, node_n=node_n, dp=dp, dn=dn, corrections=(dp + dn) / 2,
-        c_total_p=total_p, c_total_n=total_n, c_nom=c_nom, r=r,
+        c_total_p=total_p, c_total_n=total_n, c_nom=c_nom,
         settle_p=settle_p, settle_n=settle_n,
         e_event=np.stack([e_down, e_up], axis=1),
     )

@@ -2,8 +2,10 @@
 
 Commands: simulate | timing | power | dac-compare | metastability | sweep |
 print-defaults.  Every run that writes artifacts drops a manifest.json next
-to them so any output can be re-derived; data artifacts are byte-identical
-for a fixed seed and config.  Exit codes:
+to them so any output can be re-derived: it names the sha256 of the config
+that ran (as ``serialize`` writes it, after ``--ideal``) and the Python and
+numpy versions.  Data artifacts are byte-identical for a fixed seed and
+config.  Exit codes:
 0 success, 1 configuration error, 2 runtime precondition, 3 a --check
 verification failed.
 
@@ -16,9 +18,11 @@ every call.
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,7 +32,7 @@ import numpy as np
 from . import __version__, analysis, capdac, engine, timing as timing_mod
 from .config import (AdcConfig, ConfigError, REFERENCE_CONFIG_DOC, derived_constants,
                      ideal_config, load_config, parse_value, reference_defaults,
-                     validate)
+                     serialize, validate)
 
 # OSError: an output path that cannot be written, e.g. --out naming a file
 _PRECONDITION_ERRORS = (ValueError, OSError)
@@ -71,12 +75,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _manifest(outdir: Path, args, seed) -> None:
+# main may run many times in one process, mostly on one config; serializing
+# it costs some 30 us, about 5 % of a whole `timing` command
+@functools.lru_cache(maxsize=8)
+def _config_sha256(cfg: AdcConfig) -> str:
+    return hashlib.sha256(serialize(cfg).encode()).hexdigest()
+
+
+def _manifest(outdir: Path, args, seed, cfg: AdcConfig) -> None:
     payload = {
         "tool": "saradc",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "command": args.command,
         "config": getattr(args, "config", None),
+        "config_sha256": _config_sha256(cfg),
         "seed": seed,
         "output_dir": str(outdir),
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -120,7 +134,7 @@ def _cmd_simulate(args) -> int:
         np.savez_compressed(_fresh(outdir, "codes.npz"), codes=result.codes,
                             metastable=result.metastable,
                             violation=result.violation)
-    _manifest(outdir, args, args.seed)
+    _manifest(outdir, args, args.seed, cfg)
     print(f"simulate: n={args.n} bin={args.bin} SNDR={m.sndr:.2f} dB "
           f"ENOB={m.enob:.2f} b power={rep.total * 1e6:.1f} uW -> {outdir}")
 
@@ -155,7 +169,7 @@ def _cmd_timing(args) -> int:
     payload = {k: v for k, v in rows}
     payload["timing_violation"] = b.timing_violation
     _write(outdir, "timing.json", _json_text(payload))
-    _manifest(outdir, args, None)
+    _manifest(outdir, args, None, cfg)
     for k, v in rows:
         print(f"{k:>18s} : {v:.6g}")
     if b.timing_violation:
@@ -172,7 +186,7 @@ def _cmd_power(args) -> int:
     outdir = Path(args.out)
     _write(outdir, "power.csv", rep.to_csv())
     _write(outdir, "power.json", _json_text(rep.to_json_dict()))
-    _manifest(outdir, args, args.seed)
+    _manifest(outdir, args, args.seed, cfg)
     for k, v in rep.blocks.items():
         print(f"{k:>12s} : {v * 1e6:8.2f} uW ({rep.fractions[k] * 100:5.1f} %)")
     print(f"{'total':>12s} : {rep.total * 1e6:8.2f} uW")
@@ -186,7 +200,7 @@ def _cmd_dac_compare(args) -> int:
     outdir = Path(args.out)
     _write(outdir, "dac_compare.csv", report.to_csv())
     _write(outdir, "dac_compare.json", _json_text(report.to_json_dict()))
-    _manifest(outdir, args, args.seed)
+    _manifest(outdir, args, args.seed, cfg)
     for r in report.rows():
         print(f"{r.topology:>7s}: C/side={r.c_total_side * 1e15:8.2f} fF  "
               f"kT/C={r.sigma_ktc * 1e6:7.2f} uVrms  "
@@ -203,7 +217,7 @@ def _cmd_metastability(args) -> int:
     res = timing_mod.metastability_mc(cfg, args.trials, args.pmeta, seed=args.seed)
     outdir = Path(args.out)
     _write(outdir, "metastability.json", _json_text(res))
-    _manifest(outdir, args, args.seed)
+    _manifest(outdir, args, args.seed, cfg)
     lo, hi = res["ci95"]
     print(f"metastability: rate={res['rate']:.3e} target={res['target']:.3e} "
           f"ci95=[{lo:.3e}, {hi:.3e}] trials={res['trials']}")
@@ -238,7 +252,7 @@ def _cmd_sweep(args) -> int:
         lines.append(row)
     outdir = Path(args.out)
     _write(outdir, "sweep.csv", "\n".join(lines) + "\n")
-    _manifest(outdir, args, args.seed)
+    _manifest(outdir, args, args.seed, cfg)
     print(f"sweep: {args.param} over {len(values)} points -> {outdir / 'sweep.csv'}")
     return 0
 

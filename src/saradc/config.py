@@ -7,8 +7,14 @@ including the integer ``bits``, is a bare SI number or text carrying an SI
 unit with an optional prefix (``2.5 fF``, ``130 MHz``, ``1 kOhm``); the one
 other value is the ``topology`` name.  Every key is range-checked so that a
 value entered in the wrong order of magnitude (farads where femtofarads were
-meant) is rejected, and every malformed value, unknown key or broken
-cross-field rule raises a ``ConfigError`` naming the offending key.
+meant) is rejected, and every malformed value, unknown or repeated key or
+broken cross-field rule raises a ``ConfigError`` naming the offending key.
+
+The DAC settling is one number, ``n_settle``: each bit's switch is sized so
+that its step settles ``n_settle`` time constants inside the per-bit
+overhead ``t_fix``, whatever the bit's capacitance.  No key sets a switch
+resistance, a settle window or a charge-injection pedestal: none of them
+changes a result (a pedestal moves only the common mode).
 
 Calibration notes
 -----------------
@@ -56,13 +62,11 @@ class AdcConfig:
     t_track: float          # tracking phase length [s]
     t_delay: float          # logic delay per bit cycle [s]
     t_fix: float            # fixed per-bit overhead (DAC settle + clock) [s]
-    t_phic_low: float       # comparator-clock off time = DAC settle window [s]
     p_meta: float           # metastability rate target [-]
     # Track and hold
     r_on0: float            # sampling switch on-resistance at v = 0 [Ohm]
     ron_alpha: float        # linear on-resistance coefficient [1/V]
     ron_beta: float         # quadratic on-resistance coefficient [1/V^2]
-    v_pedestal: float       # lumped charge-injection pedestal [V]
     # DAC behavior
     sigma_u: float          # relative unit-capacitor mismatch sigma [-]
     topology: str           # "binary" | "split"
@@ -106,12 +110,10 @@ _SCHEMA = {
     "t_track":      (float, "s",   1e-15,  1.0,   "tracking phase length"),
     "t_delay":      (float, "s",   0.0,    1.0,   "logic delay per bit"),
     "t_fix":        (float, "s",   0.0,    1.0,   "fixed per-bit overhead"),
-    "t_phic_low":   (float, "s",   1e-15,  1.0,   "comparator-clock off time"),
     "p_meta":       (float, "",    0.0,    1.0,   "metastability rate target"),
     "r_on0":        (float, "Ohm", 1e-6,   1e9,   "sampling switch on-resistance"),
     "ron_alpha":    (float, "/V",  -10.0,  10.0,  "on-resistance linear coefficient"),
     "ron_beta":     (float, "/V^2", -10.0, 10.0,  "on-resistance quadratic coefficient (calibration)"),
-    "v_pedestal":   (float, "V",   -0.1,   0.1,   "charge-injection pedestal"),
     "sigma_u":      (float, "",    0.0,    0.3,   "relative unit-cap mismatch (calibration)"),
     "topology":     (str,   "",    None,   None,  "DAC topology: binary | split"),
     "n_settle":     (float, "",    0.1,    1e3,   "DAC settling depth in time constants (calibration)"),
@@ -214,13 +216,6 @@ def validate(cfg: AdcConfig) -> AdcConfig:
             f"c_dac: {cfg.c_dac:g} F cannot realize 2^(bits-1) = {2 ** (cfg.bits - 1)} "
             f"unit capacitors of c_unit = {cfg.c_unit:g} F"
         )
-    # The DAC settles during the comparator clock's off time, which the
-    # timing budget reserves as part of each bit's fixed overhead.
-    if cfg.t_phic_low > cfg.t_fix:
-        raise ConfigError(
-            f"t_phic_low: DAC settle window {cfg.t_phic_low:g} s exceeds the "
-            f"per-bit overhead t_fix = {cfg.t_fix:g} s that the schedule reserves"
-        )
     return cfg
 
 
@@ -228,13 +223,11 @@ def load_config(text: str) -> AdcConfig:
     """Parse and validate a configuration document (key=value or JSON)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        # pairs, not a dict, so that a repeated key meets the duplicate check
         try:
-            raw = json.loads(text)
+            items = json.loads(text, object_pairs_hook=list)
         except json.JSONDecodeError as err:
             raise ConfigError(f"JSON parse failure: {err}") from err
-        if not isinstance(raw, dict):
-            raise ConfigError("JSON document must be an object")
-        items = raw.items()
     else:
         items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -319,7 +312,6 @@ def ideal_config(cfg: AdcConfig) -> AdcConfig:
         sigma_u=0.0,
         ron_alpha=0.0,
         ron_beta=0.0,
-        v_pedestal=0.0,
         t_kelvin=0.0,
         r_on0=1e-6,
         n_settle=200.0,
@@ -356,13 +348,11 @@ v_cm         = 0.7 V
 t_track      = 2 ns
 t_delay      = 100 ps
 t_fix        = 150 ps
-t_phic_low   = 150 ps
 p_meta       = 1e-7
 
 r_on0        = 200 Ohm
 ron_alpha    = 0 /V
 ron_beta     = 0.45 /V^2      # (cal) tracking-distortion coefficient
-v_pedestal   = 0 V
 
 sigma_u      = 0.035          # (cal) lumps mismatch and unmodeled device error
 topology     = binary

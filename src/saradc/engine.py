@@ -92,7 +92,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
     target, leaving the ladder's ``settle_p``/``settle_n`` fraction of the
-    step after t_phic_low.  Energies add per sample bit by bit, and the
+    step after its settle time.  Energies add per sample bit by bit, and the
     block totals add in sample order, as a sequential walk would.
     """
     diff = np.asarray(samples, dtype=float)
@@ -244,10 +244,10 @@ def measure_distortion_power(cfg: AdcConfig, amplitude: float,
     """Deterministic front-end distortion power at a tone condition [V^2].
 
     Runs the full chain with every random noise source disabled but all
-    static imperfections kept (tracking nonlinearity, pedestal, finite DAC
-    settling, the drawn capacitor mismatch), averaged over the given seed
-    count, then subtracts the ideal quantization power from the non-signal
-    spectrum.  Clamped at zero.
+    static imperfections kept (tracking nonlinearity, finite DAC settling,
+    the drawn capacitor mismatch), averaged over the given seed count, then
+    subtracts the ideal quantization power from the non-signal spectrum.
+    Clamped at zero.
     """
     quiet = replace(cfg, sigma_n_comp=0.0, t_kelvin=0.0)
     d = derived_constants(cfg)

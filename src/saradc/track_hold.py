@@ -10,8 +10,9 @@ harmonics of a sampled sine.
 
 The sampler re-references the differential input to the configured
 comparator common mode, so the held pair is v_cm +/- v_diff/2 plus settling
-error, pedestal and noise.  Charge injection and clock feedthrough are
-lumped into the constant pedestal (applied to both sides).
+error and noise.  Charge injection and clock feedthrough are not modeled: a
+constant pedestal would shift both sides alike, and the comparator reads only
+their difference.
 """
 
 import math
@@ -61,8 +62,7 @@ def hold(v_in_p: np.ndarray, v_in_n: np.ndarray, cfg: AdcConfig, normals,
     """
     c_side = cfg.c_dac + cfg.c_p
     v_diff = v_in_p - v_in_n
-    target = np.stack([cfg.v_cm + 0.5 * v_diff + cfg.v_pedestal,
-                       cfg.v_cm - 0.5 * v_diff + cfg.v_pedestal], axis=1)
+    target = np.stack([cfg.v_cm + 0.5 * v_diff, cfg.v_cm - 0.5 * v_diff], axis=1)
     # per side in sample order, so a nonphysical input is named as the
     # sequential walk would meet it
     r_on = ron_of_input(np.stack([v_in_p, v_in_n], axis=1), cfg)

@@ -45,8 +45,8 @@ def sample(v_in_p: float, v_in_n: float, cfg: AdcConfig, rng: np.random.Generato
     """
     c_side = cfg.c_dac + cfg.c_p
     v_diff = v_in_p - v_in_n
-    target_p = cfg.v_cm + 0.5 * v_diff + cfg.v_pedestal
-    target_n = cfg.v_cm - 0.5 * v_diff + cfg.v_pedestal
+    target_p = cfg.v_cm + 0.5 * v_diff
+    target_n = cfg.v_cm - 0.5 * v_diff
     if prev is None:
         prev = (cfg.v_cm, cfg.v_cm)
 

@@ -8,7 +8,7 @@ import pytest
 import saradc as sa
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
                            conversion_energy, inl_from_steps, monotonic_energy_oracle,
-                           ron_schedule, transfer_thresholds)
+                           transfer_thresholds)
 from saradc.config import kt_over_c
 from textbook import conventional_energy, splitcap_energy
 
@@ -76,25 +76,19 @@ def test_applied_corrections_telescope_to_one_lsb(ideal_cfg, ideal_array):
     assert 0 < worst <= d.delta + 1e-15
 
 
-def test_ron_schedule_constant_tau(ref_cfg):
-    cfg = replace(ref_cfg, c_dac=1.28e-12, t_phic_low=1e-9, n_settle=10.0)
-    arr = build_cap_array(sa.ideal_config(cfg), np.random.default_rng(0))
-    r = ron_schedule(arr.c_nom, cfg)
-    assert math.isclose(r[0], 156.25, rel_tol=1e-9)          # 640 fF bit
-    assert math.isclose(r[1], 2 * r[0], rel_tol=1e-12)       # half the cap
-    c_nom = cfg.c_dac / 2.0 ** np.arange(1, 10)
-    assert np.allclose(r * c_nom, cfg.t_phic_low / 10.0, rtol=1e-12)
-    # both topologies settle exactly n_settle time constants per bit
-    nominal = replace(cfg, sigma_u=0.0)
-    for topology in ("binary", "split"):
-        ladder = build_cap_array(replace(nominal, topology=topology),
-                                 np.random.default_rng(0))
-        n_tau = cfg.t_phic_low / (ladder.r * ladder.c_nom)
-        assert np.allclose(n_tau, cfg.n_settle, rtol=1e-12, atol=0.0)
-        assert np.array_equal(ladder.c_bits_p, ladder.c_nom)
-        # the step fractions the bit loop leaves unsettled are exp(-n_settle)
-        for settle in (ladder.settle_p, ladder.settle_n):
-            assert np.allclose(-np.log(settle), cfg.n_settle, rtol=1e-12, atol=0.0)
+def test_settling_depth_is_exact(ref_cfg):
+    # constant tau: every bit of a mismatch-free array of either topology
+    # leaves exactly exp(-n_settle) of its step unsettled, to the last ulp
+    for n_settle in (ref_cfg.n_settle, 10.0):
+        nominal = replace(ref_cfg, sigma_u=0.0, n_settle=n_settle)
+        for topology in ("binary", "split"):
+            ladder = build_cap_array(replace(nominal, topology=topology),
+                                     np.random.default_rng(0))
+            assert np.array_equal(ladder.c_bits_p, ladder.c_nom)
+            assert np.array_equal(ladder.c_bits_n, ladder.c_nom)
+            for settle in (ladder.settle_p, ladder.settle_n):
+                assert settle.shape == (ref_cfg.bits - 1,)
+                assert np.array_equal(settle, np.full_like(settle, np.exp(-n_settle)))
 
 
 def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
@@ -123,8 +117,7 @@ def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array, comparator_ca
 
 
 def test_switch_settling_residual(ref_cfg, comparator_calls):
-    # tau per bit is r_i * C_i; the t_phic_low window of ten tau leaves
-    # exp(-10) of the step
+    # a settling depth of ten time constants leaves exp(-10) of the step
     cfg = replace(sa.ideal_config(ref_cfg), n_settle=10.0)
     arr = build_cap_array(cfg, np.random.default_rng(0))
     assert np.allclose(arr.settle_p, math.exp(-10.0), rtol=1e-12, atol=0)

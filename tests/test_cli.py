@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import saradc as sa
@@ -280,10 +282,27 @@ def test_sweep_rejects_non_finite_point(tmp_path, capsys):
 
 
 def test_sweep_rejects_keys_it_cannot_sweep(tmp_path, capsys):
-    for param in ("ron_dac", "topology"):
+    for param in ("ron_dac", "t_phic_low", "v_pedestal", "topology"):
         assert run(["sweep", "--param", param, "--range", "1:2:2",
                     "--out", str(tmp_path / "x")]) == 1
         assert param in capsys.readouterr().err
+
+
+def test_manifest_names_the_config_that_ran(tmp_path):
+    def manifest(name, *extra):
+        assert run(["simulate", *extra, "--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text())
+
+    a, b, ideal = manifest("a"), manifest("b"), manifest("ideal", "--ideal")
+    ref = sa.reference_defaults()
+    assert a["config_sha256"] == b["config_sha256"] == hashlib.sha256(
+        sa.serialize(ref).encode()).hexdigest()
+    # the hash is of the config after --ideal, not of the document loaded
+    assert ideal["config"] is None
+    assert ideal["config_sha256"] == hashlib.sha256(
+        sa.serialize(sa.ideal_config(ref)).encode()).hexdigest() != a["config_sha256"]
+    assert a["python"] == platform.python_version()
+    assert a["numpy"] == np.__version__
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
@@ -295,3 +314,32 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
         assert manifest["output_dir"] == str(tmp_path / name)
     assert (tmp_path / "envout" / "timing.json").exists()
     assert (tmp_path / "envout2" / "timing.json").exists()
+
+
+_RESULT_RUNS = (["simulate", "--n", "64", "--bin", "3"], ["power", "--n", "64", "--bin", "3"],
+                ["timing"], ["dac-compare"], ["metastability", "--trials", "10000"])
+
+
+def _results(cfg, out):
+    """Every artifact but the manifest of each result command, for cfg."""
+    out.mkdir()
+    doc = out / "cfg.txt"
+    doc.write_text(sa.serialize(cfg))
+    for argv in _RESULT_RUNS:
+        assert run([*argv, str(doc), "--out", str(out / argv[0])]) == 0
+        yield {p.name: p.read_bytes() for p in (out / argv[0]).iterdir()
+               if p.name != "manifest.json"}
+
+
+def test_every_config_key_changes_a_result(tmp_path):
+    # a key that moves no artifact is a knob to delete; each step keeps the
+    # shipped config valid and is large enough to flip a code where it acts
+    # on the conversion
+    ref = sa.reference_defaults()
+    steps = {"bits": 9, "topology": "split", "ron_alpha": 0.1, "c_unit": 2e-15,
+             "sigma_n_comp": 1e-3, "ron_beta": 0.9}
+    base = list(_results(ref, tmp_path / "base"))
+    for f in dataclasses.fields(sa.AdcConfig):
+        value = steps[f.name] if f.name in steps else getattr(ref, f.name) * 1.1
+        cfg = sa.config.validate(dataclasses.replace(ref, **{f.name: value}))
+        assert any(a != b for a, b in zip(_results(cfg, tmp_path / f.name), base)), f.name

@@ -86,11 +86,17 @@ def test_missing_key_reported():
 
 
 def test_unknown_key_rejected():
-    # ron_dac, the old switch-resistance override, is no longer a key
+    # ron_dac, the old switch-resistance override, the settle window
+    # t_phic_low and the common-mode pedestal v_pedestal are no longer keys
+    shipped = asdict(sa.reference_defaults())
     for key, doc in [
         ("widgets", REFERENCE_CONFIG_DOC + "\nwidgets = 3\n"),
         ("ron_dac", REFERENCE_CONFIG_DOC + "\nron_dac = auto\n"),
-        ("ron_dac", json.dumps({**asdict(sa.reference_defaults()), "ron_dac": "auto"})),
+        ("ron_dac", json.dumps({**shipped, "ron_dac": "auto"})),
+        ("t_phic_low", REFERENCE_CONFIG_DOC + "\nt_phic_low = 150 ps\n"),
+        ("t_phic_low", json.dumps({**shipped, "t_phic_low": 150e-12})),
+        ("v_pedestal", REFERENCE_CONFIG_DOC + "\nv_pedestal = 0 V\n"),
+        ("v_pedestal", json.dumps({**shipped, "v_pedestal": 0.0})),
     ]:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             sa.load_config(doc)
@@ -184,8 +190,11 @@ def _kv_with(key, text):
     pytest.param("bits", _json_with("bits", "NaN"), ConfigError, id="json-bits-nan"),
     pytest.param("bits", _kv_with("bits", "1e400"), ConfigError, id="kv-bits-1e400"),
     pytest.param("bits", _kv_with("bits", "nan"), ConfigError, id="kv-bits-nan"),
-    pytest.param("t_phic_low.*t_fix", _kv_with("t_phic_low", "900 ps"), ConfigError,
-                 id="kv-t_phic_low-above-t_fix"),
+    # both formats feed (key, value) pairs into one duplicate check
+    pytest.param("duplicate key 'c_p'", REFERENCE_CONFIG_DOC + "c_p = 30 fF\n",
+                 ConfigError, id="kv-c_p-twice"),
+    pytest.param("duplicate key 'c_p'", _json_with("c_p", '2e-14, "c_p": 3e-14'),
+                 ConfigError, id="json-c_p-twice"),
     # a split array needs a sub-array bit behind its attenuation capacitor
     pytest.param("bits", _kv_with("bits", "2"), ConfigError, id="kv-bits-2"),
 ])

@@ -297,7 +297,7 @@ def test_power_scales_linearly_with_rate(ref_cfg):
     # schedule must still close, so tracking is shortened with the period)
     tone = sa.gen_coherent_tone(128, 11, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
     fast = validate(replace(ref_cfg, f_s=2 * ref_cfg.f_s, t_track=ref_cfg.t_track / 2,
-                            t_fix=75e-12, t_phic_low=75e-12, t_delay=50e-12))
+                            t_fix=75e-12, t_delay=50e-12))
     a = power_report(convert_waveform(tone.v_diff, ref_cfg, seed=1))
     b = power_report(convert_waveform(tone.v_diff, fast, seed=1))
     for k in a.blocks:
@@ -319,7 +319,7 @@ _KEYS = [f.name for f in fields(sa.AdcConfig)]
 # keys the ideal converter keeps: static quantities, plus the nonidealities
 # ideal_config zeroes; timing stays at the reference operating point
 _IDEAL_KEYS = ["bits", "v_dd", "v_ref", "v_cm", "c_unit", "c_dac", "c_p", "sigma_u",
-               "sigma_n_comp", "ron_alpha", "ron_beta", "v_pedestal", "t_kelvin"]
+               "sigma_n_comp", "ron_alpha", "ron_beta", "t_kelvin"]
 
 
 def _in_bounds(key):

@@ -63,7 +63,7 @@ def test_full_settling_reproduces_input(ref_cfg, rng):
 def test_settling_factor_value(ref_cfg, rng):
     # 200 ohm into 1.32 pF over 2 ns leaves exp(-7.576) of the step
     cfg = replace(ref_cfg, r_on0=200.0, ron_alpha=0.0, ron_beta=0.0,
-                  t_kelvin=0.0, v_pedestal=0.0)
+                  t_kelvin=0.0)
     c_side = cfg.c_dac + cfg.c_p
     g_expect = math.exp(-cfg.t_track / (200.0 * c_side))
     assert math.isclose(g_expect, 5.12e-4, rel_tol=2e-3)
@@ -130,10 +130,3 @@ def test_harmonic_generation_with_curvature(ref_cfg):
     assert p_flat[h3] < 1e-20          # numerical floor, no distortion
     assert p_bent[h3] > 1e-12          # visible third-harmonic spur
     assert p_bent[h3] > 1e4 * p_flat[h3]
-
-
-def test_pedestal_shifts_common_mode_only(ref_cfg, rng):
-    cfg = replace(sa.ideal_config(ref_cfg), v_pedestal=5e-3, t_track=1e-3)
-    v_p, v_n = sample(cfg.v_cm + 0.1, cfg.v_cm - 0.1, cfg, rng)
-    assert math.isclose(0.5 * (v_p + v_n), cfg.v_cm + 5e-3, rel_tol=1e-9)
-    assert math.isclose(v_p - v_n, 0.2, rel_tol=1e-12)
