@@ -44,11 +44,12 @@ tests walks the same closed form without reading the table.
 Ladder
 ------
 A realized array of either topology is compiled once into a ``Ladder``:
-per-side steps, the differential correction of each decision, equivalent
-single-node bit capacitances, node capacitances, the mismatch-free nominal
-caps, per-bit settling fractions and the event-energy table.  The engine's
-bit cycle, energy accounting, the static transfer and the trade study all
-read it.
+per-side steps, equivalent single-node bit capacitances, node
+capacitances, physical totals and per-bit settling fractions, each with a
+leading side axis (row 0 positive, row 1 negative); the differential
+correction of each decision, the mismatch-free nominal caps and the
+event-energy table.  The engine's bit cycle, energy accounting, the static
+transfer and the trade study all read it.
 
 Topology trade study
 --------------------
@@ -75,7 +76,7 @@ __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
     "build_cap_array", "build_split_array",
     "monotonic_energy_oracle",
-    "conversion_energy", "transfer_thresholds", "inl_from_steps",
+    "transfer_thresholds", "inl_from_steps",
     "compare_topologies",
 ]
 
@@ -89,25 +90,21 @@ MAX_REDRAWS = 100   # redraw rounds for dead unit capacitors before giving up
 class Ladder:
     """A realized differential array, compiled once (both sides).
 
-    Bits are indexed 1..bits-1 MSB-first (array index i-1).  The bit
-    capacitances are the single-node equivalents that reproduce the
-    realized comparator-node steps; for the binary array they are the
-    physical bit capacitors.
+    Per-side fields lead with the side axis, row 0 the positive side and
+    row 1 the negative one.  Bits are indexed 1..bits-1 MSB-first (array
+    index i-1).  The bit capacitances are the single-node equivalents that
+    reproduce the realized comparator-node steps; for the binary array they
+    are the physical bit capacitors.
     """
     bits: int
     v_ref: float
-    c_bits_p: np.ndarray         # equivalent bit caps, positive side [F]
-    c_bits_n: np.ndarray
-    node_p: float                # grounded capacitance at the comparator node [F]
-    node_n: float
-    dp: np.ndarray               # per-side step when bit i swings by v_ref [V]
-    dn: np.ndarray
+    c_bits: np.ndarray           # (2, bits-1) equivalent bit caps [F]
+    node: np.ndarray             # (2,) grounded capacitance at the comparator node [F]
+    step: np.ndarray             # (2, bits-1) step when bit i swings by v_ref [V]
     corrections: np.ndarray      # differential correction applied after decision i [V]
-    c_total_p: float             # physical capacitor total [F]
-    c_total_n: float
+    c_total: np.ndarray          # (2,) physical capacitor total [F]
     c_nom: np.ndarray            # mismatch-free equivalent bit caps [F]
-    settle_p: np.ndarray         # unsettled fraction of bit i's step after its settle time
-    settle_n: np.ndarray
+    settle: np.ndarray           # (2, bits-1) unsettled fraction of bit i's step
     e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
 
@@ -147,21 +144,20 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
     Each bit's switch is sized for its nominal cap c_nom alone (constant
     tau), so a bit settles n_settle * c_nom / c time constants and leaves
     exp(-n_settle) of its step when its cap is nominal, in either topology.
+    A bit event costs the rising side's own term plus the falling side's
+    fired bystanders (``cross``); a -1 decision raises the positive side.
     """
-    c_p, node_p, dp, total_p = side_p
-    c_n, node_n, dn, total_n = side_n
-    mid_p = np.concatenate(([0.0], np.cumsum(c_p)[:-1]))
-    mid_n = np.concatenate(([0.0], np.cumsum(c_n)[:-1]))
+    c, node, step, total = (np.array(f) for f in zip(side_p, side_n))
+    mid = np.concatenate((np.zeros((2, 1)), np.cumsum(c, axis=1)[:, :-1]), axis=1)
+    node_col = node[:, None]
     q = 0.25 * cfg.v_ref ** 2
-    e_down = q * (c_p * (node_p - c_p) / node_p + mid_n * c_n / node_n)
-    e_up = q * (c_n * (node_n - c_n) / node_n + mid_p * c_p / node_p)
-    settle_p = np.exp(-cfg.n_settle * (c_nom / c_p))
-    settle_n = np.exp(-cfg.n_settle * (c_nom / c_n))
+    own = c * (node_col - c) / node_col
+    cross = mid * c / node_col
+    e_down, e_up = q * (own + cross[::-1])
     return Ladder(
-        bits=cfg.bits, v_ref=cfg.v_ref, c_bits_p=c_p, c_bits_n=c_n,
-        node_p=node_p, node_n=node_n, dp=dp, dn=dn, corrections=(dp + dn) / 2,
-        c_total_p=total_p, c_total_n=total_n, c_nom=c_nom,
-        settle_p=settle_p, settle_n=settle_n,
+        bits=cfg.bits, v_ref=cfg.v_ref, c_bits=c, node=node, step=step,
+        corrections=(step[0] + step[1]) / 2, c_total=total, c_nom=c_nom,
+        settle=np.exp(-cfg.n_settle * (c_nom / c)),
         e_event=np.stack([e_down, e_up], axis=1),
     )
 
@@ -257,9 +253,8 @@ def monotonic_energy_oracle(decisions, array) -> float:
     mid_p = mid_n = 0.0
     total = 0.0
     for k, d in enumerate(decisions[: array.bits - 1]):
-        cp = array.c_bits_p[k]
-        cn = array.c_bits_n[k]
-        np_, nn_ = array.node_p, array.node_n
+        cp, cn = array.c_bits[:, k]
+        np_, nn_ = array.node
         if d > 0:
             total += q * (cn * (nn_ - cn) / nn_ + mid_p * cp / np_)
         else:
@@ -267,21 +262,6 @@ def monotonic_energy_oracle(decisions, array) -> float:
         mid_p += cp
         mid_n += cn
     return total
-
-
-def conversion_energy(ladder: Ladder) -> np.ndarray:
-    """Converter-discipline switching energy of every output code [J].
-
-    The decision sequence of a SAR conversion is the code's bit pattern,
-    so the 2^bits entries cover every switching trajectory; decision i
-    picks its event from the ladder's table whatever came before it.  The
-    walk runs over code prefixes: each decision doubles the prefixes and adds
-    its event to each, and the last bit switches nothing.
-    """
-    total = np.zeros(1)
-    for k in range(ladder.bits - 1):
-        total = np.repeat(total, 2) + np.tile(ladder.e_event[k], 2 ** k)
-    return np.repeat(total, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +372,8 @@ def _row(topology: str, ladder: Ladder, t_kelvin: float, e_textbook: float,
     codes."""
     return TopologyRow(
         topology=topology,
-        c_total_side=0.5 * (ladder.c_total_p + ladder.c_total_n),
-        sigma_ktc=math.sqrt(2.0 * kt_over_c(ladder.node_p, t_kelvin)),
+        c_total_side=0.5 * float(ladder.c_total[0] + ladder.c_total[1]),
+        sigma_ktc=math.sqrt(2.0 * kt_over_c(float(ladder.node[0]), t_kelvin)),
         e_avg_conversion=0.5 * float(np.sum(ladder.e_event)),
         e_avg_textbook=e_textbook,
         inl_max=float(np.max(np.abs(inl_from_steps(ladder.corrections, ladder.bits, delta)))),

@@ -223,11 +223,20 @@ def load_config(text: str) -> AdcConfig:
     """Parse and validate a configuration document (key=value or JSON)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        # pairs, not a dict, so that a repeated key meets the duplicate check
+        # the top object's pairs, not a dict, so that a repeated key meets the
+        # duplicate check; it is the last object the decoder closes, and every
+        # object inside it stays the dict the document wrote
+        objects = []
+
+        def keep(pairs):
+            objects.append(pairs)
+            return dict(pairs)
+
         try:
-            items = json.loads(text, object_pairs_hook=list)
+            json.loads(text, object_pairs_hook=keep)
         except json.JSONDecodeError as err:
             raise ConfigError(f"JSON parse failure: {err}") from err
+        items = objects[-1]
     else:
         items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -287,16 +296,6 @@ def net_full_scale(v_fs: float, c_dac: float, c_p: float) -> float:
 def kt_over_c(c: float, t_kelvin: float) -> float:
     """Sampled thermal-noise power kT/C on capacitance c [V^2]; 0 at 0 K."""
     return K_BOLTZMANN * t_kelvin / c if t_kelvin > 0 else 0.0
-
-
-def t_easy_of(bits: int, tau_reg: float) -> float:
-    """Total settling time of the non-worst-case comparisons [s].
-
-    Anchored at 39 regeneration time constants for a 10-bit converter; other
-    resolutions extrapolate with the sum-of-per-bit-latencies quadratic
-    (bits*(bits-1)/2 terms), which reproduces the anchor at bits = 10.
-    """
-    return 39.0 * tau_reg * (bits * (bits - 1) / 2.0) / 45.0
 
 
 def ideal_config(cfg: AdcConfig) -> AdcConfig:

@@ -91,9 +91,11 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
-    target, leaving the ladder's ``settle_p``/``settle_n`` fraction of the
-    step after its settle time.  Energies add per sample bit by bit, and the
-    block totals add in sample order, as a sequential walk would.
+    target, leaving the ladder's ``settle`` fraction of the step after its
+    settle time.  The two sides share one leading axis, row 0 the positive
+    side, from the held pair through the bit loop.  Energies add per sample
+    bit by bit, and the block totals add in sample order, as a sequential
+    walk would.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.ndim != 1:
@@ -102,8 +104,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    v_in_p, v_in_n = cfg.v_cm + 0.5 * diff, cfg.v_cm - 0.5 * diff
-    outside = ~((0.0 <= v_in_p) & (v_in_p <= cfg.v_dd) & (0.0 <= v_in_n) & (v_in_n <= cfg.v_dd))
+    v_in = np.stack([cfg.v_cm + 0.5 * diff, cfg.v_cm - 0.5 * diff])
+    outside = ~((0.0 <= v_in) & (v_in <= cfg.v_dd)).all(axis=0)
     if outside.any():
         raise ValueError(f"convert_waveform: sample {int(np.argmax(outside))} leaves [0, v_dd]")
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
@@ -121,17 +123,18 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     t_total = np.empty(n)
     totals = np.zeros(4)        # comparator, dac, logic, track_hold [J]
     held = np.array([cfg.v_cm, cfg.v_cm])
+    swing = ladder.step * [[1.0], [-1.0]]   # a +1 bit lowers the positive side
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
         normals = stream.standard_normal((size, n_hold + n_noise + 1))
-        pair = hold(v_in_p[block], v_in_n[block], cfg, normals[:, :n_hold], held)
-        held = pair[-1]
+        pair = hold(v_in[:, block], cfg, normals[:, :n_hold].T, held)
+        held = pair[:, -1]
         comp_noise = sigma * normals[:, n_hold:-1]
         coin = np.where(normals[:, -1] > 0, 1, -1)
 
-        v_p, v_n = target_p, target_n = pair[:, 0], pair[:, 1]
+        v = target = pair
         slack = np.full(size, slack0)
         consumed = np.zeros(size)
         energy = np.zeros(size)
@@ -141,7 +144,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         exhausted = np.zeros(size, dtype=bool)
         for i in range(bits_n):
             live = ~exhausted
-            bit, t_decide, meta = decisions(v_p - v_n, slack,
+            bit, t_decide, meta = decisions(v[0] - v[1], slack,
                                             comp_noise[:, i] if sigma > 0 else 0.0, cfg)
             latched = meta & live
             # a comparison that can never resolve, or one offered no time at
@@ -160,10 +163,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             n_cycles[stop] = i + 1
             exhausted |= stop
             if i < bits_n - 1:
-                target_p = target_p - bit * ladder.dp[i] / 2.0
-                target_n = target_n + bit * ladder.dn[i] / 2.0
-                v_p = target_p - (target_p - v_p) * ladder.settle_p[i]
-                v_n = target_n - (target_n - v_n) * ladder.settle_n[i]
+                target = target - bit * swing[:, i, None] / 2.0
+                v = target - (target - v) * ladder.settle[:, i, None]
                 e_down, e_up = ladder.e_event[i]
                 energy = np.where(exhausted, energy, energy + np.where(up, e_up, e_down))
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparator import decision_latencies
-from .config import AdcConfig, derived_constants, t_easy_of
+from .config import AdcConfig, derived_constants
 
-__all__ = ["MC_BLOCK", "TimingBudget", "t_hard", "max_sampling_rate", "build_budget",
-           "metastability_mc"]
+__all__ = ["MC_BLOCK", "TimingBudget", "t_hard", "t_easy_of", "max_sampling_rate",
+           "build_budget", "metastability_mc"]
 
 MC_BLOCK = 2 ** 16   # candidates drawn per block by metastability_mc
 
@@ -64,6 +64,16 @@ def t_hard(tau: float, v_dd: float, a_v: float, p_meta: float, delta: float) -> 
     if arg <= 1.0:
         raise ValueError(f"t_hard: log argument {arg:g} <= 1; target trivially met")
     return tau * math.log(arg)
+
+
+def t_easy_of(bits: int, tau_reg: float) -> float:
+    """Total settling time of the non-worst-case comparisons [s].
+
+    Anchored at 39 regeneration time constants for a 10-bit converter; other
+    resolutions extrapolate with the sum-of-per-bit-latencies quadratic
+    (bits*(bits-1)/2 terms), which reproduces the anchor at bits = 10.
+    """
+    return 39.0 * tau_reg * (bits * (bits - 1) / 2.0) / 45.0
 
 
 def max_sampling_rate(t_easy: float, t_hard_: float, bits: int, t_fix: float,

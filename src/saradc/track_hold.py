@@ -43,16 +43,16 @@ def ron_of_input(v, cfg: AdcConfig) -> np.ndarray:
     return r
 
 
-def hold(v_in_p: np.ndarray, v_in_n: np.ndarray, cfg: AdcConfig, normals,
-         prev: np.ndarray) -> np.ndarray:
+def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray) -> np.ndarray:
     """Held pairs of consecutive conversions of a differential input.
 
-    Returns an (n, 2) array of (v_p, v_n) [V].  ``prev`` is the pair held
-    before the first of them (the settling start point).  Each side settles
-    with its own time constant r_on(v_in_side) * c_side and then receives a
-    Gaussian draw of rms ``ktc_sigma``: ``normals`` holds one standard
-    normal pair per conversion, the positive side first, and is read only
-    when that rms is nonzero.
+    ``v_in`` holds the two sides' inputs side-first, shape (2, n) with the
+    positive side in row 0, and the held pairs [V] come back in the same
+    layout.  ``prev`` is the pair held before the first of them (the
+    settling start point).  Each side settles with its own time constant
+    r_on(v_in_side) * c_side and then receives a Gaussian draw of rms
+    ``ktc_sigma``: ``normals`` holds one standard normal per side and
+    conversion, also (2, n), and is read only when that rms is nonzero.
 
     Conversion k holds h_k = target_k - (target_k - h_{k-1}) * g_k + noise_k.
     Jacobi sweeps over the whole run solve it: after j sweeps the first j
@@ -61,20 +61,20 @@ def hold(v_in_p: np.ndarray, v_in_n: np.ndarray, cfg: AdcConfig, normals,
     g_k < 1e-2, as at the shipped config, a handful of sweeps suffice.
     """
     c_side = cfg.c_dac + cfg.c_p
-    v_diff = v_in_p - v_in_n
-    target = np.stack([cfg.v_cm + 0.5 * v_diff, cfg.v_cm - 0.5 * v_diff], axis=1)
-    # per side in sample order, so a nonphysical input is named as the
-    # sequential walk would meet it
-    r_on = ron_of_input(np.stack([v_in_p, v_in_n], axis=1), cfg)
+    v_diff = v_in[0] - v_in[1]
+    target = np.stack([cfg.v_cm + 0.5 * v_diff, cfg.v_cm - 0.5 * v_diff])
+    # sample-major, so a nonphysical input is named as the sequential walk
+    # would meet it
+    r_on = ron_of_input(v_in.T, cfg).T
     g = np.exp(-cfg.t_track / (r_on * c_side))
     sigma = ktc_sigma(cfg)
     noise = sigma * normals if sigma > 0 else 0.0
 
     held = target + noise
     before = np.empty_like(target)
-    before[0] = prev
-    for _ in range(len(target)):
-        before[1:] = held[:-1]
+    before[:, 0] = prev
+    for _ in range(target.shape[1]):
+        before[:, 1:] = held[:, :-1]
         swept = target - (target - before) * g + noise
         if np.array_equal(swept, held):
             break

@@ -92,8 +92,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     diff = np.asarray(samples, dtype=float)
     n = diff.size
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    dp, dn = ladder.dp.tolist(), ladder.dn.tolist()
-    settle_p, settle_n = ladder.settle_p.tolist(), ladder.settle_n.tolist()
+    dp, dn = ladder.step[0].tolist(), ladder.step[1].tolist()
+    settle_p, settle_n = ladder.settle[0].tolist(), ladder.settle[1].tolist()
     e_event = ladder.e_event.tolist()
     bits_n = cfg.bits
     slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,10 +8,9 @@ import pytest
 
 import saradc as sa
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
-                           conversion_energy, inl_from_steps, monotonic_energy_oracle,
-                           transfer_thresholds)
+                           inl_from_steps, monotonic_energy_oracle, transfer_thresholds)
 from saradc.config import kt_over_c
-from textbook import conventional_energy, splitcap_energy
+from textbook import conventional_energy, conversion_energy, splitcap_energy
 
 
 def _decisions(code, bits):
@@ -24,10 +24,10 @@ def test_no_mismatch_binary_weights(ideal_cfg):
     arr = build_cap_array(ideal_cfg, np.random.default_rng(0))
     u = ideal_cfg.c_dac / 512
     for i in range(1, 10):
-        assert math.isclose(arr.c_bits_p[i - 1], 2 ** (9 - i) * u, rel_tol=1e-12)
-    assert math.isclose(arr.c_total_p, ideal_cfg.c_dac, rel_tol=1e-12)
-    assert math.isclose(arr.c_total_n, ideal_cfg.c_dac, rel_tol=1e-12)
-    assert np.array_equal(arr.c_bits_p, arr.c_nom)
+        assert math.isclose(arr.c_bits[0, i - 1], 2 ** (9 - i) * u, rel_tol=1e-12)
+    assert math.isclose(arr.c_total[0], ideal_cfg.c_dac, rel_tol=1e-12)
+    assert math.isclose(arr.c_total[1], ideal_cfg.c_dac, rel_tol=1e-12)
+    assert np.array_equal(arr.c_bits[0], arr.c_nom)
 
 
 def test_construction_quantum_close_to_physical_unit(ideal_cfg):
@@ -42,7 +42,7 @@ def test_mismatch_sqrt_unit_count_scaling(ref_cfg):
     cfg = replace(ref_cfg, sigma_u=0.01)
     rng = np.random.default_rng(5)
     ladders = [build_cap_array(cfg, rng) for _ in range(4000)]
-    devs = np.array([a.c_bits_p[0] / a.c_nom[0] - 1.0 for a in ladders])
+    devs = np.array([a.c_bits[0, 0] / a.c_nom[0] - 1.0 for a in ladders])
     expect = 0.01 / math.sqrt(256)
     assert abs(devs.std() / expect - 1.0) < 0.05
     assert abs(devs.mean()) < 3 * expect / math.sqrt(len(devs))
@@ -51,9 +51,36 @@ def test_mismatch_sqrt_unit_count_scaling(ref_cfg):
 def test_all_caps_positive_under_extreme_mismatch(ref_cfg):
     cfg = replace(ref_cfg, sigma_u=0.3)
     arr = build_cap_array(cfg, np.random.default_rng(11))
-    assert np.all(arr.c_bits_p > 0) and np.all(arr.c_bits_n > 0)
+    assert np.all(arr.c_bits[0] > 0) and np.all(arr.c_bits[1] > 0)
     # the physical totals include each side's terminator
-    assert arr.c_total_p > np.sum(arr.c_bits_p) and arr.c_total_n > np.sum(arr.c_bits_n)
+    assert arr.c_total[0] > np.sum(arr.c_bits[0]) and arr.c_total[1] > np.sum(arr.c_bits[1])
+
+
+@pytest.mark.parametrize("topology, sigma_u, seed, units, digest", [
+    pytest.param("binary", 0.035, 42, 512,
+                 "8902d1022b240a69c586ac48a7a99013ae208efeb5c188b798b0e3191a92f584",
+                 id="binary-0.035-42"),
+    pytest.param("split", 0.035, 42, 31,
+                 "29eff6d55dcb15b32e485b5c94742a98938bc218101d9c8daae593f98de7ff60",
+                 id="split-0.035-42"),
+    pytest.param("binary", 0.3, 0, 512,
+                 "b5082bfadca71415fbd291ce0c404fe73222d049a98512444804ca49e293f735",
+                 id="binary-0.3-0"),
+    pytest.param("split", 0.3, 256, 31,
+                 "a8c27a254ad7824795c7b9b7b9be20e36fdbecb1bb9bcace7aad6cb03e9fc85e",
+                 id="split-0.3-256"),
+])
+def test_sides_are_drawn_in_turn(ref_cfg, topology, sigma_u, seed, units, digest):
+    # each side's segments are drawn by their own call, positive side first,
+    # so a dead unit's redraw on the positive side comes before the negative
+    # side's draw: drawing both sides in one call changes the ladder
+    if sigma_u == 0.3:
+        first = np.random.default_rng(seed).normal(0.0, sigma_u, size=units)
+        assert np.any(first <= -1.0)     # this seed redraws on the positive side
+    cfg = replace(ref_cfg, topology=topology, sigma_u=sigma_u)
+    ladder = build_cap_array(cfg, np.random.default_rng(seed))
+    data = b"".join(a.tobytes() for a in (ladder.c_bits[0], ladder.c_bits[1], ladder.e_event))
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +111,9 @@ def test_settling_depth_is_exact(ref_cfg):
         for topology in ("binary", "split"):
             ladder = build_cap_array(replace(nominal, topology=topology),
                                      np.random.default_rng(0))
-            assert np.array_equal(ladder.c_bits_p, ladder.c_nom)
-            assert np.array_equal(ladder.c_bits_n, ladder.c_nom)
-            for settle in (ladder.settle_p, ladder.settle_n):
+            assert np.array_equal(ladder.c_bits[0], ladder.c_nom)
+            assert np.array_equal(ladder.c_bits[1], ladder.c_nom)
+            for settle in ladder.settle:
                 assert settle.shape == (ref_cfg.bits - 1,)
                 assert np.array_equal(settle, np.full_like(settle, np.exp(-n_settle)))
 
@@ -105,8 +132,8 @@ def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
 def test_switch_preserves_common_mode_exactly(ideal_array):
     # mismatch-free sides step and settle alike, so every event moves the
     # two plates by equal and opposite amounts
-    assert np.array_equal(ideal_array.dp, ideal_array.dn)
-    assert np.array_equal(ideal_array.settle_p, ideal_array.settle_n)
+    assert np.array_equal(ideal_array.step[0], ideal_array.step[1])
+    assert np.array_equal(ideal_array.settle[0], ideal_array.settle[1])
 
 
 def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array, comparator_calls):
@@ -120,8 +147,8 @@ def test_switch_settling_residual(ref_cfg, comparator_calls):
     # a settling depth of ten time constants leaves exp(-10) of the step
     cfg = replace(sa.ideal_config(ref_cfg), n_settle=10.0)
     arr = build_cap_array(cfg, np.random.default_rng(0))
-    assert np.allclose(arr.settle_p, math.exp(-10.0), rtol=1e-12, atol=0)
-    assert np.allclose(arr.settle_n, math.exp(-10.0), rtol=1e-12, atol=0)
+    assert np.allclose(arr.settle[0], math.exp(-10.0), rtol=1e-12, atol=0)
+    assert np.allclose(arr.settle[1], math.exp(-10.0), rtol=1e-12, atol=0)
     sa.convert_waveform([0.3], cfg)
     (v1, _), (v2, _) = comparator_calls[:2]
     applied = arr.corrections[0]

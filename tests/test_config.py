@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
-from saradc import analysis, capdac, comparator, engine, timing, track_hold
-from saradc.config import _SCHEMA, REFERENCE_CONFIG_DOC, ConfigError, t_easy_of
+from saradc import analysis, capdac, comparator, config, engine, timing, track_hold
+from saradc.config import _SCHEMA, REFERENCE_CONFIG_DOC, ConfigError
+from saradc.timing import t_easy_of
 
 
 def test_reference_defaults_core_values(ref_cfg):
@@ -157,7 +158,8 @@ def test_public_names_resolve():
     # the tests; nothing reads the rest
     walk = ("sample", "decide", "decision_latency")
     deleted = {capdac: ("conventional_energy", "splitcap_energy", "_trial_sequence_energy",
-                        "_transition_energy", "_per_code"),
+                        "_transition_energy", "_per_code", "conversion_energy"),
+               config: ("t_easy_of",),
                engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk,
                         "_stream_states", "_pool_state", "_hashmix", "_mix", "_hash_consts",
                         "_Preseeded", "_stream", "ISeedSequence"),
@@ -168,6 +170,10 @@ def test_public_names_resolve():
             assert not hasattr(owner, name), name
             assert name not in getattr(owner, "__all__", ()), name
     assert "power" not in {f.name for f in fields(analysis.SpectrumMetrics)}
+    # the ladder's per-side fields lead with one side axis
+    assert [f.name for f in fields(capdac.Ladder)] == [
+        "bits", "v_ref", "c_bits", "node", "step", "corrections", "c_total", "c_nom",
+        "settle", "e_event"]
 
 
 def _json_with(key, literal):
@@ -195,6 +201,9 @@ def _kv_with(key, text):
                  ConfigError, id="kv-c_p-twice"),
     pytest.param("duplicate key 'c_p'", _json_with("c_p", '2e-14, "c_p": 3e-14'),
                  ConfigError, id="json-c_p-twice"),
+    # a value inside the document is echoed as the document wrote it
+    pytest.param(r"c_p: expected a number, got \{'a': 1\}$", _json_with("c_p", '{"a": 1}'),
+                 ConfigError, id="json-c_p-object"),
     # a split array needs a sub-array bit behind its attenuation capacitor
     pytest.param("bits", _kv_with("bits", "2"), ConfigError, id="kv-bits-2"),
 ])

@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
 from saradc import engine
-from saradc.capdac import conversion_energy
 from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
 from saradc.engine import (convert_waveform, ideal_quantizer_code, measure_distortion_power,
                            noise_budget, power_report)
 import reference_engine as reference
+from textbook import conversion_energy
 
 
 def test_ideal_ramp_subset_matches_oracle(ideal_cfg):

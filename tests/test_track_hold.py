@@ -35,6 +35,10 @@ def test_ron_names_first_nonphysical_input(ref_cfg):
     assert ron_of_input(np.array([0.1, 0.2, 0.3]), cfg).shape == (3,)
     with pytest.raises(ConfigError, match=r"on-resistance -40 Ohm at v = 0\.6 V"):
         ron_of_input(np.array([[0.1, 0.2], [0.3, 0.6], [0.7, 0.8]]), cfg)
+    # the held pairs are side-first, yet sample 0's negative side comes
+    # before sample 1's positive side
+    with pytest.raises(ConfigError, match=r"on-resistance -40 Ohm at v = 0\.6 V"):
+        hold(np.array([[0.1, 0.7], [0.6, 0.2]]), cfg, None, np.array([0.4, 0.4]))
 
 
 @pytest.mark.parametrize("r_on0", [None, 1e5])
@@ -45,12 +49,12 @@ def test_hold_matches_sequential_sampler(ref_cfg, r_on0):
     v = 0.7 * np.sin(0.9 * np.arange(50))
     v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
     normals = np.random.default_rng(3).standard_normal((50, 2))
-    held = hold(v_in_p, v_in_n, cfg, normals, np.array([cfg.v_cm, cfg.v_cm]))
+    held = hold(np.stack([v_in_p, v_in_n]), cfg, normals.T, np.array([cfg.v_cm, cfg.v_cm]))
     rng, prev, walk = np.random.default_rng(3), None, []
     for p, n in zip(v_in_p.tolist(), v_in_n.tolist()):
         prev = sample(p, n, cfg, rng, prev=prev)
         walk.append(prev)
-    assert np.array_equal(held, np.array(walk))
+    assert np.array_equal(held, np.array(walk).T)
 
 
 def test_full_settling_reproduces_input(ref_cfg, rng):

@@ -1,10 +1,14 @@
-"""Per-code reference walk of the trade study's two textbook disciplines.
+"""Per-code energy walks that the program never runs.
 
-The program reads only their closed-form totals (``capdac._textbook_totals``);
-this walk is what the tests check those totals against.  One row per code
-holds one side's bottom-plate states; every decision sets its caps and adds
-the reference charge energy of the state change.  Normalized units: unit
-capacitance, v_ref = 1.
+The trade study reads only the closed-form totals of its two textbook
+disciplines (``capdac._textbook_totals``) and of the converter discipline
+(half the ladder's event table); these walks give every code's energy, and
+the tests check those totals and the engine's energy bookkeeping against
+them.
+
+For a textbook discipline one row per code holds one side's bottom-plate
+states; every decision sets its caps and adds the reference charge energy
+of the state change.  Normalized units: unit capacitance, v_ref = 1.
 """
 
 import numpy as np
@@ -59,3 +63,18 @@ def splitcap_energy(bits):
         state[:, k] = keep
 
     return _walk(bits, caps, slice(0, n_bank), set_caps)
+
+
+def conversion_energy(ladder):
+    """Converter-discipline switching energy of every output code [J].
+
+    The decision sequence of a SAR conversion is the code's bit pattern,
+    so the 2^bits entries cover every switching trajectory; decision i
+    picks its event from the ladder's table whatever came before it.  The
+    walk runs over code prefixes: each decision doubles the prefixes and adds
+    its event to each, and the last bit switches nothing.
+    """
+    total = np.zeros(1)
+    for k in range(ladder.bits - 1):
+        total = np.repeat(total, 2) + np.tile(ladder.e_event[k], 2 ** k)
+    return np.repeat(total, 2)
