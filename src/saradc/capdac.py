@@ -132,7 +132,7 @@ def _segment(counts: list, u: float, sigma_u: float,
     caps = np.empty(len(counts))
     pos = 0
     for k, n in enumerate(counts):
-        caps[k] = u * (n + float(np.sum(dev[pos:pos + n])))
+        caps[k] = u * (n + np.add.reduce(dev[pos:pos + n]))
         pos += n
     return caps
 

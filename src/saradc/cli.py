@@ -52,6 +52,15 @@ def _load(path: str | None) -> AdcConfig:
     return load_config(text)
 
 
+def _outdir(out: str) -> Path:
+    """The output directory, created; a handler calls it once, when its
+    results are in and it is about to write, so a failed run creates
+    nothing."""
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _fresh(outdir: Path, name: str) -> Path:
     """The artifact path, with any earlier file there removed.
 
@@ -60,7 +69,6 @@ def _fresh(outdir: Path, name: str) -> Path:
     several times the write itself.  A symlink there is replaced, not
     written through.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
     path.unlink(missing_ok=True)
     return path
@@ -69,6 +77,31 @@ def _fresh(outdir: Path, name: str) -> Path:
 def _write(outdir: Path, name: str, text: str) -> None:
     with open(_fresh(outdir, name), "w", newline="\n") as fh:
         fh.write(text)
+
+
+def _codes_csv(codes, metastable, violation) -> str:
+    """The per-sample table of a record, as ``"%d,%d,%d,%d\n"`` rows would
+    print it, built from array operations.
+
+    The rows' bytes form one uint8 matrix: each column of nonnegative
+    integers gets as many digit slots as its largest value needs, filled
+    from the last digit back, and a value's slots before its first digit
+    stay zero; dropping the zero bytes leaves the text.
+    """
+    columns = (np.arange(len(codes)), codes, metastable, violation)
+    widths = [len(str(int(col.max()))) for col in columns]
+    table = np.zeros((len(codes), sum(widths) + len(widths)), dtype=np.uint8)
+    end = -1
+    for x, width in zip(columns, widths):
+        end += width + 1
+        table[:, end] = ord(",")
+        table[:, end - 1] = x % 10 + ord("0")
+        for slot in range(end - 2, end - width - 1, -1):
+            x = x // 10
+            table[:, slot] = np.where(x > 0, x % 10 + ord("0"), 0)
+    table[:, -1] = ord("\n")
+    return ("index,code,metastable,violation\n"
+            + table[table != 0].tobytes().decode("ascii"))
 
 
 def _json_text(obj) -> str:
@@ -109,7 +142,7 @@ def _cmd_simulate(args) -> int:
     rep = engine.power_report(result)
     m = analysis.metrics(power, args.bin, rep.total, cfg.f_s, n=args.n)
 
-    outdir = Path(args.out)
+    outdir = _outdir(args.out)
     _write(outdir, "spectrum.csv", analysis.spectrum_csv(power, cfg.f_s, n=args.n))
     payload = m.to_json_dict()
     payload.update({
@@ -126,10 +159,8 @@ def _cmd_simulate(args) -> int:
     # a record is written in one of two formats; drop the other one's stale file
     (outdir / ("codes.npz" if args.n <= 65536 else "codes.csv")).unlink(missing_ok=True)
     if args.n <= 65536:
-        rows = np.column_stack((np.arange(args.n), result.codes, result.metastable,
-                                result.violation)).ravel().tolist()
-        _write(outdir, "codes.csv", "index,code,metastable,violation\n"
-               + ("%d,%d,%d,%d\n" * args.n) % tuple(rows))
+        _write(outdir, "codes.csv", _codes_csv(result.codes, result.metastable,
+                                               result.violation))
     else:
         np.savez_compressed(_fresh(outdir, "codes.npz"), codes=result.codes,
                             metastable=result.metastable,
@@ -163,7 +194,7 @@ def _cmd_timing(args) -> int:
         ("f_s_max_sync_Hz", b.f_s_max_sync), ("f_s_Hz", b.f_s),
         ("margin_s", b.margin), ("async_boost", b.boost),
     ]
-    outdir = Path(args.out)
+    outdir = _outdir(args.out)
     _write(outdir, "timing.csv",
            "quantity,value\n" + "".join(f"{k},{v:.12g}\n" for k, v in rows))
     payload = {k: v for k, v in rows}
@@ -183,7 +214,7 @@ def _cmd_power(args) -> int:
                                       cfg.v_cm, cfg.f_s)
     result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     rep = engine.power_report(result)
-    outdir = Path(args.out)
+    outdir = _outdir(args.out)
     _write(outdir, "power.csv", rep.to_csv())
     _write(outdir, "power.json", _json_text(rep.to_json_dict()))
     _manifest(outdir, args, args.seed, cfg)
@@ -197,7 +228,7 @@ def _cmd_dac_compare(args) -> int:
     cfg = _load(args.config)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     report = capdac.compare_topologies(cfg, rng)
-    outdir = Path(args.out)
+    outdir = _outdir(args.out)
     _write(outdir, "dac_compare.csv", report.to_csv())
     _write(outdir, "dac_compare.json", _json_text(report.to_json_dict()))
     _manifest(outdir, args, args.seed, cfg)
@@ -215,7 +246,7 @@ def _cmd_dac_compare(args) -> int:
 def _cmd_metastability(args) -> int:
     cfg = _load(args.config)
     res = timing_mod.metastability_mc(cfg, args.trials, args.pmeta, seed=args.seed)
-    outdir = Path(args.out)
+    outdir = _outdir(args.out)
     _write(outdir, "metastability.json", _json_text(res))
     _manifest(outdir, args, args.seed, cfg)
     lo, hi = res["ci95"]
@@ -250,7 +281,7 @@ def _cmd_sweep(args) -> int:
             m = analysis.metrics(power, args.bin, 1.0, c.f_s, n=args.n)
             row += f",{m.sndr:.6f}"
         lines.append(row)
-    outdir = Path(args.out)
+    outdir = _outdir(args.out)
     _write(outdir, "sweep.csv", "\n".join(lines) + "\n")
     _manifest(outdir, args, args.seed, cfg)
     print(f"sweep: {args.param} over {len(values)} points -> {outdir / 'sweep.csv'}")

@@ -24,9 +24,10 @@ def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> floa
 
     For the full converter the comparator fires once per bit, so
     f_ck = bits * f_s.  Given a firing count instead of a rate it returns
-    the energy of that many firings [J], which is how the engine books it.
+    the energy of that many firings [J], which is how the engine books it;
+    an array of counts gives the energy of each.
     """
-    if min(c_pq, c_xy, v_dd) <= 0 or f_ck < 0:
+    if min(c_pq, c_xy, v_dd) <= 0 or np.min(f_ck) < 0:
         raise ValueError("comparator_power: operands must be positive")
     return f_ck * (2.0 * c_pq + c_xy) * v_dd ** 2
 
@@ -35,9 +36,15 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
                        a_v: float) -> np.ndarray:
     """Latency of the regeneration log law for each |input| in v_abs [s];
     zeros map to +inf."""
-    with np.errstate(divide="ignore"):
-        t = tau_reg * np.log(v_dd / (a_v * np.asarray(v_abs, dtype=float)))
-    return np.maximum(t, 0.0)
+    v = a_v * np.asarray(v_abs, dtype=float)
+    # v_dd / 0 is +inf, and so is its log; the error state is entered only
+    # for a zero, because entering it costs more than looking for one
+    if np.count_nonzero(v) == v.size:
+        ratio = v_dd / v
+    else:
+        with np.errstate(divide="ignore"):
+            ratio = v_dd / v
+    return np.maximum(tau_reg * np.log(ratio), 0.0)
 
 
 def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,

@@ -19,6 +19,11 @@ slack, and any later comparison that needs time is offered none and stops
 the conversion.  Its metastable count exceeds its violation flag by at
 most one, and each sample draws one latch normal up front, whose sign is
 the bit it latches.
+
+A bit at which no comparison of the block is metastable and no conversion
+has stopped runs only the plain update (latency, code, switch energy); the
+latch and stop bookkeeping runs only on the bits that need it, and would
+change no value on the others.
 """
 
 import math
@@ -86,7 +91,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     * the comparisons and DAC switches of the whole block run one bit at a
       time, a conversion stopping at the comparison that exhausts its
       window and latching its latch normal's sign at the one metastable
-      comparison it goes on from.
+      comparison it goes on from.  The latch and stop bookkeeping runs only
+      on a bit where some comparison of the block is metastable or some
+      conversion has stopped; elsewhere it would change no value.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -114,8 +121,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
     # comparator energy of a conversion that fired the latch c times
-    e_comp_of = np.array([comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd)
-                          for c in range(bits_n + 1)])
+    e_comp_of = comparator_power(np.arange(bits_n + 1), cfg.c_pq, cfg.c_xy, cfg.v_dd)
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)
@@ -123,7 +129,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     t_total = np.empty(n)
     totals = np.zeros(4)        # comparator, dac, logic, track_hold [J]
     held = np.array([cfg.v_cm, cfg.v_cm])
-    swing = ladder.step * [[1.0], [-1.0]]   # a +1 bit lowers the positive side
+    half = ladder.step * [[0.5], [-0.5]]    # half swings: a +1 bit lowers the positive side
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
@@ -142,31 +148,41 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         n_meta = np.zeros(size, dtype=int)
         n_cycles = np.full(size, bits_n)
         exhausted = np.zeros(size, dtype=bool)
+        stopped = False         # whether any conversion of the block has stopped
         for i in range(bits_n):
-            live = ~exhausted
             bit, t_decide, meta = decisions(v[0] - v[1], slack,
                                             comp_noise[:, i] if sigma > 0 else 0.0, cfg)
-            latched = meta & live
-            # a comparison that can never resolve, or one offered no time at
-            # all, exhausts the window: the code is completed at the middle of
-            # the open range (first open bit one, the rest zero)
-            stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
-            # the rest latch their coin and go on with no slack left, so any
-            # later metastable comparison stops them
-            bit = np.where(latched & ~stop, coin, bit)
-            up = bit > 0
-            n_meta += latched
-            # an exhausted conversion has no slack left, so it adds zero here
-            consumed += np.where(meta, slack, t_decide)
-            slack = np.where(meta, 0.0, slack - t_decide)
-            code = np.where(exhausted, code, (code << 1) | (up | stop))
-            n_cycles[stop] = i + 1
-            exhausted |= stop
+            if stopped or np.count_nonzero(meta):
+                latched = meta & ~exhausted
+                # a comparison that can never resolve, or one offered no time
+                # at all, exhausts the window: the code is completed at the
+                # middle of the open range (first open bit one, the rest zero)
+                stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
+                # the rest latch their coin and go on with no slack left, so
+                # any later metastable comparison stops them
+                bit = np.where(latched & ~stop, coin, bit)
+                up = bit > 0
+                n_meta += latched
+                # an exhausted conversion has no slack left, so it adds zero here
+                consumed += np.where(meta, slack, t_decide)
+                slack = np.where(meta, 0.0, slack - t_decide)
+                code = np.where(exhausted, code, (code << 1) | (up | stop))
+                n_cycles[stop] = i + 1
+                exhausted |= stop
+                stopped = np.count_nonzero(exhausted) > 0
+            else:
+                # every comparison resolved in time and none has stopped:
+                # the bookkeeping above would change no value
+                up = bit > 0
+                consumed += t_decide
+                slack -= t_decide
+                code = (code << 1) | up
             if i < bits_n - 1:
-                target = target - bit * swing[:, i, None] / 2.0
+                target = target - bit * half[:, i, None]
                 v = target - (target - v) * ladder.settle[:, i, None]
                 e_down, e_up = ladder.e_event[i]
-                energy = np.where(exhausted, energy, energy + np.where(up, e_up, e_down))
+                spent = energy + np.where(up, e_up, e_down)
+                energy = np.where(exhausted, energy, spent) if stopped else spent
 
         codes[block] = code << (bits_n - n_cycles)
         metastable[block], violation[block] = n_meta, exhausted

@@ -76,7 +76,7 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray) -> np.ndar
     for _ in range(target.shape[1]):
         before[:, 1:] = held[:, :-1]
         swept = target - (target - before) * g + noise
-        if np.array_equal(swept, held):
+        if (swept == held).all():
             break
         held = swept
     return held

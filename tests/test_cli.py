@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import saradc as sa
-from saradc.cli import main
+from saradc.cli import _codes_csv, main
 from saradc.config import REFERENCE_CONFIG_DOC
 
 
@@ -228,6 +229,55 @@ def test_codes_file_of_another_format_is_removed(tmp_path, first, second):
         assert run(["simulate", "--n", n, "--bin", bin_, "--out", out]) == 0
     codes = {p.name for p in (tmp_path / "run").glob("codes.*")}
     assert codes == {"codes.csv" if second == "64" else "codes.npz"}
+
+
+# record lengths of 1 to 65,536 samples whose last index has 1 to 5 digits
+_LENGTHS = st.integers(1, 5).flatmap(
+    lambda width: st.integers(1 if width == 1 else 10 ** (width - 1) + 1,
+                              min(10 ** width, 65536)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=_LENGTHS, seed=st.integers(0, 2 ** 32))
+def test_codes_csv_matches_percent_format(n, seed):
+    # metastable counts up to 0, 1 or 2, and violation flags of both values
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 1024, n)
+    metastable = rng.integers(0, int(rng.integers(1, 4)), n)
+    violation = rng.random(n) < rng.random()
+    rows = np.column_stack((np.arange(n), codes, metastable, violation)).ravel().tolist()
+    text = _codes_csv(codes, metastable, violation)
+    expected = "index,code,metastable,violation\n" + ("%d,%d,%d,%d\n" * n) % tuple(rows)
+    # compared by name, so that a failure names the first bad row instead of
+    # having pytest diff up to a megabyte of text
+    same = text == expected
+    assert same, next((pair for pair in zip(text.splitlines(), expected.splitlines())
+                       if pair[0] != pair[1]), "the row counts differ")
+
+
+def test_one_mkdir_per_command(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    for command in (["simulate"], ["power", "--n", "64", "--bin", "3"], ["timing"],
+                    ["dac-compare"], ["metastability", "--trials", "1000", "--pmeta", "0.1"],
+                    ["sweep", "--param", "c_p", "--range", "0:1e-15:2"]):
+        made.clear()
+        out = tmp_path / command[0]
+        assert run(command + ["--out", str(out)]) == 0
+        assert made == [out]
+        # a run that fails before it writes creates no directory
+        made.clear()
+        assert run(command + ["--out", str(tmp_path / "failed"), "no-such.cfg"]) == 1
+        assert made == [] and not (tmp_path / "failed").exists()
+    # nor does one that fails a runtime precondition
+    assert run(["simulate", "--n", "64", "--bin", "4", "--out", str(tmp_path / "failed")]) == 2
+    assert made == [] and not (tmp_path / "failed").exists()
 
 
 def test_power_report_artifacts(tmp_path):

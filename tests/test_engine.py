@@ -151,6 +151,20 @@ def test_block_pass_matches_reference_walk(ref_cfg, f_s, changes):
         assert res.n_violations == res.n_samples
 
 
+def test_lean_and_bookkeeping_blocks_match_reference_walk(ref_cfg, monkeypatch):
+    # a bit with no metastable comparison in its block, and no stopped
+    # conversion, skips the latch bookkeeping; at 210 MHz some 16-sample
+    # blocks run every bit lean and others latch at some bit, and the record
+    # still equals the sequential walk
+    cfg = replace(ref_cfg, f_s=210e6)
+    tone = sa.gen_coherent_tone(256, 19, 0.75, cfg.v_cm, cfg.f_s)
+    monkeypatch.setattr(engine, "_STREAM_BLOCK", 16)
+    res = convert_waveform(tone.v_diff, cfg, seed=3)
+    latched = res.metastable.reshape(-1, 16).sum(axis=1)
+    assert np.any(latched == 0) and np.any(latched > 0)
+    _assert_same(res, reference.convert_waveform(tone.v_diff, cfg, seed=3))
+
+
 @pytest.mark.parametrize("fn, lo, hi", [(np.exp, -20.0, 0.0), (np.log, 1e-3, 1e9)],
                          ids=["exp", "log"])
 def test_numpy_exp_log_shape_free(fn, lo, hi):
