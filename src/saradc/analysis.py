@@ -8,6 +8,7 @@ signal bin; harmonics count toward SNDR, and the single largest non-signal
 bin defines SFDR.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,15 +165,185 @@ def spectrum_csv(power: np.ndarray, f_s: float, n: int | None = None) -> str:
 
     0 dBFS is a full-scale sine (power 1/8 in the normalized convention).
     n is the record length, as for ``metrics``.
+
+    The text is byte for byte what ``"%d,%.12g,%.6f\n"`` rows print, built
+    from the columns by ``table_text``.  Each frequency is rounded to 12
+    significant digits, and each level to 6 decimals, as its exact binary
+    value rounds, half to even (``_round_scaled``).  A frequency drops its
+    trailing fraction zeros; a level takes its sign apart, so one just below
+    zero prints "-0.000000".  A row the columns cannot place is formatted by
+    % alone: a level of -inf (an empty bin), or a frequency other than 0
+    outside [1e-4, 1e12), where %.12g writes an exponent.
     """
     n = _record_length(power, n)
-    p_fs = 1.0 / 8.0
-    rows = [None] * (3 * power.size)
-    rows[0::3] = range(power.size)
-    rows[1::3] = (np.arange(power.size) * f_s / n).tolist()
+    rows = power.size
+    freq = np.arange(rows) * f_s / n
     with np.errstate(divide="ignore"):
-        rows[2::3] = (10.0 * np.log10(power / p_fs)).tolist()
-    return "bin,frequency_Hz,power_dBFS\n" + ("%d,%.12g,%.6f\n" * power.size) % tuple(rows)
+        level = 10.0 * np.log10(power / (1.0 / 8.0))
+
+    # a frequency at or above _DECADES[i - 1] and below _DECADES[i] has
+    # 16 - i decimals of its 12 significant digits; 0 prints as "0"
+    decade = np.searchsorted(_DECADES, freq, side="right")
+    zero = (freq == 0.0) & ~np.signbit(freq)
+    placed = (decade > 0) & (decade < _DECADES.size) | zero
+    decimals = 16 - np.where(placed & ~zero, decade, 16)
+    digits = _round_scaled(np.where(placed, freq, 0.0), decimals)
+    # one that rounds up into the next decade has a decimal fewer, and at
+    # 1e12 none is left: %.12g turns to exponent form there
+    up = digits == 1e12
+    digits = np.where(up, 1e11, digits)
+    decimals -= up
+    placed &= decimals >= 0
+    np.maximum(decimals, 0, out=decimals)
+    whole = np.floor(digits / _POW10[decimals])
+    fraction = digits - whole * _POW10[decimals]
+    places = int(decimals.max())
+    fraction *= _POW10[places - decimals]         # as ``places`` decimals
+
+    # a finite level lies within about 3,300 dB of full scale
+    finite = np.isfinite(level)
+    micro = _round_scaled(np.where(finite, np.abs(level), 0.0), 6)
+    units = np.floor(micro / 1e6)
+
+    blocks = [np.arange(rows), ",", whole, (ord(".") * (fraction > 0.0))[:, None],
+              _digit_slots(fraction, places, "trailing"), ",",
+              (ord("-") * np.signbit(level))[:, None], units, ".",
+              _digit_slots(micro - units * 1e6, 6), "\n"]
+    lines = {k: "%d,%.12g,%.6f\n" % (k, freq[k], level[k])
+             for k in np.flatnonzero(~(placed & finite)).tolist()}
+    return "bin,frequency_Hz,power_dBFS\n" + table_text(blocks, rows, lines)
+
+
+# ---------------------------------------------------------------------------
+# table text from arrays
+
+_POW10 = 10.0 ** np.arange(17)                       # exact in float64
+# Dekker's split of each power into two halves of at most 26 bits, whose
+# products with the halves of another split are exact
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# 1e-4 .. 1e12 as parsed: each is the double nearest its power of ten and
+# lies above it, so x >= _DECADES[i] holds exactly when x is at least that power
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 13)])
+
+
+def _round_scaled(x: np.ndarray, decimals) -> np.ndarray:
+    """x * 10**decimals rounded to an integer as the exact product rounds,
+    half to even, for x >= 0 and products below 2**52 [float].
+
+    ``np.rint`` of the float product is right except where that product
+    is a tie, an integer and a half, which the exact product may miss by
+    its rounding error; Dekker's error-free product gives that error, and
+    its sign decides those ties.
+    """
+    p = x * _POW10[decimals]
+    q = np.rint(p)
+    half = p - q
+    tie = np.flatnonzero(np.abs(half) == 0.5)
+    if tie.size:
+        x, p, half = x[tie], p[tie], half[tie]
+        decimals = decimals if np.ndim(decimals) == 0 else decimals[tie]
+        c = x * 134217729.0
+        x_hi = c - (c - x)
+        x_lo = x - x_hi
+        s_hi, s_lo = _POW10_HI[decimals], _POW10_LO[decimals]
+        err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+        # an exact product past the tie rounds away from q
+        q[tie] += (half + half) * (err * half > 0.0)
+    return q
+
+
+_FULL, _LEAD, _LEAD0, _TRAIL = 0.0, 1e4, 2e4, 3e4   # region offsets in _chunk_words()
+
+
+@functools.cache
+def _chunk_words() -> np.ndarray:
+    """The digit bytes of each chunk 0..9999 as one 4-byte word, in four
+    regions: every digit shown (_FULL), leading zeros left out (_LEAD), the
+    same but for the last digit (_LEAD0), trailing zeros left out (_TRAIL).
+
+    The table is a constant, built on first use, so that importing the
+    package does not pay for it.  Words are little-endian, so a word's
+    first byte is its first digit; numpy gathers words from a flat table
+    much faster than rows of bytes.
+    """
+    chunk = np.arange(10_000, dtype=np.uint32)
+    powers = (1000, 100, 10, 1)
+    digits = [chunk // p % 10 + ord("0") for p in powers]
+    shown = ([True] * 4,
+             [chunk >= p for p in powers],                  # from the first nonzero digit
+             [chunk >= p for p in powers[:-1]] + [True],
+             [chunk % (10 * p) > 0 for p in powers])        # up to the last nonzero one
+    words = np.zeros((len(shown), chunk.size), dtype="<u4")
+    for row, mask in zip(words, shown):
+        for j, (digit, show) in enumerate(zip(digits, mask)):
+            row |= (digit * show) << (8 * j)
+    return words.ravel()
+
+
+def _digit_slots(x: np.ndarray, width: int, blank: str | None = None) -> np.ndarray:
+    """The bytes of the ``width`` decimal digits of integers 0 <= x < 10**width,
+    below 2**53, as a (len(x), width) array, most significant first.
+
+    ``blank`` names the zeros that become 0 bytes: "leading" (but the last
+    digit, as %d prints) or "trailing" (as %g drops them after a point); by
+    default every digit shows.  The digits come four at a time from
+    ``_chunk_words()``.  The quotients by powers of ten are exact: below 2**53
+    one that is not an integer does not round to one.
+    """
+    words = -(-width // 4)
+    if words == 0:
+        return np.empty((x.size, 0), dtype=np.uint8)
+    quotient = x / _POW10[4 * words - 4::-4, None]  # x / 10**4k, k = words-1 .. 0
+    prefix = np.floor(quotient)                     # the chunks down to each word
+    chunk = prefix.copy()
+    chunk[1:] -= 1e4 * prefix[:-1]
+    if blank == "leading":
+        # a word leaves out its leading zeros while every chunk before it is
+        # zero, and the last word keeps its last digit
+        chunk[0] += _LEAD
+        chunk[1:] += _LEAD * (prefix[:-1] == 0.0)
+        chunk[-1] += (_LEAD0 - _LEAD) * (chunk[-1] >= _LEAD)
+    elif blank == "trailing":
+        # a word leaves out its trailing zeros once every chunk after it is
+        # zero, that is once its quotient is whole
+        chunk[:-1] += _TRAIL * (quotient[:-1] == prefix[:-1])
+        chunk[-1] += _TRAIL
+    digits = _chunk_words()[chunk.T.astype(np.intp, order="C")].view(np.uint8)
+    # the first word is padded with leading zeros up to four digits
+    return digits.reshape(x.size, 4 * words)[:, 4 * words - width:]
+
+
+def table_text(blocks, rows: int, lines=None) -> str:
+    """The text of a table, assembled from blocks of columns.
+
+    A block is a one-character string, that byte in every row; a (rows,)
+    array of integers 0 <= x < 2**53, each printed as %d prints it; or a
+    (rows, k) array of bytes, where a 0 byte is left out.  ``lines`` maps
+    row indices to text that replaces those rows.
+    """
+    blocks = [_digit_slots(b, len("%d" % b.max()), "leading") if np.ndim(b) == 1 else b
+              for b in blocks]
+    width = sum(1 if isinstance(b, str) else b.shape[1] for b in blocks)
+    table = np.empty((rows, width), dtype=np.uint8)
+    left = 0
+    for b in blocks:
+        right = left + (1 if isinstance(b, str) else b.shape[1])
+        table[:, left:right] = ord(b) if isinstance(b, str) else b
+        left = right
+    if lines:
+        table[list(lines)] = 0
+    flat = table.ravel()
+    text = flat[flat != 0].tobytes().decode("ascii")
+    if not lines:
+        return text
+    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    pieces, start = [], 0
+    for k in sorted(lines):
+        pieces += [text[start:ends[k]], lines[k]]
+        start = ends[k]
+    pieces.append(text[start:])
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -369,11 +369,13 @@ def _row(topology: str, ladder: Ladder, t_kelvin: float, e_textbook: float,
          delta: float) -> TopologyRow:
     """One topology's row; the all-code average of the converter-discipline
     energy is half the table sum, since every decision is +1 in half the
-    codes."""
+    codes, and the differential kT/C noise adds the two sides' powers, each
+    on its own drawn sampling node."""
     return TopologyRow(
         topology=topology,
         c_total_side=0.5 * float(ladder.c_total[0] + ladder.c_total[1]),
-        sigma_ktc=math.sqrt(2.0 * kt_over_c(float(ladder.node[0]), t_kelvin)),
+        sigma_ktc=math.sqrt(kt_over_c(float(ladder.node[0]), t_kelvin)
+                            + kt_over_c(float(ladder.node[1]), t_kelvin)),
         e_avg_conversion=0.5 * float(np.sum(ladder.e_event)),
         e_avg_textbook=e_textbook,
         inl_max=float(np.max(np.abs(inl_from_steps(ladder.corrections, ladder.bits, delta)))),

@@ -80,28 +80,11 @@ def _write(outdir: Path, name: str, text: str) -> None:
 
 
 def _codes_csv(codes, metastable, violation) -> str:
-    """The per-sample table of a record, as ``"%d,%d,%d,%d\n"`` rows would
-    print it, built from array operations.
-
-    The rows' bytes form one uint8 matrix: each column of nonnegative
-    integers gets as many digit slots as its largest value needs, filled
-    from the last digit back, and a value's slots before its first digit
-    stay zero; dropping the zero bytes leaves the text.
-    """
-    columns = (np.arange(len(codes)), codes, metastable, violation)
-    widths = [len(str(int(col.max()))) for col in columns]
-    table = np.zeros((len(codes), sum(widths) + len(widths)), dtype=np.uint8)
-    end = -1
-    for x, width in zip(columns, widths):
-        end += width + 1
-        table[:, end] = ord(",")
-        table[:, end - 1] = x % 10 + ord("0")
-        for slot in range(end - 2, end - width - 1, -1):
-            x = x // 10
-            table[:, slot] = np.where(x > 0, x % 10 + ord("0"), 0)
-    table[:, -1] = ord("\n")
-    return ("index,code,metastable,violation\n"
-            + table[table != 0].tobytes().decode("ascii"))
+    """The per-sample table of a record, byte for byte what
+    ``"%d,%d,%d,%d\n"`` rows print, built from the columns by
+    ``analysis.table_text``."""
+    return "index,code,metastable,violation\n" + analysis.table_text(
+        [np.arange(len(codes)), ",", codes, ",", metastable, ",", violation, "\n"], len(codes))
 
 
 def _json_text(obj) -> str:

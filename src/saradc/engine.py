@@ -85,7 +85,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     The record is converted in blocks of up to ``_STREAM_BLOCK`` samples:
 
     * the block takes its rows in one call, which the generator fills in
-      sample order, so consecutive blocks continue one sequence;
+      sample order, so consecutive blocks continue one sequence; the
+      held pairs and the bit loop read them regrouped, one contiguous row
+      per normal;
     * ``track_hold.hold`` solves the block's held pairs by Jacobi sweeps,
       starting from the pair the previous block left;
     * the comparisons and DAC switches of the whole block run one bit at a
@@ -135,9 +137,11 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
         normals = stream.standard_normal((size, n_hold + n_noise + 1))
-        pair = hold(v_in[:, block], cfg, normals[:, :n_hold].T, held)
+        # the sample-major rows, regrouped into one contiguous row per normal:
+        # hold's sweeps and each bit read rows, not strided columns
+        pair = hold(v_in[:, block], cfg, normals[:, :n_hold].T.copy(), held)
         held = pair[:, -1]
-        comp_noise = sigma * normals[:, n_hold:-1]
+        comp_noise = np.multiply(sigma, normals[:, n_hold:-1].T, order="C")
         coin = np.where(normals[:, -1] > 0, 1, -1)
 
         v = target = pair
@@ -151,7 +155,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         stopped = False         # whether any conversion of the block has stopped
         for i in range(bits_n):
             bit, t_decide, meta = decisions(v[0] - v[1], slack,
-                                            comp_noise[:, i] if sigma > 0 else 0.0, cfg)
+                                            comp_noise[i] if sigma > 0 else 0.0, cfg)
             if stopped or np.count_nonzero(meta):
                 latched = meta & ~exhausted
                 # a comparison that can never resolve, or one offered no time

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import saradc as sa
+from saradc import analysis
 from saradc.analysis import (InsufficientDataError, gen_coherent_tone, inl_dnl,
                              metrics, spectrum, spectrum_csv)
 from saradc.engine import convert_waveform, ideal_quantizer_code
@@ -78,6 +80,102 @@ def test_spectrum_csv_shape(ref_cfg):
     lines = spectrum_csv(p, ref_cfg.f_s).splitlines()
     assert lines[0] == "bin,frequency_Hz,power_dBFS"
     assert len(lines) == 34  # header + 33 one-sided bins
+
+
+def _percent_spectrum_csv(power, f_s, n):
+    # the table as the % operator prints it, one row at a time
+    rows = [None] * (3 * power.size)
+    rows[0::3] = range(power.size)
+    rows[1::3] = (np.arange(power.size) * f_s / n).tolist()
+    with np.errstate(divide="ignore"):
+        rows[2::3] = (10.0 * np.log10(power / (1.0 / 8.0))).tolist()
+    return "bin,frequency_Hz,power_dBFS\n" + ("%d,%.12g,%.6f\n" * power.size) % tuple(rows)
+
+
+def _assert_same_text(text, expected):
+    # compared by name, so that a failure names the first bad row instead of
+    # having pytest diff up to a megabyte of text
+    same = text == expected
+    assert same, next((pair for pair in zip(text.splitlines(), expected.splitlines())
+                       if pair[0] != pair[1]), "the row counts differ")
+
+
+# odd and even record lengths of every digit count up to 65,536
+_RECORD_LENGTHS = st.integers(1, 5).flatmap(
+    lambda width: st.integers(max(3, 10 ** (width - 1)), min(10 ** width, 65536)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=_RECORD_LENGTHS, f_s=st.floats(1e3, 1e12), seed=st.integers(0, 2 ** 32),
+       empty=st.sampled_from([0.0, 0.01, 0.3]))
+def test_spectrum_csv_matches_percent_format(n, f_s, seed, empty):
+    # levels from about +6 dBFS down to a few hundred dB below full scale,
+    # with a share of empty bins (-inf)
+    rng = np.random.default_rng(seed)
+    power = 0.5 * rng.random(n // 2 + 1) ** rng.uniform(1.0, 30.0)
+    power[rng.random(power.size) < empty] = 0.0
+    _assert_same_text(spectrum_csv(power, f_s, n=n), _percent_spectrum_csv(power, f_s, n))
+
+
+def test_spectrum_csv_named_rows():
+    # bin 317 of 4096 at 130 MHz lies at 10061035.15625 Hz exactly, a tie
+    # at the 12th digit that rounds to even
+    power = np.full(2049, 0.01)
+    assert 10061035.15625 * 1e4 == 100610351562.5
+    text = spectrum_csv(power, 130e6, n=4096)
+    assert text.splitlines()[318].startswith("317,10061035.1562,")
+    _assert_same_text(text, _percent_spectrum_csv(power, 130e6, 4096))
+    # bin 1 of a 2-point record lies at f_s / 2 exactly
+    for freq, shown in [
+            # a tie in the float product that the exact product misses, on
+            # either side
+            (1.368761715425, "1.36876171543"), (1.148748719755, "1.14874871975"),
+            # rounded up across a decade: within one form, out of the
+            # exponent form below 1e-4, and into it at 1e12
+            (99999.99999999996, "100000"), (9.999999999999996e-05, "0.0001"),
+            (999999999999.7, "1e+12"),
+            # below 1e-4 Hz %.12g writes an exponent
+            (1.5625e-05, "1.5625e-05"), (0.0001, "0.0001")]:
+        power = np.array([0.125, 0.125])
+        text = spectrum_csv(power, 2.0 * freq, n=2)
+        assert text.splitlines()[2] == f"1,{shown},0.000000"
+        _assert_same_text(text, _percent_spectrum_csv(power, 2.0 * freq, 2))
+    # a level just below zero keeps its sign once rounded to zero
+    power = 0.125 * 10.0 ** (-np.array([0.0, 1e-9, 4.9e-7, 5.1e-7, 5e-7]) / 10.0)
+    levels = [row.split(",")[2] for row in spectrum_csv(power, 130e6, n=8).splitlines()[1:]]
+    assert levels == ["0.000000", "-0.000000", "-0.000000", "-0.000001", "%.6f" % (
+        10.0 * np.log10(power[4] / 0.125))]
+    _assert_same_text(spectrum_csv(power, 130e6, n=8), _percent_spectrum_csv(power, 130e6, 8))
+
+
+@pytest.mark.parametrize("n, tone_bin", [(4096, 189), (64, 3), (64, 31), (127, 5), (256, 19)])
+def test_spectrum_csv_places_every_finite_row(ref_cfg, monkeypatch, n, tone_bin):
+    # the shipped records' rows are built from the columns; only an empty
+    # bin's -inf level goes to the % operator (the DC bin of 64/31, seed 0)
+    replaced = []
+
+    def table_text(blocks, rows, lines=None):
+        replaced.extend(lines or ())
+        return text_of(blocks, rows, lines)
+
+    text_of = analysis.table_text
+    monkeypatch.setattr(analysis, "table_text", table_text)
+    tone = gen_coherent_tone(n, tone_bin, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
+    power = spectrum(convert_waveform(tone.v_diff, ref_cfg, seed=0).codes, ref_cfg.bits)
+    text = spectrum_csv(power, ref_cfg.f_s, n=n)
+    assert replaced == np.flatnonzero(power == 0.0).tolist()
+    assert replaced == ([0] if (n, tone_bin) == (64, 31) else [])
+    _assert_same_text(text, _percent_spectrum_csv(power, ref_cfg.f_s, n))
+
+
+def test_spectrum_csv_rounds_without_warnings():
+    # empty bins' -inf levels and an exponent-form frequency (5e-05 Hz) go
+    # to %, and no numpy floating-point error is raised on the way
+    power = np.array([0.0, 0.125, 1e-300, 0.0, 0.3])
+    with np.errstate(all="raise"):
+        text = spectrum_csv(power, 4e-4, n=8)
+    assert text.splitlines()[2] == "1,5e-05,0.000000"
+    _assert_same_text(text, _percent_spectrum_csv(power, 4e-4, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,20 @@ def test_trade_noise_follows_capacitance_scaling(trade, ref_cfg):
     assert trade.split.sigma_ktc / trade.binary.sigma_ktc > 2.5
 
 
+def test_trade_ktc_adds_both_sides(ref_cfg):
+    # each side samples kT/C on its own drawn node; the differential rms is
+    # the root of the two powers' sum, not twice the positive side's
+    rng = np.random.default_rng(np.random.SeedSequence((0, 1)))
+    trade = compare_topologies(ref_cfg, rng)
+    rng = np.random.default_rng(np.random.SeedSequence((0, 1)))
+    binary = build_cap_array(replace(ref_cfg, topology="binary"), rng)
+    split = build_split_array(ref_cfg, rng)
+    for row, arr in ((trade.binary, binary), (trade.split, split)):
+        assert arr.node[0] != arr.node[1]
+        assert row.sigma_ktc == math.sqrt(kt_over_c(float(arr.node[0]), ref_cfg.t_kelvin)
+                                          + kt_over_c(float(arr.node[1]), ref_cfg.t_kelvin))
+
+
 def test_trade_split_reduces_capacitance(trade):
     assert trade.c_reduction > 8.0
     assert trade.split.c_total_side < trade.binary.c_total_side / 8.0

@@ -59,7 +59,7 @@ def test_engine_output_pinned(tmp_path):
                 "power.json": "678aa2bc45f69b77577f154c1bffd5fa543fd281a3ab8a3ac0bc30361f59b4bf"}),
             (["dac-compare", "--seed", "42"], {
                 "dac_compare.json":
-                    "626de7890cf5181c00778767b3963508295158f99475817c8a1a34246214788f"}),
+                    "6486bbbc0e38d5fd61118b306d1496ff842c93628fed2be6dd5544c5330e41d4"}),
             (["timing"], {
                 "timing.json": "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd"}),
             # a seed of two 32-bit words, as the benchmark derives per op
