@@ -255,7 +255,7 @@ def _cmd_sweep(args) -> int:
         c = validate(dataclasses.replace(cfg, **{args.param: parse_value(args.param, v)}))
         d = derived_constants(c)
         b = timing_mod.build_budget(c)
-        row = f"{v:.12g},{d.delta:.12g},{d.v_fs_net:.12g},{d.tau_reg:.12g},{b.f_s_max:.12g}"
+        row = f"{v:.12g},{d.delta:.12g},{d.v_fs_net:.12g},{c.tau_reg:.12g},{b.f_s_max:.12g}"
         if args.sndr:
             tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude,
                                               c.v_cm, c.f_s)

@@ -1,5 +1,7 @@
 """Regenerative latch comparator: noisy decision, latency, metastability.
 
+The latch is two calibrated numbers of the config: its regeneration time
+constant ``tau_reg`` and the capacitance ``c_comp`` it switches per firing.
 The decision latency follows the regeneration log law
 t = tau_reg * ln(v_dd / (a_v * |v|)), clamped at zero: the latch output must
 grow from the pre-amplified input to the supply with exponential time
@@ -19,17 +21,17 @@ from .config import AdcConfig
 __all__ = ["comparator_power", "decision_latencies", "decisions"]
 
 
-def comparator_power(f_ck: float, c_pq: float, c_xy: float, v_dd: float) -> float:
-    """Dynamic power f_ck * (2*c_pq + c_xy) * v_dd^2 [W].
+def comparator_power(f_ck: float, c_comp: float, v_dd: float) -> float:
+    """Dynamic power f_ck * c_comp * v_dd^2 [W].
 
     For the full converter the comparator fires once per bit, so
     f_ck = bits * f_s.  Given a firing count instead of a rate it returns
     the energy of that many firings [J], which is how the engine books it;
     an array of counts gives the energy of each.
     """
-    if min(c_pq, c_xy, v_dd) <= 0 or np.min(f_ck) < 0:
+    if min(c_comp, v_dd) <= 0 or np.min(f_ck) < 0:
         raise ValueError("comparator_power: operands must be positive")
-    return f_ck * (2.0 * c_pq + c_xy) * v_dd ** 2
+    return f_ck * c_comp * v_dd ** 2
 
 
 def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
@@ -60,5 +62,5 @@ def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,
     supplies in place of the sign.
     """
     v_eff = v_diff + noise
-    t_dec = decision_latencies(np.abs(v_eff), cfg.c_xy / cfg.g_m5, cfg.v_dd, cfg.a_v)
+    t_dec = decision_latencies(np.abs(v_eff), cfg.tau_reg, cfg.v_dd, cfg.a_v)
     return np.where(v_eff > 0, 1, -1), t_dec, t_dec > t_available

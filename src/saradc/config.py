@@ -18,13 +18,15 @@ changes a result (a pedestal moves only the common mode).
 
 Calibration notes
 -----------------
-Three comparator internals (``c_pq``, ``c_xy``, ``g_m5``) are not direct
-measurements; their defaults are chosen so the regeneration time constant
-``c_xy / g_m5`` comes out at 13 ps.  The pre-regeneration gain ``a_v`` is an
-assumption (5, a typical first-phase latch gain).  The track-and-hold
-nonlinearity, DAC settling depth, unit-cap mismatch and the two per-block
-energy constants were tuned once against the target dynamic performance and
-are frozen here; see the schema entries marked "calibration".
+The latch reaches every result through two numbers, so the config takes
+those and not the devices that set them: the regeneration time constant
+``tau_reg`` (13 ps, output capacitance over regeneration transconductance)
+and the capacitance ``c_comp`` switched per firing (66 fF).  Neither is a
+direct measurement.  The pre-regeneration gain ``a_v`` is an assumption (5,
+a typical first-phase latch gain).  The track-and-hold nonlinearity, DAC
+settling depth, unit-cap mismatch and the two per-block energy constants
+were tuned once against the target dynamic performance and are frozen here;
+see the schema entries marked "calibration".
 """
 
 import functools
@@ -52,9 +54,8 @@ class AdcConfig:
     c_dac: float            # total per-side DAC capacitance [F]
     c_p: float              # lumped parasitic at the comparator node [F]
     # Comparator
-    c_pq: float             # latch internal node capacitance [F] (calibration)
-    c_xy: float             # latch output node capacitance [F] (calibration)
-    g_m5: float             # regeneration transconductance [S] (calibration)
+    tau_reg: float          # regeneration time constant [s] (calibration)
+    c_comp: float           # capacitance switched per firing [F] (calibration)
     a_v: float              # gain accrued before regeneration [-] (assumption)
     sigma_n_comp: float     # operative input-referred noise [Vrms]
     v_cm: float             # comparator common mode [V]
@@ -87,7 +88,6 @@ class DerivedConstants:
     """Constants derived from a validated config, shared by every module."""
     delta: float       # LSB after parasitic attenuation [V]
     v_fs_net: float    # net differential full scale [V]
-    tau_reg: float     # comparator regeneration time constant [s]
 
 
 # Schema: key -> (kind, unit, lo, hi, doc).  kind is the python type after
@@ -101,9 +101,8 @@ _SCHEMA = {
     "c_unit":       (float, "F",   1e-18,  1e-9,  "minimum unit capacitor"),
     "c_dac":        (float, "F",   1e-16,  1e-6,  "per-side DAC capacitance"),
     "c_p":          (float, "F",   0.0,    1e-6,  "comparator-node parasitic"),
-    "c_pq":         (float, "F",   1e-18,  1e-9,  "latch internal capacitance (calibration)"),
-    "c_xy":         (float, "F",   1e-18,  1e-9,  "latch output capacitance (calibration)"),
-    "g_m5":         (float, "S",   1e-6,   1.0,   "regeneration transconductance (calibration)"),
+    "tau_reg":      (float, "s",   1e-15,  1e-6,  "regeneration time constant (calibration)"),
+    "c_comp":       (float, "F",   1e-18,  1e-9,  "comparator switched capacitance (calibration)"),
     "a_v":          (float, "",    1.0,    1e3,   "pre-regeneration gain (assumption)"),
     "sigma_n_comp": (float, "V",   0.0,    0.1,   "comparator input noise, rms"),
     "v_cm":         (float, "V",   0.0,    20.0,  "comparator common mode"),
@@ -281,9 +280,7 @@ def derived_constants(cfg: AdcConfig) -> DerivedConstants:
     capacitive divider at the comparator node; the LSB divides it by 2^bits.
     """
     v_fs_net = net_full_scale(cfg.v_fs, cfg.c_dac, cfg.c_p)
-    delta = v_fs_net / 2 ** cfg.bits
-    tau_reg = cfg.c_xy / cfg.g_m5
-    return DerivedConstants(delta=delta, v_fs_net=v_fs_net, tau_reg=tau_reg)
+    return DerivedConstants(delta=v_fs_net / 2 ** cfg.bits, v_fs_net=v_fs_net)
 
 
 def net_full_scale(v_fs: float, c_dac: float, c_p: float) -> float:
@@ -317,12 +314,13 @@ def ideal_config(cfg: AdcConfig) -> AdcConfig:
     )
 
 
-# Shipped reference-design configuration.  The ron_beta / sigma_u / n_settle
-# / e_logic / e_track values are frozen calibration outcomes; everything else
-# is a quantity of the modeled converter.  The quoted differential input range of
-# +/-750 mV in the reference design's summary table disagrees with the
-# parasitic-divider calculation (+/-787.9 mV here, rounded to 785 mV at the
-# source); the divider value is the one the simulator uses.
+# Shipped reference-design configuration.  The tau_reg / c_comp / ron_beta /
+# sigma_u / n_settle / e_logic / e_track values are frozen calibration
+# outcomes; everything else is a quantity of the modeled converter.  The
+# quoted differential input range of +/-750 mV in the reference design's
+# summary table disagrees with the parasitic-divider calculation (+/-787.9 mV
+# here, rounded to 785 mV at the source); the divider value is the one the
+# simulator uses.
 REFERENCE_CONFIG_DOC = """\
 # 10-bit 130-MS/s asynchronous SAR ADC, shipped calibration.
 # All values SI; prefixed units allowed.  Keys marked (cal) are frozen
@@ -337,9 +335,8 @@ c_unit       = 2.5 fF
 c_dac        = 1.3 pF
 c_p          = 20 fF
 
-c_pq         = 20 fF          # (cal) sized for 13 ps regeneration constant
-c_xy         = 26 fF          # (cal)
-g_m5         = 2 mS           # (cal)
+tau_reg      = 13 ps          # (cal) latch regeneration time constant
+c_comp       = 66 fF          # (cal) latch capacitance switched per firing
 a_v          = 5              # assumed pre-regeneration gain
 sigma_n_comp = 312 uV
 v_cm         = 0.7 V

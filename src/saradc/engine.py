@@ -123,7 +123,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
     # comparator energy of a conversion that fired the latch c times
-    e_comp_of = comparator_power(np.arange(bits_n + 1), cfg.c_pq, cfg.c_xy, cfg.v_dd)
+    e_comp_of = comparator_power(np.arange(bits_n + 1), cfg.c_comp, cfg.v_dd)
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)

@@ -86,14 +86,13 @@ def max_sampling_rate(t_easy: float, t_hard_: float, bits: int, t_fix: float,
 
 
 def build_budget(cfg: AdcConfig) -> TimingBudget:
-    d = derived_constants(cfg)
-    th = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, d.delta)
-    te = t_easy_of(cfg.bits, d.tau_reg)
+    th = t_hard(cfg.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, derived_constants(cfg).delta)
+    te = t_easy_of(cfg.bits, cfg.tau_reg)
     f_async = max_sampling_rate(te, th, cfg.bits, cfg.t_fix, cfg.t_delay, cfg.t_track)
     slot = th + cfg.t_fix + cfg.t_delay
     f_sync = 1.0 / (cfg.bits * slot + cfg.t_track)
     return TimingBudget(
-        tau_reg=d.tau_reg, t_hard=th, t_easy=te, t_fix=cfg.t_fix,
+        tau_reg=cfg.tau_reg, t_hard=th, t_easy=te, t_fix=cfg.t_fix,
         t_delay=cfg.t_delay, t_track=cfg.t_track, bits=cfg.bits,
         f_s_max=f_async, f_s_max_sync=f_sync, f_s=cfg.f_s,
     )
@@ -107,9 +106,8 @@ def _window(cfg: AdcConfig, p_meta_test: float) -> tuple[float, float]:
     above it resolves about 1e-6 * tau_reg before the limit, far beyond
     rounding error, so every metastable input lies below it.
     """
-    d = derived_constants(cfg)
-    limit = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, d.delta)
-    bound = cfg.v_dd / cfg.a_v * math.exp(-limit / d.tau_reg) * (1.0 + 1e-6)
+    limit = t_hard(cfg.tau_reg, cfg.v_dd, cfg.a_v, p_meta_test, derived_constants(cfg).delta)
+    bound = cfg.v_dd / cfg.a_v * math.exp(-limit / cfg.tau_reg) * (1.0 + 1e-6)
     return limit, bound
 
 
@@ -154,7 +152,7 @@ def metastability_mc(cfg: AdcConfig, trials: int, p_meta_test: float,
         v = buf[:min(MC_BLOCK, k - start)]
         rng.random(out=v)
         v *= edge
-        t = decision_latencies(v, d.tau_reg, cfg.v_dd, cfg.a_v)
+        t = decision_latencies(v, cfg.tau_reg, cfg.v_dd, cfg.a_v)
         counts += int(np.count_nonzero(t > limit))
     rate = counts / trials
     sigma = math.sqrt(max(rate * (1.0 - rate), p_meta_test) / trials)

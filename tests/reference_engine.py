@@ -77,8 +77,7 @@ def decide(v_diff: float, t_available: float, cfg: AdcConfig, normal: float,
         raise ValueError("decide: t_available must be nonnegative")
     noise = cfg.sigma_n_comp * normal if cfg.sigma_n_comp > 0 else 0.0
     v_eff = v_diff + noise
-    tau_reg = cfg.c_xy / cfg.g_m5
-    t_dec = decision_latency(abs(v_eff), tau_reg, cfg.v_dd, cfg.a_v)
+    t_dec = decision_latency(abs(v_eff), cfg.tau_reg, cfg.v_dd, cfg.a_v)
     metastable = t_dec > t_available
     if metastable:
         bit = 1 if latch > 0 else -1
@@ -97,7 +96,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     e_event = ladder.e_event.tolist()
     bits_n = cfg.bits
     slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
-    e_comp_of = [comparator_power(c, cfg.c_pq, cfg.c_xy, cfg.v_dd) for c in range(bits_n + 1)]
+    e_comp_of = [comparator_power(c, cfg.c_comp, cfg.v_dd) for c in range(bits_n + 1)]
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)

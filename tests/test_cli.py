@@ -315,6 +315,21 @@ def test_sweep_parasitic_shrinks_full_scale(tmp_path):
     assert len(vfs) == 11
 
 
+def test_sweep_tau_reg_is_the_swept_value(tmp_path):
+    # the regeneration constant is a key, read as it was given
+    out = tmp_path / "s"
+    assert run(["sweep", "--param", "tau_reg", "--range", "10e-12:16e-12:3",
+                "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].split(",")[:4] == ["tau_reg", "delta_V", "v_fs_net_V", "tau_reg_s"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[3]) for r in rows] == np.linspace(10e-12, 16e-12, 3).tolist()
+    assert [r[3] for r in rows] == [r[0] for r in rows]
+    # a slower latch lowers the asynchronous limit
+    f_max = [float(r[4]) for r in rows]
+    assert f_max[0] > f_max[1] > f_max[2]
+
+
 def test_sweep_rejects_unknown_param(tmp_path):
     for span in ("0:1:3", "0:1:0"):
         assert run(["sweep", "--param", "nope", "--range", span,
@@ -332,7 +347,7 @@ def test_sweep_rejects_non_finite_point(tmp_path, capsys):
 
 
 def test_sweep_rejects_keys_it_cannot_sweep(tmp_path, capsys):
-    for param in ("ron_dac", "t_phic_low", "v_pedestal", "topology"):
+    for param in ("ron_dac", "t_phic_low", "v_pedestal", "c_pq", "c_xy", "g_m5", "topology"):
         assert run(["sweep", "--param", param, "--range", "1:2:2",
                     "--out", str(tmp_path / "x")]) == 1
         assert param in capsys.readouterr().err

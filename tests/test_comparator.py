@@ -9,37 +9,36 @@ from reference_engine import decide, decision_latency
 
 
 def test_power_hand_value():
-    # 1.3 GHz, 66 fF total, 1.44 V^2
-    p = comparator_power(1.3e9, 20e-15, 26e-15, 1.2)
+    # 1.3 GHz, 66 fF, 1.44 V^2
+    p = comparator_power(1.3e9, 66e-15, 1.2)
     assert math.isclose(p, 123.552e-6, rel_tol=1e-6)
 
 
 def test_power_zero_clock():
-    assert comparator_power(0.0, 20e-15, 26e-15, 1.2) == 0.0
+    assert comparator_power(0.0, 66e-15, 1.2) == 0.0
 
 
 def test_power_quadratic_in_supply():
-    p1 = comparator_power(1e9, 20e-15, 26e-15, 0.6)
-    p2 = comparator_power(1e9, 20e-15, 26e-15, 1.2)
+    p1 = comparator_power(1e9, 66e-15, 0.6)
+    p2 = comparator_power(1e9, 66e-15, 1.2)
     assert math.isclose(p2, 4.0 * p1, rel_tol=1e-12)
 
 
 def test_latency_log_law_values(ref_cfg):
     d = sa.derived_constants(ref_cfg)
     # input at half an LSB: 13 ps * ln(1.2 / (5 * 0.7694 mV)) = 74.6 ps
-    t = decision_latency(d.delta / 2, d.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
+    t = decision_latency(d.delta / 2, ref_cfg.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
     assert math.isclose(t, 74.6e-12, rel_tol=2e-3)
     # input large enough that the latch starts at the rail: zero latency
-    assert decision_latency(ref_cfg.v_dd / ref_cfg.a_v, d.tau_reg,
+    assert decision_latency(ref_cfg.v_dd / ref_cfg.a_v, ref_cfg.tau_reg,
                             ref_cfg.v_dd, ref_cfg.a_v) == 0.0
-    assert decision_latency(0.0, d.tau_reg, ref_cfg.v_dd, ref_cfg.a_v) == math.inf
+    assert decision_latency(0.0, ref_cfg.tau_reg, ref_cfg.v_dd, ref_cfg.a_v) == math.inf
 
 
 def test_vector_latency_law_matches_scalar(ref_cfg):
     # one law, two forms, equal everywhere: at the dead zero (inf), at and
     # above the rail (0) and in between, where both take numpy's log
-    d = sa.derived_constants(ref_cfg)
-    args = (d.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
+    args = (ref_cfg.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
     rail = ref_cfg.v_dd / ref_cfg.a_v
     v = np.concatenate(([0.0, rail, 2 * rail], np.logspace(-12, 0, 20_001)))
     vec = decision_latencies(v, *args)
@@ -52,14 +51,13 @@ def test_vector_latency_law_matches_scalar(ref_cfg):
 
 def test_decide_noise_off_sign_correct(ref_cfg, rng):
     cfg = replace(ref_cfg, sigma_n_comp=0.0)
-    tau_reg = cfg.c_xy / cfg.g_m5
     for v in (-0.3, -1e-4, 1e-6, 0.2):
         bit, t_decide, metastable = decide(v, 1e-9, cfg, rng.standard_normal(),
                                            rng.standard_normal())
         assert not metastable
         assert bit == (1 if v > 0 else -1)
         # no noise added: the latency is the law's at |v| itself
-        assert t_decide == decision_latency(abs(v), tau_reg, cfg.v_dd, cfg.a_v)
+        assert t_decide == decision_latency(abs(v), cfg.tau_reg, cfg.v_dd, cfg.a_v)
 
 
 def test_decide_rail_input_instant(ref_cfg, rng):

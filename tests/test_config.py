@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -24,13 +25,17 @@ def test_reference_defaults_core_values(ref_cfg):
 def test_unit_prefix_parsing_is_exact():
     cfg = sa.reference_defaults()
     assert cfg.c_p == 20e-15
-    assert cfg.g_m5 == 2e-3
     assert cfg.t_delay == 100e-12
+    # the latch's two numbers equal, bit for bit, those set by the device
+    # values C_pq = 20 fF, C_xy = 26 fF and g_m5 = 2 mS of the paper's latch
+    assert cfg.tau_reg == 26e-15 / 2e-3
+    assert cfg.c_comp == 2 * 20e-15 + 26e-15
 
 
 def test_derived_constants(ref_cfg):
+    assert [f.name for f in fields(sa.DerivedConstants)] == ["delta", "v_fs_net"]
+    assert math.isclose(ref_cfg.tau_reg, 13e-12, rel_tol=1e-12)
     d = sa.derived_constants(ref_cfg)
-    assert math.isclose(d.tau_reg, 13e-12, rel_tol=1e-12)
     assert math.isclose(d.v_fs_net, 1.6 * 1.3e-12 / 1.32e-12, rel_tol=1e-12)
     assert math.isclose(d.delta, d.v_fs_net / 1024, rel_tol=1e-12)
     # half range within 0.5 % of the quoted 785 mV
@@ -88,7 +93,8 @@ def test_missing_key_reported():
 
 def test_unknown_key_rejected():
     # ron_dac, the old switch-resistance override, the settle window
-    # t_phic_low and the common-mode pedestal v_pedestal are no longer keys
+    # t_phic_low, the common-mode pedestal v_pedestal and the latch devices
+    # c_pq, c_xy and g_m5 (now tau_reg and c_comp) are no longer keys
     shipped = asdict(sa.reference_defaults())
     for key, doc in [
         ("widgets", REFERENCE_CONFIG_DOC + "\nwidgets = 3\n"),
@@ -98,9 +104,54 @@ def test_unknown_key_rejected():
         ("t_phic_low", json.dumps({**shipped, "t_phic_low": 150e-12})),
         ("v_pedestal", REFERENCE_CONFIG_DOC + "\nv_pedestal = 0 V\n"),
         ("v_pedestal", json.dumps({**shipped, "v_pedestal": 0.0})),
+        ("c_pq", REFERENCE_CONFIG_DOC + "\nc_pq = 20 fF\n"),
+        ("c_pq", json.dumps({**shipped, "c_pq": 20e-15})),
+        ("c_xy", REFERENCE_CONFIG_DOC + "\nc_xy = 26 fF\n"),
+        ("c_xy", json.dumps({**shipped, "c_xy": 26e-15})),
+        ("g_m5", REFERENCE_CONFIG_DOC + "\ng_m5 = 2 mS\n"),
+        ("g_m5", json.dumps({**shipped, "g_m5": 2e-3})),
     ]:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             sa.load_config(doc)
+
+
+def _smooth_outputs(cfg):
+    """The outputs that move smoothly with the config: the timing budget,
+    the topology trade and the per-block power of a 130 MHz record in which
+    no conversion is cut short."""
+    b = timing.build_budget(cfg)
+    out = [getattr(b, f.name) for f in fields(b)]
+    trade = capdac.compare_topologies(cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
+    for row in trade.rows():
+        out += [getattr(row, f.name) for f in fields(row) if f.name != "topology"]
+    out += [trade.energy_saving, trade.c_reduction]
+    tone = sa.gen_coherent_tone(4096, 189, 0.75, cfg.v_cm, cfg.f_s)
+    res = engine.convert_waveform(tone.v_diff, cfg, seed=0)
+    assert res.n_violations == res.n_metastable_bits == 0
+    out += list(engine.power_report(res).blocks.values())
+    return np.array(out, dtype=float)
+
+
+def test_calibration_keys_are_identifiable(ref_cfg):
+    # the log-log Jacobian of the smooth outputs over the calibration keys
+    # that reach them has full column rank: no direction of the calibrated
+    # constants leaves every output where it was, so each one can be fitted.
+    # ron_beta and n_settle reach only the codes (tracking distortion, DAC
+    # residual), which move in steps, not smoothly.
+    keys = [k for k, entry in _SCHEMA.items()
+            if "(calibration)" in entry[4] and k not in ("ron_beta", "n_settle")]
+    h = 1e-6
+    base = _smooth_outputs(ref_cfg)
+    assert np.all(base != 0)
+    columns = []
+    for key in keys:
+        x = getattr(ref_cfg, key)
+        up, down = (np.log(np.abs(_smooth_outputs(replace(ref_cfg, **{key: x * (1 + s)}))))
+                    for s in (h, -h))
+        columns.append((up - down) / (2 * h))
+    singular = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    assert singular[-1] > 1e-3 * singular[0], (keys, singular)
+    assert keys == ["tau_reg", "c_comp", "sigma_u", "e_logic", "e_track"]
 
 
 def test_wrong_magnitude_caught():

@@ -64,8 +64,7 @@ def test_energy_conservation_identity(ref_cfg):
     e_dac = float(np.sum(conversion_energy(ladder)[res.codes]))
     assert math.isclose(res.e_blocks["dac"], e_dac, rel_tol=1e-12)
     # the simulated comparator power is the analytic model at bits * f_s
-    p_comp = comparator_power(ref_cfg.bits * ref_cfg.f_s, ref_cfg.c_pq, ref_cfg.c_xy,
-                              ref_cfg.v_dd)
+    p_comp = comparator_power(ref_cfg.bits * ref_cfg.f_s, ref_cfg.c_comp, ref_cfg.v_dd)
     assert math.isclose(power_report(res).blocks["comparator"], p_comp, rel_tol=1e-12)
     slots = res.n_samples * ref_cfg.bits
     assert math.isclose(res.e_blocks["logic"], slots * ref_cfg.e_logic, rel_tol=1e-12)

@@ -16,7 +16,7 @@ from reference_engine import decision_latency
 
 def test_t_hard_reference_point(ref_cfg):
     d = sa.derived_constants(ref_cfg)
-    t = t_hard(d.tau_reg, 1.2, 5.0, 1e-7, d.delta)
+    t = t_hard(ref_cfg.tau_reg, 1.2, 5.0, 1e-7, d.delta)
     assert math.isclose(t, 284.2e-12, rel_tol=1e-3)
 
 
@@ -32,19 +32,19 @@ def test_t_hard_log_one_limit():
 
 def test_t_hard_halving_rate_adds_tau_ln2(ref_cfg):
     d = sa.derived_constants(ref_cfg)
-    t1 = t_hard(d.tau_reg, 1.2, 5.0, 1e-7, d.delta)
-    t2 = t_hard(d.tau_reg, 1.2, 5.0, 0.5e-7, d.delta)
-    assert math.isclose(t2 - t1, d.tau_reg * math.log(2.0), rel_tol=1e-9)
+    t1 = t_hard(ref_cfg.tau_reg, 1.2, 5.0, 1e-7, d.delta)
+    t2 = t_hard(ref_cfg.tau_reg, 1.2, 5.0, 0.5e-7, d.delta)
+    assert math.isclose(t2 - t1, ref_cfg.tau_reg * math.log(2.0), rel_tol=1e-9)
     assert math.isclose(t2 - t1, 9.01e-12, rel_tol=1e-3)
 
 
 def test_t_hard_monotonicities(ref_cfg):
     d = sa.derived_constants(ref_cfg)
-    base = t_hard(d.tau_reg, 1.2, 5.0, 1e-7, d.delta)
-    assert t_hard(2 * d.tau_reg, 1.2, 5.0, 1e-7, d.delta) > base
-    assert t_hard(d.tau_reg, 1.2, 5.0, 1e-6, d.delta) < base
-    assert t_hard(d.tau_reg, 1.2, 5.0, 1e-7, 2 * d.delta) < base
-    assert t_hard(d.tau_reg, 1.2, 10.0, 1e-7, d.delta) < base
+    base = t_hard(ref_cfg.tau_reg, 1.2, 5.0, 1e-7, d.delta)
+    assert t_hard(2 * ref_cfg.tau_reg, 1.2, 5.0, 1e-7, d.delta) > base
+    assert t_hard(ref_cfg.tau_reg, 1.2, 5.0, 1e-6, d.delta) < base
+    assert t_hard(ref_cfg.tau_reg, 1.2, 5.0, 1e-7, 2 * d.delta) < base
+    assert t_hard(ref_cfg.tau_reg, 1.2, 10.0, 1e-7, d.delta) < base
 
 
 def test_max_sampling_rate_reference_budget():
@@ -84,7 +84,7 @@ def test_async_boost_vanishes_for_uniform_slots(ref_cfg):
     # comparison's time, the asynchronous period is the synchronous one
     cfg = replace(ref_cfg, t_fix=0.0)
     d = sa.derived_constants(cfg)
-    th = t_hard(d.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, d.delta)
+    th = t_hard(cfg.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, d.delta)
     f = max_sampling_rate((cfg.bits - 1) * th, th, cfg.bits, cfg.t_fix,
                           cfg.t_delay, cfg.t_track)
     f_sync = 1.0 / (cfg.bits * (th + cfg.t_delay) + cfg.t_track)
@@ -126,10 +126,9 @@ def test_metastability_sharding_deterministic(ref_cfg):
 def test_metastability_window_holds_every_metastable_input(ref_cfg, p_meta):
     # the window edge resolves strictly before the limit under the scalar
     # and the vector law, so no metastable input lies outside the candidates
-    d = sa.derived_constants(ref_cfg)
     limit, bound = _window(ref_cfg, p_meta)
-    assert decision_latency(bound, d.tau_reg, ref_cfg.v_dd, ref_cfg.a_v) < limit
-    assert decision_latencies(np.array([bound]), d.tau_reg, ref_cfg.v_dd,
+    assert decision_latency(bound, ref_cfg.tau_reg, ref_cfg.v_dd, ref_cfg.a_v) < limit
+    assert decision_latencies(np.array([bound]), ref_cfg.tau_reg, ref_cfg.v_dd,
                               ref_cfg.a_v)[0] < limit
 
 
