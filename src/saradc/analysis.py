@@ -83,16 +83,18 @@ class SpectrumMetrics:
     fom_literal_unit: str
 
     def to_json_dict(self) -> dict:
-        def num(x):
+        def num(x, noise_figure=False):
+            if noise_figure and self.sndr == math.inf:
+                return None         # no noise measured: null, not a perfect figure
             return x if math.isfinite(x) else repr(x)
         return {
             "n": self.n,
             "signal_bin": self.signal_bin,
-            "sndr_dB": num(self.sndr),
-            "sfdr_dB": num(self.sfdr),
+            "sndr_dB": num(self.sndr, True),
+            "sfdr_dB": num(self.sfdr, True),
             "thd_dB": num(self.thd),
-            "enob_bits": num(self.enob),
-            "fom_walden_J_per_step": num(self.fom_walden),
+            "enob_bits": num(self.enob, True),
+            "fom_walden_J_per_step": num(self.fom_walden, True),
             "fom_literal": num(self.fom_literal),
             "fom_literal_unit": self.fom_literal_unit,
         }
@@ -128,8 +130,8 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     length from the even one below it, so the default is the even one.
 
     A record with no measurable non-signal power reports SNDR (and SFDR)
-    as +inf sentinels rather than failing; its Walden FOM, which needs a
-    finite ENOB, is then NaN rather than a best-possible zero.  A record
+    as +inf sentinels rather than failing, its Walden FOM as NaN (not a
+    best-possible zero), and its JSON form writes these and ENOB as null.  A record
     with no power in the signal bin (a silent input) has no ratio to the
     signal to measure: SNDR, SFDR, THD, ENOB and the Walden FOM are NaN.
     """

@@ -109,37 +109,42 @@ class Ladder:
 
 
 def _draw_units(n_units: int, sigma_u: float, rng: np.random.Generator) -> np.ndarray:
-    """Relative unit deviations, redrawing any that would kill a capacitor."""
+    """Both sides' relative unit deviations (2, n_units), the positive side
+    first, each side redrawing any unit that would kill a capacitor."""
+    dev = np.zeros((2, n_units))
     if sigma_u == 0.0:
-        return np.zeros(n_units)
-    dev = rng.normal(0.0, sigma_u, size=n_units)
-    for _ in range(MAX_REDRAWS):
-        bad = dev <= -1.0
-        if not bad.any():
-            return dev
-        dev[bad] = rng.normal(0.0, sigma_u, size=int(bad.sum()))
-    raise ConfigError("sigma_u: could not draw positive unit capacitors")
+        return dev
+    for side in dev:
+        side[:] = rng.normal(0.0, sigma_u, size=n_units)
+        for _ in range(MAX_REDRAWS):
+            bad = side <= -1.0
+            if not bad.any():
+                break
+            side[bad] = rng.normal(0.0, sigma_u, size=int(bad.sum()))
+        else:
+            raise ConfigError("sigma_u: could not draw positive unit capacitors")
+    return dev
 
 
 def _segment(counts: list, u: float, sigma_u: float,
              rng: np.random.Generator) -> np.ndarray:
-    """Capacitors built from the given unit counts, from per-unit draws.
+    """Both sides' capacitors from the given unit counts and per-unit draws.
 
     Each capacitor is the sum of its constituent units, so its relative
     spread shrinks with the square root of the unit count.
     """
     dev = _draw_units(int(sum(counts)), sigma_u, rng)
-    caps = np.empty(len(counts))
+    caps = np.empty((2, len(counts)))
     pos = 0
     for k, n in enumerate(counts):
-        caps[k] = u * (n + np.add.reduce(dev[pos:pos + n]))
+        np.add.reduce(dev[:, pos:pos + n], axis=1, out=caps[:, k])
         pos += n
-    return caps
+    return u * (caps + counts)
 
 
-def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
-             c_nom: np.ndarray) -> Ladder:
-    """Ladder from per-side (bit caps, node cap, steps, physical total).
+def _compile(cfg: AdcConfig, c: np.ndarray, node: np.ndarray, step: np.ndarray,
+             total: np.ndarray, c_nom: np.ndarray) -> Ladder:
+    """Ladder from (2, .) bit caps, node caps, steps and physical totals.
 
     Each bit's switch is sized for its nominal cap c_nom alone (constant
     tau), so a bit settles n_settle * c_nom / c time constants and leaves
@@ -147,27 +152,19 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple,
     A bit event costs the rising side's own term plus the falling side's
     fired bystanders (``cross``); a -1 decision raises the positive side.
     """
-    c, node, step, total = (np.array(f) for f in zip(side_p, side_n))
-    mid = np.concatenate((np.zeros((2, 1)), np.cumsum(c, axis=1)[:, :-1]), axis=1)
+    mid = np.zeros_like(c)
+    np.cumsum(c[:, :-1], axis=1, out=mid[:, 1:])
     node_col = node[:, None]
     q = 0.25 * cfg.v_ref ** 2
     own = c * (node_col - c) / node_col
     cross = mid * c / node_col
-    e_down, e_up = q * (own + cross[::-1])
+    # event row d is the one in which side d rises: a -1 decision, then a +1
     return Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits=c, node=node, step=step,
         corrections=(step[0] + step[1]) / 2, c_total=total, c_nom=c_nom,
         settle=np.exp(-cfg.n_settle * (c_nom / c)),
-        e_event=np.stack([e_down, e_up], axis=1),
+        e_event=(q * (own + cross[::-1])).T.copy(),
     )
-
-
-def _binary_side(caps: np.ndarray, cfg: AdcConfig) -> tuple:
-    """Bit caps followed by the terminator -> one side of a binary ladder."""
-    c = caps[:-1]
-    total = float(np.sum(c)) + float(caps[-1])
-    node = total + cfg.c_p
-    return c, node, cfg.v_ref * c / node, total
 
 
 def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
@@ -183,17 +180,20 @@ def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
         return build_split_array(cfg, rng)
     u_eff = cfg.c_dac / 2 ** (cfg.bits - 1)
     counts = [2 ** (cfg.bits - 1 - i) for i in range(1, cfg.bits)] + [1]
-    side_p = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng), cfg)
-    side_n = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng), cfg)
-    return _compile(cfg, side_p, side_n, u_eff * np.asarray(counts[:-1], dtype=float))
+    caps = _segment(counts, u_eff, cfg.sigma_u, rng)
+    c = caps[:, :-1].copy()
+    total = np.add.reduce(c, axis=1) + caps[:, -1]
+    node = total + cfg.c_p
+    return _compile(cfg, c, node, cfg.v_ref * c / node[:, None], total,
+                    u_eff * np.asarray(counts[:-1], dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # split (attenuation-capacitor) array
 
-def _split_side(main: np.ndarray, sub: np.ndarray, c_att: float,
-                cfg: AdcConfig) -> tuple:
-    """Main caps, sub caps and sub terminator -> one side of a split ladder.
+def _split_sides(main: np.ndarray, sub: np.ndarray, c_att: float,
+                 cfg: AdcConfig) -> tuple:
+    """Main caps, sub caps and sub terminator -> sides of a split ladder.
 
     The comparator parasitic loads the main node and an equal parasitic
     loads the attenuation node, which is where this topology's
@@ -203,15 +203,17 @@ def _split_side(main: np.ndarray, sub: np.ndarray, c_att: float,
     (documented behavioral equivalence; the trade study's textbook numbers
     use exact networks).
     """
-    sub, sub_term = sub[:-1], float(sub[-1])
-    a = float(np.sum(main)) + cfg.c_p                  # grounded at the main node
-    b = float(np.sum(sub)) + sub_term + cfg.c_p        # grounded at the sub node
+    sub, sub_term = sub[..., :-1], sub[..., -1:]
+    main_sum = np.add.reduce(main, axis=-1, keepdims=True)
+    sub_sum = np.add.reduce(sub, axis=-1, keepdims=True)
+    a = main_sum + cfg.c_p                    # grounded at the main node
+    b = sub_sum + sub_term + cfg.c_p          # grounded at the sub node
     k = c_att
     node = a + k * b / (k + b)
     step = np.concatenate([cfg.v_ref * main / node,
-                           cfg.v_ref * sub / (b + k * a / (k + a)) * k / (a + k)])
-    total = float(np.sum(main) + np.sum(sub)) + sub_term + c_att
-    return step * node / cfg.v_ref, node, step, total
+                           cfg.v_ref * sub / (b + k * a / (k + a)) * k / (a + k)], axis=-1)
+    total = (main_sum + sub_sum) + sub_term + c_att
+    return step * node / cfg.v_ref, node[..., 0], step, total[..., 0]
 
 
 def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
@@ -227,15 +229,12 @@ def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
     u = cfg.c_unit
     main_counts = [2 ** (m_bits - i) for i in range(1, m_bits + 1)]
     sub_counts = [2 ** (l_bits - j) for j in range(1, l_bits + 1)] + [1]
-    main_p = _segment(main_counts, u, cfg.sigma_u, rng)
-    main_n = _segment(main_counts, u, cfg.sigma_u, rng)
-    sub_p = _segment(sub_counts, u, cfg.sigma_u, rng)
-    sub_n = _segment(sub_counts, u, cfg.sigma_u, rng)
+    main = _segment(main_counts, u, cfg.sigma_u, rng)
+    sub = _segment(sub_counts, u, cfg.sigma_u, rng)
     c_att = u * 2 ** l_bits / (2 ** l_bits - 1)
     nominal = [u * np.asarray(c, dtype=float) for c in (main_counts, sub_counts)]
-    return _compile(cfg, _split_side(main_p, sub_p, c_att, cfg),
-                    _split_side(main_n, sub_n, c_att, cfg),
-                    _split_side(*nominal, c_att, cfg)[0])
+    return _compile(cfg, *_split_sides(main, sub, c_att, cfg),
+                    _split_sides(*nominal, c_att, cfg)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,9 @@ def _cmd_simulate(args) -> int:
                             metastable=result.metastable,
                             violation=result.violation)
     _manifest(outdir, args, args.seed, cfg)
-    print(f"simulate: n={args.n} bin={args.bin} SNDR={m.sndr:.2f} dB "
-          f"ENOB={m.enob:.2f} b power={rep.total * 1e6:.1f} uW -> {outdir}")
+    shown = (f"SNDR={m.sndr:.2f} dB ENOB={m.enob:.2f} b" if m.sndr != math.inf
+             else "SNDR and ENOB not measurable")       # no noise was there to measure
+    print(f"simulate: n={args.n} bin={args.bin} {shown} power={rep.total * 1e6:.1f} uW -> {outdir}")
 
     if args.check:
         x = (result.codes + 0.5) / 2.0 ** cfg.bits - 0.5

@@ -35,32 +35,34 @@ def comparator_power(f_ck: float, c_comp: float, v_dd: float) -> float:
 
 
 def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
-                       a_v: float) -> np.ndarray:
+                       a_v: float, out: np.ndarray | None = None) -> np.ndarray:
     """Latency of the regeneration log law for each |input| in v_abs [s];
-    zeros map to +inf."""
-    v = a_v * np.asarray(v_abs, dtype=float)
+    zeros map to +inf.  As a ufunc does, it writes into ``out`` if given."""
+    v = np.multiply(a_v, v_abs, out=out)
     # v_dd / 0 is +inf, and so is its log; the error state is entered only
     # for a zero, because entering it costs more than looking for one
     if np.count_nonzero(v) == v.size:
-        ratio = v_dd / v
+        np.divide(v_dd, v, out=v)
     else:
         with np.errstate(divide="ignore"):
-            ratio = v_dd / v
-    return np.maximum(tau_reg * np.log(ratio), 0.0)
+            np.divide(v_dd, v, out=v)
+    return np.maximum(np.multiply(tau_reg, np.log(v, out=v), out=v), 0.0, out=v)
 
 
-def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise,
-              cfg: AdcConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise, cfg: AdcConfig,
+              out=(None, None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One comparison per entry of v_diff, given t_available seconds each.
 
-    Returns (bit, t_decide, metastable) arrays: the sign of each effective
-    input as +/-1, the latencies [s] and whether each exceeded its
-    allowance.  The effective input is v_diff plus ``noise`` (the
-    input-referred draws, or 0.0); an exactly zero effective input never
-    resolves (infinite latency) and is reported metastable.  The bit of a
-    metastable entry is the logic's arbitrary latch, which the engine
-    supplies in place of the sign.
+    Returns (up, t_decide, metastable) arrays, written into ``out`` if given:
+    whether each effective input, v_diff plus ``noise`` (the input-referred
+    draws, or 0.0), is positive, the latencies [s] and whether each exceeded
+    its allowance.  An exactly zero effective input never resolves (infinite
+    latency) and is metastable; a metastable entry's sign gives way to the
+    logic's arbitrary latch, which the engine supplies.
     """
-    v_eff = v_diff + noise
-    t_dec = decision_latencies(np.abs(v_eff), cfg.tau_reg, cfg.v_dd, cfg.a_v)
-    return np.where(v_eff > 0, 1, -1), t_dec, t_dec > t_available
+    up, t_decide, metastable = out
+    v_eff = np.add(v_diff, noise, out=t_decide)
+    up = np.greater(v_eff, 0.0, out=up)
+    t_decide = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd, cfg.a_v,
+                                  out=v_eff)
+    return up, t_decide, np.greater(t_decide, t_available, out=metastable)

@@ -19,11 +19,6 @@ slack, and any later comparison that needs time is offered none and stops
 the conversion.  Its metastable count exceeds its violation flag by at
 most one, and each sample draws one latch normal up front, whose sign is
 the bit it latches.
-
-A bit at which no comparison of the block is metastable and no conversion
-has stopped runs only the plain update (latency, code, switch energy); the
-latch and stop bookkeeping runs only on the bits that need it, and would
-change no value on the others.
 """
 
 import math
@@ -35,7 +30,7 @@ from . import analysis
 from .capdac import build_cap_array
 from .comparator import comparator_power, decisions
 from .config import AdcConfig, derived_constants
-from .track_hold import hold, ktc_sigma
+from .track_hold import _SIDES, hold, ktc_sigma
 
 
 @dataclass
@@ -77,34 +72,24 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     normals from it, in sample order, holding the two track-and-hold
     normals (positive side first) if kT/C is on, one normal per comparison
     if the comparator noise is on (all ``bits`` of them, even when the
-    conversion stops early), and last the latch normal, whose sign is the
-    bit a metastable comparison latches before the conversion goes on.  A
-    fixed seed therefore gives bit-identical results, however the record
-    is split.
+    conversion stops early), and last the latch normal.  A fixed seed
+    therefore gives bit-identical results, however the record is split.
 
-    The record is converted in blocks of up to ``_STREAM_BLOCK`` samples:
-
-    * the block takes its rows in one call, which the generator fills in
-      sample order, so consecutive blocks continue one sequence; the
-      held pairs and the bit loop read them regrouped, one contiguous row
-      per normal;
-    * ``track_hold.hold`` solves the block's held pairs by Jacobi sweeps,
-      starting from the pair the previous block left;
-    * the comparisons and DAC switches of the whole block run one bit at a
-      time, a conversion stopping at the comparison that exhausts its
-      window and latching its latch normal's sign at the one metastable
-      comparison it goes on from.  The latch and stop bookkeeping runs only
-      on a bit where some comparison of the block is metastable or some
-      conversion has stopped; elsewhere it would change no value.
+    The record is converted in blocks of up to ``_STREAM_BLOCK`` samples.
+    A block takes its rows in one call, one contiguous row per normal;
+    ``track_hold.hold`` solves its held pairs from the pair the previous
+    block left; its comparisons and DAC switches then run one bit at a
+    time, updating buffers allocated once per block in place.  The latch
+    and stop bookkeeping runs only on a bit where some comparison of the
+    block is metastable or some conversion has stopped.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
-    target, leaving the ladder's ``settle`` fraction of the step after its
-    settle time.  The two sides share one leading axis, row 0 the positive
-    side, from the held pair through the bit loop.  Energies add per sample
-    bit by bit, and the block totals add in sample order, as a sequential
-    walk would.
+    target, leaving the ladder's ``settle`` fraction of the step.  Row 0
+    of every (2, .) array is the positive side.  Energies add per sample
+    bit by bit until a conversion stops, and the block totals add in
+    sample order, as a sequential walk would.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.ndim != 1:
@@ -113,49 +98,50 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    v_in = np.stack([cfg.v_cm + 0.5 * diff, cfg.v_cm - 0.5 * diff])
-    outside = ~((0.0 <= v_in) & (v_in <= cfg.v_dd)).all(axis=0)
-    if outside.any():
-        raise ValueError(f"convert_waveform: sample {int(np.argmax(outside))} leaves [0, v_dd]")
+    v_in = cfg.v_cm + _SIDES * diff
+    inside = ((0.0 <= v_in) & (v_in <= cfg.v_dd)).all(axis=0)
+    if not inside.all():
+        raise ValueError(f"convert_waveform: sample {int(np.argmin(inside))} leaves [0, v_dd]")
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
     # an overbooked window offers every comparison no time, as an empty one does
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
-    # comparator energy of a conversion that fired the latch c times
-    e_comp_of = comparator_power(np.arange(bits_n + 1), cfg.c_comp, cfg.v_dd)
+    # per switched bit: as side columns, the half swings of a rising decision (it
+    # lowers the positive side) and a falling one and the unsettled fraction;
+    # the event energies of a rising and a falling decision
+    h_up = (ladder.step * _SIDES).T[:, :, None]
+    switch = list(zip(h_up, -h_up, ladder.settle.T[:, :, None], *ladder.e_event.T[::-1].tolist()))
 
-    codes = np.empty(n, dtype=int)
-    metastable = np.empty(n, dtype=int)
+    codes, metastable = np.empty((2, n), dtype=int)
     violation = np.empty(n, dtype=bool)
     t_total = np.empty(n)
     totals = np.zeros(4)        # comparator, dac, logic, track_hold [J]
     held = np.array([cfg.v_cm, cfg.v_cm])
-    half = ladder.step * [[0.5], [-0.5]]    # half swings: a +1 bit lowers the positive side
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
-        normals = stream.standard_normal((size, n_hold + n_noise + 1))
         # the sample-major rows, regrouped into one contiguous row per normal:
         # hold's sweeps and each bit read rows, not strided columns
-        pair = hold(v_in[:, block], cfg, normals[:, :n_hold].T.copy(), held)
-        held = pair[:, -1]
-        comp_noise = np.multiply(sigma, normals[:, n_hold:-1].T, order="C")
-        coin = np.where(normals[:, -1] > 0, 1, -1)
+        rows = stream.standard_normal((size, n_hold + n_noise + 1)).T.copy()
+        target = hold(v_in[:, block], cfg, rows[:n_hold], held)
+        held = target[:, -1].copy()
+        noise = list(sigma * rows[n_hold:-1]) if n_noise else [0.0] * bits_n
+        coin = rows[-1] > 0.0
 
-        v = target = pair
+        v = target.copy()
+        v_diff, t_decide = np.empty((2, size))
+        up, meta = np.empty((2, size), dtype=bool)
         slack = np.full(size, slack0)
-        consumed = np.zeros(size)
-        energy = np.zeros(size)
-        code = np.zeros(size, dtype=int)
-        n_meta = np.zeros(size, dtype=int)
+        consumed, energy, e_stop = np.zeros((3, size))    # e_stop: spent when stopped
+        code, n_meta = np.zeros((2, size), dtype=int)
         n_cycles = np.full(size, bits_n)
         exhausted = np.zeros(size, dtype=bool)
         stopped = False         # whether any conversion of the block has stopped
         for i in range(bits_n):
-            bit, t_decide, meta = decisions(v[0] - v[1], slack,
-                                            comp_noise[i] if sigma > 0 else 0.0, cfg)
+            np.subtract(v[0], v[1], out=v_diff)
+            decisions(v_diff, slack, noise[i], cfg, out=(up, t_decide, meta))
             if stopped or np.count_nonzero(meta):
                 latched = meta & ~exhausted
                 # a comparison that can never resolve, or one offered no time
@@ -164,39 +150,45 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                 stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
                 # the rest latch their coin and go on with no slack left, so
                 # any later metastable comparison stops them
-                bit = np.where(latched & ~stop, coin, bit)
-                up = bit > 0
+                np.copyto(up, coin, where=latched & ~stop)
                 n_meta += latched
                 # an exhausted conversion has no slack left, so it adds zero here
                 consumed += np.where(meta, slack, t_decide)
                 slack = np.where(meta, 0.0, slack - t_decide)
                 code = np.where(exhausted, code, (code << 1) | (up | stop))
                 n_cycles[stop] = i + 1
+                np.copyto(e_stop, energy, where=stop)
                 exhausted |= stop
                 stopped = np.count_nonzero(exhausted) > 0
             else:
                 # every comparison resolved in time and none has stopped:
                 # the bookkeeping above would change no value
-                up = bit > 0
                 consumed += t_decide
                 slack -= t_decide
-                code = (code << 1) | up
+                np.left_shift(code, 1, out=code)
+                code |= up
             if i < bits_n - 1:
-                target = target - bit * half[:, i, None]
-                v = target - (target - v) * ladder.settle[:, i, None]
-                e_down, e_up = ladder.e_event[i]
-                spent = energy + np.where(up, e_up, e_down)
-                energy = np.where(exhausted, energy, spent) if stopped else spent
+                h_up, h_down, settle, e_up, e_down = switch[i]
+                # each plate settles toward its moved target: v = t - (t - v) * settle
+                target -= np.where(up, h_up, h_down)
+                np.subtract(target, v, out=v)
+                v *= settle
+                np.subtract(target, v, out=v)
+                energy += np.where(up, e_up, e_down)
 
+        # a stopped conversion switches no more capacitors
+        np.copyto(energy, e_stop, where=exhausted)
         codes[block] = code << (bits_n - n_cycles)
         metastable[block], violation[block] = n_meta, exhausted
         # every comparison but the last switches the DAC
         t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
                           + consumed)
         # running totals in sample order, carried across blocks
-        totals = np.cumsum(np.column_stack(
-            [totals, np.stack([e_comp_of[n_cycles], energy, n_cycles * cfg.e_logic,
-                               np.full(size, cfg.e_track)])]), axis=1)[:, -1]
+        spent = np.empty((4, size + 1))
+        spent[:, 0], spent[3, 1:] = totals, cfg.e_track
+        spent[0, 1:] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
+        spent[1, 1:], spent[2, 1:] = energy, n_cycles * cfg.e_logic
+        totals = np.cumsum(spent, axis=1)[:, -1]
 
     e_comp, e_dac, e_logic, e_track = totals.tolist()
     return WaveformResult(

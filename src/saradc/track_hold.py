@@ -23,6 +23,8 @@ from .config import AdcConfig, ConfigError, kt_over_c
 
 __all__ = ["ron_of_input", "hold", "ktc_sigma"]
 
+_SIDES = np.array([[0.5], [-0.5]])     # each side's share of a differential quantity
+
 
 def ron_of_input(v, cfg: AdcConfig) -> np.ndarray:
     """Switch on-resistance at each input voltage in v [Ohm].
@@ -60,25 +62,27 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray) -> np.ndar
     fixed point, the sequential values, so the result is exact.  With
     g_k < 1e-2, as at the shipped config, a handful of sweeps suffice.
     """
-    c_side = cfg.c_dac + cfg.c_p
-    v_diff = v_in[0] - v_in[1]
-    target = np.stack([cfg.v_cm + 0.5 * v_diff, cfg.v_cm - 0.5 * v_diff])
-    # sample-major, so a nonphysical input is named as the sequential walk
-    # would meet it
-    r_on = ron_of_input(v_in.T, cfg).T
-    g = np.exp(-cfg.t_track / (r_on * c_side))
+    target = cfg.v_cm + _SIDES * (v_in[0] - v_in[1])
+    # sample-major: a nonphysical input is named as the sequential walk meets it
+    g = ron_of_input(v_in.T, cfg).T
+    g *= cfg.c_dac + cfg.c_p
     sigma = ktc_sigma(cfg)
     noise = sigma * normals if sigma > 0 else 0.0
-
-    held = target + noise
-    before = np.empty_like(target)
-    before[:, 0] = prev
-    for _ in range(target.shape[1]):
-        before[:, 1:] = held[:, :-1]
-        swept = target - (target - before) * g + noise
-        if (swept == held).all():
-            break
-        held = swept
+    # a side that settles below the smallest double has settled: no error
+    with np.errstate(under="ignore"):
+        np.exp(np.divide(-cfg.t_track, g, out=g), out=g)
+        held = target + noise
+        before, swept = np.empty_like(target), np.empty_like(target)
+        before[:, 0] = prev
+        for _ in range(target.shape[1]):
+            before[:, 1:] = held[:, :-1]
+            np.subtract(target, before, out=swept)
+            swept *= g
+            np.subtract(target, swept, out=swept)
+            swept += noise
+            if (swept == held).all():
+                break
+            held, swept = swept, held
     return held
 
 

@@ -26,14 +26,15 @@ def ideal_array(ideal_cfg):
 
 @pytest.fixture()
 def comparator_calls(monkeypatch):
-    """(v_diff, bit) of sample 0 at every comparison the engine makes, in order."""
+    """(v_diff, up) of sample 0 at every comparison the engine makes, in order:
+    the input and whether the comparator found it positive."""
     calls = []
     decisions = sa.engine.decisions
 
-    def recorded(v_diff, t_available, noise, cfg):
-        bit, t_decide, metastable = decisions(v_diff, t_available, noise, cfg)
-        calls.append((float(v_diff[0]), int(bit[0])))
-        return bit, t_decide, metastable
+    def recorded(v_diff, t_available, noise, cfg, out):
+        up, t_decide, metastable = decisions(v_diff, t_available, noise, cfg, out=out)
+        calls.append((float(v_diff[0]), bool(up[0])))
+        return up, t_decide, metastable
 
     monkeypatch.setattr(sa.engine, "decisions", recorded)
     return calls

@@ -11,6 +11,7 @@ from saradc.capdac import (build_cap_array, build_split_array, compare_topologie
                            inl_from_steps, monotonic_energy_oracle, transfer_thresholds)
 from saradc.config import kt_over_c
 from textbook import conventional_energy, conversion_energy, splitcap_energy
+import reference_ladder
 
 
 def _decisions(code, bits):
@@ -83,6 +84,32 @@ def test_sides_are_drawn_in_turn(ref_cfg, topology, sigma_u, seed, units, digest
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+_LADDER_FIELDS = ("c_bits", "node", "step", "corrections", "c_total", "c_nom", "settle",
+                  "e_event")
+
+
+@pytest.mark.parametrize("topology", ["binary", "split"])
+@pytest.mark.parametrize("sigma_u", [0.0, 0.035, 0.3])
+def test_ladder_equals_per_side_build(ref_cfg, topology, sigma_u):
+    # the (2, units) draw, the per-capacitor sums over both sides at once and
+    # the compile from (2, .) arrays give every field of the per-side build
+    # (1-D sums, one side at a time), bit for bit and in the same layout,
+    # also where a dead unit is redrawn
+    redraws = []
+    for bits in range(3, 15):
+        cfg = replace(ref_cfg, topology=topology, sigma_u=sigma_u, bits=bits)
+        for seed in (0, 7, 2 ** 32 + 3):
+            ladder = build_cap_array(cfg, np.random.default_rng(seed))
+            ref = reference_ladder.build_cap_array(cfg, np.random.default_rng(seed), redraws)
+            assert (ladder.bits, ladder.v_ref) == (ref.bits, ref.v_ref)
+            for name in _LADDER_FIELDS:
+                got, want = getattr(ladder, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, (bits, seed, name)
+                assert got.flags.c_contiguous, (bits, seed, name)
+                assert np.array_equal(got, want), (bits, seed, name)
+    assert (len(redraws) > 0) == (sigma_u == 0.3)
+
+
 # ---------------------------------------------------------------------------
 # step ladder
 
@@ -138,8 +165,8 @@ def test_switch_preserves_common_mode_exactly(ideal_array):
 
 def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array, comparator_calls):
     sa.convert_waveform([0.3], ideal_cfg)
-    (v1, bit1), (v2, _) = comparator_calls[:2]
-    assert bit1 == 1                   # the ladder steps down
+    (v1, up1), (v2, _) = comparator_calls[:2]
+    assert up1                         # the ladder steps down
     assert math.isclose(v2 - v1, -ideal_array.corrections[0], rel_tol=1e-12)
 
 

@@ -95,14 +95,18 @@ def test_simulate_ideal_flag(tmp_path):
     assert abs(metrics["sndr_dB"] - 61.96) < 0.6
 
 
-def test_unmeasurable_record_reports_nan_fom(tmp_path):
-    # a 3-point record has no non-signal bin, so SNDR and ENOB are infinite;
-    # a Walden FOM of zero would read as the best possible converter
+def test_unmeasurable_record_reports_null(tmp_path, capsys):
+    # a 3-point record has no non-signal bin, so it measures no noise: its
+    # SNDR, SFDR, ENOB and Walden FOM are null, neither an infinite SNDR
+    # nor a best-possible FOM of zero, and the report says so
     out = tmp_path / "short"
     assert run(["simulate", "--n", "3", "--bin", "1", "--out", str(out)]) == 0
+    assert "SNDR and ENOB not measurable" in capsys.readouterr().out
     metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["enob_bits"] == "inf"
-    assert metrics["fom_walden_J_per_step"] == "nan"
+    for key in ("sndr_dB", "sfdr_dB", "enob_bits", "fom_walden_J_per_step"):
+        assert metrics[key] is None, key
+    assert "null" in (out / "metrics.json").read_text()
+    assert metrics["n"] == 3 and metrics["thd_dB"] == "-inf"
 
 
 def test_check_fails_an_unmeasurable_record(tmp_path, capsys):

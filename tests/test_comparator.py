@@ -109,7 +109,7 @@ def test_decide_noise_statistics(ref_cfg):
 def test_decisions_give_the_sign_even_when_metastable(ref_cfg):
     # the logic's latch for a metastable entry is the engine's to draw
     v = np.array([1e-6, -1e-6, 0.0, 0.3])
-    bit, t_decide, metastable = decisions(v, np.zeros(4), 0.0, ref_cfg)
+    up, t_decide, metastable = decisions(v, np.zeros(4), 0.0, ref_cfg)
     assert metastable.tolist() == [True, True, True, False]
-    assert bit.tolist() == [1, -1, -1, 1]
+    assert up.tolist() == [True, False, False, True]
     assert t_decide[2] == math.inf and t_decide[3] == 0.0

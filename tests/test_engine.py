@@ -45,12 +45,35 @@ def test_out_of_rail_input_rejected(ideal_cfg):
         convert_waveform([0.1, v], ideal_cfg)
 
 
+def test_engine_raises_no_floating_point_error(ref_cfg, ideal_cfg):
+    # under a caller's errstate(all="raise") the in-place bit loop, the held
+    # pairs and the ladder signal nothing: an exactly zero held difference
+    # (an infinite latency), a record whose every conversion runs out of
+    # window, a split ladder; and the caller's error state is left as it was,
+    # also when the engine raises
+    tone = sa.gen_coherent_tone(64, 31, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
+    split = replace(ref_cfg, topology="split")
+    before = np.geterr()
+    with np.errstate(all="raise"):
+        outer = np.geterr()
+        zero = convert_waveform([0.0], ideal_cfg)
+        assert zero.metastable[0] == 1 and zero.violation[0]
+        fast = convert_waveform(tone.v_diff, replace(ref_cfg, f_s=225e6), seed=1)
+        assert fast.n_violations == fast.n_samples
+        convert_waveform(0.5 * tone.v_diff, split, seed=2)
+        assert np.geterr() == outer
+        with pytest.raises(ValueError, match="leaves"):
+            convert_waveform([0.1, 2.0 * ref_cfg.v_dd], ref_cfg)
+        assert np.geterr() == outer
+    assert np.geterr() == before
+
+
 def test_code_reproduces_decisions(ref_cfg, comparator_calls):
     res = convert_waveform([0.2], ref_cfg, seed=3)
     assert res.metastable[0] == 0 and len(comparator_calls) == ref_cfg.bits
     code = 0
-    for _, bit in comparator_calls:
-        code = (code << 1) | (bit > 0)
+    for _, up in comparator_calls:
+        code = (code << 1) | up
     assert code == res.codes[0]
 
 
@@ -170,8 +193,9 @@ def test_numpy_exp_log_shape_free(fn, lo, hi):
     # the engine takes exp (held-chain settling) and log (decision latency)
     # of blocks of any length, the reference walk of one float at a time;
     # a record is byte-identical however it is split only if an element's
-    # value does not depend on the call's length, chunking, stride or rank.
-    # Over the ranges the engine feeds: hold exponents and latency arguments
+    # value does not depend on the call's length, chunking, stride or rank,
+    # nor on where the result is written.  Over the ranges the engine feeds:
+    # hold exponents and latency arguments
     rng = np.random.default_rng(16)
     span = rng.random(4 * 4095)
     x = lo + (hi - lo) * span if fn is np.exp else lo * (hi / lo) ** span
@@ -184,6 +208,23 @@ def test_numpy_exp_log_shape_free(fn, lo, hi):
     assert np.array_equal(fn(x[1::3]), whole[1::3])
     assert np.array_equal(fn(x.reshape(-1, 2)), whole.reshape(-1, 2))
     assert np.array_equal(fn(x.reshape(2, -1).T), whole.reshape(2, -1).T)
+    # the out= forms: into a row of a 2-D buffer (the latency chain), into
+    # a strided view, and in place on the input (hold's (2, n) settling
+    # factors, written over their exponents, also through a transposed view)
+    rows = np.zeros((3, x.size))
+    row = rows[1]
+    assert fn(x, out=row) is row
+    assert np.array_equal(rows[1], whole) and not rows[[0, 2]].any()
+    strided = np.zeros(2 * x.size)
+    fn(x, out=strided[1::2])
+    assert np.array_equal(strided[1::2], whole) and not strided[::2].any()
+    for shape in ((x.size,), (2, -1)):
+        inplace = x.reshape(shape).copy()
+        assert fn(inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, whole.reshape(shape))
+    pairs = x.reshape(-1, 2).copy().T
+    fn(pairs, out=pairs)
+    assert np.array_equal(pairs, whole.reshape(-1, 2).T)
 
 
 def test_negative_seed_rejected(ref_cfg):
