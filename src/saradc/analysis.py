@@ -291,11 +291,17 @@ def _digit_slots(x: np.ndarray, width: int, blank: str | None = None) -> np.ndar
     digit, as %d prints) or "trailing" (as %g drops them after a point); by
     default every digit shows.  The digits come four at a time from
     ``_chunk_words()``.  The quotients by powers of ten are exact: below 2**53
-    one that is not an integer does not round to one.
+    one that is not an integer does not round to one.  A "leading" column of
+    at most four digits is its own chunk, so its word is one gather from the
+    _LEAD0 region.
     """
     words = -(-width // 4)
     if words == 0:
         return np.empty((x.size, 0), dtype=np.uint8)
+    if blank == "leading" and words == 1:
+        chunk = x.astype(np.intp)
+        chunk += int(_LEAD0)
+        return _chunk_words()[chunk].view(np.uint8).reshape(x.size, 4)[:, 4 - width:]
     quotient = x / _POW10[4 * words - 4::-4, None]  # x / 10**4k, k = words-1 .. 0
     prefix = np.floor(quotient)                     # the chunks down to each word
     chunk = prefix.copy()

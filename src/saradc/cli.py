@@ -55,28 +55,51 @@ def _load(path: str | None) -> AdcConfig:
 def _outdir(out: str) -> Path:
     """The output directory, created; a handler calls it once, when its
     results are in and it is about to write, so a failed run creates
-    nothing."""
+    nothing.  An existing directory costs one ``stat``; ``Path.mkdir`` runs
+    only for a missing one."""
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if not os.path.isdir(out):
+        outdir.mkdir(parents=True, exist_ok=True)
     return outdir
 
 
-def _fresh(outdir: Path, name: str) -> Path:
+def _fresh(outdir: Path, name: str) -> str:
     """The artifact path, with any earlier file there removed.
 
     A new file is created in its place: reopening an existing file with
     truncation makes ext4 (``auto_da_alloc``) flush it on close, which costs
-    several times the write itself.  A symlink there is replaced, not
-    written through.
+    several times the write itself.  A symlink there is removed, and its
+    target left as it was; a directory there is an ``OSError`` that names
+    the path.
     """
-    path = outdir / name
-    path.unlink(missing_ok=True)
+    path = os.path.join(outdir, name)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     return path
 
 
+# O_EXCL also refuses a symlink that appears at the path after the unlink
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _write(outdir: Path, name: str, text: str) -> None:
-    with open(_fresh(outdir, name), "w", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` as a new file ``name`` in four system calls: unlink,
+    open, write and close.
+
+    A buffered text file would add an ``fstat``, a terminal check and seeks
+    to each artifact.  The bytes are UTF-8 and no newline is translated; the
+    write repeats until every byte is out, so a short write cannot cut an
+    artifact.
+    """
+    fd = os.open(_fresh(outdir, name), _NEW_FILE, 0o666)
+    try:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _codes_csv(codes, metastable, violation) -> str:
@@ -140,7 +163,7 @@ def _cmd_simulate(args) -> int:
     })
     _write(outdir, "metrics.json", _json_text(payload))
     # a record is written in one of two formats; drop the other one's stale file
-    (outdir / ("codes.npz" if args.n <= 65536 else "codes.csv")).unlink(missing_ok=True)
+    _fresh(outdir, "codes.npz" if args.n <= 65536 else "codes.csv")
     if args.n <= 65536:
         _write(outdir, "codes.csv", _codes_csv(result.codes, result.metastable,
                                                result.violation))
@@ -263,7 +286,9 @@ def _cmd_sweep(args) -> int:
             result = engine.convert_waveform(tone.v_diff, c, seed=args.seed)
             power = analysis.spectrum(result.codes, c.bits)
             m = analysis.metrics(power, args.bin, 1.0, c.f_s, n=args.n)
-            row += f",{m.sndr:.6f}"
+            # a record that measured no noise leaves the field empty, as
+            # metrics.json writes null
+            row += "," if m.sndr == math.inf else f",{m.sndr:.6f}"
         lines.append(row)
     outdir = _outdir(args.out)
     _write(outdir, "sweep.csv", "\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -207,7 +208,7 @@ def test_timing_report(tmp_path, capsys):
     assert (out / "timing.csv").exists()
 
 
-def test_stale_artifacts_are_replaced(tmp_path):
+def test_stale_artifacts_are_replaced(tmp_path, capsys):
     fresh, stale = tmp_path / "fresh", tmp_path / "stale"
     assert run(["timing", "--out", str(fresh)]) == 0
     stale.mkdir()
@@ -222,6 +223,41 @@ def test_stale_artifacts_are_replaced(tmp_path):
         assert (stale / name).read_bytes() == (fresh / name).read_bytes()
     assert not (stale / "timing.csv").is_symlink()
     assert target.read_text() == junk
+    # a directory in an artifact's place is not removed: the run stops and
+    # names the path
+    (stale / "timing.json").unlink()
+    (stale / "timing.json").mkdir()
+    capsys.readouterr()
+    assert run(["timing", "--out", str(stale)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and str(stale / "timing.json") in err
+    assert (stale / "timing.json").is_dir()
+
+
+def test_short_writes_complete_the_artifact(tmp_path, monkeypatch):
+    # a write may take fewer bytes than it was given; the artifact is still whole
+    commands = (["timing"], ["simulate", "--n", "64"])
+    for command in commands:
+        assert run(command + ["--out", str(tmp_path / "whole" / command[0])]) == 0
+    write = os.write
+    calls = []
+
+    def short(fd, data):
+        calls.append(fd)
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short)
+    for command in commands:
+        assert run(command + ["--out", str(tmp_path / "short" / command[0])]) == 0
+    monkeypatch.undo()
+    assert len(calls) > 100
+    for command in commands:
+        whole = tmp_path / "whole" / command[0]
+        names = sorted(p.name for p in whole.iterdir() if p.name != "manifest.json")
+        assert len(names) >= 2
+        for name in names:
+            assert (tmp_path / "short" / command[0] / name).read_bytes() == \
+                (whole / name).read_bytes()
 
 
 @pytest.mark.parametrize("first, second", [("65537", "64"), ("64", "65537")])
@@ -332,6 +368,17 @@ def test_sweep_tau_reg_is_the_swept_value(tmp_path):
     # a slower latch lowers the asynchronous limit
     f_max = [float(r[4]) for r in rows]
     assert f_max[0] > f_max[1] > f_max[2]
+
+
+def test_sweep_leaves_an_unmeasurable_sndr_empty(tmp_path):
+    # a 3-sample record has no noise bin: no SNDR, and no "inf" either
+    out = tmp_path / "s"
+    assert run(["sweep", "--param", "c_p", "--range", "0:1e-14:2", "--sndr",
+                "--n", "3", "--bin", "1", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].endswith(",sndr_dB") and len(lines) == 3
+    for line in lines[1:]:
+        assert line.endswith(",") and line.count(",") == lines[0].count(",")
 
 
 def test_sweep_rejects_unknown_param(tmp_path):
