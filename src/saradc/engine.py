@@ -1,7 +1,9 @@
 """Conversion engine: sampling, asynchronous bit cycling, DAC switching,
 timing bookkeeping and energy accounting over blocks of samples with array
 operations, looping in Python only over the bits; the results are
-per-sample arrays and per-block energy totals.
+per-sample arrays and per-block energy totals.  Every block's record-sized
+float scratch comes from one workspace, allocated once per call and carved
+into rows for each block.
 
 Scheduling model: the conversion window is one sample period minus the
 tracking phase.  Logic delay (every bit) and the fixed DAC-settle overhead
@@ -60,7 +62,7 @@ class WaveformResult:
         return int(np.count_nonzero(self.violation))
 
 
-_STREAM_BLOCK = 4096        # samples per block pass; bounds the scratch arrays
+_STREAM_BLOCK = 4096        # samples per block pass; bounds each block's workspace
 
 
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
@@ -75,13 +77,14 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     conversion stops early), and last the latch normal.  A fixed seed
     therefore gives bit-identical results, however the record is split.
 
-    The record is converted in blocks of up to ``_STREAM_BLOCK`` samples.
-    A block takes its rows in one call, one contiguous row per normal;
-    ``track_hold.hold`` solves its held pairs from the pair the previous
-    block left; its comparisons and DAC switches then run one bit at a
-    time, updating buffers allocated once per block in place.  The latch
-    and stop bookkeeping runs only on a bit where some comparison of the
-    block is metastable or some conversion has stopped.
+    The record is converted in blocks of up to ``_STREAM_BLOCK`` samples,
+    all carved from one workspace.  A block takes its rows in one call,
+    staged in the workspace and regrouped there into one contiguous row per
+    normal; ``track_hold.hold`` solves its held pairs into the workspace
+    from the pair the previous block left; its comparisons and DAC switches
+    then run one bit at a time, updating the workspace's rows in place.
+    The latch and stop bookkeeping runs only on a bit where some comparison
+    of the block is metastable or some conversion has stopped.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -116,25 +119,43 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     codes, metastable = np.empty((2, n), dtype=int)
     violation = np.empty(n, dtype=bool)
     t_total = np.empty(n)
-    totals = np.zeros(4)        # comparator, dac, logic, track_hold [J]
+    totals = [0.0] * 4          # comparator, dac, logic, track_hold [J]
     held = np.array([cfg.v_cm, cfg.v_cm])
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    # one workspace, carved anew for each block: the normal rows, then the
+    # loop's ten rows (as many as the normal rows, if more), which first stage
+    # the stream's sample-major draw.  A block's peak transient must stay well
+    # under twice the workspace: glibc sets its heap-trim point at twice the
+    # largest block it has freed, returns the heap top once the free space
+    # exceeds it, and each returned page then costs a fault on the next
+    # record.  So the blocks share it: a workspace per block would live
+    # beside its predecessor's while it is made
+    n_rows = n_hold + n_noise + 1
+    n_work = n_rows + max(n_rows, 10)
+    workspace = np.empty(n_work * min(n, _STREAM_BLOCK))
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
-        # the sample-major rows, regrouped into one contiguous row per normal:
-        # hold's sweeps and each bit read rows, not strided columns
-        rows = stream.standard_normal((size, n_hold + n_noise + 1)).T.copy()
-        target = hold(v_in[:, block], cfg, rows[:n_hold], held)
+        work = workspace[:n_work * size].reshape(n_work, size)
+        rows, loop = work[:n_rows], work[n_rows:]
+        stage = loop.reshape(-1)[:size * n_rows].reshape(size, n_rows)
+        stream.standard_normal(out=stage)
+        # one contiguous row per normal: hold's sweeps and each bit read rows,
+        # not strided columns
+        np.copyto(rows, stage.T)
+        target, v = loop[:2], loop[2:4]
+        v_diff, t_decide, slack, consumed, energy, e_stop = loop[4:10]
+        hold(v_in[:, block], cfg, rows[:n_hold], held, out=target)
         held = target[:, -1].copy()
-        noise = list(sigma * rows[n_hold:-1]) if n_noise else [0.0] * bits_n
+        noise = rows[n_hold:-1]
+        noise *= sigma          # the comparator's normals, scaled in place
+        noise = list(noise) if n_noise else [0.0] * bits_n
         coin = rows[-1] > 0.0
 
-        v = target.copy()
-        v_diff, t_decide = np.empty((2, size))
+        np.copyto(v, target)
+        slack.fill(slack0)
+        loop[7:10] = 0.0        # consumed, energy, e_stop: spent when stopped
         up, meta = np.empty((2, size), dtype=bool)
-        slack = np.full(size, slack0)
-        consumed, energy, e_stop = np.zeros((3, size))    # e_stop: spent when stopped
         code, n_meta = np.zeros((2, size), dtype=int)
         n_cycles = np.full(size, bits_n)
         exhausted = np.zeros(size, dtype=bool)
@@ -152,9 +173,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                 # any later metastable comparison stops them
                 np.copyto(up, coin, where=latched & ~stop)
                 n_meta += latched
-                # an exhausted conversion has no slack left, so it adds zero here
-                consumed += np.where(meta, slack, t_decide)
-                slack = np.where(meta, 0.0, slack - t_decide)
+                # a metastable comparison spends all the slack it had (an
+                # exhausted conversion has none left, so it adds zero)
+                np.copyto(t_decide, slack, where=meta)
                 code = np.where(exhausted, code, (code << 1) | (up | stop))
                 n_cycles[stop] = i + 1
                 np.copyto(e_stop, energy, where=stop)
@@ -163,10 +184,10 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             else:
                 # every comparison resolved in time and none has stopped:
                 # the bookkeeping above would change no value
-                consumed += t_decide
-                slack -= t_decide
                 np.left_shift(code, 1, out=code)
                 code |= up
+            consumed += t_decide
+            slack -= t_decide
             if i < bits_n - 1:
                 h_up, h_down, settle, e_up, e_down = switch[i]
                 # each plate settles toward its moved target: v = t - (t - v) * settle
@@ -183,14 +204,15 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         # every comparison but the last switches the DAC
         t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
                           + consumed)
-        # running totals in sample order, carried across blocks
-        spent = np.empty((4, size + 1))
-        spent[:, 0], spent[3, 1:] = totals, cfg.e_track
-        spent[0, 1:] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
-        spent[1, 1:], spent[2, 1:] = energy, n_cycles * cfg.e_logic
-        totals = np.cumsum(spent, axis=1)[:, -1]
+        # running totals in sample order, carried across blocks: the carried
+        # total joins each row's first term, in rows the loop no longer reads
+        spent = loop[:4]
+        spent[0] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
+        spent[1], spent[2], spent[3] = energy, n_cycles * cfg.e_logic, cfg.e_track
+        spent[:, 0] += totals
+        totals = np.cumsum(spent, axis=1, out=spent)[:, -1].tolist()
 
-    e_comp, e_dac, e_logic, e_track = totals.tolist()
+    e_comp, e_dac, e_logic, e_track = totals
     return WaveformResult(
         codes=codes, metastable=metastable, violation=violation, t_total=t_total,
         e_blocks={"comparator": e_comp, "dac": e_dac, "logic": e_logic,

@@ -45,16 +45,18 @@ def ron_of_input(v, cfg: AdcConfig) -> np.ndarray:
     return r
 
 
-def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray) -> np.ndarray:
+def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Held pairs of consecutive conversions of a differential input.
 
     ``v_in`` holds the two sides' inputs side-first, shape (2, n) with the
     positive side in row 0, and the held pairs [V] come back in the same
-    layout.  ``prev`` is the pair held before the first of them (the
-    settling start point).  Each side settles with its own time constant
-    r_on(v_in_side) * c_side and then receives a Gaussian draw of rms
-    ``ktc_sigma``: ``normals`` holds one standard normal per side and
-    conversion, also (2, n), and is read only when that rms is nonzero.
+    layout, written into ``out`` (a C-contiguous array) if given.  ``prev``
+    is the pair held before the first of them (the settling start point).
+    Each side settles with its own time constant r_on(v_in_side) * c_side
+    and then receives a Gaussian draw of rms ``ktc_sigma``: ``normals``
+    holds one standard normal per side and conversion, also (2, n), and is
+    read only when that rms is nonzero.
 
     Conversion k holds h_k = target_k - (target_k - h_{k-1}) * g_k + noise_k.
     Jacobi sweeps over the whole run solve it: after j sweeps the first j
@@ -62,28 +64,45 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray) -> np.ndar
     fixed point, the sequential values, so the result is exact.  With
     g_k < 1e-2, as at the shipped config, a handful of sweeps suffice.
     """
-    target = cfg.v_cm + _SIDES * (v_in[0] - v_in[1])
-    # sample-major: a nonphysical input is named as the sequential walk meets it
+    # sample-major: a nonphysical input is named as the sequential walk meets it;
+    # g comes first, so that its temporaries are gone before the sweeps' buffers
     g = ron_of_input(v_in.T, cfg).T
     g *= cfg.c_dac + cfg.c_p
+    target = cfg.v_cm + _SIDES * (v_in[0] - v_in[1])
     sigma = ktc_sigma(cfg)
     noise = sigma * normals if sigma > 0 else 0.0
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("hold: out must be C-contiguous")
     # a side that settles below the smallest double has settled: no error
     with np.errstate(under="ignore"):
         np.exp(np.divide(-cfg.t_track, g, out=g), out=g)
-        held = target + noise
-        before, swept = np.empty_like(target), np.empty_like(target)
-        before[:, 0] = prev
+        held = np.add(target, noise, out=out)
+        # each pair settles from the one before it: prev, then the held pairs.
+        # One flat pass reads each row's predecessor, also across the row edge,
+        # and the first column is then set from prev; the sweeps alternate
+        # between two buffers, each sliced once
+        t_first, t_rest = target[:, 0], target.reshape(-1)[1:]
+        pair = []
+        for buf in (held, np.empty_like(target)):
+            flat = buf.reshape(-1)
+            pair.append((buf, buf[:, 0], flat[1:], flat[:-1]))
         for _ in range(target.shape[1]):
-            before[:, 1:] = held[:, :-1]
-            np.subtract(target, before, out=swept)
+            (held, _, _, before), (swept, first, rest, _) = pair
+            np.subtract(t_rest, before, out=rest)
+            np.subtract(t_first, prev, out=first)
             swept *= g
             np.subtract(target, swept, out=swept)
             swept += noise
             if (swept == held).all():
+                # both buffers hold the fixed point, bit for bit: only -0.0
+                # equals a double of other bits, and no held value is -0.0
                 break
-            held, swept = swept, held
-    return held
+            pair.reverse()
+        else:
+            held = pair[0][0]
+            if out is not None and held is not out:
+                np.copyto(out, held)
+    return held if out is None else out
 
 
 def ktc_sigma(cfg: AdcConfig) -> float:

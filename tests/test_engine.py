@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,13 +115,62 @@ def test_starved_schedule_flags_violation(ref_cfg):
     assert res.t_total[0] <= 1.0 / cfg.f_s
 
 
-def test_waveform_determinism_across_workers(ref_cfg):
+def test_waveform_determinism_across_calls(ref_cfg):
     tone = sa.gen_coherent_tone(256, 19, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
     a = convert_waveform(tone.v_diff, ref_cfg, seed=5)
-    b = convert_waveform(tone.v_diff, ref_cfg, seed=5)
-    assert np.array_equal(a.codes, b.codes)
-    assert np.array_equal(a.t_total, b.t_total)
-    assert a.e_blocks == b.e_blocks
+    kept = {name: getattr(a, name).copy()
+            for name in ("codes", "metastable", "violation", "t_total")}
+    e_kept = dict(a.e_blocks)
+    _assert_same(convert_waveform(tone.v_diff, ref_cfg, seed=5), a)
+    # a later call of the same length leaves the first record as it was: no
+    # memory of a block's workspace escapes into a result
+    other = convert_waveform(tone.v_diff, ref_cfg, seed=6)
+    assert not np.array_equal(other.codes, a.codes)
+    for name, value in kept.items():
+        assert np.array_equal(getattr(a, name), value), name
+    assert a.e_blocks == e_kept
+
+
+# A steady-state record in a fresh interpreter: warm-up calls, then the
+# minor page faults of ten more, per call, for each config and length
+_FAULTS_PER_CALL = """
+import resource
+from dataclasses import replace
+
+import saradc as sa
+from saradc.engine import convert_waveform
+
+ref = sa.reference_defaults()
+for cfg in (ref, replace(ref, t_kelvin=0.0)):
+    for n in (2048, 4096, 8192):
+        tone = sa.gen_coherent_tone(n, 189, 0.75, cfg.v_cm, cfg.f_s)
+        for seed in range(3):
+            convert_waveform(tone.v_diff, cfg, seed=seed)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in range(10):
+            convert_waveform(tone.v_diff, cfg, seed=seed)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        print(cfg.t_kelvin, n, (after - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's heap trimming on Linux")
+def test_steady_records_take_no_page_faults():
+    # a record whose transient memory outgrows glibc's heap-trim point gives
+    # the heap top back after every call, and the next call faults it in
+    # again, about 300 times at 4,096 samples; 8,192 samples take two blocks.
+    # A fresh interpreter, because earlier tests in this one raise glibc's
+    # thresholds
+    src = str(Path(sa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    counts = [line.split() for line in run.stdout.splitlines()]
+    assert len(counts) == 6
+    for t_kelvin, n, faults in counts:
+        assert float(faults) <= 5, f"t_kelvin={t_kelvin} n={n}: {faults} faults per call"
 
 
 # config changes after the rate, each shown in the test id as key=value:

@@ -49,12 +49,24 @@ def test_hold_matches_sequential_sampler(ref_cfg, r_on0):
     v = 0.7 * np.sin(0.9 * np.arange(50))
     v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
     normals = np.random.default_rng(3).standard_normal((50, 2))
-    held = hold(np.stack([v_in_p, v_in_n]), cfg, normals.T, np.array([cfg.v_cm, cfg.v_cm]))
+    args = (np.stack([v_in_p, v_in_n]), cfg, normals.T, np.array([cfg.v_cm, cfg.v_cm]))
+    held = hold(*args)
     rng, prev, walk = np.random.default_rng(3), None, []
     for p, n in zip(v_in_p.tolist(), v_in_n.tolist()):
         prev = sample(p, n, cfg, rng, prev=prev)
         walk.append(prev)
     assert np.array_equal(held, np.array(walk).T)
+    # written into a given array, also from a run too short for a sweep to
+    # confirm the fixed point: three pairs settling from another start
+    out = np.empty((2, 50))
+    assert hold(*args, out=out) is out
+    assert np.array_equal(out, held)
+    short = (args[0][:, :3], cfg, normals.T[:, :3], np.array([0.3, 0.6]))
+    out = np.empty((2, 3))
+    assert hold(*short, out=out) is out
+    assert np.array_equal(out, hold(*short))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        hold(*args, out=np.empty((50, 2)).T)
 
 
 def test_full_settling_reproduces_input(ref_cfg, rng):
