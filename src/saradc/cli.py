@@ -52,34 +52,6 @@ def _load(path: str | None) -> AdcConfig:
     return load_config(text)
 
 
-def _outdir(out: str) -> Path:
-    """The output directory, created; a handler calls it once, when its
-    results are in and it is about to write, so a failed run creates
-    nothing.  An existing directory costs one ``stat``; ``Path.mkdir`` runs
-    only for a missing one."""
-    outdir = Path(out)
-    if not os.path.isdir(out):
-        outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def _fresh(outdir: Path, name: str) -> str:
-    """The artifact path, with any earlier file there removed.
-
-    A new file is created in its place: reopening an existing file with
-    truncation makes ext4 (``auto_da_alloc``) flush it on close, which costs
-    several times the write itself.  A symlink there is removed, and its
-    target left as it was; a directory there is an ``OSError`` that names
-    the path.
-    """
-    path = os.path.join(outdir, name)
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return path
-
-
 # O_EXCL also refuses a symlink that appears at the path after the unlink
 _NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
@@ -88,12 +60,21 @@ def _write(outdir: Path, name: str, text: str) -> None:
     """Write ``text`` as a new file ``name`` in four system calls: unlink,
     open, write and close.
 
-    A buffered text file would add an ``fstat``, a terminal check and seeks
-    to each artifact.  The bytes are UTF-8 and no newline is translated; the
-    write repeats until every byte is out, so a short write cannot cut an
-    artifact.
+    A new file is created in place of any earlier one: reopening an existing
+    file with truncation makes ext4 (``auto_da_alloc``) flush it on close,
+    which costs several times the write itself.  A symlink there is removed,
+    and its target left as it was; a directory there is an ``OSError`` that
+    names the path.  A buffered text file would add an ``fstat``, a terminal
+    check and seeks to each artifact.  The bytes are UTF-8 and no newline is
+    translated; the write repeats until every byte is out, so a short write
+    cannot cut an artifact.
     """
-    fd = os.open(_fresh(outdir, name), _NEW_FILE, 0o666)
+    path = os.path.join(outdir, name)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    fd = os.open(path, _NEW_FILE, 0o666)
     try:
         data = memoryview(text.encode())
         while data:
@@ -121,8 +102,21 @@ def _config_sha256(cfg: AdcConfig) -> str:
     return hashlib.sha256(serialize(cfg).encode()).hexdigest()
 
 
-def _manifest(outdir: Path, args, seed, cfg: AdcConfig) -> None:
-    payload = {
+def _emit(args, cfg: AdcConfig, seed, artifacts: dict[str, str]) -> Path:
+    """Write a run's artifacts into ``--out`` in the given order, then its
+    manifest, and return the directory.
+
+    Every command that writes comes here once, with its results in hand, so
+    a run that fails creates nothing, and the manifest comes last, so a run
+    whose artifacts did not all land writes none.  The directory is created
+    only if it is missing: one that is already there costs one ``stat``.
+    """
+    outdir = Path(args.out)
+    if not os.path.isdir(args.out):
+        outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        _write(outdir, name, text)
+    _write(outdir, "manifest.json", _json_text({
         "tool": "saradc",
         "version": __version__,
         "python": platform.python_version(),
@@ -133,12 +127,11 @@ def _manifest(outdir: Path, args, seed, cfg: AdcConfig) -> None:
         "seed": seed,
         "output_dir": str(outdir),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    _write(outdir, "manifest.json", _json_text(payload))
+    }))
+    return outdir
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args.config)
+def _cmd_simulate(args, cfg: AdcConfig) -> int:
     if args.ideal:
         cfg = ideal_config(cfg)
     d = derived_constants(cfg)
@@ -147,9 +140,6 @@ def _cmd_simulate(args) -> int:
     power = analysis.spectrum(result.codes, cfg.bits)
     rep = engine.power_report(result)
     m = analysis.metrics(power, args.bin, rep.total, cfg.f_s, n=args.n)
-
-    outdir = _outdir(args.out)
-    _write(outdir, "spectrum.csv", analysis.spectrum_csv(power, cfg.f_s, n=args.n))
     payload = m.to_json_dict()
     payload.update({
         "amplitude_V": args.amplitude,
@@ -161,17 +151,10 @@ def _cmd_simulate(args) -> int:
         "v_fs_net_V": d.v_fs_net,
         "seed": args.seed,
     })
-    _write(outdir, "metrics.json", _json_text(payload))
-    # a record is written in one of two formats; drop the other one's stale file
-    _fresh(outdir, "codes.npz" if args.n <= 65536 else "codes.csv")
-    if args.n <= 65536:
-        _write(outdir, "codes.csv", _codes_csv(result.codes, result.metastable,
-                                               result.violation))
-    else:
-        np.savez_compressed(_fresh(outdir, "codes.npz"), codes=result.codes,
-                            metastable=result.metastable,
-                            violation=result.violation)
-    _manifest(outdir, args, args.seed, cfg)
+    outdir = _emit(args, cfg, args.seed, {
+        "spectrum.csv": analysis.spectrum_csv(power, cfg.f_s, n=args.n),
+        "metrics.json": _json_text(payload),
+        "codes.csv": _codes_csv(result.codes, result.metastable, result.violation)})
     shown = (f"SNDR={m.sndr:.2f} dB ENOB={m.enob:.2f} b" if m.sndr != math.inf
              else "SNDR and ENOB not measurable")       # no noise was there to measure
     print(f"simulate: n={args.n} bin={args.bin} {shown} power={rep.total * 1e6:.1f} uW -> {outdir}")
@@ -191,8 +174,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_timing(args) -> int:
-    cfg = _load(args.config)
+def _cmd_timing(args, cfg: AdcConfig) -> int:
     b = timing_mod.build_budget(cfg)
     rows = [
         ("tau_reg_s", b.tau_reg), ("t_hard_s", b.t_hard), ("t_easy_s", b.t_easy),
@@ -201,13 +183,11 @@ def _cmd_timing(args) -> int:
         ("f_s_max_sync_Hz", b.f_s_max_sync), ("f_s_Hz", b.f_s),
         ("margin_s", b.margin), ("async_boost", b.boost),
     ]
-    outdir = _outdir(args.out)
-    _write(outdir, "timing.csv",
-           "quantity,value\n" + "".join(f"{k},{v:.12g}\n" for k, v in rows))
     payload = {k: v for k, v in rows}
     payload["timing_violation"] = b.timing_violation
-    _write(outdir, "timing.json", _json_text(payload))
-    _manifest(outdir, args, None, cfg)
+    _emit(args, cfg, None, {
+        "timing.csv": "quantity,value\n" + "".join(f"{k},{v:.12g}\n" for k, v in rows),
+        "timing.json": _json_text(payload)})
     for k, v in rows:
         print(f"{k:>18s} : {v:.6g}")
     if b.timing_violation:
@@ -215,30 +195,24 @@ def _cmd_timing(args) -> int:
     return 0
 
 
-def _cmd_power(args) -> int:
-    cfg = _load(args.config)
+def _cmd_power(args, cfg: AdcConfig) -> int:
     tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude,
                                       cfg.v_cm, cfg.f_s)
     result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     rep = engine.power_report(result)
-    outdir = _outdir(args.out)
-    _write(outdir, "power.csv", rep.to_csv())
-    _write(outdir, "power.json", _json_text(rep.to_json_dict()))
-    _manifest(outdir, args, args.seed, cfg)
+    _emit(args, cfg, args.seed, {"power.csv": rep.to_csv(),
+                                 "power.json": _json_text(rep.to_json_dict())})
     for k, v in rep.blocks.items():
         print(f"{k:>12s} : {v * 1e6:8.2f} uW ({rep.fractions[k] * 100:5.1f} %)")
     print(f"{'total':>12s} : {rep.total * 1e6:8.2f} uW")
     return 0
 
 
-def _cmd_dac_compare(args) -> int:
-    cfg = _load(args.config)
+def _cmd_dac_compare(args, cfg: AdcConfig) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     report = capdac.compare_topologies(cfg, rng)
-    outdir = _outdir(args.out)
-    _write(outdir, "dac_compare.csv", report.to_csv())
-    _write(outdir, "dac_compare.json", _json_text(report.to_json_dict()))
-    _manifest(outdir, args, args.seed, cfg)
+    _emit(args, cfg, args.seed, {"dac_compare.csv": report.to_csv(),
+                                 "dac_compare.json": _json_text(report.to_json_dict())})
     for r in report.rows():
         print(f"{r.topology:>7s}: C/side={r.c_total_side * 1e15:8.2f} fF  "
               f"kT/C={r.sigma_ktc * 1e6:7.2f} uVrms  "
@@ -250,20 +224,16 @@ def _cmd_dac_compare(args) -> int:
     return 0
 
 
-def _cmd_metastability(args) -> int:
-    cfg = _load(args.config)
+def _cmd_metastability(args, cfg: AdcConfig) -> int:
     res = timing_mod.metastability_mc(cfg, args.trials, args.pmeta, seed=args.seed)
-    outdir = _outdir(args.out)
-    _write(outdir, "metastability.json", _json_text(res))
-    _manifest(outdir, args, args.seed, cfg)
+    _emit(args, cfg, args.seed, {"metastability.json": _json_text(res)})
     lo, hi = res["ci95"]
     print(f"metastability: rate={res['rate']:.3e} target={res['target']:.3e} "
           f"ci95=[{lo:.3e}, {hi:.3e}] trials={res['trials']}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args.config)
+def _cmd_sweep(args, cfg: AdcConfig) -> int:
     try:
         start, stop, steps = args.range.split(":")
         values = np.linspace(float(start), float(stop), int(steps))
@@ -290,14 +260,12 @@ def _cmd_sweep(args) -> int:
             # metrics.json writes null
             row += "," if m.sndr == math.inf else f",{m.sndr:.6f}"
         lines.append(row)
-    outdir = _outdir(args.out)
-    _write(outdir, "sweep.csv", "\n".join(lines) + "\n")
-    _manifest(outdir, args, args.seed, cfg)
+    outdir = _emit(args, cfg, args.seed, {"sweep.csv": "\n".join(lines) + "\n"})
     print(f"sweep: {args.param} over {len(values)} points -> {outdir / 'sweep.csv'}")
     return 0
 
 
-def _cmd_print_defaults(_args) -> int:
+def _cmd_print_defaults(_args, _cfg) -> int:
     sys.stdout.write(REFERENCE_CONFIG_DOC)
     return 0
 
@@ -317,14 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 
+    def tone(sp, n, bin_):
+        sp.add_argument("--n", type=int, default=n, help="record length")
+        sp.add_argument("--bin", type=int, default=bin_, help="tone bin (coprime to n)")
+        sp.add_argument("--amplitude", type=float, default=0.75,
+                        help="differential amplitude [V]")
+
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="tone -> conversion -> spectrum + metrics")
     common(sp)
-    sp.add_argument("--n", type=int, default=64, help="record length")
-    sp.add_argument("--bin", type=int, default=3, help="tone bin (coprime to n)")
-    sp.add_argument("--amplitude", type=float, default=0.75,
-                    help="differential amplitude [V]")
+    tone(sp, 64, 3)
     sp.add_argument("--ideal", action="store_true", help="disable all nonidealities")
     sp.add_argument("--check", action="store_true",
                     help="verify spectrum identities; exit 3 on failure")
@@ -334,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("power", help="per-block power breakdown")
     common(sp)
-    sp.add_argument("--n", type=int, default=4096)
-    sp.add_argument("--bin", type=int, default=189)
-    sp.add_argument("--amplitude", type=float, default=0.75)
+    tone(sp, 4096, 189)
 
     sp = sub.add_parser("dac-compare", help="binary vs split topology trade study")
     common(sp)
@@ -351,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", required=True)
     sp.add_argument("--range", required=True, help="start:stop:steps (SI units)")
     sp.add_argument("--sndr", action="store_true", help="add a simulated SNDR column")
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--bin", type=int, default=19)
-    sp.add_argument("--amplitude", type=float, default=0.75)
+    tone(sp, 256, 19)
 
     sub.add_parser("print-defaults", help="emit the shipped configuration")
     return p
@@ -375,7 +342,7 @@ def main(argv=None) -> int:
     if getattr(args, "out", None) is None:
         args.out = _default_out()
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args, _load(getattr(args, "config", None)))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import saradc as sa
+from saradc import analysis, engine
 from saradc.cli import _codes_csv, main
 from saradc.config import REFERENCE_CONFIG_DOC
 
@@ -39,7 +40,7 @@ def test_simulate_writes_artifacts(tmp_path):
     assert metrics["enob_bits"] == (metrics["sndr_dB"] - 1.76) / 6.02
 
 
-def test_simulate_byte_identical_across_workers(tmp_path):
+def test_simulate_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(["simulate", "--n", "128", "--bin", "11", "--seed", "7", "--out", str(a)])
     run(["simulate", "--n", "128", "--bin", "11", "--seed", "7", "--out", str(b)])
@@ -260,15 +261,49 @@ def test_short_writes_complete_the_artifact(tmp_path, monkeypatch):
                 (whole / name).read_bytes()
 
 
-@pytest.mark.parametrize("first, second", [("65537", "64"), ("64", "65537")])
-def test_codes_file_of_another_format_is_removed(tmp_path, first, second):
-    # records up to 65,536 samples write codes.csv, longer ones codes.npz;
-    # a later run into the same directory leaves only its own format
-    out = str(tmp_path / "run")
-    for n, bin_ in ((first, "1"), (second, "3")):
-        assert run(["simulate", "--n", n, "--bin", bin_, "--out", out]) == 0
-    codes = {p.name for p in (tmp_path / "run").glob("codes.*")}
-    assert codes == {"codes.csv" if second == "64" else "codes.npz"}
+def test_long_record_writes_codes_csv(tmp_path):
+    # a record of any length writes its codes as codes.csv, and only that;
+    # a 65,537-sample record is one sample past the length at which an
+    # earlier release switched to codes.npz
+    n = 65537
+    out = tmp_path / "long"
+    assert run(["simulate", "--n", str(n), "--bin", "3", "--out", str(out)]) == 0
+    assert not (out / "codes.npz").exists()
+    cfg = sa.reference_defaults()
+    tone = analysis.gen_coherent_tone(n, 3, 0.75, cfg.v_cm, cfg.f_s)
+    result = engine.convert_waveform(tone.v_diff, cfg, seed=0)
+    rows = np.column_stack((np.arange(n), result.codes, result.metastable,
+                            result.violation)).ravel().tolist()
+    expected = "index,code,metastable,violation\n" + ("%d,%d,%d,%d\n" * n) % tuple(rows)
+    # compared by name, so that a failure does not diff a megabyte of text
+    same = (out / "codes.csv").read_text() == expected
+    assert same
+
+
+# each result command's artifacts, as README's Command line section lists them
+_ARTIFACTS = [(["simulate"], {"spectrum.csv", "metrics.json", "codes.csv"}),
+              (["power", "--n", "64", "--bin", "3"], {"power.csv", "power.json"}),
+              (["timing"], {"timing.csv", "timing.json"}),
+              (["dac-compare"], {"dac_compare.csv", "dac_compare.json"}),
+              (["metastability", "--trials", "1000", "--pmeta", "0.1"],
+               {"metastability.json"}),
+              (["sweep", "--param", "c_p", "--range", "0:1e-15:2"], {"sweep.csv"})]
+
+
+def test_output_contract(tmp_path, capsys):
+    # a command writes its own artifacts and a manifest, nothing else
+    for argv, names in _ARTIFACTS:
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == names | {"manifest.json"}, argv[0]
+    # the manifest comes last: a run whose second artifact cannot be written
+    # stops there and writes none
+    out = tmp_path / "blocked"
+    (out / "timing.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert run(["timing", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert {p.name for p in out.iterdir()} == {"timing.csv", "timing.json"}
 
 
 # record lengths of 1 to 65,536 samples whose last index has 1 to 5 digits

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
-from saradc import analysis, capdac, comparator, config, engine, timing, track_hold
+from saradc import analysis, capdac, cli, comparator, config, engine, timing, track_hold
 from saradc.config import _SCHEMA, REFERENCE_CONFIG_DOC, ConfigError
 from saradc.timing import t_easy_of
 
@@ -214,7 +214,7 @@ def test_public_names_resolve():
                engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk,
                         "_stream_states", "_pool_state", "_hashmix", "_mix", "_hash_consts",
                         "_Preseeded", "_stream", "ISeedSequence"),
-               sa: walk, track_hold: walk, comparator: walk,
+               cli: ("_fresh",), sa: walk, track_hold: walk, comparator: walk,
                analysis.Tone: ("v_p", "v_n")}
     for owner, names in deleted.items():
         for name in names:

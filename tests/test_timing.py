@@ -104,7 +104,7 @@ def test_metastability_rate_saturates_at_loose_target(ref_cfg):
     assert res["rate"] > 0.99
 
 
-def test_metastability_sharding_deterministic(ref_cfg):
+def test_metastability_count_is_binomial_per_seed(ref_cfg):
     # the count is Binomial(trials, p) over seeds, also for partial last
     # candidate blocks, when nearly every trial is a candidate, and at a
     # small target, where the candidate window is tiny next to one LSB; one
