@@ -280,6 +280,20 @@ def test_long_record_writes_codes_csv(tmp_path):
     assert same
 
 
+@pytest.mark.parametrize("first, second", [("65537", "64"), ("64", "65537")])
+def test_codes_file_of_another_format_is_removed(tmp_path, first, second):
+    # an earlier release wrote records over 65,536 samples as codes.npz; now
+    # every length writes codes.csv, so a later run into the same directory,
+    # longer or shorter, leaves one codes file that holds its own record only
+    out = tmp_path / "run"
+    for n, bin_ in ((first, "1"), (second, "3")):
+        assert run(["simulate", "--n", n, "--bin", bin_, "--out", str(out)]) == 0
+    assert {p.name for p in out.glob("codes.*")} == {"codes.csv"}
+    lines = (out / "codes.csv").read_text().splitlines()
+    assert len(lines) == int(second) + 1
+    assert lines[-1].split(",")[0] == str(int(second) - 1)
+
+
 # each result command's artifacts, as README's Command line section lists them
 _ARTIFACTS = [(["simulate"], {"spectrum.csv", "metrics.json", "codes.csv"}),
               (["power", "--n", "64", "--bin", "3"], {"power.csv", "power.json"}),
