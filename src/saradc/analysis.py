@@ -41,6 +41,8 @@ def gen_coherent_tone(n: int, tone_bin: int, amplitude: float, v_cm: float,
             f"gen_coherent_tone: bin {tone_bin} shares a factor with n = {n}; "
             f"the record would not be coherent"
         )
+    if not math.isfinite(amplitude):
+        raise ValueError(f"gen_coherent_tone: amplitude {amplitude} V is not finite")
     k = np.arange(n)
     return Tone(
         v_diff=amplitude * np.sin(2.0 * np.pi * tone_bin * k / n),
@@ -82,23 +84,6 @@ class SpectrumMetrics:
     fom_literal: float         # p_total / f_s^2, reported verbatim
     fom_literal_unit: str
 
-    def to_json_dict(self) -> dict:
-        def num(x, noise_figure=False):
-            if noise_figure and self.sndr == math.inf:
-                return None         # no noise measured: null, not a perfect figure
-            return x if math.isfinite(x) else repr(x)
-        return {
-            "n": self.n,
-            "signal_bin": self.signal_bin,
-            "sndr_dB": num(self.sndr, True),
-            "sfdr_dB": num(self.sfdr, True),
-            "thd_dB": num(self.thd),
-            "enob_bits": num(self.enob, True),
-            "fom_walden_J_per_step": num(self.fom_walden, True),
-            "fom_literal": num(self.fom_literal),
-            "fom_literal_unit": self.fom_literal_unit,
-        }
-
 
 def _harmonic_bins(signal_bin: int, n: int, count: int = 5):
     """Aliased harmonic bin locations (2nd..(count+1)th)."""
@@ -130,8 +115,8 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     length from the even one below it, so the default is the even one.
 
     A record with no measurable non-signal power reports SNDR (and SFDR)
-    as +inf sentinels rather than failing, its Walden FOM as NaN (not a
-    best-possible zero), and its JSON form writes these and ENOB as null.  A record
+    as +inf sentinels rather than failing, and its Walden FOM as NaN (not a
+    best-possible zero); ``metrics.json`` writes these and ENOB as null.  A record
     with no power in the signal bin (a silent input) has no ratio to the
     signal to measure: SNDR, SFDR, THD, ENOB and the Walden FOM are NaN.
     """

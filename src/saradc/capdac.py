@@ -333,36 +333,6 @@ class TradeReport:
     energy_saving: float       # 1 - split/binary under ideal accounting
     c_reduction: float         # binary/split physical capacitance ratio
 
-    def rows(self):
-        return (self.binary, self.split)
-
-    def to_json_dict(self) -> dict:
-        def row(r):
-            return {
-                "topology": r.topology,
-                "c_total_side_F": r.c_total_side,
-                "sigma_ktc_V": r.sigma_ktc,
-                "e_avg_conversion_J": r.e_avg_conversion,
-                "e_avg_textbook_J": r.e_avg_textbook,
-                "inl_max_lsb": r.inl_max,
-            }
-        return {
-            "rows": [row(self.binary), row(self.split)],
-            "energy_saving_ideal_accounting": self.energy_saving,
-            "capacitance_reduction": self.c_reduction,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["topology,c_total_side_F,sigma_ktc_V,e_avg_conversion_J,"
-                 "e_avg_textbook_J,inl_max_lsb,energy_saving,c_reduction"]
-        for r in self.rows():
-            lines.append(
-                f"{r.topology},{r.c_total_side:.12g},{r.sigma_ktc:.12g},"
-                f"{r.e_avg_conversion:.12g},{r.e_avg_textbook:.12g},"
-                f"{r.inl_max:.12g},{self.energy_saving:.12g},{self.c_reduction:.12g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _row(topology: str, ladder: Ladder, t_kelvin: float, e_textbook: float,
          delta: float) -> TopologyRow:

@@ -5,7 +5,7 @@ print-defaults.  Every run that writes artifacts drops a manifest.json next
 to them so any output can be re-derived: it names the sha256 of the config
 that ran (as ``serialize`` writes it, after ``--ideal``) and the Python and
 numpy versions.  Data artifacts are byte-identical for a fixed seed and
-config.  Exit codes:
+config, and their layouts are all set here.  Exit codes:
 0 success, 1 configuration error, 2 runtime precondition, 3 a --check
 verification failed.
 
@@ -16,6 +16,7 @@ every call.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -70,10 +71,8 @@ def _write(outdir: Path, name: str, text: str) -> None:
     cannot cut an artifact.
     """
     path = os.path.join(outdir, name)
-    try:
+    with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
-    except FileNotFoundError:
-        pass
     fd = os.open(path, _NEW_FILE, 0o666)
     try:
         data = memoryview(text.encode())
@@ -91,8 +90,21 @@ def _codes_csv(codes, metastable, violation) -> str:
         [np.arange(len(codes)), ",", codes, ",", metastable, ",", violation, "\n"], len(codes))
 
 
+def _csv(header, rows) -> str:
+    """A CSV of a header and rows: a number is printed as ``%.12g``, a
+    string as it is."""
+    return "".join(",".join(cell if isinstance(cell, str) else f"{cell:.12g}" for cell in row)
+                   + "\n" for row in (header, *rows))
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _unmeasured(m: analysis.SpectrumMetrics) -> bool:
+    """A record that measured no noise has no noise figures, not perfect
+    ones: null in ``metrics.json``, an empty field in ``sweep.csv``."""
+    return m.sndr == math.inf
 
 
 # main may run many times in one process, mostly on one config; serializing
@@ -108,12 +120,16 @@ def _emit(args, cfg: AdcConfig, seed, artifacts: dict[str, str]) -> Path:
 
     Every command that writes comes here once, with its results in hand, so
     a run that fails creates nothing, and the manifest comes last, so a run
-    whose artifacts did not all land writes none.  The directory is created
-    only if it is missing: one that is already there costs one ``stat``.
+    whose artifacts did not all land writes none, nor leaves an earlier
+    run's.  The directory is created only if it is missing: one that is
+    already there costs one ``stat``.
     """
     outdir = Path(args.out)
     if not os.path.isdir(args.out):
         outdir.mkdir(parents=True, exist_ok=True)
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(outdir, "manifest.json"))
     for name, text in artifacts.items():
         _write(outdir, name, text)
     _write(outdir, "manifest.json", _json_text({
@@ -140,23 +156,27 @@ def _cmd_simulate(args, cfg: AdcConfig) -> int:
     power = analysis.spectrum(result.codes, cfg.bits)
     rep = engine.power_report(result)
     m = analysis.metrics(power, args.bin, rep.total, cfg.f_s, n=args.n)
-    payload = m.to_json_dict()
-    payload.update({
-        "amplitude_V": args.amplitude,
-        "f_in_Hz": tone.f_in,
-        "metastable_conversions": result.n_metastable_conversions,
-        "timing_violations": result.n_violations,
-        "mean_power_W": rep.total,
-        "lsb_V": d.delta,
-        "v_fs_net_V": d.v_fs_net,
-        "seed": args.seed,
-    })
+
+    # a non-finite figure is written as its repr, e.g. "-inf", but as null
+    # if it is a noise figure of a record that measured no noise
+    def num(x, noise_figure=False):
+        if noise_figure and _unmeasured(m):
+            return None
+        return x if math.isfinite(x) else repr(x)
+    payload = {
+        "n": m.n, "signal_bin": m.signal_bin, "sndr_dB": num(m.sndr, True),
+        "sfdr_dB": num(m.sfdr, True), "thd_dB": num(m.thd), "enob_bits": num(m.enob, True),
+        "fom_walden_J_per_step": num(m.fom_walden, True), "fom_literal": num(m.fom_literal),
+        "fom_literal_unit": m.fom_literal_unit, "amplitude_V": args.amplitude,
+        "f_in_Hz": tone.f_in, "metastable_conversions": result.n_metastable_conversions,
+        "timing_violations": result.n_violations, "mean_power_W": rep.total,
+        "lsb_V": d.delta, "v_fs_net_V": d.v_fs_net, "seed": args.seed}
     outdir = _emit(args, cfg, args.seed, {
         "spectrum.csv": analysis.spectrum_csv(power, cfg.f_s, n=args.n),
         "metrics.json": _json_text(payload),
         "codes.csv": _codes_csv(result.codes, result.metastable, result.violation)})
-    shown = (f"SNDR={m.sndr:.2f} dB ENOB={m.enob:.2f} b" if m.sndr != math.inf
-             else "SNDR and ENOB not measurable")       # no noise was there to measure
+    shown = ("SNDR and ENOB not measurable" if _unmeasured(m)
+             else f"SNDR={m.sndr:.2f} dB ENOB={m.enob:.2f} b")
     print(f"simulate: n={args.n} bin={args.bin} {shown} power={rep.total * 1e6:.1f} uW -> {outdir}")
 
     if args.check:
@@ -183,11 +203,9 @@ def _cmd_timing(args, cfg: AdcConfig) -> int:
         ("f_s_max_sync_Hz", b.f_s_max_sync), ("f_s_Hz", b.f_s),
         ("margin_s", b.margin), ("async_boost", b.boost),
     ]
-    payload = {k: v for k, v in rows}
-    payload["timing_violation"] = b.timing_violation
     _emit(args, cfg, None, {
-        "timing.csv": "quantity,value\n" + "".join(f"{k},{v:.12g}\n" for k, v in rows),
-        "timing.json": _json_text(payload)})
+        "timing.csv": _csv(("quantity", "value"), rows),
+        "timing.json": _json_text({**dict(rows), "timing_violation": b.timing_violation})})
     for k, v in rows:
         print(f"{k:>18s} : {v:.6g}")
     if b.timing_violation:
@@ -200,10 +218,13 @@ def _cmd_power(args, cfg: AdcConfig) -> int:
                                       cfg.v_cm, cfg.f_s)
     result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     rep = engine.power_report(result)
-    _emit(args, cfg, args.seed, {"power.csv": rep.to_csv(),
-                                 "power.json": _json_text(rep.to_json_dict())})
-    for k, v in rep.blocks.items():
-        print(f"{k:>12s} : {v * 1e6:8.2f} uW ({rep.fractions[k] * 100:5.1f} %)")
+    rows = [(k, v, v / rep.total) for k, v in rep.blocks.items()]
+    _emit(args, cfg, args.seed, {
+        "power.csv": _csv(("block", "power_W", "fraction"), rows + [("total", rep.total, 1)]),
+        "power.json": _json_text({"blocks_W": rep.blocks, "total_W": rep.total,
+                                  "fractions": rep.fractions})})
+    for k, v, fraction in rows:
+        print(f"{k:>12s} : {v * 1e6:8.2f} uW ({fraction * 100:5.1f} %)")
     print(f"{'total':>12s} : {rep.total * 1e6:8.2f} uW")
     return 0
 
@@ -211,9 +232,18 @@ def _cmd_power(args, cfg: AdcConfig) -> int:
 def _cmd_dac_compare(args, cfg: AdcConfig) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     report = capdac.compare_topologies(cfg, rng)
-    _emit(args, cfg, args.seed, {"dac_compare.csv": report.to_csv(),
-                                 "dac_compare.json": _json_text(report.to_json_dict())})
-    for r in report.rows():
+    rows = [{"topology": r.topology, "c_total_side_F": r.c_total_side,
+             "sigma_ktc_V": r.sigma_ktc, "e_avg_conversion_J": r.e_avg_conversion,
+             "e_avg_textbook_J": r.e_avg_textbook, "inl_max_lsb": r.inl_max}
+            for r in (report.binary, report.split)]
+    _emit(args, cfg, args.seed, {
+        "dac_compare.csv": _csv(
+            (*rows[0], "energy_saving", "c_reduction"),
+            [(*row.values(), report.energy_saving, report.c_reduction) for row in rows]),
+        "dac_compare.json": _json_text({
+            "rows": rows, "energy_saving_ideal_accounting": report.energy_saving,
+            "capacitance_reduction": report.c_reduction})})
+    for r in (report.binary, report.split):
         print(f"{r.topology:>7s}: C/side={r.c_total_side * 1e15:8.2f} fF  "
               f"kT/C={r.sigma_ktc * 1e6:7.2f} uVrms  "
               f"E/conv={r.e_avg_conversion * 1e12:7.3f} pJ  "
@@ -241,26 +271,23 @@ def _cmd_sweep(args, cfg: AdcConfig) -> int:
         raise ConfigError(f"--range: expected start:stop:steps, got {args.range!r}") from err
     if len(values) == 0:
         raise ConfigError("--range: steps must be at least 1")
-    header = f"{args.param},delta_V,v_fs_net_V,tau_reg_s,f_s_max_Hz"
-    if args.sndr:
-        header += ",sndr_dB"
-    lines = [header]
+    header = [args.param, "delta_V", "v_fs_net_V", "tau_reg_s", "f_s_max_Hz"] + (
+        ["sndr_dB"] if args.sndr else [])
+    rows = []
     for v in values.tolist():
         c = validate(dataclasses.replace(cfg, **{args.param: parse_value(args.param, v)}))
         d = derived_constants(c)
         b = timing_mod.build_budget(c)
-        row = f"{v:.12g},{d.delta:.12g},{d.v_fs_net:.12g},{c.tau_reg:.12g},{b.f_s_max:.12g}"
+        row = [v, d.delta, d.v_fs_net, c.tau_reg, b.f_s_max]
         if args.sndr:
             tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude,
                                               c.v_cm, c.f_s)
             result = engine.convert_waveform(tone.v_diff, c, seed=args.seed)
             power = analysis.spectrum(result.codes, c.bits)
             m = analysis.metrics(power, args.bin, 1.0, c.f_s, n=args.n)
-            # a record that measured no noise leaves the field empty, as
-            # metrics.json writes null
-            row += "," if m.sndr == math.inf else f",{m.sndr:.6f}"
-        lines.append(row)
-    outdir = _emit(args, cfg, args.seed, {"sweep.csv": "\n".join(lines) + "\n"})
+            row.append("" if _unmeasured(m) else f"{m.sndr:.6f}")
+        rows.append(row)
+    outdir = _emit(args, cfg, args.seed, {"sweep.csv": _csv(header, rows)})
     print(f"sweep: {args.param} over {len(values)} points -> {outdir / 'sweep.csv'}")
     return 0
 
@@ -318,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="one config key vs derived metrics")
     common(sp)
     sp.add_argument("--param", required=True)
-    sp.add_argument("--range", required=True, help="start:stop:steps (SI units)")
+    sp.add_argument("--range", required=True, help="start:stop:steps (SI units); "
+                    "a negative start needs the form --range=-1:1:3")
     sp.add_argument("--sndr", action="store_true", help="add a simulated SNDR column")
     tone(sp, 256, 19)
 

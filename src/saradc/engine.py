@@ -258,20 +258,6 @@ class NoiseBudget:
     def predicted_sndr(self) -> float:
         return 10.0 * math.log10(self.signal_power / self.total)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "comparator_V2": self.comparator,
-            "sampling_V2": self.sampling,
-            "quantization_V2": self.quantization,
-            "distortion_V2": self.distortion,
-            "total_V2": self.total,
-            "signal_power_V2": self.signal_power,
-            "target_sndr_dB": self.target_sndr,
-            "allowed_V2": self.allowed,
-            "slack_V2": self.slack,
-            "predicted_sndr_dB": self.predicted_sndr,
-        }
-
 
 def measure_distortion_power(cfg: AdcConfig, amplitude: float,
                              n: int = 64, tone_bin: int = 3,
@@ -341,17 +327,6 @@ class PowerReport:
     @property
     def fractions(self) -> dict:
         return {k: v / self.total for k, v in self.blocks.items()}
-
-    def to_csv(self) -> str:
-        lines = ["block,power_W,fraction"]
-        for k, v in self.blocks.items():
-            lines.append(f"{k},{v:.12g},{v / self.total:.12g}")
-        lines.append(f"total,{self.total:.12g},1")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"blocks_W": dict(self.blocks), "total_W": self.total,
-                "fractions": self.fractions}
 
 
 def power_report(result: WaveformResult) -> PowerReport:

@@ -393,10 +393,3 @@ def test_trade_inl_matches_engine_ramp(ref_cfg):
     inl = sa.inl_dnl(sa.convert_waveform(v, cfg, seed=0).codes, cfg.bits, min_hits=8)[1]
     assert abs(trade.binary.inl_max - np.max(np.abs(inl))) < 0.15
 
-
-def test_trade_report_serializes(trade):
-    csv = trade.to_csv()
-    assert csv.splitlines()[0].startswith("topology,")
-    assert len(csv.splitlines()) == 3
-    d = trade.to_json_dict()
-    assert {"rows", "energy_saving_ideal_accounting", "capacitance_reduction"} <= set(d)

@@ -49,21 +49,34 @@ def test_simulate_byte_identical_across_runs(tmp_path):
 
 
 def test_engine_output_pinned(tmp_path):
-    # sha256 of the engine's and the design study's artifacts; a change to
-    # the conversion arithmetic, the order of the random draws, the trade
-    # study, the timing budget or the formatting of a table shows here
+    # sha256 of the engine's, the design study's and the sweep's artifacts;
+    # a change to the conversion arithmetic, the order of the random draws,
+    # the trade study, the timing budget, the metastability Monte Carlo or
+    # the layout of any CSV or JSON shows here
     record = ["--n", "256", "--bin", "19", "--seed", "42"]
     pins = [(["simulate", *record], {
                 "codes.csv": "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2",
+                "metrics.json": "64439a07fae33586e81fc9bc8edbe399e0b261926120cfc06607b80bc8a1af39",
                 "spectrum.csv":
                     "bbb1d936d63a6c6f8bb16de4aef22850f30415a5497a3adc7c1c9f6cacdb5636"}),
             (["power", *record], {
+                "power.csv": "55aa9585a16b379852900f3fc958888fcca5e1d8ac8c6c39ee9036d306b17f59",
                 "power.json": "678aa2bc45f69b77577f154c1bffd5fa543fd281a3ab8a3ac0bc30361f59b4bf"}),
             (["dac-compare", "--seed", "42"], {
+                "dac_compare.csv":
+                    "a04ae548b79c0d232e0456d29c14212b97504a5f7486411e54066a226a51e057",
                 "dac_compare.json":
                     "6486bbbc0e38d5fd61118b306d1496ff842c93628fed2be6dd5544c5330e41d4"}),
             (["timing"], {
+                "timing.csv": "652f8bf32d1d3980686dcb788ad734dc6ce4014440e166171defb79b9d8060fd",
                 "timing.json": "a5baf2dd2be8eef85c586aa6ef5109e8f791a4ac2409715a43f461a288575ecd"}),
+            (["metastability", "--pmeta", "1e-3", "--trials", "1000000", "--seed", "5"], {
+                "metastability.json":
+                    "de0f3e61e27e8b847e6e8179fc40aa74f0f80b19535a3dcc57ff46033727f1e0"}),
+            (["sweep", "--param", "c_p", "--range", "0:1e-13:5"], {
+                "sweep.csv": "2e294ce674ec64f6be0bf2a8f11a30b223931a1edaa7304875ad3ceb464f7f98"}),
+            (["sweep", "--param", "f_s", "--range", "100e6:150e6:3", "--sndr"], {
+                "sweep.csv": "84bd9eae05b5ce92933f1c529d810594cf39802539f0e8e59b0c33aa98ee15c5"}),
             # a seed of two 32-bit words, as the benchmark derives per op
             (["simulate", "--n", "256", "--bin", "19", "--seed", "4294967299"], {
                 "codes.csv": "289a2e77e1d4f3242764aea916f925d463fc5e3d84ea836e9d1ef2649e516180"}),
@@ -235,6 +248,36 @@ def test_stale_artifacts_are_replaced(tmp_path, capsys):
     assert (stale / "timing.json").is_dir()
 
 
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
+    # a run into a directory that holds an earlier run's artifacts and
+    # manifest stops at an artifact it cannot write; the earlier manifest
+    # must not be left to vouch for the new run's partial artifacts
+    out = tmp_path / "reused"
+    assert run(["timing", "--out", str(out)]) == 0
+    (out / "timing.json").unlink()
+    (out / "timing.json").mkdir()
+    capsys.readouterr()
+    assert run(["timing", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert not (out / "manifest.json").exists()
+    assert {p.name for p in out.iterdir()} == {"timing.csv", "timing.json"}
+
+
+@pytest.mark.parametrize("amplitude", ["inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["power", "--n", "64", "--bin", "3"],
+    ["sweep", "--param", "c_p", "--range", "0:1e-15:2", "--sndr"]],
+    ids=["simulate", "power", "sweep"])
+def test_non_finite_amplitude_exit_code(tmp_path, capsys, command, amplitude):
+    # the tone is refused by name, before a conversion sees a sample of it
+    out = tmp_path / "x"
+    assert run([*command, "--amplitude", amplitude, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1
+    assert f"amplitude {amplitude}" in err
+    assert not out.exists()
+
+
 def test_short_writes_complete_the_artifact(tmp_path, monkeypatch):
     # a write may take fewer bytes than it was given; the artifact is still whole
     commands = (["timing"], ["simulate", "--n", "64"])
@@ -375,6 +418,9 @@ def test_power_report_artifacts(tmp_path):
     data = json.loads((out / "power.json").read_text())
     assert set(data["blocks_W"]) == {"comparator", "dac", "logic", "track_hold"}
     assert abs(sum(data["fractions"].values()) - 1.0) < 1e-9
+    csv = (out / "power.csv").read_text().splitlines()
+    assert csv[0] == "block,power_W,fraction"
+    assert csv[-1].startswith("total,") and len(csv) == 6
 
 
 def test_dac_compare_artifacts(tmp_path):
@@ -382,8 +428,41 @@ def test_dac_compare_artifacts(tmp_path):
     assert run(["dac-compare", "--out", str(out)]) == 0
     data = json.loads((out / "dac_compare.json").read_text())
     assert abs(data["energy_saving_ideal_accounting"] - 0.375) < 0.05
+    assert {"rows", "energy_saving_ideal_accounting", "capacitance_reduction"} <= set(data)
     csv = (out / "dac_compare.csv").read_text().splitlines()
+    assert csv[0].startswith("topology,") and len(csv) == 3
     assert csv[1].startswith("binary,") and csv[2].startswith("split,")
+
+
+def test_csv_numbers_match_json(tmp_path):
+    # every number of a command's CSV is the %.12g of the same number in
+    # its JSON, so the two artifacts of one run cannot disagree
+    def read(name):
+        rows = [line.split(",") for line in (tmp_path / name).read_text().splitlines()]
+        return rows, json.loads((tmp_path / name.replace(".csv", ".json")).read_text())
+
+    def g(x):
+        return f"{x:.12g}"
+
+    for command in (["timing"], ["power", "--n", "64", "--bin", "3"], ["dac-compare"]):
+        assert run([*command, "--out", str(tmp_path)]) == 0
+    rows, data = read("timing.csv")
+    assert rows[0] == ["quantity", "value"] and len(rows) == 13
+    for quantity, value in rows[1:]:
+        assert value == g(data[quantity]), quantity
+    rows, data = read("power.csv")
+    for block, power, fraction in rows[1:-1]:
+        assert (power, fraction) == (g(data["blocks_W"][block]), g(data["fractions"][block]))
+    assert rows[-1] == ["total", g(data["total_W"]), "1"]
+    assert [row[0] for row in rows[1:-1]] == list(data["blocks_W"])
+    rows, data = read("dac_compare.csv")
+    summary = {"energy_saving": data["energy_saving_ideal_accounting"],
+               "c_reduction": data["capacitance_reduction"]}
+    assert len(rows) == 1 + len(data["rows"])
+    for row, topology in zip(rows[1:], data["rows"]):
+        for column, cell in zip(rows[0], row, strict=True):
+            value = topology[column] if column in topology else summary[column]
+            assert cell == (value if column == "topology" else g(value)), column
 
 
 def test_metastability_command(tmp_path):

@@ -122,7 +122,7 @@ def _smooth_outputs(cfg):
     b = timing.build_budget(cfg)
     out = [getattr(b, f.name) for f in fields(b)]
     trade = capdac.compare_topologies(cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
-    for row in trade.rows():
+    for row in (trade.binary, trade.split):
         out += [getattr(row, f.name) for f in fields(row) if f.name != "topology"]
     out += [trade.energy_saving, trade.c_reduction]
     tone = sa.gen_coherent_tone(4096, 189, 0.75, cfg.v_cm, cfg.f_s)

@@ -412,14 +412,6 @@ def test_power_scales_linearly_with_rate(ref_cfg):
         assert math.isclose(b.blocks[k], 2 * a.blocks[k], rel_tol=1e-6)
 
 
-def test_power_csv_layout(ref_cfg):
-    tone = sa.gen_coherent_tone(64, 3, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
-    rep = power_report(convert_waveform(tone.v_diff, ref_cfg, seed=0))
-    lines = rep.to_csv().splitlines()
-    assert lines[0] == "block,power_W,fraction"
-    assert lines[-1].startswith("total,")
-
-
 # ---------------------------------------------------------------------------
 # properties over schema-bounded configs
 
