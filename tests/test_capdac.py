@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import saradc as sa
+from saradc import cli
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
                            inl_from_steps, monotonic_energy_oracle, transfer_thresholds)
 from saradc.config import kt_over_c
@@ -393,3 +395,17 @@ def test_trade_inl_matches_engine_ramp(ref_cfg):
     inl = sa.inl_dnl(sa.convert_waveform(v, cfg, seed=0).codes, cfg.bits, min_hits=8)[1]
     assert abs(trade.binary.inl_max - np.max(np.abs(inl))) < 0.15
 
+
+def test_trade_report_serializes(ref_cfg, tmp_path):
+    # the dac-compare command serializes compare_topologies under the rng
+    # stream it derives from --seed: one CSV row per topology
+    assert cli.main(["dac-compare", "--seed", "5", "--out", str(tmp_path)]) == 0
+    trade = compare_topologies(ref_cfg, np.random.default_rng(np.random.SeedSequence((5, 1))))
+    csv = (tmp_path / "dac_compare.csv").read_text().splitlines()
+    assert csv[0].startswith("topology,")
+    assert len(csv) == 3
+    assert [line.split(",")[0] for line in csv[1:]] == [trade.binary.topology, trade.split.topology]
+    d = json.loads((tmp_path / "dac_compare.json").read_text())
+    assert {"rows", "energy_saving_ideal_accounting", "capacitance_reduction"} <= set(d)
+    assert d["energy_saving_ideal_accounting"] == trade.energy_saving
+    assert d["capacitance_reduction"] == trade.c_reduction

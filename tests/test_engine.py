@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
-from saradc import engine
+from saradc import cli, engine
 from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
 from saradc.engine import (convert_waveform, ideal_quantizer_code, measure_distortion_power,
@@ -410,6 +410,19 @@ def test_power_scales_linearly_with_rate(ref_cfg):
     b = power_report(convert_waveform(tone.v_diff, fast, seed=1))
     for k in a.blocks:
         assert math.isclose(b.blocks[k], 2 * a.blocks[k], rel_tol=1e-6)
+
+
+def test_power_csv_layout(ref_cfg, tmp_path):
+    # power.csv is written by the power command from this same report: one
+    # row per block in report order, then the total
+    assert cli.main(["power", "--n", "64", "--bin", "3", "--amplitude", "0.7",
+                        "--out", str(tmp_path)]) == 0
+    tone = sa.gen_coherent_tone(64, 3, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
+    rep = power_report(convert_waveform(tone.v_diff, ref_cfg, seed=0))
+    lines = (tmp_path / "power.csv").read_text().splitlines()
+    assert lines[0] == "block,power_W,fraction"
+    assert [line.split(",")[0] for line in lines[1:-1]] == list(rep.blocks)
+    assert lines[-1] == f"total,{rep.total:.12g},1"
 
 
 # ---------------------------------------------------------------------------
