@@ -23,8 +23,6 @@ class Tone:
     """Coherent differential test tone."""
     v_diff: np.ndarray     # differential samples [V]
     v_cm: float            # common mode both sides ride on [V]
-    bin: int
-    n: int
     f_in: float            # tone frequency [Hz]
 
 
@@ -44,10 +42,8 @@ def gen_coherent_tone(n: int, tone_bin: int, amplitude: float, v_cm: float,
     if not math.isfinite(amplitude):
         raise ValueError(f"gen_coherent_tone: amplitude {amplitude} V is not finite")
     k = np.arange(n)
-    return Tone(
-        v_diff=amplitude * np.sin(2.0 * np.pi * tone_bin * k / n),
-        v_cm=v_cm, bin=tone_bin, n=n, f_in=tone_bin / n * f_s,
-    )
+    return Tone(v_diff=amplitude * np.sin(2.0 * np.pi * tone_bin * k / n), v_cm=v_cm,
+                f_in=tone_bin / n * f_s)
 
 
 def spectrum(codes, bits: int) -> np.ndarray:

@@ -147,11 +147,23 @@ def _emit(args, cfg: AdcConfig, seed, artifacts: dict[str, str]) -> Path:
     return outdir
 
 
+def _tone(args, cfg: AdcConfig) -> analysis.Tone:
+    """The test tone of ``--n``, ``--bin`` and ``--amplitude`` at the rate of
+    ``cfg``.  Each side swings half the amplitude about ``v_cm``, so an
+    amplitude past ``2*min(v_cm, v_dd - v_cm)`` would leave the rails and
+    is refused by name."""
+    rail = 2.0 * min(cfg.v_cm, cfg.v_dd - cfg.v_cm)
+    if abs(args.amplitude) > rail:
+        raise ValueError(f"--amplitude {args.amplitude:g} V drives a side past a rail; "
+                         f"its size must not exceed 2*min(v_cm, v_dd - v_cm) = {rail:g} V")
+    return analysis.gen_coherent_tone(args.n, args.bin, args.amplitude, cfg.v_cm, cfg.f_s)
+
+
 def _cmd_simulate(args, cfg: AdcConfig) -> int:
     if args.ideal:
         cfg = ideal_config(cfg)
     d = derived_constants(cfg)
-    tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude, cfg.v_cm, cfg.f_s)
+    tone = _tone(args, cfg)
     result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
     power = analysis.spectrum(result.codes, cfg.bits)
     rep = engine.power_report(result)
@@ -197,10 +209,10 @@ def _cmd_simulate(args, cfg: AdcConfig) -> int:
 def _cmd_timing(args, cfg: AdcConfig) -> int:
     b = timing_mod.build_budget(cfg)
     rows = [
-        ("tau_reg_s", b.tau_reg), ("t_hard_s", b.t_hard), ("t_easy_s", b.t_easy),
-        ("t_fix_s", b.t_fix), ("t_delay_s", b.t_delay), ("t_track_s", b.t_track),
+        ("tau_reg_s", cfg.tau_reg), ("t_hard_s", b.t_hard), ("t_easy_s", b.t_easy),
+        ("t_fix_s", cfg.t_fix), ("t_delay_s", cfg.t_delay), ("t_track_s", cfg.t_track),
         ("period_min_s", b.period), ("f_s_max_Hz", b.f_s_max),
-        ("f_s_max_sync_Hz", b.f_s_max_sync), ("f_s_Hz", b.f_s),
+        ("f_s_max_sync_Hz", b.f_s_max_sync), ("f_s_Hz", cfg.f_s),
         ("margin_s", b.margin), ("async_boost", b.boost),
     ]
     _emit(args, cfg, None, {
@@ -214,9 +226,7 @@ def _cmd_timing(args, cfg: AdcConfig) -> int:
 
 
 def _cmd_power(args, cfg: AdcConfig) -> int:
-    tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude,
-                                      cfg.v_cm, cfg.f_s)
-    result = engine.convert_waveform(tone.v_diff, cfg, seed=args.seed)
+    result = engine.convert_waveform(_tone(args, cfg).v_diff, cfg, seed=args.seed)
     rep = engine.power_report(result)
     rows = [(k, v, v / rep.total) for k, v in rep.blocks.items()]
     _emit(args, cfg, args.seed, {
@@ -280,9 +290,7 @@ def _cmd_sweep(args, cfg: AdcConfig) -> int:
         b = timing_mod.build_budget(c)
         row = [v, d.delta, d.v_fs_net, c.tau_reg, b.f_s_max]
         if args.sndr:
-            tone = analysis.gen_coherent_tone(args.n, args.bin, args.amplitude,
-                                              c.v_cm, c.f_s)
-            result = engine.convert_waveform(tone.v_diff, c, seed=args.seed)
+            result = engine.convert_waveform(_tone(args, c).v_diff, c, seed=args.seed)
             power = analysis.spectrum(result.codes, c.bits)
             m = analysis.metrics(power, args.bin, 1.0, c.f_s, n=args.n)
             row.append("" if _unmeasured(m) else f"{m.sndr:.6f}")
@@ -370,6 +378,8 @@ def main(argv=None) -> int:
     if getattr(args, "out", None) is None:
         args.out = _default_out()
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
         return _HANDLERS[args.command](args, _load(getattr(args, "config", None)))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -26,13 +26,13 @@ direct measurement.  The pre-regeneration gain ``a_v`` is an assumption (5,
 a typical first-phase latch gain).  The track-and-hold nonlinearity, DAC
 settling depth, unit-cap mismatch and the two per-block energy constants
 were tuned once against the target dynamic performance and are frozen here;
-see the schema entries marked "calibration".
+see the fields of ``AdcConfig`` marked "calibration".
 """
 
 import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 
 K_BOLTZMANN = 1.380649e-23  # [J/K]
@@ -42,40 +42,49 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration; message names the offending key."""
 
 
+def _key(unit: str, lo, hi, doc: str):
+    """Declare one config key: its unit ("" = dimensionless), its plausible
+    range [lo, hi] and its meaning; the field's annotation is its kind.  The
+    bounds are generous decade guards whose only job is to catch
+    wrong-order-of-magnitude entries."""
+    return field(metadata={"key": (unit, lo, hi, doc)})
+
+
 @dataclass(frozen=True)
 class AdcConfig:
     # Core converter
-    bits: int               # resolution [bits]
-    v_dd: float             # supply [V]
-    v_ref: float            # DAC reference, half the gross full scale [V]
-    f_s: float              # sampling rate [Hz]
+    bits: int = _key("", 3, 24, "resolution (the split array needs a sub bit)")
+    v_dd: float = _key("V", 0.1, 20.0, "supply voltage")
+    v_ref: float = _key("V", 0.01, 20.0, "DAC reference voltage")
+    f_s: float = _key("Hz", 1e3, 1e12, "sampling rate")
     # Capacitive DAC
-    c_unit: float           # minimum physical unit capacitor [F]
-    c_dac: float            # total per-side DAC capacitance [F]
-    c_p: float              # lumped parasitic at the comparator node [F]
+    c_unit: float = _key("F", 1e-18, 1e-9, "minimum unit capacitor")
+    c_dac: float = _key("F", 1e-16, 1e-6, "per-side DAC capacitance")
+    c_p: float = _key("F", 0.0, 1e-6, "comparator-node parasitic")
     # Comparator
-    tau_reg: float          # regeneration time constant [s] (calibration)
-    c_comp: float           # capacitance switched per firing [F] (calibration)
-    a_v: float              # gain accrued before regeneration [-] (assumption)
-    sigma_n_comp: float     # operative input-referred noise [Vrms]
-    v_cm: float             # comparator common mode [V]
+    tau_reg: float = _key("s", 1e-15, 1e-6, "regeneration time constant (calibration)")
+    c_comp: float = _key("F", 1e-18, 1e-9, "comparator switched capacitance (calibration)")
+    a_v: float = _key("", 1.0, 1e3, "pre-regeneration gain (assumption)")
+    sigma_n_comp: float = _key("V", 0.0, 0.1, "comparator input noise, rms")
+    v_cm: float = _key("V", 0.0, 20.0, "comparator common mode")
     # Timing
-    t_track: float          # tracking phase length [s]
-    t_delay: float          # logic delay per bit cycle [s]
-    t_fix: float            # fixed per-bit overhead (DAC settle + clock) [s]
-    p_meta: float           # metastability rate target [-]
+    t_track: float = _key("s", 1e-15, 1.0, "tracking phase length")
+    t_delay: float = _key("s", 0.0, 1.0, "logic delay per bit")
+    t_fix: float = _key("s", 0.0, 1.0, "fixed per-bit overhead")
+    p_meta: float = _key("", 0.0, 1.0, "metastability rate target")
     # Track and hold
-    r_on0: float            # sampling switch on-resistance at v = 0 [Ohm]
-    ron_alpha: float        # linear on-resistance coefficient [1/V]
-    ron_beta: float         # quadratic on-resistance coefficient [1/V^2]
+    r_on0: float = _key("Ohm", 1e-6, 1e9, "sampling switch on-resistance")
+    ron_alpha: float = _key("/V", -10.0, 10.0, "on-resistance linear coefficient")
+    ron_beta: float = _key("/V^2", -10.0, 10.0,
+                           "on-resistance quadratic coefficient (calibration)")
     # DAC behavior
-    sigma_u: float          # relative unit-capacitor mismatch sigma [-]
-    topology: str           # "binary" | "split"
-    n_settle: float         # DAC settling depth in time constants [-] (calibration)
+    sigma_u: float = _key("", 0.0, 0.3, "relative unit-cap mismatch (calibration)")
+    topology: str = _key("", None, None, "DAC topology: binary | split")
+    n_settle: float = _key("", 0.1, 1e3, "DAC settling depth in time constants (calibration)")
     # Bookkeeping
-    e_logic: float          # logic energy per bit cycle [J] (calibration)
-    e_track: float          # track-and-hold energy per sample [J] (calibration)
-    t_kelvin: float         # temperature for kT terms [K]; 0 disables noise
+    e_logic: float = _key("J", 0.0, 1e-6, "logic energy per bit cycle (calibration)")
+    e_track: float = _key("J", 0.0, 1e-6, "track-and-hold energy per sample (calibration)")
+    t_kelvin: float = _key("K", 0.0, 2e3, "temperature for kT terms; 0 = noiseless")
 
     @property
     def v_fs(self) -> float:
@@ -90,36 +99,8 @@ class DerivedConstants:
     v_fs_net: float    # net differential full scale [V]
 
 
-# Schema: key -> (kind, unit, lo, hi, doc).  kind is the python type after
-# parsing; unit "" means dimensionless; bounds are generous decade guards
-# whose only job is to catch wrong-order-of-magnitude entries.
-_SCHEMA = {
-    "bits":         (int,   "",    3,      24,    "resolution (the split array needs a sub bit)"),
-    "v_dd":         (float, "V",   0.1,    20.0,  "supply voltage"),
-    "v_ref":        (float, "V",   0.01,   20.0,  "DAC reference voltage"),
-    "f_s":          (float, "Hz",  1e3,    1e12,  "sampling rate"),
-    "c_unit":       (float, "F",   1e-18,  1e-9,  "minimum unit capacitor"),
-    "c_dac":        (float, "F",   1e-16,  1e-6,  "per-side DAC capacitance"),
-    "c_p":          (float, "F",   0.0,    1e-6,  "comparator-node parasitic"),
-    "tau_reg":      (float, "s",   1e-15,  1e-6,  "regeneration time constant (calibration)"),
-    "c_comp":       (float, "F",   1e-18,  1e-9,  "comparator switched capacitance (calibration)"),
-    "a_v":          (float, "",    1.0,    1e3,   "pre-regeneration gain (assumption)"),
-    "sigma_n_comp": (float, "V",   0.0,    0.1,   "comparator input noise, rms"),
-    "v_cm":         (float, "V",   0.0,    20.0,  "comparator common mode"),
-    "t_track":      (float, "s",   1e-15,  1.0,   "tracking phase length"),
-    "t_delay":      (float, "s",   0.0,    1.0,   "logic delay per bit"),
-    "t_fix":        (float, "s",   0.0,    1.0,   "fixed per-bit overhead"),
-    "p_meta":       (float, "",    0.0,    1.0,   "metastability rate target"),
-    "r_on0":        (float, "Ohm", 1e-6,   1e9,   "sampling switch on-resistance"),
-    "ron_alpha":    (float, "/V",  -10.0,  10.0,  "on-resistance linear coefficient"),
-    "ron_beta":     (float, "/V^2", -10.0, 10.0,  "on-resistance quadratic coefficient (calibration)"),
-    "sigma_u":      (float, "",    0.0,    0.3,   "relative unit-cap mismatch (calibration)"),
-    "topology":     (str,   "",    None,   None,  "DAC topology: binary | split"),
-    "n_settle":     (float, "",    0.1,    1e3,   "DAC settling depth in time constants (calibration)"),
-    "e_logic":      (float, "J",   0.0,    1e-6,  "logic energy per bit cycle (calibration)"),
-    "e_track":      (float, "J",   0.0,    1e-6,  "track-and-hold energy per sample (calibration)"),
-    "t_kelvin":     (float, "K",   0.0,    2e3,   "temperature for kT terms; 0 = noiseless"),
-}
+# key -> (kind, unit, lo, hi, doc), read off the fields of AdcConfig
+_SCHEMA = {f.name: (f.type, *f.metadata["key"]) for f in fields(AdcConfig)}
 
 _SI_PREFIX = {"T": 12, "G": 9, "M": 6, "k": 3, "": 0,
               "m": -3, "u": -6, "µ": -6, "n": -9, "p": -12, "f": -15}

@@ -23,13 +23,8 @@ MC_BLOCK = 2 ** 16   # candidates drawn per block by metastability_mc
 
 @dataclass(frozen=True)
 class TimingBudget:
-    tau_reg: float
-    t_hard: float
-    t_easy: float
-    t_fix: float
-    t_delay: float
-    t_track: float
-    bits: int
+    t_hard: float         # hardest comparison, bounded at p_meta [s]
+    t_easy: float         # settling of the other comparisons [s]
     f_s_max: float        # asynchronous limit [Hz]
     f_s_max_sync: float   # worst-slot synchronous baseline [Hz]
     f_s: float            # configured operating rate [Hz]
@@ -58,12 +53,10 @@ def t_hard(tau: float, v_dd: float, a_v: float, p_meta: float, delta: float) -> 
 
     t = tau * ln(2*v_dd / (a_v * p_meta * delta)); the residue left for the
     hardest comparison is uniform over one LSB, so the fraction of inputs
-    still unresolved after t is exactly p_meta.
+    still unresolved after t is exactly p_meta.  Like the latency law it
+    comes from, it is clamped at zero: a target met at once needs no time.
     """
-    arg = 2.0 * v_dd / (a_v * p_meta * delta)
-    if arg <= 1.0:
-        raise ValueError(f"t_hard: log argument {arg:g} <= 1; target trivially met")
-    return tau * math.log(arg)
+    return tau * max(math.log(2.0 * v_dd / (a_v * p_meta * delta)), 0.0)
 
 
 def t_easy_of(bits: int, tau_reg: float) -> float:
@@ -91,11 +84,8 @@ def build_budget(cfg: AdcConfig) -> TimingBudget:
     f_async = max_sampling_rate(te, th, cfg.bits, cfg.t_fix, cfg.t_delay, cfg.t_track)
     slot = th + cfg.t_fix + cfg.t_delay
     f_sync = 1.0 / (cfg.bits * slot + cfg.t_track)
-    return TimingBudget(
-        tau_reg=cfg.tau_reg, t_hard=th, t_easy=te, t_fix=cfg.t_fix,
-        t_delay=cfg.t_delay, t_track=cfg.t_track, bits=cfg.bits,
-        f_s_max=f_async, f_s_max_sync=f_sync, f_s=cfg.f_s,
-    )
+    return TimingBudget(t_hard=th, t_easy=te, f_s_max=f_async, f_s_max_sync=f_sync,
+                        f_s=cfg.f_s)
 
 
 def _window(cfg: AdcConfig, p_meta_test: float) -> tuple[float, float]:

@@ -164,6 +164,48 @@ def test_negative_seed_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["power", "--n", "64", "--bin", "3"], ["dac-compare"],
+    ["metastability", "--trials", "10000"],
+    ["sweep", "--param", "c_p", "--range", "0:1e-15:2", "--sndr"]],
+    ids=["simulate", "power", "dac-compare", "metastability", "sweep"])
+def test_negative_seed_names_the_option(tmp_path, capsys, command):
+    out = tmp_path / "x"
+    assert run([*command, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: --seed: expected a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def _shipped_with(**values):
+    """The shipped document with each key of ``values`` set to its text."""
+    return "\n".join(f"{key} = {values[key]}" if (key := line.split("=")[0].strip()) in values
+                     else line for line in REFERENCE_CONFIG_DOC.splitlines())
+
+
+def test_trivially_met_target_needs_no_time(tmp_path):
+    # a config that loads, at which the hardest comparison's target is met
+    # at once: timing and sweep run, and the comparison is given no time
+    doc = tmp_path / "loose.cfg"
+    doc.write_text(_shipped_with(bits="3", a_v="1000", p_meta="0.9"))
+    out = tmp_path / "t"
+    assert run(["timing", str(doc), "--out", str(out)]) == 0
+    assert "t_hard_s,0\n" in (out / "timing.csv").read_text()
+    assert json.loads((out / "timing.json").read_text())["t_hard_s"] == 0.0
+    assert run(["sweep", str(doc), "--param", "c_p", "--range", "0:1e-14:2",
+                "--out", str(tmp_path / "s")]) == 0
+
+
+def test_timing_warns_above_the_asynchronous_limit(tmp_path, capsys):
+    doc = tmp_path / "fast.cfg"
+    doc.write_text(_shipped_with(f_s="300 MHz"))
+    out = tmp_path / "t"
+    assert run(["timing", str(doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: configured f_s exceeds the asynchronous limit\n"
+    data = json.loads((out / "timing.json").read_text())
+    assert data["timing_violation"] and data["margin_s"] < 0
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bits_null = json.dumps({**dataclasses.asdict(sa.reference_defaults()), "bits": None})
     for text in (REFERENCE_CONFIG_DOC + "\nnot_a_key = 3\n",
@@ -276,6 +318,23 @@ def test_non_finite_amplitude_exit_code(tmp_path, capsys, command, amplitude):
     assert err.startswith("runtime error: ") and err.count("\n") == 1
     assert f"amplitude {amplitude}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude", ["5", "1.3", "-1.3"])
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["power", "--n", "64", "--bin", "3"],
+    ["sweep", "--param", "c_p", "--range", "0:1e-15:2", "--sndr"]],
+    ids=["simulate", "power", "sweep"])
+def test_amplitude_past_the_rails_exit_code(tmp_path, capsys, command, amplitude):
+    # each side swings half the amplitude about v_cm = 0.7 V on a 1.2 V
+    # supply, so the bound is 2 * min(0.7, 0.5) = 1 V
+    out = tmp_path / "x"
+    assert run([*command, "--amplitude", amplitude, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"runtime error: --amplitude {amplitude} V drives a side past a rail; its "
+                   f"size must not exceed 2*min(v_cm, v_dd - v_cm) = 1 V\n")
+    assert not out.exists()
+    assert run([*command, "--amplitude", "0.99", "--out", str(out)]) == 0
 
 
 def test_short_writes_complete_the_artifact(tmp_path, monkeypatch):

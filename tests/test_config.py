@@ -221,6 +221,11 @@ def test_public_names_resolve():
             assert not hasattr(owner, name), name
             assert name not in getattr(owner, "__all__", ()), name
     assert "power" not in {f.name for f in fields(analysis.SpectrumMetrics)}
+    # a tone keeps no copy of its arguments, and a budget none of the config
+    # but the rate its margin is taken against
+    assert [f.name for f in fields(analysis.Tone)] == ["v_diff", "v_cm", "f_in"]
+    assert [f.name for f in fields(timing.TimingBudget)] == [
+        "t_hard", "t_easy", "f_s_max", "f_s_max_sync", "f_s"]
     # the ladder's per-side fields lead with one side axis
     assert [f.name for f in fields(capdac.Ladder)] == [
         "bits", "v_ref", "c_bits", "node", "step", "corrections", "c_total", "c_nom",
@@ -257,6 +262,21 @@ def _kv_with(key, text):
                  ConfigError, id="json-c_p-object"),
     # a split array needs a sub-array bit behind its attenuation capacitor
     pytest.param("bits", _kv_with("bits", "2"), ConfigError, id="kv-bits-2"),
+    pytest.param("c_p: cannot parse value '20 f F'", _kv_with("c_p", "20 f F"),
+                 ConfigError, id="kv-c_p-three-words"),
+    pytest.param("a_v: dimensionless key takes a bare number", _kv_with("a_v", "5 V"),
+                 ConfigError, id="kv-a_v-unit"),
+    pytest.param("f_s: unknown SI prefix 'X'", _kv_with("f_s", "130 XHz"),
+                 ConfigError, id="kv-f_s-prefix"),
+    pytest.param("bits: expected an integer", _kv_with("bits", "10.5"),
+                 ConfigError, id="kv-bits-fraction"),
+    pytest.param("topology: must be 'binary' or 'split'", _kv_with("topology", "ternary"),
+                 ConfigError, id="kv-topology-ternary"),
+    pytest.param("JSON parse failure", _json_with("bits", "10,"),
+                 ConfigError, id="json-broken"),
+    pytest.param(f"line {len(REFERENCE_CONFIG_DOC.splitlines()) + 1}: "
+                 f"expected 'key = value', got 'c_p 30 fF'",
+                 REFERENCE_CONFIG_DOC + "c_p 30 fF\n", ConfigError, id="kv-no-equals"),
 ])
 def test_every_value_takes_one_parse_path(key, doc, expected):
     if expected is ConfigError:
