@@ -120,8 +120,8 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     if not 1 <= signal_bin <= n_half:
         raise ValueError(f"metrics: signal bin {signal_bin} outside spectrum")
     p_sig = float(power[signal_bin])
-    rest = float(np.sum(power[1:]) - p_sig)
     others = np.delete(power[1:], signal_bin - 1)
+    rest = float(np.sum(others))        # never below the largest: SFDR >= SNDR
     p_spur = float(np.max(others)) if others.size else 0.0
     n = _record_length(power, n)
     harm = _harmonic_bins(signal_bin, n)

@@ -276,11 +276,12 @@ def _cmd_metastability(args, cfg: AdcConfig) -> int:
 def _cmd_sweep(args, cfg: AdcConfig) -> int:
     try:
         start, stop, steps = args.range.split(":")
-        values = np.linspace(float(start), float(stop), int(steps))
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as err:
         raise ConfigError(f"--range: expected start:stop:steps, got {args.range!r}") from err
-    if len(values) == 0:
+    if steps < 1:
         raise ConfigError("--range: steps must be at least 1")
+    values = np.linspace(start, stop, steps)
     header = [args.param, "delta_V", "v_fs_net_V", "tau_reg_s", "f_s_max_Hz"] + (
         ["sndr_dB"] if args.sndr else [])
     rows = []

@@ -78,13 +78,17 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     therefore gives bit-identical results, however the record is split.
 
     The record is converted in blocks of up to ``_STREAM_BLOCK`` samples,
-    all carved from one workspace.  A block takes its rows in one call,
-    staged in the workspace and regrouped there into one contiguous row per
-    normal; ``track_hold.hold`` solves its held pairs into the workspace
-    from the pair the previous block left; its comparisons and DAC switches
-    then run one bit at a time, updating the workspace's rows in place.
-    The latch and stop bookkeeping runs only on a bit where some comparison
-    of the block is metastable or some conversion has stopped.
+    all carved from one workspace; a call keeps nothing record-wide but its
+    input and its four outputs.  A block forms its two sides, refused if
+    one leaves the rails, and takes its rows in one call, regrouped in the
+    workspace into one contiguous row per normal; ``track_hold.hold``
+    solves its held pairs into the workspace from the pair the previous
+    block left; then each bit compares and switches, in place in the
+    workspace and in the block's slices of the outputs.  Every bit shifts
+    each code and sets its decision; a conversion that stops sets a one at
+    its stop bit and zeros after it, so each output is final when the loop
+    ends.  The latch and stop bookkeeping runs only on a bit where some
+    comparison is metastable or some conversion has stopped.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -101,10 +105,6 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    v_in = cfg.v_cm + _SIDES * diff
-    inside = ((0.0 <= v_in) & (v_in <= cfg.v_dd)).all(axis=0)
-    if not inside.all():
-        raise ValueError(f"convert_waveform: sample {int(np.argmin(inside))} leaves [0, v_dd]")
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
     # an overbooked window offers every comparison no time, as an empty one does
@@ -116,8 +116,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     h_up = (ladder.step * _SIDES).T[:, :, None]
     switch = list(zip(h_up, -h_up, ladder.settle.T[:, :, None], *ladder.e_event.T[::-1].tolist()))
 
-    codes, metastable = np.empty((2, n), dtype=int)
-    violation = np.empty(n, dtype=bool)
+    codes, metastable = np.zeros((2, n), dtype=int)
+    violation = np.zeros(n, dtype=bool)
     t_total = np.empty(n)
     totals = [0.0] * 4          # comparator, dac, logic, track_hold [J]
     held = np.array([cfg.v_cm, cfg.v_cm])
@@ -136,6 +136,10 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
+        v_in = cfg.v_cm + _SIDES * diff[block]
+        inside = ((0.0 <= v_in) & (v_in <= cfg.v_dd)).all(axis=0)
+        if not inside.all():
+            raise ValueError(f"convert_waveform: sample {start + np.argmin(inside)} leaves [0, v_dd]")
         work = workspace[:n_work * size].reshape(n_work, size)
         rows, loop = work[:n_rows], work[n_rows:]
         stage = loop.reshape(-1)[:size * n_rows].reshape(size, n_rows)
@@ -145,7 +149,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         np.copyto(rows, stage.T)
         target, v = loop[:2], loop[2:4]
         v_diff, t_decide, slack, consumed, energy, e_stop = loop[4:10]
-        hold(v_in[:, block], cfg, rows[:n_hold], held, out=target)
+        hold(v_in, cfg, rows[:n_hold], held, target)
         held = target[:, -1].copy()
         noise = rows[n_hold:-1]
         noise *= sigma          # the comparator's normals, scaled in place
@@ -156,9 +160,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         slack.fill(slack0)
         loop[7:10] = 0.0        # consumed, energy, e_stop: spent when stopped
         up, meta = np.empty((2, size), dtype=bool)
-        code, n_meta = np.zeros((2, size), dtype=int)
+        code, n_meta, exhausted = codes[block], metastable[block], violation[block]
         n_cycles = np.full(size, bits_n)
-        exhausted = np.zeros(size, dtype=bool)
         stopped = False         # whether any conversion of the block has stopped
         for i in range(bits_n):
             np.subtract(v[0], v[1], out=v_diff)
@@ -167,8 +170,10 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                 latched = meta & ~exhausted
                 # a comparison that can never resolve, or one offered no time
                 # at all, exhausts the window: the code is completed at the
-                # middle of the open range (first open bit one, the rest zero)
+                # middle of the open range (this bit one, the rest zero; the
+                # DAC moves after it are never read)
                 stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
+                np.copyto(up, stop, where=exhausted | stop)
                 # the rest latch their coin and go on with no slack left, so
                 # any later metastable comparison stops them
                 np.copyto(up, coin, where=latched & ~stop)
@@ -176,16 +181,12 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                 # a metastable comparison spends all the slack it had (an
                 # exhausted conversion has none left, so it adds zero)
                 np.copyto(t_decide, slack, where=meta)
-                code = np.where(exhausted, code, (code << 1) | (up | stop))
                 n_cycles[stop] = i + 1
                 np.copyto(e_stop, energy, where=stop)
                 exhausted |= stop
                 stopped = np.count_nonzero(exhausted) > 0
-            else:
-                # every comparison resolved in time and none has stopped:
-                # the bookkeeping above would change no value
-                np.left_shift(code, 1, out=code)
-                code |= up
+            np.left_shift(code, 1, out=code)
+            code |= up
             consumed += t_decide
             slack -= t_decide
             if i < bits_n - 1:
@@ -199,8 +200,6 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 
         # a stopped conversion switches no more capacitors
         np.copyto(energy, e_stop, where=exhausted)
-        codes[block] = code << (bits_n - n_cycles)
-        metastable[block], violation[block] = n_meta, exhausted
         # every comparison but the last switches the DAC
         t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
                           + consumed)

@@ -46,13 +46,13 @@ def ron_of_input(v, cfg: AdcConfig) -> np.ndarray:
 
 
 def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
-         out: np.ndarray | None = None) -> np.ndarray:
+         out: np.ndarray) -> np.ndarray:
     """Held pairs of consecutive conversions of a differential input.
 
     ``v_in`` holds the two sides' inputs side-first, shape (2, n) with the
-    positive side in row 0, and the held pairs [V] come back in the same
-    layout, written into ``out`` (a C-contiguous array) if given.  ``prev``
-    is the pair held before the first of them (the settling start point).
+    positive side in row 0; the held pairs [V] are written in the same
+    layout into ``out``, a C-contiguous array that is required and returned.
+    ``prev`` is the pair held before the first of them (the settling start).
     Each side settles with its own time constant r_on(v_in_side) * c_side
     and then receives a Gaussian draw of rms ``ktc_sigma``: ``normals``
     holds one standard normal per side and conversion, also (2, n), and is
@@ -71,7 +71,7 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
     target = cfg.v_cm + _SIDES * (v_in[0] - v_in[1])
     sigma = ktc_sigma(cfg)
     noise = sigma * normals if sigma > 0 else 0.0
-    if out is not None and not out.flags.c_contiguous:
+    if not out.flags.c_contiguous:
         raise ValueError("hold: out must be C-contiguous")
     # a side that settles below the smallest double has settled: no error
     with np.errstate(under="ignore"):
@@ -99,10 +99,8 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
                 break
             pair.reverse()
         else:
-            held = pair[0][0]
-            if out is not None and held is not out:
-                np.copyto(out, held)
-    return held if out is None else out
+            np.copyto(out, pair[0][0])
+    return out
 
 
 def ktc_sigma(cfg: AdcConfig) -> float:

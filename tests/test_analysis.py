@@ -73,6 +73,9 @@ def test_spectrum_pure_tone_concentrates_in_signal_bin(ideal_cfg):
 def test_spectrum_rejects_bad_codes():
     with pytest.raises(ValueError, match="codes"):
         spectrum(np.array([0, 1, 5000]), 10)
+    for record in (np.zeros((2, 4), dtype=int), np.array([512])):
+        with pytest.raises(ValueError, match="one-dimensional record"):
+            spectrum(record, 10)
 
 
 def test_spectrum_csv_shape(ref_cfg):
@@ -224,12 +227,33 @@ def test_sfdr_never_below_sndr(ref_cfg):
     assert m.sfdr >= m.sndr
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(4, 8), data=st.data(), seed=st.integers(0, 2 ** 32), ideal=st.booleans())
+def test_sfdr_never_below_sndr_on_short_records(ref_cfg, ideal_cfg, n, data, seed, ideal):
+    # few non-signal bins: SNDR's noise is their sum, never below the spur
+    tone_bin = data.draw(st.sampled_from(
+        [b for b in range(1, (n + 1) // 2) if math.gcd(b, n) == 1]))
+    cfg = ideal_cfg if ideal else ref_cfg
+    tone = gen_coherent_tone(n, tone_bin, 0.75, cfg.v_cm, cfg.f_s)
+    res = convert_waveform(tone.v_diff, cfg, seed=seed)
+    m = metrics(spectrum(res.codes, 10), tone_bin, 1.0, cfg.f_s, n=n)
+    if math.isfinite(m.sndr):
+        assert m.sfdr >= m.sndr
+
+
 def test_single_bin_spectrum_sentinels():
     p = np.zeros(33)
     p[3] = 1.0
     m = metrics(p, 3, 1.0, 130e6)
     assert math.isinf(m.sndr) and math.isinf(m.sfdr)
     assert math.isnan(m.fom_walden)
+
+
+def test_metrics_rejects_signal_bin_outside_spectrum():
+    p = np.full(33, 1e-6)
+    for signal_bin in (0, 33):
+        with pytest.raises(ValueError, match=f"signal bin {signal_bin} outside spectrum"):
+            metrics(p, signal_bin, 1.0, 130e6)
 
 
 def test_empty_signal_bin_is_not_measurable():

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +58,7 @@ def test_engine_output_pinned(tmp_path):
     record = ["--n", "256", "--bin", "19", "--seed", "42"]
     pins = [(["simulate", *record], {
                 "codes.csv": "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2",
-                "metrics.json": "64439a07fae33586e81fc9bc8edbe399e0b261926120cfc06607b80bc8a1af39",
+                "metrics.json": "39cd166ace27074288d7520130b4b20d4907fed1129d67574760826f924cd67a",
                 "spectrum.csv":
                     "bbb1d936d63a6c6f8bb16de4aef22850f30415a5497a3adc7c1c9f6cacdb5636"}),
             (["power", *record], {
@@ -99,6 +101,14 @@ def test_engine_output_pinned(tmp_path):
 
 def test_simulate_check_passes(tmp_path):
     assert run(["simulate", "--n", "64", "--bin", "3", "--check",
+                "--out", str(tmp_path / "c")]) == 0
+
+
+@pytest.mark.parametrize("extra", [["--seed", "2"], ["--ideal"]])
+def test_simulate_check_passes_on_short_records(tmp_path, extra):
+    # five samples leave one non-signal bin, SNDR's noise and SFDR's spur
+    # alike, so no rounding can lift SNDR above SFDR
+    assert run(["simulate", "--n", "5", "--bin", "1", *extra, "--check",
                 "--out", str(tmp_path / "c")]) == 0
 
 
@@ -584,6 +594,17 @@ def test_sweep_rejects_non_finite_point(tmp_path, capsys):
     assert not (tmp_path / "x" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("span, fault", [
+    ("0:1e-13", "expected start:stop:steps"), ("a:b:3", "expected start:stop:steps"),
+    ("0:1e-13:2.5", "expected start:stop:steps"), ("0:1e-13:0", "steps must be at least 1"),
+    ("0:1e-13:-1", "steps must be at least 1")])
+def test_sweep_rejects_malformed_range(tmp_path, capsys, span, fault):
+    assert run(["sweep", "--param", "c_p", "--range", span,
+                "--out", str(tmp_path / "x")]) == 1
+    assert f"--range: {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_rejects_keys_it_cannot_sweep(tmp_path, capsys):
     for param in ("ron_dac", "t_phic_low", "v_pedestal", "c_pq", "c_xy", "g_m5", "topology"):
         assert run(["sweep", "--param", param, "--range", "1:2:2",
@@ -646,3 +667,17 @@ def test_every_config_key_changes_a_result(tmp_path):
         value = steps[f.name] if f.name in steps else getattr(ref, f.name) * 1.1
         cfg = sa.config.validate(dataclasses.replace(ref, **{f.name: value}))
         assert any(a != b for a, b in zip(_results(cfg, tmp_path / f.name), base)), f.name
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["print-defaults"], 0),
+    (["simulate", "missing.cfg"], 1),
+    (["simulate", "--amplitude", "5"], 2),
+    (["simulate", "--n", "3", "--bin", "1", "--check"], 3)])
+def test_exit_status_of_the_module(tmp_path, argv, status):
+    # the status the shell sees, through the module's __main__ line
+    src = str(Path(sa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "SARADC_OUT": str(tmp_path / "out")}
+    done = subprocess.run([sys.executable, "-m", "saradc.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == status, done.stderr

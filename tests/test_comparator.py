@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import saradc as sa
 from saradc.comparator import comparator_power, decision_latencies, decisions
@@ -16,6 +17,14 @@ def test_power_hand_value():
 
 def test_power_zero_clock():
     assert comparator_power(0.0, 66e-15, 1.2) == 0.0
+
+
+@pytest.mark.parametrize("f_ck, c_comp, v_dd", [
+    (1e9, 0.0, 1.2), (1e9, -66e-15, 1.2), (1e9, 66e-15, 0.0), (1e9, 66e-15, -1.2),
+    (-1.0, 66e-15, 1.2), (np.array([3.0, -1.0]), 66e-15, 1.2)])
+def test_power_rejects_nonphysical_operands(f_ck, c_comp, v_dd):
+    with pytest.raises(ValueError, match="operands must be positive"):
+        comparator_power(f_ck, c_comp, v_dd)
 
 
 def test_power_quadratic_in_supply():

@@ -60,6 +60,9 @@ def test_net_full_scale_examples():
     assert sa.net_full_scale(1.6, 1.3e-12, 0.0) == 1.6
     assert math.isclose(sa.net_full_scale(1.6, 1.3e-12, 20e-15), 1.57576, rel_tol=1e-4)
     assert math.isclose(sa.net_full_scale(1.6, 1.0e-12, 1.0e-12), 0.8, rel_tol=1e-12)
+    for c_dac, c_p in ((0.0, 20e-15), (-1e-12, 20e-15), (1.3e-12, -1e-15)):
+        with pytest.raises(ConfigError, match="capacitances must be positive"):
+            sa.net_full_scale(1.6, c_dac, c_p)
 
 
 def test_round_trip_serialize(ref_cfg):

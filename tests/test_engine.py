@@ -48,6 +48,13 @@ def test_out_of_rail_input_rejected(ideal_cfg):
     v = 2.0 * (ideal_cfg.v_dd - ideal_cfg.v_cm) + 0.2
     with pytest.raises(ValueError, match="sample 1 leaves"):
         convert_waveform([0.1, v], ideal_cfg)
+    # each block checks its own sides, and names a sample by its place in
+    # the record
+    k = engine._STREAM_BLOCK + 7
+    record = np.zeros(k + 3)
+    record[k] = v
+    with pytest.raises(ValueError, match=f"sample {k} leaves"):
+        convert_waveform(record, ideal_cfg)
 
 
 def test_engine_raises_no_floating_point_error(ref_cfg, ideal_cfg):

@@ -60,6 +60,12 @@ def test_max_sampling_rate_degenerate_budgets():
     # a single-bit converter has no fixed-overhead term
     f = max_sampling_rate(1e-9, 1e-9, 1, 123e-12, 1e-9, 1e-9)
     assert math.isclose(1.0 / f, 4e-9, rel_tol=1e-12)
+    # a negative component is refused, wherever it sits
+    for k in range(5):
+        times = [1e-10] * 5
+        times[k] = -1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            max_sampling_rate(*times[:2], 10, *times[2:])
 
 
 def test_max_rate_decreases_in_every_component():

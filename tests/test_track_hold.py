@@ -38,7 +38,8 @@ def test_ron_names_first_nonphysical_input(ref_cfg):
     # the held pairs are side-first, yet sample 0's negative side comes
     # before sample 1's positive side
     with pytest.raises(ConfigError, match=r"on-resistance -40 Ohm at v = 0\.6 V"):
-        hold(np.array([[0.1, 0.7], [0.6, 0.2]]), cfg, None, np.array([0.4, 0.4]))
+        hold(np.array([[0.1, 0.7], [0.6, 0.2]]), cfg, None, np.array([0.4, 0.4]),
+             np.empty((2, 2)))
 
 
 @pytest.mark.parametrize("r_on0", [None, 1e5])
@@ -50,23 +51,25 @@ def test_hold_matches_sequential_sampler(ref_cfg, r_on0):
     v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
     normals = np.random.default_rng(3).standard_normal((50, 2))
     args = (np.stack([v_in_p, v_in_n]), cfg, normals.T, np.array([cfg.v_cm, cfg.v_cm]))
-    held = hold(*args)
-    rng, prev, walk = np.random.default_rng(3), None, []
-    for p, n in zip(v_in_p.tolist(), v_in_n.tolist()):
-        prev = sample(p, n, cfg, rng, prev=prev)
-        walk.append(prev)
-    assert np.array_equal(held, np.array(walk).T)
-    # written into a given array, also from a run too short for a sweep to
-    # confirm the fixed point: three pairs settling from another start
+
+    def walk(n, prev):
+        rng, pairs = np.random.default_rng(3), []
+        for p, m in zip(v_in_p[:n].tolist(), v_in_n[:n].tolist()):
+            prev = sample(p, m, cfg, rng, prev=prev)
+            pairs.append(prev)
+        return np.array(pairs).T
+
     out = np.empty((2, 50))
-    assert hold(*args, out=out) is out
-    assert np.array_equal(out, held)
+    assert hold(*args, out) is out
+    assert np.array_equal(out, walk(50, None))
+    # also from a run too short for a sweep to confirm the fixed point:
+    # three pairs settling from another start
     short = (args[0][:, :3], cfg, normals.T[:, :3], np.array([0.3, 0.6]))
     out = np.empty((2, 3))
-    assert hold(*short, out=out) is out
-    assert np.array_equal(out, hold(*short))
+    assert hold(*short, out) is out
+    assert np.array_equal(out, walk(3, (0.3, 0.6)))
     with pytest.raises(ValueError, match="C-contiguous"):
-        hold(*args, out=np.empty((50, 2)).T)
+        hold(*args, np.empty((50, 2)).T)
 
 
 def test_full_settling_reproduces_input(ref_cfg, rng):
