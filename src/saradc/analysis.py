@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tone", "gen_coherent_tone", "spectrum", "SpectrumMetrics", "metrics", "spectrum_csv",
-           "InsufficientDataError", "inl_dnl"]
+__all__ = ["Tone", "gen_coherent_tone", "spectrum", "SpectrumMetrics", "non_signal_bins",
+           "metrics", "spectrum_csv", "InsufficientDataError", "inl_dnl"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,12 @@ def _record_length(power: np.ndarray, n) -> int:
     return n
 
 
+def non_signal_bins(power: np.ndarray, signal_bin: int) -> np.ndarray:
+    """The bins of a one-sided power spectrum that count as noise and
+    distortion: every bin but DC and the signal bin, in bin order."""
+    return np.concatenate((power[1:signal_bin], power[signal_bin + 1:]))
+
+
 def metrics(power: np.ndarray, signal_bin: int, power_total: float,
             f_s: float, n: int | None = None) -> SpectrumMetrics:
     """Extract dynamic metrics from a one-sided power spectrum.
@@ -120,9 +126,9 @@ def metrics(power: np.ndarray, signal_bin: int, power_total: float,
     if not 1 <= signal_bin <= n_half:
         raise ValueError(f"metrics: signal bin {signal_bin} outside spectrum")
     p_sig = float(power[signal_bin])
-    others = np.delete(power[1:], signal_bin - 1)
-    rest = float(np.sum(others))        # never below the largest: SFDR >= SNDR
-    p_spur = float(np.max(others)) if others.size else 0.0
+    others = non_signal_bins(power, signal_bin)
+    rest = float(np.add.reduce(others))     # never below the largest: SFDR >= SNDR
+    p_spur = float(np.maximum.reduce(others)) if others.size else 0.0
     n = _record_length(power, n)
     harm = _harmonic_bins(signal_bin, n)
     p_harm = float(np.sum(power[harm])) if harm else 0.0

@@ -93,7 +93,7 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
             swept *= g
             np.subtract(target, swept, out=swept)
             swept += noise
-            if (swept == held).all():
+            if not np.count_nonzero(np.not_equal(swept, held)):
                 # both buffers hold the fixed point, bit for bit: only -0.0
                 # equals a double of other bits, and no held value is -0.0
                 break

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
-from saradc import cli, engine
+from saradc import capdac, cli, engine
 from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
 from saradc.engine import (convert_waveform, ideal_quantizer_code, measure_distortion_power,
@@ -312,6 +314,105 @@ def test_waveform_seed_changes_results(ref_cfg):
     a = convert_waveform(tone.v_diff, ref_cfg, seed=5)
     b = convert_waveform(tone.v_diff, ref_cfg, seed=6)
     assert not np.array_equal(a.codes, b.codes)
+
+
+# ---------------------------------------------------------------------------
+# the plan memo
+
+def _assert_identical(res, ref):
+    # every WaveformResult field, dtypes included
+    for f in fields(engine.WaveformResult):
+        a, b = getattr(res, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("topology", ["binary", "split"])
+def test_plan_memo_cold_hit_and_evicted_agree(ref_cfg, topology):
+    # a record is the same whether its plan is built on a cold memo, served
+    # from the memo, or built again after a full memo evicted it.  The two
+    # configs of one seed are two entries; the seeds take one word, two
+    # words and the largest two-word value
+    shipped = replace(ref_cfg, topology=topology)
+    cfgs = (shipped, sa.ideal_config(shipped))
+    tone = sa.gen_coherent_tone(64, 3, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
+    for seed in (0, 2 ** 32, 2 ** 32 + 3, 2 ** 64 - 1):
+        engine._plan.cache_clear()
+        cold = [convert_waveform(tone.v_diff, cfg, seed=seed) for cfg in cfgs]
+        hit = [convert_waveform(tone.v_diff, cfg, seed=seed) for cfg in cfgs]
+        assert engine._plan.cache_info()[:2] == (2, 2)      # hits, misses
+        for k in range(engine._PLAN_MEMO):
+            engine._plan(shipped, seed ^ (k + 1))
+        evicted = [convert_waveform(tone.v_diff, cfg, seed=seed) for cfg in cfgs]
+        assert engine._plan.cache_info().misses == engine._PLAN_MEMO + 4
+        for a, b, c in zip(cold, hit, evicted):
+            _assert_identical(b, a)
+            _assert_identical(c, a)
+
+
+def test_seed_at_two_bins_equals_cold_records(ref_cfg):
+    # the benchmark's record batch: each seed at bin 3, then at bin 31 from
+    # the memo; every record equals the one converted on a cold memo
+    tones = [sa.gen_coherent_tone(64, b, 0.75, ref_cfg.v_cm, ref_cfg.f_s).v_diff
+             for b in (3, 31)]
+    runs = [(seed, v) for seed in range(2 ** 32, 2 ** 32 + 4) for v in tones]
+    engine._plan.cache_clear()
+    warm = [convert_waveform(v, ref_cfg, seed=seed) for seed, v in runs]
+    assert engine._plan.cache_info()[:2] == (4, 4)
+    for res, (seed, v) in zip(warm, runs):
+        engine._plan.cache_clear()
+        _assert_identical(res, convert_waveform(v, ref_cfg, seed=seed))
+
+
+def test_plan_arrays_are_read_only(ref_cfg):
+    # every call that hits an entry shares its arrays, and the per-bit rows
+    # the bit loop reads are views of them
+    for a in engine._plan(ref_cfg, 11):
+        assert a.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] += 1.0
+
+
+def test_exhausted_redraws_raise_on_every_call(ref_cfg, monkeypatch):
+    # a redraw kills a unit with probability below 1/2 at any sigma_u, so
+    # no draw runs out of the shipped hundred rounds in practice; at one
+    # round and a sigma_u that kills half the units, every draw runs out.
+    # The memo keeps no error: the second call draws and raises again
+    monkeypatch.setattr(capdac, "MAX_REDRAWS", 1)
+    cfg = replace(ref_cfg, sigma_u=1e3)
+    engine._plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="could not draw positive unit capacitors"):
+            convert_waveform([0.1], cfg, seed=3)
+    assert engine._plan.cache_info().currsize == 0
+
+
+def test_plan_memo_is_bounded_and_small(ref_cfg):
+    # the bound is the module constant, and a full memo stays within 256 KiB
+    # even when each entry keeps a config object of its own, floats
+    # included, as configs loaded afresh are
+    assert engine._plan.cache_info().maxsize == engine._PLAN_MEMO
+    floats = [f.name for f in fields(ref_cfg) if isinstance(getattr(ref_cfg, f.name), float)]
+    engine._plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(engine._PLAN_MEMO + 8):
+            own = replace(ref_cfg, **{name: getattr(ref_cfg, name) * 1.0 for name in floats})
+            engine._plan(own, 2 ** 64 - 1 - k)
+        assert engine._plan.cache_info().currsize == engine._PLAN_MEMO
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        engine._plan.cache_clear()
+        gc.collect()
+        empty = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert full - empty <= 256 * 1024
 
 
 def test_constant_midscale_input(ideal_cfg):
