@@ -66,7 +66,7 @@ at its physical size.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from .config import AdcConfig, ConfigError, derived_constants, kt_over_c
 
 __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
-    "build_cap_array", "build_split_array",
+    "build_cap_array", "build_binary_array", "build_split_array",
     "monotonic_energy_oracle",
     "transfer_thresholds", "inl_from_steps",
     "compare_topologies",
@@ -168,16 +168,20 @@ def _compile(cfg: AdcConfig, c: np.ndarray, node: np.ndarray, step: np.ndarray,
 
 
 def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
-    """Draw and compile a realized array for the configured topology.
-
-    The binary array's bit i holds 2^(bits-1-i) construction quanta and
-    each side ends in a one-quantum terminator.  The quantum is
-    c_dac / 2^(bits-1), which makes the mismatch-free step ladder exactly
-    binary in the net full scale; the configured physical c_unit only
-    bounds realizability.
-    """
+    """Draw and compile a realized array for the configured topology."""
     if cfg.topology == "split":
         return build_split_array(cfg, rng)
+    return build_binary_array(cfg, rng)
+
+
+def build_binary_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
+    """Draw and compile a realized binary-weighted array.
+
+    Bit i holds 2^(bits-1-i) construction quanta and each side ends in a
+    one-quantum terminator.  The quantum is c_dac / 2^(bits-1), which makes
+    the mismatch-free step ladder exactly binary in the net full scale; the
+    configured physical c_unit only bounds realizability.
+    """
     u_eff = cfg.c_dac / 2 ** (cfg.bits - 1)
     counts = [2 ** (cfg.bits - 1 - i) for i in range(1, cfg.bits)] + [1]
     caps = _segment(counts, u_eff, cfg.sigma_u, rng)
@@ -271,27 +275,32 @@ def transfer_thresholds(steps: np.ndarray, bits: int) -> np.ndarray:
 
     steps[k] is the differential correction of bit k+1.  The boundary
     between codes at depth j is the cumulative DAC position of the path
-    prefix, enumerated breadth-first.
+    prefix.  The boundaries form an in-order tree rooted at 0 V: the
+    children of a depth-j node sit h = 2^(bits-1-j) entries to either side
+    of it and are its position minus and plus steps[j-1], each depth
+    filled in place by one strided subtraction and one strided addition.
     """
     thresholds = np.empty(2 ** bits - 1)
-    positions = np.array([0.0])
-    for j in range(1, bits + 1):
-        stride = 2 ** (bits - j)
-        thresholds[stride - 1::2 * stride] = positions
-        if j <= bits - 1:
-            s = steps[j - 1]
-            positions = np.add.outer(positions, (-s, s)).ravel()
+    thresholds[2 ** (bits - 1) - 1] = 0.0
+    for j in range(1, bits):
+        h = 2 ** (bits - 1 - j)
+        parents = thresholds[2 * h - 1::4 * h]
+        np.subtract(parents, steps[j - 1], out=thresholds[h - 1::4 * h])
+        np.add(parents, steps[j - 1], out=thresholds[3 * h - 1::4 * h])
     return thresholds
 
 
 def inl_from_steps(steps: np.ndarray, bits: int, delta: float) -> np.ndarray:
-    """Endpoint-fit integral nonlinearity of a realized ladder [LSB]."""
-    t = transfer_thresholds(steps, bits)
-    ideal = (np.arange(1, 2 ** bits) - 2 ** (bits - 1)) * delta
-    err = t - ideal
-    x = np.linspace(0.0, 1.0, len(err))
-    err = err - (err[0] + (err[-1] - err[0]) * x)
-    return err / delta
+    """Endpoint-fit integral nonlinearity of a realized ladder [LSB],
+    worked out in the thresholds' own array."""
+    err = transfer_thresholds(steps, bits)
+    err -= np.arange(1 - 2 ** (bits - 1), 2 ** (bits - 1)) * delta
+    fit = np.linspace(0.0, 1.0, len(err))
+    fit *= err[-1] - err[0]
+    fit += err[0]
+    err -= fit
+    err /= delta
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +356,13 @@ def _row(topology: str, ladder: Ladder, t_kelvin: float, e_textbook: float,
                             + kt_over_c(float(ladder.node[1]), t_kelvin)),
         e_avg_conversion=0.5 * float(np.sum(ladder.e_event)),
         e_avg_textbook=e_textbook,
-        inl_max=float(np.max(np.abs(inl_from_steps(ladder.corrections, ladder.bits, delta)))),
+        inl_max=float(np.abs(inl_from_steps(ladder.corrections, ladder.bits, delta)).max()),
     )
 
 
 def compare_topologies(cfg: AdcConfig, rng: np.random.Generator) -> TradeReport:
     """Exhaustive-code energy, capacitance, noise and linearity comparison."""
-    bin_ladder = build_cap_array(replace(cfg, topology="binary"), rng)
+    bin_ladder = build_binary_array(cfg, rng)
     split_ladder = build_split_array(cfg, rng)
 
     # Textbook disciplines, matched capacitance, no parasitics: both sides'

@@ -20,12 +20,12 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import json
 import math
 import os
 import platform
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +65,22 @@ def _write(outdir: Path, name: str, text: str) -> None:
     file with truncation makes ext4 (``auto_da_alloc``) flush it on close,
     which costs several times the write itself.  A symlink there is removed,
     and its target left as it was; a directory there is an ``OSError`` that
-    names the path.  A buffered text file would add an ``fstat``, a terminal
-    check and seeks to each artifact.  The bytes are UTF-8 and no newline is
-    translated; the write repeats until every byte is out, so a short write
-    cannot cut an artifact.
+    names the path.
     """
     path = os.path.join(outdir, name)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
+    _create(path, text)
+
+
+def _create(path: str, text: str) -> None:
+    """Write ``text`` as the new file ``path``, which must not exist.
+
+    A buffered text file would add an ``fstat``, a terminal check and seeks
+    to each artifact.  The bytes are UTF-8 and no newline is translated; the
+    write repeats until every byte is out, so a short write cannot cut an
+    artifact.
+    """
     fd = os.open(path, _NEW_FILE, 0o666)
     try:
         data = memoryview(text.encode())
@@ -97,8 +105,53 @@ def _csv(header, rows) -> str:
                    + "\n" for row in (header, *rows))
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj, indent: str) -> str:
+    """The JSON text of ``obj``, its nested lines indented two spaces past
+    ``indent``."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{\n" + inner + (",\n" + inner).join([
+            _escape(key if isinstance(key, str) else _json_key(key)) + ": "
+            + _json(obj[key], inner) for key in sorted(obj)]) + "\n" + indent + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join(
+            [_json(value, inner) for value in obj]) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A number, bool or None key as json writes it, before quoting."""
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _json(key, "")
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for
+    byte.  json's C encoder does not indent, and its pure-Python one takes
+    nearly twice as long as this writer on a design study's texts."""
+    return _json(obj, "") + "\n"
 
 
 def _unmeasured(m: analysis.SpectrumMetrics) -> bool:
@@ -121,18 +174,20 @@ def _emit(args, cfg: AdcConfig, seed, artifacts: dict[str, str]) -> Path:
     Every command that writes comes here once, with its results in hand, so
     a run that fails creates nothing, and the manifest comes last, so a run
     whose artifacts did not all land writes none, nor leaves an earlier
-    run's.  The directory is created only if it is missing: one that is
+    run's: that one is removed first, so the new one is created without an
+    unlink.  The directory is created only if it is missing: one that is
     already there costs one ``stat``.
     """
     outdir = Path(args.out)
+    manifest = os.path.join(outdir, "manifest.json")
     if not os.path.isdir(args.out):
         outdir.mkdir(parents=True, exist_ok=True)
     else:
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(os.path.join(outdir, "manifest.json"))
+            os.unlink(manifest)
     for name, text in artifacts.items():
         _write(outdir, name, text)
-    _write(outdir, "manifest.json", _json_text({
+    _create(manifest, _json_text({
         "tool": "saradc",
         "version": __version__,
         "python": platform.python_version(),

@@ -7,6 +7,10 @@ first: each capacitor is a 1-D ``np.add.reduce`` over its own units, each
 side's node, steps and totals come from that side alone, and only then are
 the two sides set side by side.  The tests check that every field of the
 two builds is equal, bit for bit and in the same memory layout.
+
+``transfer_thresholds`` is the breadth-first walk of the static transfer:
+each depth's DAC positions are the previous depth's, each minus and plus
+its step, laid into that depth's strided slots.
 """
 
 import numpy as np
@@ -98,3 +102,17 @@ def build_cap_array(cfg: AdcConfig, rng, redraws: list | None = None) -> Ladder:
     side_p = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng, redraws), cfg)
     side_n = _binary_side(_segment(counts, u_eff, cfg.sigma_u, rng, redraws), cfg)
     return _compile(cfg, side_p, side_n, u_eff * np.asarray(counts[:-1], dtype=float))
+
+
+def transfer_thresholds(steps: np.ndarray, bits: int) -> np.ndarray:
+    """The code transition voltages of ``capdac.transfer_thresholds``,
+    one depth of the binary search at a time."""
+    thresholds = np.empty(2 ** bits - 1)
+    positions = np.array([0.0])
+    for j in range(1, bits + 1):
+        stride = 2 ** (bits - j)
+        thresholds[stride - 1::2 * stride] = positions
+        if j <= bits - 1:
+            s = steps[j - 1]
+            positions = np.add.outer(positions, (-s, s)).ravel()
+    return thresholds

@@ -11,7 +11,7 @@ import saradc as sa
 from saradc import cli
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
                            inl_from_steps, monotonic_energy_oracle, transfer_thresholds)
-from saradc.config import kt_over_c
+from saradc.config import kt_over_c, validate
 from textbook import conventional_energy, conversion_energy, splitcap_energy
 import reference_ladder
 
@@ -285,6 +285,16 @@ def test_thresholds_match_sequential_prefix_walk(bits):
     assert transfer_thresholds(steps, bits).tolist() == walk
 
 
+@pytest.mark.parametrize("bits", range(3, 13))
+def test_thresholds_equal_breadth_first_walk(bits):
+    # the in-place in-order fill gives the breadth-first walk's boundaries,
+    # bit for bit, on steps far from binary
+    rng = np.random.default_rng(100 + bits)
+    steps = 0.5 ** np.arange(1, bits) * (1.0 + 0.3 * rng.standard_normal(bits - 1))
+    assert transfer_thresholds(steps, bits).tobytes() == \
+        reference_ladder.transfer_thresholds(steps, bits).tobytes()
+
+
 def test_split_ladder_matches_binary_without_parasitics(ref_cfg):
     cfg = replace(sa.ideal_config(ref_cfg), c_p=0.0)
     split = build_split_array(cfg, np.random.default_rng(0))
@@ -372,6 +382,17 @@ def test_trade_ktc_adds_both_sides(ref_cfg):
         assert arr.node[0] != arr.node[1]
         assert row.sigma_ktc == math.sqrt(kt_over_c(float(arr.node[0]), ref_cfg.t_kelvin)
                                           + kt_over_c(float(arr.node[1]), ref_cfg.t_kelvin))
+
+
+def test_trade_ignores_the_configured_topology(ref_cfg):
+    # the trade study builds the binary array itself: a split config gives
+    # the binary config's rows under the same rng seed
+    assert ref_cfg.topology == "binary"
+    split_cfg = validate(replace(ref_cfg, topology="split"))
+    for seed in (0, 5, 42):
+        a = compare_topologies(ref_cfg, np.random.default_rng(seed))
+        b = compare_topologies(split_cfg, np.random.default_rng(seed))
+        assert a.binary == b.binary and a.split == b.split
 
 
 def test_trade_split_reduces_capacitance(trade):

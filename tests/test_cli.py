@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import saradc as sa
 from saradc import analysis, engine
-from saradc.cli import _codes_csv, main
+from saradc.cli import _codes_csv, _json_text, main
 from saradc.config import REFERENCE_CONFIG_DOC
 
 
@@ -91,7 +92,15 @@ def test_engine_output_pinned(tmp_path):
             (["simulate", "--n", "127", "--bin", "5", "--seed", "0"], {
                 "codes.csv": "993bc7922503bf45a3fabfd4af9f3b45e04e839ec40942735913ba0dafec1918",
                 "spectrum.csv":
-                    "a26ea6a753f26c9b393a71ff2af986e5e95c09c20de1bceb81565eeab8cea8b1"})]
+                    "a26ea6a753f26c9b393a71ff2af986e5e95c09c20de1bceb81565eeab8cea8b1"}),
+            # a record with no noise bin: null noise figures and a "-inf" THD
+            (["simulate", "--n", "3", "--bin", "1"], {
+                "metrics.json":
+                    "a73f1660867d40be46b2755138d24a73a8a36ae71554a915a047d4211ce255b6"}),
+            # a silent ideal record: its figures are "nan" strings
+            (["simulate", "--ideal", "--amplitude", "0", "--n", "64", "--bin", "3"], {
+                "metrics.json":
+                    "5ff0f8a67e92da6dd73e322db6c59154fe3fd44166c038c6f8ea2bd3c33980be"})]
     for k, (argv, digests) in enumerate(pins):
         out = tmp_path / f"{k}_{argv[0]}"
         assert run([*argv, "--out", str(out)]) == 0
@@ -430,6 +439,76 @@ def test_output_contract(tmp_path, capsys):
     assert run(["timing", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("runtime error: ")
     assert {p.name for p in out.iterdir()} == {"timing.csv", "timing.json"}
+
+
+def test_manifest_layout_is_json_dumps(tmp_path):
+    # a manifest carries a timestamp, so it cannot be pinned; its text is
+    # still json.dumps(sort_keys=True, indent=2) of what it holds
+    for argv, _ in _ARTIFACTS:
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", argv[0]
+
+
+def test_one_unlink_per_file(tmp_path, monkeypatch):
+    # a run into a directory that holds an earlier run's files unlinks each
+    # artifact and the old manifest once, and writes the new manifest with
+    # no unlink; a run into a new directory unlinks only its artifacts
+    unlink = os.unlink
+    unlinked = []
+
+    def counted(path, *args, **kwargs):
+        unlinked.append(os.path.basename(path))
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", counted)
+    for argv, names in _ARTIFACTS:
+        for expected in (names, names | {"manifest.json"}):
+            unlinked.clear()
+            assert run([*argv, "--out", str(tmp_path / argv[0])]) == 0
+            assert sorted(unlinked) == sorted(expected), argv[0]
+
+
+_FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 1e22, 2.0 ** 53]
+_STRING_EDGES = ['"', "\\", '\\"', "\x00\x1f\x7f\n\t\r\b\f", "µs", "€ 😀", "\ud800", "\u2028"]
+_JSON_LEAVES = (st.none() | st.booleans()
+                | st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 64, -2 ** 64 - 1])
+                | st.floats() | st.sampled_from(_FLOAT_EDGES)
+                | st.text(max_size=12) | st.sampled_from(_STRING_EDGES))
+_KEYS = st.text(max_size=6) | st.sampled_from(_STRING_EDGES)
+
+
+def _trees(leaves, keys=_KEYS):
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4)), max_leaves=16)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tree=_trees(_JSON_LEAVES))
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+# values json writes through float.__repr__ or int.__repr__, values and keys
+# it refuses, and keys of other types that it turns into strings
+_ODD_LEAVES = st.sampled_from([np.float64(0.1), np.float64("nan"), np.int64(1), np.float32(1.0),
+                               np.bool_(True), {1}, frozenset(), b"x", 1j, object()])
+_ODD_KEYS = (st.integers(-3, 3) | st.sampled_from(_FLOAT_EDGES) | st.booleans() | st.none()
+             | st.tuples(st.integers()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tree=_trees(_JSON_LEAVES | _ODD_LEAVES, _KEYS | _ODD_KEYS))
+def test_json_writer_refuses_what_json_dumps_refuses(tree):
+    try:
+        expected = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_text(tree)
+    else:
+        assert _json_text(tree) == expected
 
 
 # record lengths of 1 to 65,536 samples whose last index has 1 to 5 digits
