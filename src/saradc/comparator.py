@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import AdcConfig
 
-__all__ = ["comparator_power", "decision_latencies", "decisions"]
+__all__ = ["comparator_power", "compare", "decision_latencies", "decisions"]
 
 
 def comparator_power(f_ck: float, c_comp: float, v_dd: float) -> float:
@@ -49,20 +49,28 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
     return np.maximum(np.multiply(tau_reg, np.log(v, out=v), out=v), 0.0, out=v)
 
 
+def compare(v_diff: np.ndarray, noise, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """The effective input v_diff + ``noise`` (the input-referred draws, or
+    0.0) of each comparison and whether it is positive, written into
+    ``out`` if given."""
+    v_eff, up = out
+    v_eff = np.add(v_diff, noise, out=v_eff)
+    return v_eff, np.greater(v_eff, 0.0, out=up)
+
+
 def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise, cfg: AdcConfig,
               out=(None, None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One comparison per entry of v_diff, given t_available seconds each.
 
     Returns (up, t_decide, metastable) arrays, written into ``out`` if given:
-    whether each effective input, v_diff plus ``noise`` (the input-referred
-    draws, or 0.0), is positive, the latencies [s] and whether each exceeded
-    its allowance.  An exactly zero effective input never resolves (infinite
-    latency) and is metastable; a metastable entry's sign gives way to the
-    logic's arbitrary latch, which the engine supplies.
+    the sign ``compare`` finds for each effective input, the latencies [s]
+    and whether each exceeded its allowance.  An exactly zero effective
+    input never resolves (infinite latency) and is metastable; a metastable
+    entry's sign gives way to the logic's arbitrary latch, which the engine
+    supplies.
     """
     up, t_decide, metastable = out
-    v_eff = np.add(v_diff, noise, out=t_decide)
-    up = np.greater(v_eff, 0.0, out=up)
+    v_eff, up = compare(v_diff, noise, out=(t_decide, up))
     t_decide = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd, cfg.a_v,
                                   out=v_eff)
     return up, t_decide, np.greater(t_decide, t_available, out=metastable)

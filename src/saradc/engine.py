@@ -5,6 +5,24 @@ per-sample arrays and per-block energy totals.  Every block's record-sized
 float scratch comes from one workspace, allocated once per call and carved
 into rows for each block.
 
+Each block is converted in two passes.  A comparison's regeneration time
+matters only when it overruns the slack left in the sample period, which
+the shipped timing budget sizes to happen at a rate of p_meta = 1e-7.  So
+the lean pass compares and switches every conversion as if none did: per
+bit it forms the side difference, the effective input and its sign, and
+switches the DAC, keeping each bit's effective input in a workspace row and
+its sign in a bool row.  After the loop it takes the latencies of all of
+those rows in one call, adds each conversion's latencies in bit order,
+forms the codes from the sign rows in one call and books the switch
+energies.  A conversion whose latencies add up to at most
+``slack0 * (1 - 1e-9)`` had no metastable comparison, since every
+comparison's allowance is the window less the latencies before it; the
+margin is far above what the few dozen sequential roundings of up to 24
+bits can move such a sum (a few 1e-15 of it).  The conversions the screen flags (never too few)
+are gathered into the workspace and converted again from their held pairs
+by the careful pass, the loop with the latch and stop bookkeeping, which
+ends once every conversion it holds has stopped.
+
 The per-bit constants that the bit loop reads off a seed's capacitor ladder
 (half swings, settle fractions, event energies) are kept in one
 engine-private memo, ``_plan``, keyed by the (frozen, hashable) config and
@@ -39,7 +57,7 @@ import numpy as np
 
 from . import analysis
 from .capdac import build_cap_array
-from .comparator import comparator_power, decisions
+from .comparator import comparator_power, compare, decision_latencies, decisions
 from .config import AdcConfig, derived_constants
 from .track_hold import _SIDES, hold, ktc_sigma
 
@@ -123,20 +141,28 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     one leaves the rails, and takes its rows in one call, regrouped in the
     workspace into one contiguous row per normal; ``track_hold.hold``
     solves its held pairs into the workspace from the pair the previous
-    block left; then each bit compares and switches, in place in the
-    workspace and in the block's slices of the outputs.  Every bit shifts
-    each code and sets its decision; a conversion that stops sets a one at
-    its stop bit and zeros after it, so each output is final when the loop
-    ends.  The latch and stop bookkeeping runs only on a bit where some
-    comparison is metastable or some conversion has stopped.
+    block left.  Then two passes convert the block.
+
+    The block's workspace holds, in order, one row per normal, the held
+    pairs, each conversion's consumed time and switch energy (filled by
+    the lean pass, replaced by the careful pass where it runs), and the
+    passes' rows.  The lean pass (``_lean_pass``) keeps there its targets,
+    plates and side difference, five rows, and one effective-input row per
+    bit, which in turn hold the latencies and the switch events' energies;
+    its signs go to a bool row per bit, allocated once per call beside the
+    workspace.  The conversions it flags are gathered, one column each,
+    into the start of the same rows: held pair, plates, side difference,
+    latency, slack, consumed time, energy, energy at the stop (ten rows),
+    then the comparator normals.  The careful pass (``_careful_pass``)
+    converts them there, and its results replace the lean ones.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
     target, leaving the ladder's ``settle`` fraction of the step.  Row 0
-    of every (2, .) array is the positive side.  Energies add per sample
-    bit by bit until a conversion stops, and the block totals add in
-    sample order, as a sequential walk would.
+    of every (2, .) array is the positive side.  Latencies and energies add
+    per sample in bit order until a conversion stops, and the block totals
+    add in sample order, as a sequential walk would.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.ndim != 1:
@@ -144,8 +170,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
-    h_up, h_down, settle, e_switch = _plan(cfg, seed)
-    switch = list(zip(h_up, h_down, settle, *e_switch.tolist()))
+    plan = _plan(cfg, seed)
+    switch = list(zip(*plan[:3], *plan[3].tolist()))
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
     # an overbooked window offers every comparison no time, as an empty one does
@@ -156,19 +182,23 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     violation = np.zeros(n, dtype=bool)
     t_total = np.empty(n)
     totals = [0.0] * 4          # comparator, dac, logic, track_hold [J]
-    held = np.array([cfg.v_cm, cfg.v_cm])
+    prev = np.array([cfg.v_cm, cfg.v_cm])
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    # one workspace, carved anew for each block: the normal rows, then the
-    # loop's ten rows (as many as the normal rows, if more), which first stage
-    # the stream's sample-major draw.  A block's peak transient must stay well
-    # under twice the workspace: glibc sets its heap-trim point at twice the
+    # one workspace, carved anew for each block: the normal rows, the held
+    # pairs, each conversion's consumed time and switch energy, then the
+    # passes' rows (the lean pass's five and one per bit, the careful pass's
+    # ten and its gathered normals), which first stage the stream's
+    # sample-major draw.  A block's peak transient must stay well under
+    # twice the workspace: glibc sets its heap-trim point at twice the
     # largest block it has freed, returns the heap top once the free space
     # exceeds it, and each returned page then costs a fault on the next
     # record.  So the blocks share it: a workspace per block would live
     # beside its predecessor's while it is made
     n_rows = n_hold + n_noise + 1
-    n_work = n_rows + max(n_rows, 10)
-    workspace = np.empty(n_work * min(n, _STREAM_BLOCK))
+    n_work = n_rows + 4 + max(5 + bits_n, 10 + n_noise, n_rows)
+    block_n = min(n, _STREAM_BLOCK)
+    workspace = np.empty(n_work * block_n)
+    sign_rows = np.empty(bits_n * block_n, dtype=bool)
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
@@ -178,71 +208,43 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             first = start + np.argmin(inside.all(axis=0))
             raise ValueError(f"convert_waveform: sample {first} leaves [0, v_dd]")
         work = workspace[:n_work * size].reshape(n_work, size)
-        rows, loop = work[:n_rows], work[n_rows:]
-        stage = loop.reshape(-1)[:size * n_rows].reshape(size, n_rows)
+        rows, held, passes = work[:n_rows], work[n_rows:n_rows + 2], work[n_rows + 4:]
+        consumed, energy = work[n_rows + 2:n_rows + 4]
+        stage = passes.reshape(-1)[:size * n_rows].reshape(size, n_rows)
         stream.standard_normal(out=stage)
         # one contiguous row per normal: hold's sweeps and each bit read rows,
         # not strided columns
         np.copyto(rows, stage.T)
-        target, v = loop[:2], loop[2:4]
-        v_diff, t_decide, slack, consumed, energy, e_stop = loop[4:10]
-        hold(v_in, cfg, rows[:n_hold], held, target)
-        held = target[:, -1].copy()
+        hold(v_in, cfg, rows[:n_hold], prev, held)
+        prev = held[:, -1].copy()
         noise = rows[n_hold:-1]
         noise *= sigma          # the comparator's normals, scaled in place
-        noise = list(noise) if n_noise else [0.0] * bits_n
-        coin = rows[-1] > 0.0
+        signs = sign_rows[:bits_n * size].reshape(bits_n, size)
+        code = codes[block]
+        _lean_pass(held, list(noise) if n_noise else [0.0] * bits_n, passes, signs,
+                   switch, plan[3], cfg, code, consumed, energy)
 
-        np.copyto(v, target)
-        slack.fill(slack0)
-        loop[7:10] = 0.0        # consumed, energy, e_stop: spent when stopped
-        up, meta = np.empty((2, size), dtype=bool)
-        code, n_meta, exhausted = codes[block], metastable[block], violation[block]
-        n_cycles = np.full(size, bits_n)
-        stopped = False         # whether any conversion of the block has stopped
-        for i in range(bits_n):
-            np.subtract(v[0], v[1], out=v_diff)
-            decisions(v_diff, slack, noise[i], cfg, out=(up, t_decide, meta))
-            if stopped or np.count_nonzero(meta):
-                latched = meta & ~exhausted
-                # a comparison that can never resolve, or one offered no time
-                # at all, exhausts the window: the code is completed at the
-                # middle of the open range (this bit one, the rest zero; the
-                # DAC moves after it are never read)
-                stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
-                np.copyto(up, stop, where=exhausted | stop)
-                # the rest latch their coin and go on with no slack left, so
-                # any later metastable comparison stops them
-                np.copyto(up, coin, where=latched & ~stop)
-                n_meta += latched
-                # a metastable comparison spends all the slack it had (an
-                # exhausted conversion has none left, so it adds zero)
-                np.copyto(t_decide, slack, where=meta)
-                n_cycles[stop] = i + 1
-                np.copyto(e_stop, energy, where=stop)
-                exhausted |= stop
-                stopped = np.count_nonzero(exhausted) > 0
-            np.left_shift(code, 1, out=code)
-            code |= up
-            consumed += t_decide
-            slack -= t_decide
-            if i < bits_n - 1:
-                h_up, h_down, settle, e_up, e_down = switch[i]
-                # each plate settles toward its moved target: v = t - (t - v) * settle
-                target -= np.where(up, h_up, h_down)
-                np.subtract(target, v, out=v)
-                v *= settle
-                np.subtract(target, v, out=v)
-                energy += np.where(up, e_up, e_down)
+        n_cycles = bits_n       # comparisons each conversion made
+        flagged = np.flatnonzero(consumed > slack0 * (1.0 - 1e-9))
+        if flagged.size:
+            k = flagged.size
+            n_cycles = np.full(size, bits_n)
+            gathered = passes.reshape(-1)[:(10 + n_noise) * k].reshape(10 + n_noise, k)
+            np.take(held, flagged, axis=1, out=gathered[:2], mode="clip")
+            np.take(noise, flagged, axis=1, out=gathered[10:], mode="clip")
+            coin = rows[-1, flagged] > 0.0
+            careful = _careful_pass(gathered, list(gathered[10:]) if n_noise else [0.0] * bits_n,
+                                    coin, switch, cfg, slack0)
+            for out, values in zip((code, metastable[block], violation[block], n_cycles,
+                                    consumed, energy), careful):
+                out[flagged] = values
 
-        # a stopped conversion switches no more capacitors
-        np.copyto(energy, e_stop, where=exhausted)
         # every comparison but the last switches the DAC
         t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
                           + consumed)
         # running totals in sample order, carried across blocks: the carried
-        # total joins each row's first term, in rows the loop no longer reads
-        spent = loop[:4]
+        # total joins each row's first term, in rows the passes no longer read
+        spent = passes[:4]
         spent[0] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
         spent[1], spent[2], spent[3] = energy, n_cycles * cfg.e_logic, cfg.e_track
         spent[:, 0] += totals
@@ -255,6 +257,117 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                   "track_hold": e_track},
         f_s=cfg.f_s,
     )
+
+
+def _lean_pass(held, noise, work, signs, switch, e_switch, cfg, code, consumed,
+               energy) -> None:
+    """Compare and switch every conversion at every bit, none metastable.
+
+    Bit i's effective input goes into row 5 + i of ``work`` and its sign
+    into ``signs[i]``; rows 0-4 hold the targets, the plates and the side
+    difference, and the first bit reads the held pairs.  Then the sign rows
+    give ``code``, and the effective-input rows become latencies and then,
+    for every switched bit, event energies, which add per conversion in
+    bit order into ``consumed`` and ``energy``.
+    """
+    bits_n = cfg.bits
+    target, v, v_diff = work[:2], work[2:4], work[4]
+    v_eff = work[5:5 + bits_n]
+    side = base = held
+    for i in range(bits_n):
+        np.subtract(side[0], side[1], out=v_diff)
+        compare(v_diff, noise[i], out=(v_eff[i], signs[i]))
+        if i == bits_n - 1:
+            break
+        h_up, h_down, settle, _, _ = switch[i]
+        # each plate settles toward its moved target: v = t - (t - v) * settle
+        np.subtract(base, np.where(signs[i], h_up, h_down), out=target)
+        np.subtract(target, side, out=v)
+        v *= settle
+        np.subtract(target, v, out=v)
+        side, base = v, target
+
+    np.matmul(np.left_shift(1, np.arange(bits_n - 1, -1, -1)), signs, out=code)
+    latencies = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd,
+                                   cfg.a_v, out=v_eff)
+    consumed.fill(0.0)
+    for row in latencies:
+        consumed += row
+    # a select on the doubles' bits, exact and branch-free (np.where over
+    # these rows runs several times slower): the falling event's bits, with
+    # their difference from the rising event's flipped where the sign is set
+    events = latencies[:-1]
+    rising, falling = e_switch.view(np.int64)[:, :, None]
+    as_bits = events.view(np.int64)
+    np.multiply(signs[:-1], np.bitwise_xor(rising, falling), out=as_bits)
+    np.bitwise_xor(as_bits, falling, out=as_bits)
+    energy.fill(0.0)
+    for row in events:
+        energy += row
+
+
+def _careful_pass(work, noise, coin, switch, cfg: AdcConfig, slack0: float) -> tuple:
+    """Convert the gathered conversions with the latch and stop bookkeeping.
+
+    ``work`` holds one column per conversion, its held pair in rows 0-1;
+    rows 2-9 are scratch, and ``noise`` gives each bit's comparator noise
+    (rows gathered after them, or 0.0).  Returns
+    (code, metastable count, violation flag, comparisons made, consumed
+    time, switch energy).  The loop ends once every conversion has stopped,
+    since the rest of a stopped code is zeros and spends no slack or
+    energy.
+    """
+    bits_n, k = cfg.bits, coin.size
+    target, v = work[:2], work[2:4]
+    v_diff, t_decide, slack, consumed, energy, e_stop = work[4:10]
+    np.copyto(v, target)
+    slack.fill(slack0)
+    work[7:10] = 0.0            # consumed, energy, e_stop: spent when stopped
+    up, meta = np.empty((2, k), dtype=bool)
+    code, n_meta = np.zeros((2, k), dtype=int)
+    exhausted = np.zeros(k, dtype=bool)
+    n_cycles = np.full(k, bits_n)
+    n_stopped = 0
+    for i in range(bits_n):
+        np.subtract(v[0], v[1], out=v_diff)
+        decisions(v_diff, slack, noise[i], cfg, out=(up, t_decide, meta))
+        if n_stopped or np.count_nonzero(meta):
+            latched = meta & ~exhausted
+            # a comparison that can never resolve, or one offered no time
+            # at all, exhausts the window: the code is completed at the
+            # middle of the open range (this bit one, the rest zero; the
+            # DAC moves after it are never read)
+            stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
+            np.copyto(up, stop, where=exhausted | stop)
+            # the rest latch their coin and go on with no slack left, so
+            # any later metastable comparison stops them
+            np.copyto(up, coin, where=latched & ~stop)
+            n_meta += latched
+            # a metastable comparison spends all the slack it had (an
+            # exhausted conversion has none left, so it adds zero)
+            np.copyto(t_decide, slack, where=meta)
+            n_cycles[stop] = i + 1
+            np.copyto(e_stop, energy, where=stop)
+            exhausted |= stop
+            n_stopped = np.count_nonzero(exhausted)
+        np.left_shift(code, 1, out=code)
+        code |= up
+        consumed += t_decide
+        slack -= t_decide
+        if n_stopped == k:
+            code <<= bits_n - 1 - i
+            break
+        if i < bits_n - 1:
+            h_up, h_down, settle, e_up, e_down = switch[i]
+            target -= np.where(up, h_up, h_down)
+            np.subtract(target, v, out=v)
+            v *= settle
+            np.subtract(target, v, out=v)
+            energy += np.where(up, e_up, e_down)
+
+    # a stopped conversion switches no more capacitors
+    np.copyto(energy, e_stop, where=exhausted)
+    return code, n_meta, exhausted, n_cycles, consumed, energy
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:

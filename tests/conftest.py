@@ -27,14 +27,21 @@ def ideal_array(ideal_cfg):
 @pytest.fixture()
 def comparator_calls(monkeypatch):
     """(v_diff, up) of sample 0 at every comparison the engine makes, in order:
-    the input and whether the comparator found it positive."""
+    the input and whether the comparator found it positive.
+
+    It wraps ``comparator.compare``, the one place a comparison's sign is
+    taken: the engine's lean pass calls it at every bit, and
+    ``comparator.decisions``, which the careful pass calls, is built on it.
+    A conversion the lean pass hands to the careful pass is compared again
+    there, from its first bit."""
     calls = []
-    decisions = sa.engine.decisions
+    compare = sa.comparator.compare
 
-    def recorded(v_diff, t_available, noise, cfg, out):
-        up, t_decide, metastable = decisions(v_diff, t_available, noise, cfg, out=out)
+    def recorded(v_diff, noise, out):
+        v_eff, up = compare(v_diff, noise, out=out)
         calls.append((float(v_diff[0]), bool(up[0])))
-        return up, t_decide, metastable
+        return v_eff, up
 
-    monkeypatch.setattr(sa.engine, "decisions", recorded)
+    monkeypatch.setattr(sa.comparator, "compare", recorded)
+    monkeypatch.setattr(sa.engine, "compare", recorded)
     return calls
