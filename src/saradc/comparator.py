@@ -39,13 +39,8 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
     """Latency of the regeneration log law for each |input| in v_abs [s];
     zeros map to +inf.  As a ufunc does, it writes into ``out`` if given."""
     v = np.multiply(a_v, v_abs, out=out)
-    # v_dd / 0 is +inf, and so is its log; the error state is entered only
-    # for a zero, because entering it costs more than looking for one
-    if np.count_nonzero(v) == v.size:
+    with np.errstate(divide="ignore"):       # v_dd / 0 is +inf, and so is its log
         np.divide(v_dd, v, out=v)
-    else:
-        with np.errstate(divide="ignore"):
-            np.divide(v_dd, v, out=v)
     return np.maximum(np.multiply(tau_reg, np.log(v, out=v), out=v), 0.0, out=v)
 
 

@@ -12,16 +12,15 @@ the lean pass compares and switches every conversion as if none did: per
 bit it forms the side difference, the effective input and its sign, and
 switches the DAC, keeping each bit's effective input in a workspace row and
 its sign in a bool row.  After the loop it takes the latencies of all of
-those rows in one call, adds each conversion's latencies in bit order,
-forms the codes from the sign rows in one call and books the switch
-energies.  A conversion whose latencies add up to at most
-``slack0 * (1 - 1e-9)`` had no metastable comparison, since every
-comparison's allowance is the window less the latencies before it; the
-margin is far above what the few dozen sequential roundings of up to 24
-bits can move such a sum (a few 1e-15 of it).  The conversions the screen flags (never too few)
-are gathered into the workspace and converted again from their held pairs
-by the careful pass, the loop with the latch and stop bookkeeping, which
-ends once every conversion it holds has stopped.
+those rows in one call and adds each conversion's latencies in bit order.
+A conversion whose latencies add up to at most ``slack0 * (1 - 1e-9)`` had
+no metastable comparison, since every comparison's allowance is the window
+less the latencies before it; the margin is far above what the few dozen
+sequential roundings of up to 24 bits can move such a sum (a few 1e-15 of
+it).  The careful pass decides the conversions the screen flags (never too
+few) again from their held pairs, with the latch and stop bookkeeping, and
+their decisions replace their sign rows.  Then every conversion's code and
+switch energy are formed once, from the sign rows.
 
 The per-bit constants that the bit loop reads off a seed's capacitor ladder
 (half swings, settle fractions, event energies) are kept in one
@@ -144,17 +143,12 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     block left.  Then two passes convert the block.
 
     The block's workspace holds, in order, one row per normal, the held
-    pairs, each conversion's consumed time and switch energy (filled by
-    the lean pass, replaced by the careful pass where it runs), and the
-    passes' rows.  The lean pass (``_lean_pass``) keeps there its targets,
-    plates and side difference, five rows, and one effective-input row per
-    bit, which in turn hold the latencies and the switch events' energies;
-    its signs go to a bool row per bit, allocated once per call beside the
-    workspace.  The conversions it flags are gathered, one column each,
-    into the start of the same rows: held pair, plates, side difference,
-    latency, slack, consumed time, energy, energy at the stop (ten rows),
-    then the comparator normals.  The careful pass (``_careful_pass``)
-    converts them there, and its results replace the lean ones.
+    pairs, each conversion's consumed time and switch energy, and the lean
+    pass's rows (``_lean_pass``): its targets, plates and side difference,
+    five rows, and one effective-input row per bit, which in turn hold the
+    latencies and the switch events' energies.  Its signs go to a bool row
+    per bit, allocated once per call beside the workspace.  The careful pass
+    (``_careful_pass``) works on arrays of the flagged columns alone.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -171,12 +165,18 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
     plan = _plan(cfg, seed)
-    switch = list(zip(*plan[:3], *plan[3].tolist()))
+    switch = list(zip(*plan[:3]))
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
     # an overbooked window offers every comparison no time, as an empty one does
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
+    weights = np.left_shift(1, np.arange(bits_n - 1, -1, -1))
+    # a select on the doubles' bits, exact and branch-free (np.where over the
+    # event rows runs several times slower): the falling event's bits, with
+    # their difference from the rising event's flipped where the sign is set
+    rising, falling = plan[3].view(np.int64)[:, :, None]
+    flip = np.bitwise_xor(rising, falling)
 
     codes, metastable = np.zeros((2, n), dtype=int)
     violation = np.zeros(n, dtype=bool)
@@ -185,9 +185,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     prev = np.array([cfg.v_cm, cfg.v_cm])
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     # one workspace, carved anew for each block: the normal rows, the held
-    # pairs, each conversion's consumed time and switch energy, then the
-    # passes' rows (the lean pass's five and one per bit, the careful pass's
-    # ten and its gathered normals), which first stage the stream's
+    # pairs, each conversion's consumed time and switch energy, then the lean
+    # pass's rows (five and one per bit), which first stage the stream's
     # sample-major draw.  A block's peak transient must stay well under
     # twice the workspace: glibc sets its heap-trim point at twice the
     # largest block it has freed, returns the heap top once the free space
@@ -195,7 +194,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     # record.  So the blocks share it: a workspace per block would live
     # beside its predecessor's while it is made
     n_rows = n_hold + n_noise + 1
-    n_work = n_rows + 4 + max(5 + bits_n, 10 + n_noise, n_rows)
+    n_work = n_rows + 4 + max(5 + bits_n, n_rows)
     block_n = min(n, _STREAM_BLOCK)
     workspace = np.empty(n_work * block_n)
     sign_rows = np.empty(bits_n * block_n, dtype=bool)
@@ -220,24 +219,34 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         noise = rows[n_hold:-1]
         noise *= sigma          # the comparator's normals, scaled in place
         signs = sign_rows[:bits_n * size].reshape(bits_n, size)
-        code = codes[block]
         _lean_pass(held, list(noise) if n_noise else [0.0] * bits_n, passes, signs,
-                   switch, plan[3], cfg, code, consumed, energy)
+                   switch, cfg, consumed)
 
         n_cycles = bits_n       # comparisons each conversion made
         flagged = np.flatnonzero(consumed > slack0 * (1.0 - 1e-9))
         if flagged.size:
-            k = flagged.size
             n_cycles = np.full(size, bits_n)
-            gathered = passes.reshape(-1)[:(10 + n_noise) * k].reshape(10 + n_noise, k)
-            np.take(held, flagged, axis=1, out=gathered[:2], mode="clip")
-            np.take(noise, flagged, axis=1, out=gathered[10:], mode="clip")
-            coin = rows[-1, flagged] > 0.0
-            careful = _careful_pass(gathered, list(gathered[10:]) if n_noise else [0.0] * bits_n,
-                                    coin, switch, cfg, slack0)
-            for out, values in zip((code, metastable[block], violation[block], n_cycles,
-                                    consumed, energy), careful):
+            careful = _careful_pass(held[:, flagged],
+                                    noise[:, flagged] if n_noise else [0.0] * bits_n,
+                                    rows[-1, flagged] > 0.0, switch, cfg, slack0)
+            signs[:, flagged] = careful[0]
+            for out, values in zip((metastable[block], violation[block], n_cycles, consumed),
+                                   careful[1:]):
                 out[flagged] = values
+
+        # every conversion's code and switch energy, from its sign rows; the
+        # switched bits' latency rows, summed already, take the event energies
+        np.matmul(weights, signs, out=codes[block])
+        events = passes[5:4 + bits_n]
+        as_bits = events.view(np.int64)
+        np.multiply(signs[:-1], flip, out=as_bits)
+        np.bitwise_xor(as_bits, falling, out=as_bits)
+        if flagged.size:
+            # a stopped conversion switches nothing from its stop bit on
+            events[:, flagged] *= np.arange(bits_n - 1)[:, None] < n_cycles[flagged] - 1
+        energy.fill(0.0)
+        for row in events:
+            energy += row
 
         # every comparison but the last switches the DAC
         t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
@@ -259,16 +268,14 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     )
 
 
-def _lean_pass(held, noise, work, signs, switch, e_switch, cfg, code, consumed,
-               energy) -> None:
+def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
     """Compare and switch every conversion at every bit, none metastable.
 
     Bit i's effective input goes into row 5 + i of ``work`` and its sign
     into ``signs[i]``; rows 0-4 hold the targets, the plates and the side
-    difference, and the first bit reads the held pairs.  Then the sign rows
-    give ``code``, and the effective-input rows become latencies and then,
-    for every switched bit, event energies, which add per conversion in
-    bit order into ``consumed`` and ``energy``.
+    difference, and the first bit reads the held pairs.  Then the
+    effective-input rows become latencies, which add per conversion in bit
+    order into ``consumed``.
     """
     bits_n = cfg.bits
     target, v, v_diff = work[:2], work[2:4], work[4]
@@ -279,7 +286,7 @@ def _lean_pass(held, noise, work, signs, switch, e_switch, cfg, code, consumed,
         compare(v_diff, noise[i], out=(v_eff[i], signs[i]))
         if i == bits_n - 1:
             break
-        h_up, h_down, settle, _, _ = switch[i]
+        h_up, h_down, settle = switch[i]
         # each plate settles toward its moved target: v = t - (t - v) * settle
         np.subtract(base, np.where(signs[i], h_up, h_down), out=target)
         np.subtract(target, side, out=v)
@@ -287,48 +294,35 @@ def _lean_pass(held, noise, work, signs, switch, e_switch, cfg, code, consumed,
         np.subtract(target, v, out=v)
         side, base = v, target
 
-    np.matmul(np.left_shift(1, np.arange(bits_n - 1, -1, -1)), signs, out=code)
     latencies = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd,
                                    cfg.a_v, out=v_eff)
     consumed.fill(0.0)
     for row in latencies:
         consumed += row
-    # a select on the doubles' bits, exact and branch-free (np.where over
-    # these rows runs several times slower): the falling event's bits, with
-    # their difference from the rising event's flipped where the sign is set
-    events = latencies[:-1]
-    rising, falling = e_switch.view(np.int64)[:, :, None]
-    as_bits = events.view(np.int64)
-    np.multiply(signs[:-1], np.bitwise_xor(rising, falling), out=as_bits)
-    np.bitwise_xor(as_bits, falling, out=as_bits)
-    energy.fill(0.0)
-    for row in events:
-        energy += row
 
 
-def _careful_pass(work, noise, coin, switch, cfg: AdcConfig, slack0: float) -> tuple:
-    """Convert the gathered conversions with the latch and stop bookkeeping.
+def _careful_pass(target, noise, coin, switch, cfg: AdcConfig, slack0: float) -> tuple:
+    """Decide the flagged conversions with the latch and stop bookkeeping.
 
-    ``work`` holds one column per conversion, its held pair in rows 0-1;
-    rows 2-9 are scratch, and ``noise`` gives each bit's comparator noise
-    (rows gathered after them, or 0.0).  Returns
-    (code, metastable count, violation flag, comparisons made, consumed
-    time, switch energy).  The loop ends once every conversion has stopped,
-    since the rest of a stopped code is zeros and spends no slack or
-    energy.
+    ``target`` holds each conversion's held pair, one column each, and is
+    switched in place; ``noise`` gives each bit's comparator noise (rows
+    of one column per conversion, or 0.0).  Returns (decisions, metastable
+    count, violation flag, comparisons made, consumed time): a
+    (bits, conversions) bool array of each bit's sign or latched coin, with
+    a one at a stopped conversion's stop bit and zeros after it.  The loop
+    ends once every conversion has stopped, since the rest of a stopped
+    code is zeros and spends no slack.
     """
     bits_n, k = cfg.bits, coin.size
-    target, v = work[:2], work[2:4]
-    v_diff, t_decide, slack, consumed, energy, e_stop = work[4:10]
-    np.copyto(v, target)
-    slack.fill(slack0)
-    work[7:10] = 0.0            # consumed, energy, e_stop: spent when stopped
-    up, meta = np.empty((2, k), dtype=bool)
-    code, n_meta = np.zeros((2, k), dtype=int)
-    exhausted = np.zeros(k, dtype=bool)
+    v = target.copy()
+    v_diff, t_decide, consumed = np.zeros((3, k))
+    slack = np.full(k, slack0)
+    ups = np.zeros((bits_n, k), dtype=bool)
+    meta, exhausted = np.zeros((2, k), dtype=bool)
+    n_meta = np.zeros(k, dtype=int)
     n_cycles = np.full(k, bits_n)
     n_stopped = 0
-    for i in range(bits_n):
+    for i, up in enumerate(ups):
         np.subtract(v[0], v[1], out=v_diff)
         decisions(v_diff, slack, noise[i], cfg, out=(up, t_decide, meta))
         if n_stopped or np.count_nonzero(meta):
@@ -347,27 +341,19 @@ def _careful_pass(work, noise, coin, switch, cfg: AdcConfig, slack0: float) -> t
             # exhausted conversion has none left, so it adds zero)
             np.copyto(t_decide, slack, where=meta)
             n_cycles[stop] = i + 1
-            np.copyto(e_stop, energy, where=stop)
             exhausted |= stop
             n_stopped = np.count_nonzero(exhausted)
-        np.left_shift(code, 1, out=code)
-        code |= up
         consumed += t_decide
         slack -= t_decide
         if n_stopped == k:
-            code <<= bits_n - 1 - i
             break
         if i < bits_n - 1:
-            h_up, h_down, settle, e_up, e_down = switch[i]
+            h_up, h_down, settle = switch[i]
             target -= np.where(up, h_up, h_down)
             np.subtract(target, v, out=v)
             v *= settle
             np.subtract(target, v, out=v)
-            energy += np.where(up, e_up, e_down)
-
-    # a stopped conversion switches no more capacitors
-    np.copyto(energy, e_stop, where=exhausted)
-    return code, n_meta, exhausted, n_cycles, consumed, energy
+    return ups, n_meta, exhausted, n_cycles, consumed
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:

@@ -289,6 +289,29 @@ def test_careful_pass_takes_every_flagged_conversion(ref_cfg, monkeypatch):
     assert len(calls) < cfg.bits and res.n_violations == res.n_samples
 
 
+def test_switch_energy_matches_reference_walk_at_every_stop_bit(ref_cfg):
+    # a stopped conversion books the switches before its stop bit and none
+    # from it on: for each stop bit the data reaches, a one-sample record
+    # equals the sequential walk, energies included.  The stop bit is read
+    # off the lowest set bit of the violated code.  A noise-off dead zero
+    # stops at bit 0; a 225 MHz ramp, and its variant whose gain lets a
+    # latch go on, reach bits 2-9
+    quiet = replace(ref_cfg, sigma_n_comp=0.0, t_kelvin=0.0)
+    fast = replace(ref_cfg, f_s=225e6)
+    latching = replace(fast, a_v=100.0, sigma_n_comp=5e-3)
+    ramp = np.linspace(-0.4, 0.4, 257)
+    cases = [(quiet, 0.0), *((cfg, v) for cfg in (fast, latching) for v in ramp)]
+    reached = set()
+    for cfg, v in cases:
+        res = convert_waveform([v], cfg)
+        code = int(res.codes[0])
+        stop = cfg.bits - (code & -code).bit_length()
+        if res.violation[0] and (cfg, stop) not in reached:
+            reached.add((cfg, stop))
+            _assert_same(res, reference.convert_waveform([v], cfg))
+    assert {stop for _, stop in reached} == {0, *range(2, ref_cfg.bits)}
+
+
 @pytest.mark.parametrize("fn, lo, hi", [(np.exp, -20.0, 0.0), (np.log, 1e-3, 1e9)],
                          ids=["exp", "log"])
 def test_numpy_exp_log_shape_free(fn, lo, hi):
