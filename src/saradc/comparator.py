@@ -16,9 +16,7 @@ The operative noise is the configured input-referred sigma
 
 import numpy as np
 
-from .config import AdcConfig
-
-__all__ = ["comparator_power", "compare", "decision_latencies", "decisions"]
+__all__ = ["comparator_power", "compare", "decision_latencies"]
 
 
 def comparator_power(f_ck: float, c_comp: float, v_dd: float) -> float:
@@ -52,20 +50,3 @@ def compare(v_diff: np.ndarray, noise, out=(None, None)) -> tuple[np.ndarray, np
     v_eff = np.add(v_diff, noise, out=v_eff)
     return v_eff, np.greater(v_eff, 0.0, out=up)
 
-
-def decisions(v_diff: np.ndarray, t_available: np.ndarray, noise, cfg: AdcConfig,
-              out=(None, None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One comparison per entry of v_diff, given t_available seconds each.
-
-    Returns (up, t_decide, metastable) arrays, written into ``out`` if given:
-    the sign ``compare`` finds for each effective input, the latencies [s]
-    and whether each exceeded its allowance.  An exactly zero effective
-    input never resolves (infinite latency) and is metastable; a metastable
-    entry's sign gives way to the logic's arbitrary latch, which the engine
-    supplies.
-    """
-    up, t_decide, metastable = out
-    v_eff, up = compare(v_diff, noise, out=(t_decide, up))
-    t_decide = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd, cfg.a_v,
-                                  out=v_eff)
-    return up, t_decide, np.greater(t_decide, t_available, out=metastable)

@@ -19,8 +19,9 @@ less the latencies before it; the margin is far above what the few dozen
 sequential roundings of up to 24 bits can move such a sum (a few 1e-15 of
 it).  The careful pass decides the conversions the screen flags (never too
 few) again from their held pairs, with the latch and stop bookkeeping, and
-their decisions replace their sign rows.  Then every conversion's code and
-switch energy are formed once, from the sign rows.
+their decisions replace their sign rows; both passes switch through
+``_switch``.  Then every conversion's code and switch energy are formed
+once, from the sign rows.
 
 The per-bit constants that the bit loop reads off a seed's capacitor ladder
 (half swings, settle fractions, event energies) are kept in one
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import analysis
 from .capdac import build_cap_array
-from .comparator import comparator_power, compare, decision_latencies, decisions
+from .comparator import comparator_power, compare, decision_latencies
 from .config import AdcConfig, derived_constants
 from .track_hold import _SIDES, hold, ktc_sigma
 
@@ -143,12 +144,13 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     block left.  Then two passes convert the block.
 
     The block's workspace holds, in order, one row per normal, the held
-    pairs, each conversion's consumed time and switch energy, and the lean
-    pass's rows (``_lean_pass``): its targets, plates and side difference,
-    five rows, and one effective-input row per bit, which in turn hold the
-    latencies and the switch events' energies.  Its signs go to a bool row
-    per bit, allocated once per call beside the workspace.  The careful pass
-    (``_careful_pass``) works on arrays of the flagged columns alone.
+    pairs, each conversion's consumed time, and the lean pass's rows
+    (``_lean_pass``): its targets, plates and side difference, five rows,
+    and one effective-input row per bit, which in turn hold the latencies
+    and the switch events' energies.  Its signs go to a bool row per bit,
+    allocated once per call beside the workspace.  The careful pass
+    (``_careful_pass``) reads the flagged columns of the block's held pairs
+    and noise rows, and works on arrays of those columns alone.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -185,16 +187,17 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     prev = np.array([cfg.v_cm, cfg.v_cm])
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     # one workspace, carved anew for each block: the normal rows, the held
-    # pairs, each conversion's consumed time and switch energy, then the lean
-    # pass's rows (five and one per bit), which first stage the stream's
-    # sample-major draw.  A block's peak transient must stay well under
-    # twice the workspace: glibc sets its heap-trim point at twice the
-    # largest block it has freed, returns the heap top once the free space
-    # exceeds it, and each returned page then costs a fault on the next
-    # record.  So the blocks share it: a workspace per block would live
-    # beside its predecessor's while it is made
+    # pairs, each conversion's consumed time, then the lean pass's rows (five
+    # and one per bit), which first stage the stream's sample-major draw.  A
+    # block's peak transient must stay well under twice the workspace: glibc
+    # sets its heap-trim point at twice the largest block it has freed,
+    # returns the heap top once the free space exceeds it, and each returned
+    # page then costs a fault on the next record (a 4,096-sample call peaks
+    # at 1.5x its 992 KiB workspace at 130 MHz and 1.8x at 225 MHz, traced).
+    # So the blocks share it: one per block would live beside its
+    # predecessor's while it is made
     n_rows = n_hold + n_noise + 1
-    n_work = n_rows + 4 + max(5 + bits_n, n_rows)
+    n_work = n_rows + 3 + max(5 + bits_n, n_rows)
     block_n = min(n, _STREAM_BLOCK)
     workspace = np.empty(n_work * block_n)
     sign_rows = np.empty(bits_n * block_n, dtype=bool)
@@ -207,8 +210,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             first = start + np.argmin(inside.all(axis=0))
             raise ValueError(f"convert_waveform: sample {first} leaves [0, v_dd]")
         work = workspace[:n_work * size].reshape(n_work, size)
-        rows, held, passes = work[:n_rows], work[n_rows:n_rows + 2], work[n_rows + 4:]
-        consumed, energy = work[n_rows + 2:n_rows + 4]
+        rows, held, consumed = work[:n_rows], work[n_rows:n_rows + 2], work[n_rows + 2]
+        passes = work[n_rows + 3:]
         stage = passes.reshape(-1)[:size * n_rows].reshape(size, n_rows)
         stream.standard_normal(out=stage)
         # one contiguous row per normal: hold's sweeps and each bit read rows,
@@ -216,19 +219,17 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         np.copyto(rows, stage.T)
         hold(v_in, cfg, rows[:n_hold], prev, held)
         prev = held[:, -1].copy()
-        noise = rows[n_hold:-1]
-        noise *= sigma          # the comparator's normals, scaled in place
+        rows[n_hold:-1] *= sigma    # the comparator's normals, scaled in place
+        noise = rows[n_hold:-1] if n_noise else None
         signs = sign_rows[:bits_n * size].reshape(bits_n, size)
-        _lean_pass(held, list(noise) if n_noise else [0.0] * bits_n, passes, signs,
-                   switch, cfg, consumed)
+        _lean_pass(held, noise, passes, signs, switch, cfg, consumed)
 
         n_cycles = bits_n       # comparisons each conversion made
         flagged = np.flatnonzero(consumed > slack0 * (1.0 - 1e-9))
         if flagged.size:
             n_cycles = np.full(size, bits_n)
-            careful = _careful_pass(held[:, flagged],
-                                    noise[:, flagged] if n_noise else [0.0] * bits_n,
-                                    rows[-1, flagged] > 0.0, switch, cfg, slack0)
+            careful = _careful_pass(held, noise, flagged, rows[-1, flagged] > 0.0,
+                                    switch, cfg, slack0)
             signs[:, flagged] = careful[0]
             for out, values in zip((metastable[block], violation[block], n_cycles, consumed),
                                    careful[1:]):
@@ -242,20 +243,26 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         np.multiply(signs[:-1], flip, out=as_bits)
         np.bitwise_xor(as_bits, falling, out=as_bits)
         if flagged.size:
-            # a stopped conversion switches nothing from its stop bit on
-            events[:, flagged] *= np.arange(bits_n - 1)[:, None] < n_cycles[flagged] - 1
-        energy.fill(0.0)
+            # a stopped conversion switches nothing from its stop bit on: one
+            # scatter per stop bit, into the stopped columns alone
+            stopped = flagged[violation[block][flagged]]
+            stop_bit = n_cycles[stopped] - 1
+            for bit in np.unique(stop_bit):
+                events[bit:, stopped[stop_bit == bit]] = 0.0
+        # the events add into the tally's DAC row in bit order, a row at a
+        # time: np.add.reduce would sum a one-sample block's rows pairwise
+        spent = passes[:4]
+        spent[1].fill(0.0)
         for row in events:
-            energy += row
+            spent[1] += row
 
         # every comparison but the last switches the DAC
         t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
                           + consumed)
         # running totals in sample order, carried across blocks: the carried
         # total joins each row's first term, in rows the passes no longer read
-        spent = passes[:4]
         spent[0] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
-        spent[1], spent[2], spent[3] = energy, n_cycles * cfg.e_logic, cfg.e_track
+        spent[2], spent[3] = n_cycles * cfg.e_logic, cfg.e_track
         spent[:, 0] += totals
         totals = np.cumsum(spent, axis=1, out=spent)[:, -1].tolist()
 
@@ -273,9 +280,9 @@ def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
 
     Bit i's effective input goes into row 5 + i of ``work`` and its sign
     into ``signs[i]``; rows 0-4 hold the targets, the plates and the side
-    difference, and the first bit reads the held pairs.  Then the
-    effective-input rows become latencies, which add per conversion in bit
-    order into ``consumed``.
+    difference, and the first bit reads the held pairs.  ``noise`` is the
+    comparator noise rows, or None.  Then the effective-input rows become
+    latencies, which add per conversion in bit order into ``consumed``.
     """
     bits_n = cfg.bits
     target, v, v_diff = work[:2], work[2:4], work[4]
@@ -283,15 +290,10 @@ def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
     side = base = held
     for i in range(bits_n):
         np.subtract(side[0], side[1], out=v_diff)
-        compare(v_diff, noise[i], out=(v_eff[i], signs[i]))
+        compare(v_diff, 0.0 if noise is None else noise[i], out=(v_eff[i], signs[i]))
         if i == bits_n - 1:
             break
-        h_up, h_down, settle = switch[i]
-        # each plate settles toward its moved target: v = t - (t - v) * settle
-        np.subtract(base, np.where(signs[i], h_up, h_down), out=target)
-        np.subtract(target, side, out=v)
-        v *= settle
-        np.subtract(target, v, out=v)
+        _switch(base, side, signs[i], switch[i], target, v)
         side, base = v, target
 
     latencies = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd,
@@ -301,19 +303,34 @@ def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
         consumed += row
 
 
-def _careful_pass(target, noise, coin, switch, cfg: AdcConfig, slack0: float) -> tuple:
+def _switch(base, side, up, bit, target, v) -> None:
+    """One bit's DAC switch for decisions ``up``: each side's ``target``
+    moves from ``base`` by the bit's half swing, and each plate ``v``
+    settles from ``side`` toward it, v = t - (t - side) * settle.  ``bit``
+    is the bit's (h_up, h_down, settle) from ``_plan``."""
+    h_up, h_down, settle = bit
+    np.subtract(base, np.where(up, h_up, h_down), out=target)
+    np.subtract(target, side, out=v)
+    v *= settle
+    np.subtract(target, v, out=v)
+
+
+def _careful_pass(held, noise, flagged, coin, switch, cfg: AdcConfig,
+                  slack0: float) -> tuple:
     """Decide the flagged conversions with the latch and stop bookkeeping.
 
-    ``target`` holds each conversion's held pair, one column each, and is
-    switched in place; ``noise`` gives each bit's comparator noise (rows
-    of one column per conversion, or 0.0).  Returns (decisions, metastable
+    It converts columns ``flagged`` of the block's held pairs ``held``
+    again, reading bit i's noise from row i of the block's ``noise`` rows
+    (or None), and latches ``coin`` for a metastable comparison, one whose
+    latency exceeds the slack left.  Returns (decisions, metastable
     count, violation flag, comparisons made, consumed time): a
     (bits, conversions) bool array of each bit's sign or latched coin, with
     a one at a stopped conversion's stop bit and zeros after it.  The loop
     ends once every conversion has stopped, since the rest of a stopped
     code is zeros and spends no slack.
     """
-    bits_n, k = cfg.bits, coin.size
+    bits_n, k = cfg.bits, flagged.size
+    target = held[:, flagged]
     v = target.copy()
     v_diff, t_decide, consumed = np.zeros((3, k))
     slack = np.full(k, slack0)
@@ -324,7 +341,9 @@ def _careful_pass(target, noise, coin, switch, cfg: AdcConfig, slack0: float) ->
     n_stopped = 0
     for i, up in enumerate(ups):
         np.subtract(v[0], v[1], out=v_diff)
-        decisions(v_diff, slack, noise[i], cfg, out=(up, t_decide, meta))
+        compare(v_diff, 0.0 if noise is None else noise[i, flagged], out=(t_decide, up))
+        np.greater(decision_latencies(np.abs(t_decide, out=t_decide), cfg.tau_reg, cfg.v_dd,
+                                      cfg.a_v, out=t_decide), slack, out=meta)
         if n_stopped or np.count_nonzero(meta):
             latched = meta & ~exhausted
             # a comparison that can never resolve, or one offered no time
@@ -348,11 +367,7 @@ def _careful_pass(target, noise, coin, switch, cfg: AdcConfig, slack0: float) ->
         if n_stopped == k:
             break
         if i < bits_n - 1:
-            h_up, h_down, settle = switch[i]
-            target -= np.where(up, h_up, h_down)
-            np.subtract(target, v, out=v)
-            v *= settle
-            np.subtract(target, v, out=v)
+            _switch(target, v, up, switch[i], target, v)
     return ups, n_meta, exhausted, n_cycles, consumed
 
 

@@ -30,10 +30,9 @@ def comparator_calls(monkeypatch):
     the input and whether the comparator found it positive.
 
     It wraps ``comparator.compare``, the one place a comparison's sign is
-    taken: the engine's lean pass calls it at every bit, and
-    ``comparator.decisions``, which the careful pass calls, is built on it.
-    A conversion the lean pass hands to the careful pass is compared again
-    there, from its first bit."""
+    taken: both of the engine's passes call it at every bit.  A conversion
+    the lean pass hands to the careful pass is compared again there, from
+    its first bit."""
     calls = []
     compare = sa.comparator.compare
 

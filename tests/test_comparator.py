@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import saradc as sa
-from saradc.comparator import comparator_power, decision_latencies, decisions
+from saradc.comparator import comparator_power, compare, decision_latencies
 from reference_engine import decide, decision_latency
 
 
@@ -115,10 +115,14 @@ def test_decide_noise_statistics(ref_cfg):
     assert abs(pos / n - phi1) < tol
 
 
-def test_decisions_give_the_sign_even_when_metastable(ref_cfg):
-    # the logic's latch for a metastable entry is the engine's to draw
+def test_compare_gives_the_sign_even_when_metastable(ref_cfg):
+    # the logic's latch for a metastable comparison is the engine's to draw:
+    # offered no time, +-1 uV and an exact zero overrun it, a rail input does
+    # not, and each keeps the sign compare found; an exact zero is not
+    # positive and never resolves
     v = np.array([1e-6, -1e-6, 0.0, 0.3])
-    up, t_decide, metastable = decisions(v, np.zeros(4), 0.0, ref_cfg)
-    assert metastable.tolist() == [True, True, True, False]
+    v_eff, up = compare(v, 0.0)
+    t_decide = decision_latencies(np.abs(v_eff), ref_cfg.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
+    assert (t_decide > 0.0).tolist() == [True, True, True, False]
     assert up.tolist() == [True, False, False, True]
     assert t_decide[2] == math.inf and t_decide[3] == 0.0

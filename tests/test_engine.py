@@ -182,6 +182,43 @@ def test_steady_records_take_no_page_faults():
         assert float(faults) <= 5, f"t_kelvin={t_kelvin} n={n}: {faults} faults per call"
 
 
+def _traced_peak(v_diff, cfg):
+    """Traced peak of one call [bytes], after a warm-up call."""
+    convert_waveform(v_diff, cfg, seed=1)
+    tracemalloc.start()
+    try:
+        convert_waveform(v_diff, cfg, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_careful_pass_reads_the_block_rows_in_place(ref_cfg, monkeypatch):
+    # at 225 MHz the careful pass takes every conversion of a 4,096-sample
+    # block; reading one noise row per bit and zeroing only the stopped
+    # conversions' events, its transient stays under 40 % of the call's
+    # workspace (31 rows of 4,096 doubles, 992 KiB) above the same tone's
+    # peak at the shipped rate.  The share sits between the +273 KiB
+    # measured and the +511 KiB that whole-block gathers of the flagged
+    # noise and event columns cost
+    fast = replace(ref_cfg, f_s=225e6)
+    tone = sa.gen_coherent_tone(4096, 189, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
+    taken = []
+    careful = engine._careful_pass
+
+    def recorded(held, noise, flagged, *args):
+        taken.append(flagged.size)
+        return careful(held, noise, flagged, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_careful_pass", recorded)
+        convert_waveform(tone.v_diff, fast, seed=1)
+    assert taken == [tone.v_diff.size]
+    workspace = 31 * 4096 * 8
+    extra = _traced_peak(tone.v_diff, fast) - _traced_peak(tone.v_diff, ref_cfg)
+    assert extra < 0.4 * workspace, f"+{extra // 1024} KiB at 225 MHz"
+
+
 # config changes after the rate, each shown in the test id as key=value:
 # every mix of the two noise sources, and a pre-amplifier gain that lets the
 # comparisons after a latch resolve, with noise large enough to decide some
@@ -251,15 +288,19 @@ def test_lean_and_bookkeeping_blocks_match_reference_walk(ref_cfg, monkeypatch):
 
 
 def _careful_calls(monkeypatch):
-    """(columns, v_diff of column 0) of every careful-pass comparison, in order."""
+    """(columns, |effective input| of column 0) of every careful-pass
+    comparison, in order: the careful pass takes one bit's latencies at a
+    time, a one-dimensional call, the lean pass all bits' in one (bits, n)
+    call."""
     calls = []
-    decisions = engine.decisions
+    latencies = engine.decision_latencies
 
-    def recorded(v_diff, t_available, noise, cfg, out):
-        calls.append((v_diff.size, float(v_diff[0])))
-        return decisions(v_diff, t_available, noise, cfg, out=out)
+    def recorded(v_abs, tau_reg, v_dd, a_v, out):
+        if v_abs.ndim == 1:
+            calls.append((v_abs.size, float(v_abs[0])))
+        return latencies(v_abs, tau_reg, v_dd, a_v, out=out)
 
-    monkeypatch.setattr(engine, "decisions", recorded)
+    monkeypatch.setattr(engine, "decision_latencies", recorded)
     return calls
 
 
