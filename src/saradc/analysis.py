@@ -328,8 +328,7 @@ def table_text(blocks, rows: int, lines=None) -> str:
         left = right
     if lines:
         table[list(lines)] = 0
-    flat = table.ravel()
-    text = flat[flat != 0].tobytes().decode("ascii")
+    text = table.tobytes().translate(None, b"\0").decode("ascii")
     if not lines:
         return text
     ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()

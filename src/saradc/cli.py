@@ -248,10 +248,11 @@ def _cmd_simulate(args, cfg: AdcConfig) -> int:
 
     if args.check:
         x = (result.codes + 0.5) / 2.0 ** cfg.bits - 0.5
-        parseval = abs(float(np.sum(power)) - float(np.mean(x * x)))
+        mean_square = float(np.mean(x * x))
+        parseval = abs(float(np.sum(power)) - mean_square)
         # a silent record, or one with no non-signal bin, measures nothing
         ok = (math.isfinite(m.sndr)
-              and parseval <= 1e-9 * max(float(np.mean(x * x)), 1e-30)
+              and parseval <= 1e-9 * max(mean_square, 1e-30)
               and m.sfdr >= m.sndr
               and math.isclose(m.enob, (m.sndr - 1.76) / 6.02, rel_tol=0, abs_tol=0))
         if not ok:

@@ -44,9 +44,9 @@ def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,
 
 def compare(v_diff: np.ndarray, noise, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """The effective input v_diff + ``noise`` (the input-referred draws, or
-    0.0) of each comparison and whether it is positive, written into
-    ``out`` if given."""
-    v_eff, up = out
+    0.0) of each comparison and its sign as a double, +1 or -1, and 0 only
+    for an exact zero, which never resolves; written into ``out`` if
+    given."""
+    v_eff, sign = out
     v_eff = np.add(v_diff, noise, out=v_eff)
-    return v_eff, np.greater(v_eff, 0.0, out=up)
-
+    return v_eff, np.sign(v_eff, out=sign)

@@ -10,9 +10,11 @@ matters only when it overruns the slack left in the sample period, which
 the shipped timing budget sizes to happen at a rate of p_meta = 1e-7.  So
 the lean pass compares and switches every conversion as if none did: per
 bit it forms the side difference, the effective input and its sign, and
-switches the DAC, keeping each bit's effective input in a workspace row and
-its sign in a bool row.  After the loop it takes the latencies of all of
-those rows in one call and adds each conversion's latencies in bit order.
+switches the DAC by the bit's half swing times that sign, keeping each
+bit's effective input and its sign (+-1 as a double, 0 only for an exact
+zero) in workspace rows.  After the loop it takes the latencies of all of
+the effective inputs in one call and adds each conversion's latencies in
+bit order.
 A conversion whose latencies add up to at most ``slack0 * (1 - 1e-9)`` had
 no metastable comparison, since every comparison's allowance is the window
 less the latencies before it; the margin is far above what the few dozen
@@ -20,13 +22,19 @@ sequential roundings of up to 24 bits can move such a sum (a few 1e-15 of
 it).  The careful pass decides the conversions the screen flags (never too
 few) again from their held pairs, with the latch and stop bookkeeping, and
 their decisions replace their sign rows; both passes switch through
-``_switch``.  Then every conversion's code and switch energy are formed
-once, from the sign rows.
+``_switch``.  An exact zero never resolves (its latency is +inf), so the
+screen always flags it, and no 0 outlives the careful pass.  Then the
+block's codes come from one product of its sign rows with the code
+weights, and each conversion's switch energy from one table of the
+events' running sums along every decision prefix (``_prefix_sums``), at
+its code's prefix and the number of switches it made; a block with fewer
+conversions than the table has rows adds each conversion's own events.
 
 The per-bit constants that the bit loop reads off a seed's capacitor ladder
 (half swings, settle fractions, event energies) are kept in one
-engine-private memo, ``_plan``, keyed by the (frozen, hashable) config and
-the seed and bounded at ``_PLAN_MEMO`` entries, so a seed ensemble
+engine-private memo, ``_plan``, with the code weights and the normals'
+scale factors, keyed by the (frozen, hashable) config and the seed and
+bounded at ``_PLAN_MEMO`` entries, so a seed ensemble
 converted again at another tone condition draws and compiles no ladder.
 Its arrays are read-only, because every call that hits an entry shares
 them.
@@ -101,21 +109,55 @@ _PLAN_MEMO = 64
 def _plan(cfg: AdcConfig, seed: int) -> tuple:
     """The bit loop's constants from the ladder drawn from SeedSequence((seed, 1)).
 
-    Row i-1 of each belongs to switched bit i: the half swings of a rising
-    decision (it lowers the positive side) and of a falling one and the
-    unsettled fraction, each a (2, 1) side column; then the event energies
-    of a rising and of a falling decision, rows 0 and 1 of a (2, bits-1)
-    table.  Each is one contiguous read-only array, shared by every call
-    the memo serves.  A ladder that cannot be drawn raises on every call,
-    since the memo keeps no error.
+    Returns (h_up, settle, e_flat, weights, scale).  Row i-1 of ``h_up``
+    and of ``settle`` belongs to switched bit i: the half swing of a rising
+    decision (it lowers the positive side) and the unsettled fraction, each
+    a (2, 1) side column.  ``e_flat`` holds a zero and then bit i's event
+    energies, the falling decision's first, at 2i - 1 and 2i.  ``weights``
+    are half the code weights, MSB first, so that w . s + (2^bits - 1) / 2
+    is the code of the +-1 decisions s.  ``scale`` is a column with one
+    factor per normal of a sample's row: ``sigma_n_comp`` for each
+    comparator normal, 1 for the others.  Each is one contiguous read-only
+    array, shared by every call the memo serves.  A ladder that cannot be
+    drawn raises on every call, since the memo keeps no error.
     """
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    h_up = np.array((ladder.step * _SIDES).T[:, :, None], order="C")
-    plan = (h_up, -h_up, np.array(ladder.settle.T[:, :, None], order="C"),
-            np.array(ladder.e_event.T[::-1], order="C"))
+    sigma = cfg.sigma_n_comp
+    normals = [1.0] * (2 if ktc_sigma(cfg) > 0 else 0) + [sigma] * (cfg.bits if sigma > 0 else 0)
+    plan = (np.array((ladder.step * _SIDES).T[:, :, None], order="C"),
+            np.array(ladder.settle.T[:, :, None], order="C"),
+            np.concatenate(([0.0], ladder.e_event.ravel())),
+            np.ldexp(1.0, np.arange(cfg.bits - 2, -2, -1)),
+            np.array(normals + [1.0])[:, None])
     for a in plan:
         a.flags.writeable = False
     return plan
+
+
+@functools.lru_cache(maxsize=None)
+def _event_index(bits: int) -> tuple:
+    """Where ``e_flat`` keeps the switch events: (fall_at, prefix).
+
+    ``fall_at`` is a column holding 2i - 1, the falling event of switched
+    bit i, for i = 1..bits-1.  ``prefix`` has a row for each prefix p of
+    bits - 1 decisions, MSB first, and ``bits`` columns: column 0 picks the
+    leading zero and column j the event of p's j-th decision.
+    """
+    fall_at = np.arange(1, 2 * bits - 2, 2)
+    p = np.arange(2 ** (bits - 1))[:, None]
+    prefix = np.zeros((p.size, bits), dtype=np.intp)
+    prefix[:, 1:] = fall_at + ((p >> np.arange(bits - 2, -1, -1)) & 1)
+    index = (fall_at[:, None], prefix)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def _prefix_sums(e_flat: np.ndarray, bits: int) -> np.ndarray:
+    """The switch events' running sums along every prefix of bits - 1
+    decisions: entry (p, d) is what decisions p (MSB first) spend on their
+    first d switches, added in bit order, as a sequential walk adds them."""
+    return np.cumsum(e_flat[_event_index(bits)[1]], axis=1)
 
 
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
@@ -144,13 +186,13 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     block left.  Then two passes convert the block.
 
     The block's workspace holds, in order, one row per normal, the held
-    pairs, each conversion's consumed time, and the lean pass's rows
-    (``_lean_pass``): its targets, plates and side difference, five rows,
-    and one effective-input row per bit, which in turn hold the latencies
-    and the switch events' energies.  Its signs go to a bool row per bit,
-    allocated once per call beside the workspace.  The careful pass
-    (``_careful_pass``) reads the flagged columns of the block's held pairs
-    and noise rows, and works on arrays of those columns alone.
+    pairs, each conversion's consumed time, one sign row per bit, and the
+    lean pass's rows (``_lean_pass``): its targets, plates, side difference
+    and switch step, seven rows, and one effective-input row per bit, which
+    in turn hold the latencies and then the energy table's indices.  The
+    careful pass (``_careful_pass``) reads the flagged columns of the
+    block's held pairs and noise rows, works on arrays of those columns
+    alone, and writes their decisions into the sign rows.
 
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
@@ -166,19 +208,20 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
-    plan = _plan(cfg, seed)
-    switch = list(zip(*plan[:3]))
+    h_up, settle, e_flat, weights, scale = _plan(cfg, seed)
+    switch = tuple(zip(h_up, settle))
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
     # an overbooked window offers every comparison no time, as an empty one does
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
-    weights = np.left_shift(1, np.arange(bits_n - 1, -1, -1))
-    # a select on the doubles' bits, exact and branch-free (np.where over the
-    # event rows runs several times slower): the falling event's bits, with
-    # their difference from the rising event's flipped where the sign is set
-    rising, falling = plan[3].view(np.int64)[:, :, None]
-    flip = np.bitwise_xor(rising, falling)
+    # a conversion's switch energy is its switched events' sum in bit order.
+    # Blocks of at least as many conversions as there are prefixes of bits - 1
+    # decisions read it from the table of those sums (``_prefix_sums``), one
+    # row of ``bits`` per prefix; shorter blocks add each conversion's events
+    block_n = min(n, _STREAM_BLOCK)
+    fall_at = _event_index(bits_n)[0]
+    spend_of = _prefix_sums(e_flat, bits_n).ravel() if block_n >= 2 ** (bits_n - 1) else None
 
     codes, metastable = np.zeros((2, n), dtype=int)
     violation = np.zeros(n, dtype=bool)
@@ -187,20 +230,18 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     prev = np.array([cfg.v_cm, cfg.v_cm])
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     # one workspace, carved anew for each block: the normal rows, the held
-    # pairs, each conversion's consumed time, then the lean pass's rows (five
-    # and one per bit), which first stage the stream's sample-major draw.  A
-    # block's peak transient must stay well under twice the workspace: glibc
-    # sets its heap-trim point at twice the largest block it has freed,
-    # returns the heap top once the free space exceeds it, and each returned
-    # page then costs a fault on the next record (a 4,096-sample call peaks
-    # at 1.5x its 992 KiB workspace at 130 MHz and 1.8x at 225 MHz, traced).
-    # So the blocks share it: one per block would live beside its
-    # predecessor's while it is made
+    # pairs, each conversion's consumed time, one sign row per bit, then the
+    # lean pass's rows (seven and one per bit), which first stage the
+    # stream's sample-major draw.  A block's peak transient must stay well
+    # under twice the workspace: glibc sets its heap-trim point at twice the
+    # largest block it has freed, returns the heap top once the free space
+    # exceeds it, and each returned page then costs a fault on the next
+    # record (a 4,096-sample call peaks at 1.35x its 1,376 KiB workspace at
+    # 130 MHz and 1.59x at 225 MHz, traced).  So the blocks share it: one per
+    # block would live beside its predecessor's while it is made
     n_rows = n_hold + n_noise + 1
-    n_work = n_rows + 3 + max(5 + bits_n, n_rows)
-    block_n = min(n, _STREAM_BLOCK)
+    n_work = n_rows + 3 + bits_n + 7 + bits_n
     workspace = np.empty(n_work * block_n)
-    sign_rows = np.empty(bits_n * block_n, dtype=bool)
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
@@ -211,54 +252,57 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             raise ValueError(f"convert_waveform: sample {first} leaves [0, v_dd]")
         work = workspace[:n_work * size].reshape(n_work, size)
         rows, held, consumed = work[:n_rows], work[n_rows:n_rows + 2], work[n_rows + 2]
-        passes = work[n_rows + 3:]
+        signs = work[n_rows + 3:n_rows + 3 + bits_n]
+        passes = work[n_rows + 3 + bits_n:]
         stage = passes.reshape(-1)[:size * n_rows].reshape(size, n_rows)
         stream.standard_normal(out=stage)
         # one contiguous row per normal: hold's sweeps and each bit read rows,
-        # not strided columns
-        np.copyto(rows, stage.T)
+        # not strided columns; the comparator's normals are scaled as they move
+        np.multiply(stage.T, scale, out=rows)
         hold(v_in, cfg, rows[:n_hold], prev, held)
         prev = held[:, -1].copy()
-        rows[n_hold:-1] *= sigma    # the comparator's normals, scaled in place
         noise = rows[n_hold:-1] if n_noise else None
-        signs = sign_rows[:bits_n * size].reshape(bits_n, size)
         _lean_pass(held, noise, passes, signs, switch, cfg, consumed)
 
         n_cycles = bits_n       # comparisons each conversion made
         flagged = np.flatnonzero(consumed > slack0 * (1.0 - 1e-9))
         if flagged.size:
             n_cycles = np.full(size, bits_n)
-            careful = _careful_pass(held, noise, flagged, rows[-1, flagged] > 0.0,
-                                    switch, cfg, slack0)
-            signs[:, flagged] = careful[0]
+            coin = np.where(rows[-1, flagged] > 0.0, 1.0, -1.0)
+            careful = _careful_pass(held, noise, flagged, coin, signs, switch, cfg, slack0)
             for out, values in zip((metastable[block], violation[block], n_cycles, consumed),
-                                   careful[1:]):
+                                   careful):
                 out[flagged] = values
 
-        # every conversion's code and switch energy, from its sign rows; the
-        # switched bits' latency rows, summed already, take the event energies
-        np.matmul(weights, signs, out=codes[block])
-        events = passes[5:4 + bits_n]
-        as_bits = events.view(np.int64)
-        np.multiply(signs[:-1], flip, out=as_bits)
-        np.bitwise_xor(as_bits, falling, out=as_bits)
-        if flagged.size:
-            # a stopped conversion switches nothing from its stop bit on: one
-            # scatter per stop bit, into the stopped columns alone
-            stopped = flagged[violation[block][flagged]]
-            stop_bit = n_cycles[stopped] - 1
-            for bit in np.unique(stop_bit):
-                events[bit:, stopped[stop_bit == bit]] = 0.0
-        # the events add into the tally's DAC row in bit order, a row at a
-        # time: np.add.reduce would sum a one-sample block's rows pairwise
-        spent = passes[:4]
-        spent[1].fill(0.0)
-        for row in events:
-            spent[1] += row
+        # every conversion's code, from its +-1 sign rows in one product:
+        # exact, since every partial sum is a multiple of 1/2 far below 2^53
+        spent, code_f = passes[:4], passes[4]
+        np.matmul(weights, signs, out=code_f)
+        np.add(code_f, (2 ** bits_n - 1) / 2, out=codes[block], casting="unsafe")
+        # and its switch energy: a stopped conversion switches nothing from
+        # its stop bit on
+        at = passes[7:6 + bits_n].view(np.intp)
+        if spend_of is not None:
+            # the table's entry at its first bits - 1 decisions and the number
+            # of switches it made
+            at = at[0]
+            np.right_shift(codes[block], 1, out=at)
+            at *= bits_n
+            at += n_cycles - 1
+            np.take(spend_of, at, out=spent[1], mode="clip")
+        else:
+            # its events, the stopped ones read as e_flat's zero, added up in
+            # bit order in the sign rows, which the codes no longer need
+            np.add(signs[:-1] > 0.0, fall_at, out=at)
+            if flagged.size:
+                at *= fall_at < 2 * n_cycles - 1
+            events = np.take(e_flat, at, out=signs[:-1], mode="clip")
+            np.cumsum(events, axis=0, out=events)
+            spent[1] = events[-1]
 
         # every comparison but the last switches the DAC
-        t_total[block] = (cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix
-                          + consumed)
+        np.add(cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix, consumed,
+               out=t_total[block])
         # running totals in sample order, carried across blocks: the carried
         # total joins each row's first term, in rows the passes no longer read
         spent[0] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
@@ -278,22 +322,23 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
     """Compare and switch every conversion at every bit, none metastable.
 
-    Bit i's effective input goes into row 5 + i of ``work`` and its sign
-    into ``signs[i]``; rows 0-4 hold the targets, the plates and the side
-    difference, and the first bit reads the held pairs.  ``noise`` is the
-    comparator noise rows, or None.  Then the effective-input rows become
-    latencies, which add per conversion in bit order into ``consumed``.
+    Bit i's effective input goes into row 7 + i of ``work`` and its sign,
+    +-1 (0 for an exact zero), into ``signs[i]``; rows 0-6 hold the
+    targets, the plates, the side difference and the switch step, and the
+    first bit reads the held pairs.  ``noise`` is the comparator noise
+    rows, or None.  Then the effective-input rows become latencies, which
+    add per conversion in bit order into ``consumed``.
     """
     bits_n = cfg.bits
-    target, v, v_diff = work[:2], work[2:4], work[4]
-    v_eff = work[5:5 + bits_n]
+    target, v, v_diff, step = work[:2], work[2:4], work[4], work[5:7]
+    v_eff = work[7:7 + bits_n]
     side = base = held
     for i in range(bits_n):
         np.subtract(side[0], side[1], out=v_diff)
         compare(v_diff, 0.0 if noise is None else noise[i], out=(v_eff[i], signs[i]))
         if i == bits_n - 1:
             break
-        _switch(base, side, signs[i], switch[i], target, v)
+        _switch(base, side, signs[i], switch[i], target, v, step)
         side, base = v, target
 
     latencies = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd,
@@ -303,43 +348,46 @@ def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
         consumed += row
 
 
-def _switch(base, side, up, bit, target, v) -> None:
-    """One bit's DAC switch for decisions ``up``: each side's ``target``
-    moves from ``base`` by the bit's half swing, and each plate ``v``
-    settles from ``side`` toward it, v = t - (t - side) * settle.  ``bit``
-    is the bit's (h_up, h_down, settle) from ``_plan``."""
-    h_up, h_down, settle = bit
-    np.subtract(base, np.where(up, h_up, h_down), out=target)
+def _switch(base, side, sign, bit, target, v, step) -> None:
+    """One bit's DAC switch for decisions ``sign`` (+-1): each side's
+    ``target`` moves from ``base`` by the bit's half swing times the sign,
+    held in ``step``, and each plate ``v`` settles from ``side`` toward it,
+    v = t - (t - side) * settle.  ``bit`` is the bit's (half swing,
+    settle) from ``_plan``."""
+    h_up, settle = bit
+    np.multiply(h_up, sign, out=step)
+    np.subtract(base, step, out=target)
     np.subtract(target, side, out=v)
     v *= settle
     np.subtract(target, v, out=v)
 
 
-def _careful_pass(held, noise, flagged, coin, switch, cfg: AdcConfig,
+def _careful_pass(held, noise, flagged, coin, signs, switch, cfg: AdcConfig,
                   slack0: float) -> tuple:
     """Decide the flagged conversions with the latch and stop bookkeeping.
 
     It converts columns ``flagged`` of the block's held pairs ``held``
     again, reading bit i's noise from row i of the block's ``noise`` rows
-    (or None), and latches ``coin`` for a metastable comparison, one whose
-    latency exceeds the slack left.  Returns (decisions, metastable
-    count, violation flag, comparisons made, consumed time): a
-    (bits, conversions) bool array of each bit's sign or latched coin, with
-    a one at a stopped conversion's stop bit and zeros after it.  The loop
-    ends once every conversion has stopped, since the rest of a stopped
-    code is zeros and spends no slack.
+    (or None), and latches ``coin`` (+-1) for a metastable comparison, one
+    whose latency exceeds the slack left.  Each bit's decisions, its sign
+    or latched coin, +-1, replace the flagged columns of its row of
+    ``signs``; a stopped conversion gets +1 at its stop bit and -1 after
+    it, the middle of its open range.  Returns (metastable count,
+    violation flag, comparisons made, consumed time).  The loop ends once
+    every conversion has stopped, since the rest of a stopped code is
+    fixed and spends no slack.
     """
     bits_n, k = cfg.bits, flagged.size
     target = held[:, flagged]
     v = target.copy()
-    v_diff, t_decide, consumed = np.zeros((3, k))
+    step = np.empty((2, k))
+    v_diff, t_decide, consumed, up = np.zeros((4, k))
     slack = np.full(k, slack0)
-    ups = np.zeros((bits_n, k), dtype=bool)
     meta, exhausted = np.zeros((2, k), dtype=bool)
     n_meta = np.zeros(k, dtype=int)
     n_cycles = np.full(k, bits_n)
     n_stopped = 0
-    for i, up in enumerate(ups):
+    for i in range(bits_n):
         np.subtract(v[0], v[1], out=v_diff)
         compare(v_diff, 0.0 if noise is None else noise[i, flagged], out=(t_decide, up))
         np.greater(decision_latencies(np.abs(t_decide, out=t_decide), cfg.tau_reg, cfg.v_dd,
@@ -349,12 +397,13 @@ def _careful_pass(held, noise, flagged, coin, switch, cfg: AdcConfig,
             # a comparison that can never resolve, or one offered no time
             # at all, exhausts the window: the code is completed at the
             # middle of the open range (this bit one, the rest zero; the
-            # DAC moves after it are never read)
+            # DAC moves after it are never read).  The other latched ones
+            # take their coin and go on with no slack left, so any later
+            # metastable comparison stops them
             stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
-            np.copyto(up, stop, where=exhausted | stop)
-            # the rest latch their coin and go on with no slack left, so
-            # any later metastable comparison stops them
-            np.copyto(up, coin, where=latched & ~stop)
+            np.copyto(up, coin, where=latched)
+            np.copyto(up, -1.0, where=exhausted)
+            np.copyto(up, 1.0, where=stop)
             n_meta += latched
             # a metastable comparison spends all the slack it had (an
             # exhausted conversion has none left, so it adds zero)
@@ -362,13 +411,15 @@ def _careful_pass(held, noise, flagged, coin, switch, cfg: AdcConfig,
             n_cycles[stop] = i + 1
             exhausted |= stop
             n_stopped = np.count_nonzero(exhausted)
+        signs[i, flagged] = up
         consumed += t_decide
         slack -= t_decide
         if n_stopped == k:
+            signs[i + 1:, flagged] = -1.0
             break
         if i < bits_n - 1:
-            _switch(target, v, up, switch[i], target, v)
-    return ups, n_meta, exhausted, n_cycles, consumed
+            _switch(target, v, up, switch[i], target, v, step)
+    return n_meta, exhausted, n_cycles, consumed
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:

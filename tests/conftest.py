@@ -30,16 +30,17 @@ def comparator_calls(monkeypatch):
     the input and whether the comparator found it positive.
 
     It wraps ``comparator.compare``, the one place a comparison's sign is
-    taken: both of the engine's passes call it at every bit.  A conversion
+    taken, and records whether that sign (+-1, 0 for an exact zero) is
+    positive: both of the engine's passes call it at every bit.  A conversion
     the lean pass hands to the careful pass is compared again there, from
     its first bit."""
     calls = []
     compare = sa.comparator.compare
 
     def recorded(v_diff, noise, out):
-        v_eff, up = compare(v_diff, noise, out=out)
-        calls.append((float(v_diff[0]), bool(up[0])))
-        return v_eff, up
+        v_eff, sign = compare(v_diff, noise, out=out)
+        calls.append((float(v_diff[0]), bool(sign[0] > 0)))
+        return v_eff, sign
 
     monkeypatch.setattr(sa.comparator, "compare", recorded)
     monkeypatch.setattr(sa.engine, "compare", recorded)

@@ -118,11 +118,12 @@ def test_decide_noise_statistics(ref_cfg):
 def test_compare_gives_the_sign_even_when_metastable(ref_cfg):
     # the logic's latch for a metastable comparison is the engine's to draw:
     # offered no time, +-1 uV and an exact zero overrun it, a rail input does
-    # not, and each keeps the sign compare found; an exact zero is not
-    # positive and never resolves
+    # not, and each keeps the sign compare found, +-1 as a double; an exact
+    # zero has sign 0, so it is not positive, and it never resolves
     v = np.array([1e-6, -1e-6, 0.0, 0.3])
-    v_eff, up = compare(v, 0.0)
+    v_eff, sign = compare(v, 0.0)
     t_decide = decision_latencies(np.abs(v_eff), ref_cfg.tau_reg, ref_cfg.v_dd, ref_cfg.a_v)
     assert (t_decide > 0.0).tolist() == [True, True, True, False]
-    assert up.tolist() == [True, False, False, True]
+    assert sign.dtype == np.float64 and sign.tolist() == [1.0, -1.0, 0.0, 1.0]
+    assert (sign > 0).tolist() == [True, False, False, True]
     assert t_decide[2] == math.inf and t_decide[3] == 0.0
