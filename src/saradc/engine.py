@@ -135,21 +135,15 @@ def _plan(cfg: AdcConfig, seed: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _event_index(bits: int) -> tuple:
-    """Where ``e_flat`` keeps the switch events: (fall_at, prefix).
-
-    ``fall_at`` is a column holding 2i - 1, the falling event of switched
-    bit i, for i = 1..bits-1.  ``prefix`` has a row for each prefix p of
-    bits - 1 decisions, MSB first, and ``bits`` columns: column 0 picks the
-    leading zero and column j the event of p's j-th decision.
-    """
-    fall_at = np.arange(1, 2 * bits - 2, 2)
+def _prefix_index(bits: int) -> np.ndarray:
+    """Indices into ``e_flat`` of the switch events along every prefix of
+    bits - 1 decisions: row p (its decisions MSB first) picks the leading
+    zero in column 0 and, in column j, the event of its j-th decision, at
+    2j - 1 if it falls and 2j if it rises."""
     p = np.arange(2 ** (bits - 1))[:, None]
-    prefix = np.zeros((p.size, bits), dtype=np.intp)
-    prefix[:, 1:] = fall_at + ((p >> np.arange(bits - 2, -1, -1)) & 1)
-    index = (fall_at[:, None], prefix)
-    for a in index:
-        a.flags.writeable = False
+    index = np.zeros((p.size, bits), dtype=np.intp)
+    index[:, 1:] = np.arange(1, 2 * bits - 2, 2) + ((p >> np.arange(bits - 2, -1, -1)) & 1)
+    index.flags.writeable = False
     return index
 
 
@@ -157,7 +151,7 @@ def _prefix_sums(e_flat: np.ndarray, bits: int) -> np.ndarray:
     """The switch events' running sums along every prefix of bits - 1
     decisions: entry (p, d) is what decisions p (MSB first) spend on their
     first d switches, added in bit order, as a sequential walk adds them."""
-    return np.cumsum(e_flat[_event_index(bits)[1]], axis=1)
+    return np.cumsum(e_flat[_prefix_index(bits)], axis=1)
 
 
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
@@ -220,8 +214,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     # decisions read it from the table of those sums (``_prefix_sums``), one
     # row of ``bits`` per prefix; shorter blocks add each conversion's events
     block_n = min(n, _STREAM_BLOCK)
-    fall_at = _event_index(bits_n)[0]
     spend_of = _prefix_sums(e_flat, bits_n).ravel() if block_n >= 2 ** (bits_n - 1) else None
+    fall_at = np.arange(1, 2 * bits_n - 2, 2)[:, None]     # where e_flat keeps each bit's events
 
     codes, metastable = np.zeros((2, n), dtype=int)
     violation = np.zeros(n, dtype=bool)
