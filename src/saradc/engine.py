@@ -134,6 +134,8 @@ def _plan(cfg: AdcConfig, seed: int) -> tuple:
     return plan
 
 
+# one entry per resolution that reads the table: blocks hold at most 4,096
+# conversions, so bits <= 13 and an entry is at most 416 KiB
 @functools.lru_cache(maxsize=None)
 def _prefix_index(bits: int) -> np.ndarray:
     """Indices into ``e_flat`` of the switch events along every prefix of
