@@ -25,17 +25,14 @@ their decisions replace their sign rows; both passes switch through
 ``_switch``.  An exact zero never resolves (its latency is +inf), so the
 screen always flags it, and no 0 outlives the careful pass.  Then the
 block's codes come from one product of its sign rows with the code
-weights, and each conversion's switch energy from one table of the
-events' running sums along every decision prefix (``_prefix_sums``), at
-its code's prefix and the number of switches it made; a block with fewer
-conversions than the table has rows adds each conversion's own events.
+weights, and each conversion's switch energy from one gather of the
+events its signs select, added in bit order.
 
 The per-bit constants that the bit loop reads off a seed's capacitor ladder
 (half swings, settle fractions, event energies) are kept in one
-engine-private memo, ``_plan``, with the code weights and the normals'
-scale factors, keyed by the (frozen, hashable) config and the seed and
-bounded at ``_PLAN_MEMO`` entries, so a seed ensemble
-converted again at another tone condition draws and compiles no ladder.
+engine-private memo, ``_plan``, with the code weights, keyed by the
+(frozen, hashable) config and the seed and bounded at ``_PLAN_MEMO``
+entries, so a seed ensemble converted again at another tone condition draws and compiles no ladder.
 Its arrays are read-only, because every call that hits an entry shares
 them.
 
@@ -109,51 +106,26 @@ _PLAN_MEMO = 64
 def _plan(cfg: AdcConfig, seed: int) -> tuple:
     """The bit loop's constants from the ladder drawn from SeedSequence((seed, 1)).
 
-    Returns (h_up, settle, e_flat, weights, scale).  Row i-1 of ``h_up``
+    Returns (h_up, settle, e_flat, fall_at, weights).  Row i-1 of ``h_up``
     and of ``settle`` belongs to switched bit i: the half swing of a rising
     decision (it lowers the positive side) and the unsettled fraction, each
     a (2, 1) side column.  ``e_flat`` holds a zero and then bit i's event
-    energies, the falling decision's first, at 2i - 1 and 2i.  ``weights``
-    are half the code weights, MSB first, so that w . s + (2^bits - 1) / 2
-    is the code of the +-1 decisions s.  ``scale`` is a column with one
-    factor per normal of a sample's row: ``sigma_n_comp`` for each
-    comparator normal, 1 for the others.  Each is one contiguous read-only
-    array, shared by every call the memo serves.  A ladder that cannot be
-    drawn raises on every call, since the memo keeps no error.
+    energies, the falling decision's first, at 2i - 1 and 2i; row i-1 of
+    the column ``fall_at`` is 2i - 1.  ``weights`` are half the code
+    weights, MSB first, so that w . s + (2^bits - 1) / 2 is the code of the
+    +-1 decisions s.  Each is one contiguous read-only array, shared by
+    every call the memo serves.  A ladder that cannot be drawn raises on
+    every call, since the memo keeps no error.
     """
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
-    sigma = cfg.sigma_n_comp
-    normals = [1.0] * (2 if ktc_sigma(cfg) > 0 else 0) + [sigma] * (cfg.bits if sigma > 0 else 0)
     plan = (np.array((ladder.step * _SIDES).T[:, :, None], order="C"),
             np.array(ladder.settle.T[:, :, None], order="C"),
             np.concatenate(([0.0], ladder.e_event.ravel())),
-            np.ldexp(1.0, np.arange(cfg.bits - 2, -2, -1)),
-            np.array(normals + [1.0])[:, None])
+            np.arange(1, 2 * cfg.bits - 2, 2)[:, None],
+            np.ldexp(1.0, np.arange(cfg.bits - 2, -2, -1)))
     for a in plan:
         a.flags.writeable = False
     return plan
-
-
-# one entry per resolution that reads the table: blocks hold at most 4,096
-# conversions, so bits <= 13 and an entry is at most 416 KiB
-@functools.lru_cache(maxsize=None)
-def _prefix_index(bits: int) -> np.ndarray:
-    """Indices into ``e_flat`` of the switch events along every prefix of
-    bits - 1 decisions: row p (its decisions MSB first) picks the leading
-    zero in column 0 and, in column j, the event of its j-th decision, at
-    2j - 1 if it falls and 2j if it rises."""
-    p = np.arange(2 ** (bits - 1))[:, None]
-    index = np.zeros((p.size, bits), dtype=np.intp)
-    index[:, 1:] = np.arange(1, 2 * bits - 2, 2) + ((p >> np.arange(bits - 2, -1, -1)) & 1)
-    index.flags.writeable = False
-    return index
-
-
-def _prefix_sums(e_flat: np.ndarray, bits: int) -> np.ndarray:
-    """The switch events' running sums along every prefix of bits - 1
-    decisions: entry (p, d) is what decisions p (MSB first) spend on their
-    first d switches, added in bit order, as a sequential walk adds them."""
-    return np.cumsum(e_flat[_prefix_index(bits)], axis=1)
 
 
 def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
@@ -185,7 +157,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     pairs, each conversion's consumed time, one sign row per bit, and the
     lean pass's rows (``_lean_pass``): its targets, plates, side difference
     and switch step, seven rows, and one effective-input row per bit, which
-    in turn hold the latencies and then the energy table's indices.  The
+    in turn hold the latencies and then the switch events' indices.  The
     careful pass (``_careful_pass``) reads the flagged columns of the
     block's held pairs and noise rows, works on arrays of those columns
     alone, and writes their decisions into the sign rows.
@@ -204,20 +176,13 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
     n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
-    h_up, settle, e_flat, weights, scale = _plan(cfg, seed)
+    h_up, settle, e_flat, fall_at, weights = _plan(cfg, seed)
     switch = tuple(zip(h_up, settle))
     n_hold = 2 if ktc_sigma(cfg) > 0 else 0
     n_noise = bits_n if sigma > 0 else 0
     # an overbooked window offers every comparison no time, as an empty one does
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
-    # a conversion's switch energy is its switched events' sum in bit order.
-    # Blocks of at least as many conversions as there are prefixes of bits - 1
-    # decisions read it from the table of those sums (``_prefix_sums``), one
-    # row of ``bits`` per prefix; shorter blocks add each conversion's events
-    block_n = min(n, _STREAM_BLOCK)
-    spend_of = _prefix_sums(e_flat, bits_n).ravel() if block_n >= 2 ** (bits_n - 1) else None
-    fall_at = np.arange(1, 2 * bits_n - 2, 2)[:, None]     # where e_flat keeps each bit's events
 
     codes, metastable = np.zeros((2, n), dtype=int)
     violation = np.zeros(n, dtype=bool)
@@ -237,6 +202,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     # block would live beside its predecessor's while it is made
     n_rows = n_hold + n_noise + 1
     n_work = n_rows + 3 + bits_n + 7 + bits_n
+    block_n = min(n, _STREAM_BLOCK)
     workspace = np.empty(n_work * block_n)
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
@@ -253,10 +219,11 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         stage = passes.reshape(-1)[:size * n_rows].reshape(size, n_rows)
         stream.standard_normal(out=stage)
         # one contiguous row per normal: hold's sweeps and each bit read rows,
-        # not strided columns; the comparator's normals are scaled as they move
-        np.multiply(stage.T, scale, out=rows)
+        # not strided columns
+        np.copyto(rows, stage.T)
         hold(v_in, cfg, rows[:n_hold], prev, held)
         prev = held[:, -1].copy()
+        rows[n_hold:-1] *= sigma    # the comparator's normals, scaled in place
         noise = rows[n_hold:-1] if n_noise else None
         _lean_pass(held, noise, passes, signs, switch, cfg, consumed)
 
@@ -275,26 +242,20 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         spent, code_f = passes[:4], passes[4]
         np.matmul(weights, signs, out=code_f)
         np.add(code_f, (2 ** bits_n - 1) / 2, out=codes[block], casting="unsafe")
-        # and its switch energy: a stopped conversion switches nothing from
-        # its stop bit on
+        # and its switch energy: the events its signs select, a stopped
+        # conversion's read as e_flat's zero from its stop bit on, gathered
+        # into the sign rows, which the codes no longer need
         at = passes[7:6 + bits_n].view(np.intp)
-        if spend_of is not None:
-            # the table's entry at its first bits - 1 decisions and the number
-            # of switches it made
-            at = at[0]
-            np.right_shift(codes[block], 1, out=at)
-            at *= bits_n
-            at += n_cycles - 1
-            np.take(spend_of, at, out=spent[1], mode="clip")
-        else:
-            # its events, the stopped ones read as e_flat's zero, added up in
-            # bit order in the sign rows, which the codes no longer need
-            np.add(signs[:-1] > 0.0, fall_at, out=at)
-            if flagged.size:
-                at *= fall_at < 2 * n_cycles - 1
-            events = np.take(e_flat, at, out=signs[:-1], mode="clip")
-            np.cumsum(events, axis=0, out=events)
-            spent[1] = events[-1]
+        np.add(signs[:-1] > 0.0, fall_at, out=at)
+        if flagged.size:
+            at *= fall_at < 2 * n_cycles - 1
+        events = np.take(e_flat, at, out=signs[:-1], mode="clip")
+        # they add into the tally's DAC row in bit order, a row at a time:
+        # np.add.reduce would sum a one-sample block's rows pairwise, and a
+        # cumsum down the rows runs ten times slower
+        spent[1] = events[0]
+        for row in events[1:]:
+            spent[1] += row
 
         # every comparison but the last switches the DAC
         np.add(cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix, consumed,

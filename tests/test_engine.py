@@ -369,24 +369,6 @@ def test_exact_zero_after_the_first_bit_goes_to_the_careful_pass(ideal_cfg, monk
     _assert_same(res, reference.convert_waveform(v, ideal_cfg))
 
 
-@pytest.mark.parametrize("topology", ["binary", "split"])
-def test_prefix_sums_are_the_sequential_sums_of_the_events(ref_cfg, topology):
-    # every (prefix, depth) entry of the energy table is the walk's running
-    # sum of the ladder's events, in bit order, for those decisions
-    cfg = replace(ref_cfg, topology=topology)
-    bits = cfg.bits
-    ladder = sa.build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((5, 1))))
-    table = engine._prefix_sums(engine._plan(cfg, 5)[2], bits)
-    assert table.shape == (2 ** (bits - 1), bits)
-    e_event = ladder.e_event.tolist()
-    for p, row in enumerate(table.tolist()):
-        spent = 0.0
-        for d, entry in enumerate(row):
-            assert entry == spent, (p, d)
-            if d < bits - 1:
-                spent += e_event[d][(p >> (bits - 2 - d)) & 1]
-
-
 @pytest.mark.parametrize("fn, lo, hi", [(np.exp, -20.0, 0.0), (np.log, 1e-3, 1e9)],
                          ids=["exp", "log"])
 def test_numpy_exp_log_shape_free(fn, lo, hi):
