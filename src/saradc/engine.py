@@ -32,9 +32,9 @@ The per-bit constants that the bit loop reads off a seed's capacitor ladder
 (half swings, settle fractions, event energies) are kept in one
 engine-private memo, ``_plan``, with the code weights, keyed by the
 (frozen, hashable) config and the seed and bounded at ``_PLAN_MEMO``
-entries, so a seed ensemble converted again at another tone condition draws and compiles no ladder.
-Its arrays are read-only, because every call that hits an entry shares
-them.
+entries, so a seed ensemble converted again at another tone condition
+draws and compiles no ladder.  Its arrays are read-only, because every
+call that hits an entry shares them.
 
 Scheduling model: the conversion window is one sample period minus the
 tracking phase.  Logic delay (every bit) and the fixed DAC-settle overhead
@@ -197,8 +197,8 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     # under twice the workspace: glibc sets its heap-trim point at twice the
     # largest block it has freed, returns the heap top once the free space
     # exceeds it, and each returned page then costs a fault on the next
-    # record (a 4,096-sample call peaks at 1.35x its 1,376 KiB workspace at
-    # 130 MHz and 1.59x at 225 MHz, traced).  So the blocks share it: one per
+    # record (a 4,096-sample call peaks at 1.32x its 1,376 KiB workspace at
+    # 130 MHz and 1.56x at 225 MHz, traced).  So the blocks share it: one per
     # block would live beside its predecessor's while it is made
     n_rows = n_hold + n_noise + 1
     n_work = n_rows + 3 + bits_n + 7 + bits_n
