@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AdcConfig, ConfigError, derived_constants, kt_over_c
+from .config import AdcConfig, derived_constants, kt_over_c
 
 __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
@@ -79,9 +79,6 @@ __all__ = [
     "transfer_thresholds", "inl_from_steps",
     "compare_topologies",
 ]
-
-MAX_REDRAWS = 100   # redraw rounds for dead unit capacitors before giving up
-
 
 # ---------------------------------------------------------------------------
 # the compiled ladder
@@ -108,32 +105,23 @@ class Ladder:
     e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
 
-def _draw_units(n_units: int, sigma_u: float, rng: np.random.Generator) -> np.ndarray:
-    """Both sides' relative unit deviations (2, n_units), the positive side
-    first, each side redrawing any unit that would kill a capacitor."""
-    dev = np.zeros((2, n_units))
-    if sigma_u == 0.0:
-        return dev
-    for side in dev:
-        side[:] = rng.normal(0.0, sigma_u, size=n_units)
-        for _ in range(MAX_REDRAWS):
-            bad = side <= -1.0
-            if not bad.any():
-                break
-            side[bad] = rng.normal(0.0, sigma_u, size=int(bad.sum()))
-        else:
-            raise ConfigError("sigma_u: could not draw positive unit capacitors")
-    return dev
-
-
 def _segment(counts: list, u: float, sigma_u: float,
              rng: np.random.Generator) -> np.ndarray:
     """Both sides' capacitors from the given unit counts and per-unit draws.
 
-    Each capacitor is the sum of its constituent units, so its relative
-    spread shrinks with the square root of the unit count.
+    Each side draws its relative unit deviations in turn, the positive side
+    first, and redraws any unit that would kill a capacitor (a deviation of
+    -1 or less) until none is left.  The loop ends at any sigma_u: a draw is
+    dead with probability below 1/2, so each round leaves fewer dead units
+    in expectation; at sigma_u = 0 every draw is an exact zero.  Each
+    capacitor is the sum of its constituent units, so its relative spread
+    shrinks with the square root of the unit count.
     """
-    dev = _draw_units(int(sum(counts)), sigma_u, rng)
+    dev = np.empty((2, int(sum(counts))))
+    for side in dev:
+        side[:] = rng.normal(0.0, sigma_u, size=side.size)
+        while (bad := side <= -1.0).any():
+            side[bad] = rng.normal(0.0, sigma_u, size=int(bad.sum()))
     caps = np.empty((2, len(counts)))
     pos = 0
     for k, n in enumerate(counts):

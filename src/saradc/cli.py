@@ -121,8 +121,8 @@ def _json(obj, indent: str) -> str:
             return "{}"
         inner = indent + "  "
         return "{\n" + inner + (",\n" + inner).join([
-            _escape(key if isinstance(key, str) else _json_key(key)) + ": "
-            + _json(obj[key], inner) for key in sorted(obj)]) + "\n" + indent + "}"
+            _escape(key) + ": " + _json(obj[key], inner)
+            for key in sorted(obj)]) + "\n" + indent + "}"
     if obj is None:
         return "null"
     if obj is True:
@@ -140,17 +140,12 @@ def _json(obj, indent: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_key(key) -> str:
-    """A number, bool or None key as json writes it, before quoting."""
-    if key is not None and not isinstance(key, (int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _json(key, "")
-
-
 def _json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for
-    byte.  json's C encoder does not indent, and its pure-Python one takes
-    nearly twice as long as this writer on a design study's texts."""
+    byte, for trees whose keys are all strings; any other key is a
+    ``TypeError``.  json's C encoder does not indent, and its pure-Python
+    one takes nearly twice as long as this writer on a design study's
+    texts."""
     return _json(obj, "") + "\n"
 
 

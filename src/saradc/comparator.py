@@ -24,8 +24,8 @@ def comparator_power(f_ck: float, c_comp: float, v_dd: float) -> float:
 
     For the full converter the comparator fires once per bit, so
     f_ck = bits * f_s.  Given a firing count instead of a rate it returns
-    the energy of that many firings [J], which is how the engine books it;
-    an array of counts gives the energy of each.
+    the energy of that many firings [J]; an array of counts gives the
+    energy of each.
     """
     if min(c_comp, v_dd) <= 0 or np.min(f_ck) < 0:
         raise ValueError("comparator_power: operands must be positive")

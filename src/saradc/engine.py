@@ -62,7 +62,7 @@ import numpy as np
 
 from . import analysis
 from .capdac import build_cap_array
-from .comparator import comparator_power, compare, decision_latencies
+from .comparator import compare, decision_latencies
 from .config import AdcConfig, derived_constants
 from .track_hold import _SIDES, hold, ktc_sigma
 
@@ -114,8 +114,7 @@ def _plan(cfg: AdcConfig, seed: int) -> tuple:
     the column ``fall_at`` is 2i - 1.  ``weights`` are half the code
     weights, MSB first, so that w . s + (2^bits - 1) / 2 is the code of the
     +-1 decisions s.  Each is one contiguous read-only array, shared by
-    every call the memo serves.  A ladder that cannot be drawn raises on
-    every call, since the memo keeps no error.
+    every call the memo serves.
     """
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
     plan = (np.array((ladder.step * _SIDES).T[:, :, None], order="C"),
@@ -261,8 +260,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         np.add(cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix, consumed,
                out=t_total[block])
         # running totals in sample order, carried across blocks: the carried
-        # total joins each row's first term, in rows the passes no longer read
-        spent[0] = comparator_power(n_cycles, cfg.c_comp, cfg.v_dd)
+        # total joins each row's first term, in rows the passes no longer read;
+        # each comparison fires the latch once (``comparator_power`` per firing)
+        spent[0] = n_cycles * cfg.c_comp * cfg.v_dd ** 2
         spent[2], spent[3] = n_cycles * cfg.e_logic, cfg.e_track
         spent[:, 0] += totals
         totals = np.cumsum(spent, axis=1, out=spent)[:, -1].tolist()

@@ -15,21 +15,18 @@ its step, laid into that depth's strided slots.
 
 import numpy as np
 
-from saradc.capdac import MAX_REDRAWS, Ladder
-from saradc.config import AdcConfig, ConfigError
+from saradc.capdac import Ladder
+from saradc.config import AdcConfig
 
 
 def _draw_side(n_units: int, sigma_u: float, rng, redraws: list) -> np.ndarray:
     if sigma_u == 0.0:
         return np.zeros(n_units)
     dev = rng.normal(0.0, sigma_u, size=n_units)
-    for _ in range(MAX_REDRAWS):
-        bad = dev <= -1.0
-        if not bad.any():
-            return dev
+    while (bad := dev <= -1.0).any():
         redraws.append(int(bad.sum()))
         dev[bad] = rng.normal(0.0, sigma_u, size=int(bad.sum()))
-    raise ConfigError("sigma_u: could not draw positive unit capacitors")
+    return dev
 
 
 def _segment(counts: list, u: float, sigma_u: float, rng, redraws: list) -> np.ndarray:

@@ -91,12 +91,14 @@ _LADDER_FIELDS = ("c_bits", "node", "step", "corrections", "c_total", "c_nom", "
 
 
 @pytest.mark.parametrize("topology", ["binary", "split"])
-@pytest.mark.parametrize("sigma_u", [0.0, 0.035, 0.3])
+@pytest.mark.parametrize("sigma_u", [0.0, 0.035, 0.3, 1e3])
 def test_ladder_equals_per_side_build(ref_cfg, topology, sigma_u):
     # the (2, units) draw, the per-capacitor sums over both sides at once and
     # the compile from (2, .) arrays give every field of the per-side build
     # (1-D sums, one side at a time), bit for bit and in the same layout,
-    # also where a dead unit is redrawn
+    # also where a dead unit is redrawn; at sigma_u = 1e3, past validation,
+    # about half the units die in every round, and at sigma_u = 0 the
+    # reference draws nothing, so the program's draws must be exact zeros
     redraws = []
     for bits in range(3, 15):
         cfg = replace(ref_cfg, topology=topology, sigma_u=sigma_u, bits=bits)
@@ -109,7 +111,7 @@ def test_ladder_equals_per_side_build(ref_cfg, topology, sigma_u):
                 assert got.dtype == want.dtype and got.shape == want.shape, (bits, seed, name)
                 assert got.flags.c_contiguous, (bits, seed, name)
                 assert np.array_equal(got, want), (bits, seed, name)
-    assert (len(redraws) > 0) == (sigma_u == 0.3)
+    assert (len(redraws) > 0) == (sigma_u >= 0.3)
 
 
 # ---------------------------------------------------------------------------

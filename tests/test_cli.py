@@ -57,6 +57,10 @@ def test_engine_output_pinned(tmp_path):
     # the trade study, the timing budget, the metastability Monte Carlo or
     # the layout of any CSV or JSON shows here
     record = ["--n", "256", "--bin", "19", "--seed", "42"]
+    fast, split = tmp_path / "fast.cfg", tmp_path / "split.cfg"
+    fast.write_text(sa.serialize(dataclasses.replace(sa.reference_defaults(), f_s=225e6)))
+    split.write_text(sa.serialize(dataclasses.replace(sa.reference_defaults(),
+                                                      topology="split")))
     pins = [(["simulate", *record], {
                 "codes.csv": "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2",
                 "metrics.json": "39cd166ace27074288d7520130b4b20d4907fed1129d67574760826f924cd67a",
@@ -100,7 +104,20 @@ def test_engine_output_pinned(tmp_path):
             # a silent ideal record: its figures are "nan" strings
             (["simulate", "--ideal", "--amplitude", "0", "--n", "64", "--bin", "3"], {
                 "metrics.json":
-                    "5ff0f8a67e92da6dd73e322db6c59154fe3fd44166c038c6f8ea2bd3c33980be"})]
+                    "5ff0f8a67e92da6dd73e322db6c59154fe3fd44166c038c6f8ea2bd3c33980be"}),
+            # a sounding ideal record: the zero-mismatch ladder through every
+            # switch, and the dead zero at sample 0
+            (["simulate", "--ideal", "--n", "64", "--bin", "3"], {
+                "codes.csv": "33b8f1782b79e870ef2cd78c44ab77fddb366576ff4f8a8a0b730b5dc0197fd8",
+                "metrics.json":
+                    "d1d7aaee5e76342ba5e92a5c0d3f4a341615a8c4e4b1e236abda0b5521c4372a"}),
+            # past the asynchronous limit conversions stop early, so the
+            # comparator books a different count of firings per sample
+            (["power", str(fast), "--n", "256", "--bin", "19"], {
+                "power.json": "a280ebdf3e7f7f87aa000ad50a6c1af6522b98834a3640a7900a7c864b25f3ca"}),
+            # the split ladder, drawn in four segments
+            (["simulate", str(split), "--n", "256", "--bin", "19"], {
+                "codes.csv": "441e8c71a5b7d82d65e214c53110208a8949571d2d189fcf4f2e2e469c74cd94"})]
     for k, (argv, digests) in enumerate(pins):
         out = tmp_path / f"{k}_{argv[0]}"
         assert run([*argv, "--out", str(out)]) == 0
@@ -492,16 +509,32 @@ def test_json_writer_matches_json_dumps(tree):
 
 
 # values json writes through float.__repr__ or int.__repr__, values and keys
-# it refuses, and keys of other types that it turns into strings
+# it refuses, and keys of other types that it turns into strings, which the
+# writer refuses
 _ODD_LEAVES = st.sampled_from([np.float64(0.1), np.float64("nan"), np.int64(1), np.float32(1.0),
                                np.bool_(True), {1}, frozenset(), b"x", 1j, object()])
 _ODD_KEYS = (st.integers(-3, 3) | st.sampled_from(_FLOAT_EDGES) | st.booleans() | st.none()
              | st.tuples(st.integers()))
 
 
+def _keys(tree):
+    """Every dict key in ``tree``, at any depth."""
+    if isinstance(tree, dict):
+        yield from tree
+        tree = tree.values()
+    elif not isinstance(tree, (list, tuple)):
+        return
+    for value in tree:
+        yield from _keys(value)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(tree=_trees(_JSON_LEAVES | _ODD_LEAVES, _KEYS | _ODD_KEYS))
 def test_json_writer_refuses_what_json_dumps_refuses(tree):
+    if not all(isinstance(key, str) for key in _keys(tree)):
+        with pytest.raises(TypeError):
+            _json_text(tree)
+        return
     try:
         expected = json.dumps(tree, sort_keys=True, indent=2) + "\n"
     except TypeError:
