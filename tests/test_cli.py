@@ -115,7 +115,7 @@ def test_engine_output_pinned(tmp_path):
             # comparator books a different count of firings per sample
             (["power", str(fast), "--n", "256", "--bin", "19"], {
                 "power.json": "a280ebdf3e7f7f87aa000ad50a6c1af6522b98834a3640a7900a7c864b25f3ca"}),
-            # the split ladder, drawn in four segments
+            # the split ladder: a main and a sub segment, each drawn side by side
             (["simulate", str(split), "--n", "256", "--bin", "19"], {
                 "codes.csv": "441e8c71a5b7d82d65e214c53110208a8949571d2d189fcf4f2e2e469c74cd94"})]
     for k, (argv, digests) in enumerate(pins):
