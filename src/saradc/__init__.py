@@ -7,7 +7,6 @@ from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants
                      ideal_config, load_config, net_full_scale, reference_defaults,
                      serialize)
 from .track_hold import ktc_sigma, ron_of_input
-from .comparator import comparator_power
 from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
                      inl_from_steps, monotonic_energy_oracle,
                      transfer_thresholds)
@@ -15,21 +14,20 @@ from .timing import (TimingBudget, build_budget, max_sampling_rate,
                      metastability_mc, t_hard)
 from .engine import (NoiseBudget, PowerReport, WaveformResult, convert_waveform,
                      ideal_quantizer_code, noise_budget, power_report)
-from .analysis import (InsufficientDataError, SpectrumMetrics, Tone,
-                       gen_coherent_tone, inl_dnl, metrics, spectrum,
+from .analysis import (SpectrumMetrics, Tone, gen_coherent_tone, metrics, spectrum,
                        spectrum_csv)
 
 __all__ = [
     "AdcConfig", "ConfigError", "DerivedConstants", "derived_constants",
     "ideal_config", "load_config", "net_full_scale", "reference_defaults",
     "serialize",
-    "ktc_sigma", "ron_of_input", "comparator_power",
+    "ktc_sigma", "ron_of_input",
     "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
     "inl_from_steps", "monotonic_energy_oracle", "transfer_thresholds",
     "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
     "t_hard",
     "NoiseBudget", "PowerReport", "WaveformResult", "convert_waveform",
     "ideal_quantizer_code", "noise_budget", "power_report",
-    "InsufficientDataError", "SpectrumMetrics", "Tone", "gen_coherent_tone",
-    "inl_dnl", "metrics", "spectrum", "spectrum_csv",
+    "SpectrumMetrics", "Tone", "gen_coherent_tone", "metrics", "spectrum",
+    "spectrum_csv",
 ]

@@ -1,5 +1,5 @@
-"""Dynamic and static metrology: coherent tones, rectangular-window spectra,
-SNDR/SFDR/THD/ENOB, figure-of-merit variants, code-density INL/DNL.
+"""Dynamic metrology: coherent tones, rectangular-window spectra,
+SNDR/SFDR/THD/ENOB and figure-of-merit variants.
 
 Coherent sampling is enforced (the tone bin must be coprime to the record
 length) so the rectangular-window DFT is leakage-free; windowed estimation
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Tone", "gen_coherent_tone", "spectrum", "SpectrumMetrics", "non_signal_bins",
-           "metrics", "spectrum_csv", "InsufficientDataError", "inl_dnl"]
+           "metrics", "spectrum_csv"]
 
 
 @dataclass(frozen=True)
@@ -338,44 +338,3 @@ def table_text(blocks, rows: int, lines=None) -> str:
         start = ends[k]
     pieces.append(text[start:])
     return "".join(pieces)
-
-
-# ---------------------------------------------------------------------------
-# static metrology
-
-class InsufficientDataError(ValueError):
-    """A code-density record left codes unvisited."""
-
-    def __init__(self, missing):
-        self.missing = list(missing)
-        head = ", ".join(str(m) for m in self.missing[:12])
-        more = "..." if len(self.missing) > 12 else ""
-        super().__init__(f"codes visited fewer than the required count: {head}{more}")
-
-
-def inl_dnl(codes, bits: int, min_hits: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """Code-density DNL and INL from a linear-ramp record [LSB].
-
-    The two end codes absorb clipping and are excluded from the density
-    estimate; INL is the running sum of DNL with the endpoints fitted to
-    zero.  Every interior code must be visited at least min_hits times.
-    """
-    c = np.asarray(codes)
-    n_codes = 2 ** bits
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("inl_dnl: need a non-empty one-dimensional record")
-    if not np.issubdtype(c.dtype, np.integer):
-        raise ValueError(f"inl_dnl: codes must be integers, not {c.dtype}")
-    if c.min() < 0 or c.max() > n_codes - 1:
-        raise ValueError(f"inl_dnl: codes outside [0, {n_codes - 1}]")
-    hist = np.bincount(c, minlength=n_codes).astype(float)
-    interior = hist[1:-1]
-    short = np.nonzero(interior < min_hits)[0] + 1
-    if short.size:
-        raise InsufficientDataError(short)
-    expected = interior.mean()
-    dnl = interior / expected - 1.0
-    inl = np.cumsum(dnl)
-    x = np.linspace(0.0, 1.0, inl.size)
-    inl = inl - (inl[0] + (inl[-1] - inl[0]) * x)
-    return dnl, inl

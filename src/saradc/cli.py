@@ -5,7 +5,8 @@ print-defaults.  Every run that writes artifacts drops a manifest.json next
 to them so any output can be re-derived: it names the sha256 of the config
 that ran (as ``serialize`` writes it, after ``--ideal``) and the Python and
 numpy versions.  Data artifacts are byte-identical for a fixed seed and
-config, and their layouts are all set here.  Exit codes:
+config; their layouts are set here, but spectrum.csv's, which
+``analysis.spectrum_csv`` sets.  Exit codes:
 0 success, 1 configuration error, 2 runtime precondition, 3 a --check
 verification failed.
 

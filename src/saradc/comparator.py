@@ -16,20 +16,7 @@ The operative noise is the configured input-referred sigma
 
 import numpy as np
 
-__all__ = ["comparator_power", "compare", "decision_latencies"]
-
-
-def comparator_power(f_ck: float, c_comp: float, v_dd: float) -> float:
-    """Dynamic power f_ck * c_comp * v_dd^2 [W].
-
-    For the full converter the comparator fires once per bit, so
-    f_ck = bits * f_s.  Given a firing count instead of a rate it returns
-    the energy of that many firings [J]; an array of counts gives the
-    energy of each.
-    """
-    if min(c_comp, v_dd) <= 0 or np.min(f_ck) < 0:
-        raise ValueError("comparator_power: operands must be positive")
-    return f_ck * c_comp * v_dd ** 2
+__all__ = ["compare", "decision_latencies"]
 
 
 def decision_latencies(v_abs: np.ndarray, tau_reg: float, v_dd: float,

@@ -261,7 +261,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                out=t_total[block])
         # running totals in sample order, carried across blocks: the carried
         # total joins each row's first term, in rows the passes no longer read;
-        # each comparison fires the latch once (``comparator_power`` per firing)
+        # each comparison fires the latch once
         spent[0] = n_cycles * cfg.c_comp * cfg.v_dd ** 2
         spent[2], spent[3] = n_cycles * cfg.e_logic, cfg.e_track
         spent[:, 0] += totals

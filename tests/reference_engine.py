@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from saradc.capdac import build_cap_array
-from saradc.comparator import comparator_power
 from saradc.config import AdcConfig, ConfigError
 from saradc.engine import WaveformResult
 from saradc.track_hold import ktc_sigma
@@ -96,7 +95,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     e_event = ladder.e_event.tolist()
     bits_n = cfg.bits
     slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)
-    e_comp_of = [comparator_power(c, cfg.c_comp, cfg.v_dd) for c in range(bits_n + 1)]
+    e_comp_of = [c * cfg.c_comp * cfg.v_dd ** 2 for c in range(bits_n + 1)]
 
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import saradc as sa
 from saradc import analysis
-from saradc.analysis import (InsufficientDataError, gen_coherent_tone, inl_dnl,
-                             metrics, spectrum, spectrum_csv)
+from saradc.analysis import gen_coherent_tone, metrics, spectrum, spectrum_csv
 from saradc.engine import convert_waveform, ideal_quantizer_code
+from code_density import inl_dnl
 
 
 def _ideal_codes(tone, cfg):
@@ -326,30 +326,6 @@ def test_inl_dnl_ideal_ramp_is_flat(ideal_cfg):
     assert np.max(np.abs(inl)) < 1e-9
 
 
-def test_inl_dnl_insufficient_data_lists_codes():
-    codes = np.concatenate([np.full(40, 1), np.full(40, 3), [0, 1023]])
-    with pytest.raises(InsufficientDataError) as err:
-        inl_dnl(codes, 10)
-    assert 2 in err.value.missing
-
-
-def test_inl_dnl_rejects_codes_outside_range(ideal_cfg):
-    # a code past the top would grow the histogram by one more DNL entry
-    codes = _ramp_codes(ideal_cfg)
-    for bad in (1024, -1):
-        with pytest.raises(ValueError, match=r"codes outside \[0, 1023\]"):
-            inl_dnl(np.append(codes, bad), 10)
-
-
-def test_inl_dnl_rejects_malformed_records():
-    # each would reach np.bincount and fail there with numpy's own message
-    for codes, message in [([0.5, 1.0], "integers, not float64"),
-                           ([], "non-empty one-dimensional"),
-                           (np.zeros((2, 2), dtype=int), "non-empty one-dimensional")]:
-        with pytest.raises(ValueError, match=message):
-            inl_dnl(codes, 10)
-
-
 def test_inl_reproducible_and_nonzero_with_mismatch(ref_cfg):
     cfg = replace(sa.ideal_config(ref_cfg), bits=8, sigma_u=0.01)
     a = inl_dnl(_ramp_codes(cfg, seed=4), 8)[1]
@@ -360,8 +336,8 @@ def test_inl_reproducible_and_nonzero_with_mismatch(ref_cfg):
 
 def test_split_topology_inl_worse_under_same_seed(ref_cfg):
     # A light attenuation-node parasitic keeps every code reachable (the
-    # full-severity case has genuinely missing codes, which the histogram
-    # estimator rejects by contract; the ladder-level comparison covers it).
+    # full-severity case has genuinely missing codes, which the code-density
+    # oracle refuses; the ladder-level comparison covers it).
     base = replace(sa.ideal_config(ref_cfg), bits=8, sigma_u=0.01, c_p=2e-15)
     inl_bin = inl_dnl(_ramp_codes(base, seed=4), 8)[1]
     split = replace(base, topology="split")

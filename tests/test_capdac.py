@@ -12,6 +12,7 @@ from saradc import cli
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
                            inl_from_steps, monotonic_energy_oracle, transfer_thresholds)
 from saradc.config import kt_over_c, validate
+from code_density import inl_dnl
 from textbook import conventional_energy, conversion_energy, splitcap_energy
 import reference_ladder
 
@@ -415,7 +416,7 @@ def test_trade_inl_matches_engine_ramp(ref_cfg):
     span = sa.derived_constants(cfg).v_fs_net
     n = 16 * 2 ** cfg.bits
     v = (np.arange(n) + 0.5) / n * span - span / 2
-    inl = sa.inl_dnl(sa.convert_waveform(v, cfg, seed=0).codes, cfg.bits, min_hits=8)[1]
+    inl = inl_dnl(sa.convert_waveform(v, cfg, seed=0).codes, cfg.bits, min_hits=8)[1]
     assert abs(trade.binary.inl_max - np.max(np.abs(inl))) < 0.15
 
 

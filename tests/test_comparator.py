@@ -2,35 +2,10 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import saradc as sa
-from saradc.comparator import comparator_power, compare, decision_latencies
+from saradc.comparator import compare, decision_latencies
 from reference_engine import decide, decision_latency
-
-
-def test_power_hand_value():
-    # 1.3 GHz, 66 fF, 1.44 V^2
-    p = comparator_power(1.3e9, 66e-15, 1.2)
-    assert math.isclose(p, 123.552e-6, rel_tol=1e-6)
-
-
-def test_power_zero_clock():
-    assert comparator_power(0.0, 66e-15, 1.2) == 0.0
-
-
-@pytest.mark.parametrize("f_ck, c_comp, v_dd", [
-    (1e9, 0.0, 1.2), (1e9, -66e-15, 1.2), (1e9, 66e-15, 0.0), (1e9, 66e-15, -1.2),
-    (-1.0, 66e-15, 1.2), (np.array([3.0, -1.0]), 66e-15, 1.2)])
-def test_power_rejects_nonphysical_operands(f_ck, c_comp, v_dd):
-    with pytest.raises(ValueError, match="operands must be positive"):
-        comparator_power(f_ck, c_comp, v_dd)
-
-
-def test_power_quadratic_in_supply():
-    p1 = comparator_power(1e9, 66e-15, 0.6)
-    p2 = comparator_power(1e9, 66e-15, 1.2)
-    assert math.isclose(p2, 4.0 * p1, rel_tol=1e-12)
 
 
 def test_latency_log_law_values(ref_cfg):

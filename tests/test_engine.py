@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
 from saradc import cli, engine
-from saradc.comparator import comparator_power
 from saradc.config import _SCHEMA, ConfigError, validate
 from saradc.engine import (convert_waveform, ideal_quantizer_code, measure_distortion_power,
                            noise_budget, power_report)
@@ -100,9 +99,13 @@ def test_energy_conservation_identity(ref_cfg):
     ladder = sa.build_cap_array(ref_cfg, np.random.default_rng(np.random.SeedSequence((4, 1))))
     e_dac = float(np.sum(conversion_energy(ladder)[res.codes]))
     assert math.isclose(res.e_blocks["dac"], e_dac, rel_tol=1e-12)
-    # the simulated comparator power is the analytic model at bits * f_s
-    p_comp = comparator_power(ref_cfg.bits * ref_cfg.f_s, ref_cfg.c_comp, ref_cfg.v_dd)
-    assert math.isclose(power_report(res).blocks["comparator"], p_comp, rel_tol=1e-12)
+    # the comparator fires bits * f_s = 1.3 GHz, each time 66 fF * 1.44 V^2,
+    # and its power is quadratic in the supply
+    p_comp = power_report(res).blocks["comparator"]
+    assert math.isclose(p_comp, 123.552e-6, rel_tol=1e-6)
+    doubled = convert_waveform(tone.v_diff, replace(ref_cfg, v_dd=2.4), seed=4)
+    assert doubled.n_violations == 0
+    assert power_report(doubled).blocks["comparator"] == 4.0 * p_comp
     slots = res.n_samples * ref_cfg.bits
     assert math.isclose(res.e_blocks["logic"], slots * ref_cfg.e_logic, rel_tol=1e-12)
 
