@@ -1,5 +1,5 @@
 """Conversion engine: sampling, asynchronous bit cycling, DAC switching,
-timing bookkeeping and energy accounting over blocks of samples with array
+slack scheduling and energy accounting over blocks of samples with array
 operations, looping in Python only over the bits; the results are
 per-sample arrays and per-block energy totals.  Every block's record-sized
 float scratch comes from one workspace, allocated once per call and carved
@@ -13,13 +13,15 @@ bit it forms the side difference, the effective input and its sign, and
 switches the DAC by the bit's half swing times that sign, keeping each
 bit's effective input and its sign (+-1 as a double, 0 only for an exact
 zero) in workspace rows.  After the loop it takes the latencies of all of
-the effective inputs in one call and adds each conversion's latencies in
-bit order.
+the effective inputs in one call and sums each conversion's latencies in
+another.
 A conversion whose latencies add up to at most ``slack0 * (1 - 1e-9)`` had
 no metastable comparison, since every comparison's allowance is the window
-less the latencies before it; the margin is far above what the few dozen
-sequential roundings of up to 24 bits can move such a sum (a few 1e-15 of
-it).  The careful pass decides the conversions the screen flags (never too
+less the latencies before it; the margin is far above what the roundings
+of a sum of up to 24 latencies, in any order, can move it (a few 1e-15 of
+it).  A conversion flagged with no metastable comparison gets the same
+decisions from either pass, so the summation order changes no result.  The
+careful pass decides the conversions the screen flags (never too
 few) again from their held pairs, with the latch and stop bookkeeping, and
 their decisions replace their sign rows; both passes switch through
 ``_switch``.  An exact zero never resolves (its latency is +inf), so the
@@ -73,7 +75,6 @@ class WaveformResult:
     codes: np.ndarray       # output code
     metastable: np.ndarray  # number of metastable comparisons
     violation: np.ndarray   # window-exhaustion flag
-    t_total: np.ndarray     # conversion time, tracking included [s]
     e_blocks: dict          # block name -> total energy [J]
     f_s: float
 
@@ -146,14 +147,14 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 
     The record is converted in blocks of up to ``_STREAM_BLOCK`` samples,
     all carved from one workspace; a call keeps nothing record-wide but its
-    input and its four outputs.  A block forms its two sides, refused if
+    input and its three outputs.  A block forms its two sides, refused if
     one leaves the rails, and takes its rows in one call, regrouped in the
     workspace into one contiguous row per normal; ``track_hold.hold``
     solves its held pairs into the workspace from the pair the previous
     block left.  Then two passes convert the block.
 
     The block's workspace holds, in order, one row per normal, the held
-    pairs, each conversion's consumed time, one sign row per bit, and the
+    pairs, each conversion's latency sum, one sign row per bit, and the
     lean pass's rows (``_lean_pass``): its targets, plates, side difference
     and switch step, seven rows, and one effective-input row per bit, which
     in turn hold the latencies and then the switch events' indices.  The
@@ -165,9 +166,10 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
     target, leaving the ladder's ``settle`` fraction of the step.  Row 0
-    of every (2, .) array is the positive side.  Latencies and energies add
-    per sample in bit order until a conversion stops, and the block totals
-    add in sample order, as a sequential walk would.
+    of every (2, .) array is the positive side.  Only the screen reads the
+    latency sums.  Switch energies add per sample in bit order until a
+    conversion stops, and the block totals add in sample order, as a
+    sequential walk would.
     """
     diff = np.asarray(samples, dtype=float)
     if diff.ndim != 1:
@@ -185,19 +187,18 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 
     codes, metastable = np.zeros((2, n), dtype=int)
     violation = np.zeros(n, dtype=bool)
-    t_total = np.empty(n)
     totals = [0.0] * 4          # comparator, dac, logic, track_hold [J]
     prev = np.array([cfg.v_cm, cfg.v_cm])
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     # one workspace, carved anew for each block: the normal rows, the held
-    # pairs, each conversion's consumed time, one sign row per bit, then the
+    # pairs, each conversion's latency sum, one sign row per bit, then the
     # lean pass's rows (seven and one per bit), which first stage the
     # stream's sample-major draw.  A block's peak transient must stay well
     # under twice the workspace: glibc sets its heap-trim point at twice the
     # largest block it has freed, returns the heap top once the free space
     # exceeds it, and each returned page then costs a fault on the next
-    # record (a 4,096-sample call peaks at 1.32x its 1,376 KiB workspace at
-    # 130 MHz and 1.56x at 225 MHz, traced).  So the blocks share it: one per
+    # record (a 4,096-sample call peaks at 1.30x its 1,376 KiB workspace at
+    # 130 MHz and 1.51x at 225 MHz, traced).  So the blocks share it: one per
     # block would live beside its predecessor's while it is made
     n_rows = n_hold + n_noise + 1
     n_work = n_rows + 3 + bits_n + 7 + bits_n
@@ -232,8 +233,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             n_cycles = np.full(size, bits_n)
             coin = np.where(rows[-1, flagged] > 0.0, 1.0, -1.0)
             careful = _careful_pass(held, noise, flagged, coin, signs, switch, cfg, slack0)
-            for out, values in zip((metastable[block], violation[block], n_cycles, consumed),
-                                   careful):
+            for out, values in zip((metastable[block], violation[block], n_cycles), careful):
                 out[flagged] = values
 
         # every conversion's code, from its +-1 sign rows in one product:
@@ -256,9 +256,6 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         for row in events[1:]:
             spent[1] += row
 
-        # every comparison but the last switches the DAC
-        np.add(cfg.t_track + n_cycles * cfg.t_delay + (n_cycles - 1) * cfg.t_fix, consumed,
-               out=t_total[block])
         # running totals in sample order, carried across blocks: the carried
         # total joins each row's first term, in rows the passes no longer read;
         # each comparison fires the latch once
@@ -269,7 +266,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 
     e_comp, e_dac, e_logic, e_track = totals
     return WaveformResult(
-        codes=codes, metastable=metastable, violation=violation, t_total=t_total,
+        codes=codes, metastable=metastable, violation=violation,
         e_blocks={"comparator": e_comp, "dac": e_dac, "logic": e_logic,
                   "track_hold": e_track},
         f_s=cfg.f_s,
@@ -284,7 +281,7 @@ def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
     targets, the plates, the side difference and the switch step, and the
     first bit reads the held pairs.  ``noise`` is the comparator noise
     rows, or None.  Then the effective-input rows become latencies, which
-    add per conversion in bit order into ``consumed``.
+    sum per conversion into ``consumed``.
     """
     bits_n = cfg.bits
     target, v, v_diff, step = work[:2], work[2:4], work[4], work[5:7]
@@ -300,9 +297,7 @@ def _lean_pass(held, noise, work, signs, switch, cfg, consumed) -> None:
 
     latencies = decision_latencies(np.abs(v_eff, out=v_eff), cfg.tau_reg, cfg.v_dd,
                                    cfg.a_v, out=v_eff)
-    consumed.fill(0.0)
-    for row in latencies:
-        consumed += row
+    np.add.reduce(latencies, axis=0, out=consumed)
 
 
 def _switch(base, side, sign, bit, target, v, step) -> None:
@@ -330,53 +325,50 @@ def _careful_pass(held, noise, flagged, coin, signs, switch, cfg: AdcConfig,
     or latched coin, +-1, replace the flagged columns of its row of
     ``signs``; a stopped conversion gets +1 at its stop bit and -1 after
     it, the middle of its open range.  Returns (metastable count,
-    violation flag, comparisons made, consumed time).  The loop ends once
-    every conversion has stopped, since the rest of a stopped code is
-    fixed and spends no slack.
+    violation flag, comparisons made).  Every bit takes the same steps; on
+    a bit where none is metastable and none has stopped they change
+    nothing.  The loop ends once every conversion has stopped, since the
+    rest of a stopped code is fixed.
     """
     bits_n, k = cfg.bits, flagged.size
     target = held[:, flagged]
     v = target.copy()
     step = np.empty((2, k))
-    v_diff, t_decide, consumed, up = np.zeros((4, k))
+    v_diff, t_decide, up = np.zeros((3, k))
     slack = np.full(k, slack0)
     meta, exhausted = np.zeros((2, k), dtype=bool)
     n_meta = np.zeros(k, dtype=int)
     n_cycles = np.full(k, bits_n)
-    n_stopped = 0
     for i in range(bits_n):
         np.subtract(v[0], v[1], out=v_diff)
         compare(v_diff, 0.0 if noise is None else noise[i, flagged], out=(t_decide, up))
         np.greater(decision_latencies(np.abs(t_decide, out=t_decide), cfg.tau_reg, cfg.v_dd,
                                       cfg.a_v, out=t_decide), slack, out=meta)
-        if n_stopped or np.count_nonzero(meta):
-            latched = meta & ~exhausted
-            # a comparison that can never resolve, or one offered no time
-            # at all, exhausts the window: the code is completed at the
-            # middle of the open range (this bit one, the rest zero; the
-            # DAC moves after it are never read).  The other latched ones
-            # take their coin and go on with no slack left, so any later
-            # metastable comparison stops them
-            stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
-            np.copyto(up, coin, where=latched)
-            np.copyto(up, -1.0, where=exhausted)
-            np.copyto(up, 1.0, where=stop)
-            n_meta += latched
-            # a metastable comparison spends all the slack it had (an
-            # exhausted conversion has none left, so it adds zero)
-            np.copyto(t_decide, slack, where=meta)
-            n_cycles[stop] = i + 1
-            exhausted |= stop
-            n_stopped = np.count_nonzero(exhausted)
-        signs[i, flagged] = up
-        consumed += t_decide
+        latched = meta & ~exhausted
+        # a comparison that can never resolve, or one offered no time at
+        # all, exhausts the window: the code is completed at the middle of
+        # the open range (this bit one, the rest zero; the DAC moves after
+        # it are never read).  The other latched ones take their coin and
+        # go on with no slack left, so any later metastable comparison
+        # stops them
+        stop = latched & (np.isinf(t_decide) | (slack <= 0.0))
+        np.copyto(up, coin, where=latched)
+        np.copyto(up, -1.0, where=exhausted)
+        np.copyto(up, 1.0, where=stop)
+        n_meta += latched
+        # a metastable comparison spends all the slack it had (an exhausted
+        # conversion has none left, so it spends zero)
+        np.copyto(t_decide, slack, where=meta)
         slack -= t_decide
-        if n_stopped == k:
+        n_cycles[stop] = i + 1
+        exhausted |= stop
+        signs[i, flagged] = up
+        if exhausted.all():
             signs[i + 1:, flagged] = -1.0
             break
         if i < bits_n - 1:
             _switch(target, v, up, switch[i], target, v, step)
-    return n_meta, exhausted, n_cycles, consumed
+    return n_meta, exhausted, n_cycles
 
 
 def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:
@@ -402,15 +394,6 @@ class NoiseBudget:
     @property
     def total(self) -> float:
         return self.comparator + self.sampling + self.quantization + self.distortion
-
-    @property
-    def allowed(self) -> float:
-        return self.signal_power / 10.0 ** (self.target_sndr / 10.0)
-
-    @property
-    def slack(self) -> float:
-        """Unused error power; negative means the target is missed [V^2]."""
-        return self.allowed - self.total
 
     @property
     def predicted_sndr(self) -> float:

@@ -100,7 +100,6 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     codes = np.empty(n, dtype=int)
     metastable = np.empty(n, dtype=int)
     violation = np.empty(n, dtype=bool)
-    t_total = np.empty(n)
     e_comp = e_dac = e_logic = e_track = 0.0
     held = None
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
@@ -115,7 +114,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         v_p, v_n = target_p, target_n = held
 
         slack = slack0
-        consumed = energy = 0.0
+        energy = 0.0
         code = n_meta = 0
         exhausted = False
         for i in range(bits_n):
@@ -123,14 +122,12 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
             bit, t_decide, meta = decide(v_p - v_n, avail, cfg, normals[i], latch)
             if meta:
                 n_meta += 1
-                consumed += avail
                 slack = 0.0
                 if math.isinf(t_decide) or avail <= 0.0:
                     code = ((code << 1) | 1) << (bits_n - 1 - i)
                     exhausted = True
                     break
             else:
-                consumed += t_decide
                 slack -= t_decide
             code = (code << 1) | (bit > 0)
             if i < bits_n - 1:
@@ -141,18 +138,16 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
                 energy += e_event[i][(bit + 1) // 2]
 
         n_cycles = i + 1
-        n_switched = i if exhausted else bits_n - 1
         codes[k] = code
         metastable[k] = n_meta
         violation[k] = exhausted
-        t_total[k] = cfg.t_track + n_cycles * cfg.t_delay + n_switched * cfg.t_fix + consumed
         e_comp += e_comp_of[n_cycles]
         e_dac += energy
         e_logic += n_cycles * cfg.e_logic
         e_track += cfg.e_track
 
     return WaveformResult(
-        codes=codes, metastable=metastable, violation=violation, t_total=t_total,
+        codes=codes, metastable=metastable, violation=violation,
         e_blocks={"comparator": e_comp, "dac": e_dac, "logic": e_logic,
                   "track_hold": e_track},
         f_s=cfg.f_s,

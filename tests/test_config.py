@@ -220,7 +220,7 @@ def test_public_names_resolve():
                cli: ("_fresh",), track_hold: walk, comparator: (*walk, "comparator_power"),
                analysis: ("inl_dnl", "InsufficientDataError"),
                sa: (*walk, "comparator_power", "inl_dnl", "InsufficientDataError"),
-               analysis.Tone: ("v_p", "v_n")}
+               analysis.Tone: ("v_p", "v_n"), engine.NoiseBudget: ("allowed", "slack")}
     for owner, names in deleted.items():
         for name in names:
             assert not hasattr(owner, name), name
@@ -231,6 +231,9 @@ def test_public_names_resolve():
     assert [f.name for f in fields(analysis.Tone)] == ["v_diff", "v_cm", "f_in"]
     assert [f.name for f in fields(timing.TimingBudget)] == [
         "t_hard", "t_easy", "f_s_max", "f_s_max_sync", "f_s"]
+    # a result keeps what the commands read, and no conversion time
+    assert [f.name for f in fields(engine.WaveformResult)] == [
+        "codes", "metastable", "violation", "e_blocks", "f_s"]
     # the ladder's per-side fields lead with one side axis
     assert [f.name for f in fields(capdac.Ladder)] == [
         "bits", "v_ref", "c_bits", "node", "step", "corrections", "c_total", "c_nom",

@@ -110,28 +110,18 @@ def test_energy_conservation_identity(ref_cfg):
     assert math.isclose(res.e_blocks["logic"], slots * ref_cfg.e_logic, rel_tol=1e-12)
 
 
-def test_window_accounting(ref_cfg):
-    res = convert_waveform([0.31, -0.02, 0.6], ref_cfg, seed=1)
-    assert not res.violation.any()
-    assert np.all(res.t_total <= 1.0 / ref_cfg.f_s + 1e-18)
-    # at least the fixed overheads: tracking, logic delay per bit, t_fix per switch
-    floor = ref_cfg.t_track + ref_cfg.bits * ref_cfg.t_delay + (ref_cfg.bits - 1) * ref_cfg.t_fix
-    assert np.all(res.t_total >= floor)
-
-
 def test_starved_schedule_flags_violation(ref_cfg):
     # window smaller than the fixed overheads: conversion must give up
     cfg = replace(ref_cfg, f_s=500e6, t_track=1.5e-9)
     res = convert_waveform([2e-4], cfg)
     assert res.violation[0]
-    assert res.t_total[0] <= 1.0 / cfg.f_s
 
 
 def test_waveform_determinism_across_calls(ref_cfg):
     tone = sa.gen_coherent_tone(256, 19, 0.7, ref_cfg.v_cm, ref_cfg.f_s)
     a = convert_waveform(tone.v_diff, ref_cfg, seed=5)
     kept = {name: getattr(a, name).copy()
-            for name in ("codes", "metastable", "violation", "t_total")}
+            for name in ("codes", "metastable", "violation")}
     e_kept = dict(a.e_blocks)
     _assert_same(convert_waveform(tone.v_diff, ref_cfg, seed=5), a)
     # a later call of the same length leaves the first record as it was: no
@@ -144,17 +134,20 @@ def test_waveform_determinism_across_calls(ref_cfg):
 
 
 # A steady-state record in a fresh interpreter: warm-up calls, then the
-# minor page faults of ten more, per call, for each config and length
+# minor page faults of ten more, per call, for each temperature and length
+# given as comma-separated arguments
 _FAULTS_PER_CALL = """
 import resource
+import sys
 from dataclasses import replace
 
 import saradc as sa
 from saradc.engine import convert_waveform
 
 ref = sa.reference_defaults()
-for cfg in (ref, replace(ref, t_kelvin=0.0)):
-    for n in (2048, 4096, 8192):
+t_kelvins, lengths = (arg.split(",") for arg in sys.argv[1:])
+for cfg in (replace(ref, t_kelvin=float(t)) for t in t_kelvins):
+    for n in map(int, lengths):
         tone = sa.gen_coherent_tone(n, 189, 0.75, cfg.v_cm, cfg.f_s)
         for seed in range(3):
             convert_waveform(tone.v_diff, cfg, seed=seed)
@@ -172,15 +165,21 @@ def test_steady_records_take_no_page_faults():
     # a record whose transient memory outgrows glibc's heap-trim point gives
     # the heap top back after every call, and the next call faults it in
     # again, about 300 times at 4,096 samples; 8,192 samples take two blocks.
-    # A fresh interpreter, because earlier tests in this one raise glibc's
-    # thresholds
+    # At 65,536 samples the record-sized outputs come near the trim point:
+    # one more float array of that size costs about 600 faults a call.  Each
+    # temperature converts that length alone in an interpreter of its own,
+    # since shorter records run first raise glibc's thresholds and hide such
+    # faults.  A fresh interpreter, because earlier tests in this one raise
+    # them too
     src = str(Path(sa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    counts = [line.split() for line in run.stdout.splitlines()]
-    assert len(counts) == 6
+    counts = []
+    for t_kelvins, lengths in (("300,0", "2048,4096,8192"), ("300", "65536"), ("0", "65536")):
+        run = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL, t_kelvins, lengths],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        counts += [line.split() for line in run.stdout.splitlines()]
+    assert len(counts) == 8
     for t_kelvin, n, faults in counts:
         assert float(faults) <= 5, f"t_kelvin={t_kelvin} n={n}: {faults} faults per call"
 
@@ -248,7 +247,7 @@ def test_sample_streams_continue_across_blocks(ref_cfg, monkeypatch):
 
 
 def _assert_same(res, ref):
-    for name in ("codes", "metastable", "violation", "t_total"):
+    for name in ("codes", "metastable", "violation"):
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
     assert res.e_blocks == ref.e_blocks
 
@@ -575,13 +574,6 @@ def test_budget_zeroed_noise_is_quantization_limit(ideal_cfg):
     assert math.isclose(bound, 6.02 * 10 + 1.76, abs_tol=0.02)
 
 
-def test_budget_slack_sign(ref_cfg):
-    lo = noise_budget(ref_cfg, 40.0, 0.75 ** 2 / 2, seeds=4)
-    assert lo.slack > 0
-    hi = noise_budget(ref_cfg, 70.0, 0.75 ** 2 / 2, seeds=4)
-    assert hi.slack < 0   # reported, not fatal
-
-
 def test_budget_rejects_bad_target(ref_cfg):
     with pytest.raises(ValueError):
         noise_budget(ref_cfg, -3.0, 0.1)
@@ -688,7 +680,7 @@ def test_engine_invariants_hold_for_any_config(doc, fractions, seed):
         assert "nonphysical" in str(err)
         assume(False)
     assert np.all((res.codes >= 0) & (res.codes < 2 ** cfg.bits))
-    assert np.all(res.metastable <= cfg.bits) and np.all(res.t_total > 0)
+    assert np.all(res.metastable <= cfg.bits)
     # at most one latch goes on: it leaves no slack for a later one
     assert np.all(res.metastable - res.violation <= 1)
     for topology in ("binary", "split"):
