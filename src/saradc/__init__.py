@@ -8,8 +8,7 @@ from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants
                      serialize)
 from .track_hold import ktc_sigma, ron_of_input
 from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
-                     inl_from_steps, monotonic_energy_oracle,
-                     transfer_thresholds)
+                     inl_from_steps, transfer_thresholds)
 from .timing import (TimingBudget, build_budget, max_sampling_rate,
                      metastability_mc, t_hard)
 from .engine import (NoiseBudget, PowerReport, WaveformResult, convert_waveform,
@@ -23,7 +22,7 @@ __all__ = [
     "serialize",
     "ktc_sigma", "ron_of_input",
     "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
-    "inl_from_steps", "monotonic_energy_oracle", "transfer_thresholds",
+    "inl_from_steps", "transfer_thresholds",
     "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
     "t_hard",
     "NoiseBudget", "PowerReport", "WaveformResult", "convert_waveform",

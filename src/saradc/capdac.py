@@ -75,7 +75,6 @@ from .config import AdcConfig, derived_constants, kt_over_c
 __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
     "build_cap_array", "build_binary_array", "build_split_array",
-    "monotonic_energy_oracle",
     "transfer_thresholds", "inl_from_steps",
     "compare_topologies",
 ]
@@ -227,32 +226,6 @@ def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
     nominal = [u * np.asarray(c, dtype=float) for c in (main_counts, sub_counts)]
     return _compile(cfg, *_split_sides(main, sub, c_att, cfg),
                     _split_sides(*nominal, c_att, cfg)[0])
-
-
-# ---------------------------------------------------------------------------
-# energy of a decision sequence
-
-def monotonic_energy_oracle(decisions, array) -> float:
-    """Independent per-event CV accounting for a full decision sequence [J].
-
-    Walks the closed form
-      E_i = (v_ref^2 / 4) * (C_r*(N_r - C_r)/N_r + M_f*C_f/N_f)
-    tracking the fired capacitance per side; cross-checks the ladder's
-    event-energy table without reading it.
-    """
-    q = 0.25 * array.v_ref ** 2
-    mid_p = mid_n = 0.0
-    total = 0.0
-    for k, d in enumerate(decisions[: array.bits - 1]):
-        cp, cn = array.c_bits[:, k]
-        np_, nn_ = array.node
-        if d > 0:
-            total += q * (cn * (nn_ - cn) / nn_ + mid_p * cp / np_)
-        else:
-            total += q * (cp * (np_ - cp) / np_ + mid_n * cn / nn_)
-        mid_p += cp
-        mid_n += cn
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ def _load(path: str | None) -> AdcConfig:
     if path is None:
         return reference_defaults()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config document {path}: {err}") from err
     return load_config(text)
@@ -172,11 +173,12 @@ def _emit(args, cfg: AdcConfig, seed, artifacts: dict[str, str]) -> Path:
     whose artifacts did not all land writes none, nor leaves an earlier
     run's: that one is removed first, so the new one is created without an
     unlink.  The directory is created only if it is missing: one that is
-    already there costs one ``stat``.
+    already there costs one ``stat``.  An empty ``--out`` is the current
+    directory.
     """
     outdir = Path(args.out)
     manifest = os.path.join(outdir, "manifest.json")
-    if not os.path.isdir(args.out):
+    if not os.path.isdir(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
     else:
         with contextlib.suppress(FileNotFoundError):

@@ -72,9 +72,9 @@ from .track_hold import _SIDES, hold, ktc_sigma
 @dataclass
 class WaveformResult:
     """Per-sample results of one record, plus energy per block."""
-    codes: np.ndarray       # output code
-    metastable: np.ndarray  # number of metastable comparisons
-    violation: np.ndarray   # window-exhaustion flag
+    codes: np.ndarray       # output code, int32
+    metastable: np.ndarray  # number of metastable comparisons, uint8
+    violation: np.ndarray   # window-exhaustion flag, bool
     e_blocks: dict          # block name -> total energy [J]
     f_s: float
 
@@ -185,7 +185,12 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
 
-    codes, metastable = np.zeros((2, n), dtype=int)
+    # the narrowest dtypes that hold a result (bits <= 24): at 0 K an int64
+    # pair left a 65,536-sample call near glibc's heap-trim point, where the
+    # interpreter's start-up layout decided whether every call faulted its
+    # heap top in again
+    codes = np.zeros(n, dtype=np.int32)
+    metastable = np.zeros(n, dtype=np.uint8)
     violation = np.zeros(n, dtype=bool)
     totals = [0.0] * 4          # comparator, dac, logic, track_hold [J]
     prev = np.array([cfg.v_cm, cfg.v_cm])

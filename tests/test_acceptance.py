@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import saradc as sa
-from saradc.capdac import build_cap_array, monotonic_energy_oracle
+from saradc.capdac import build_cap_array
 from saradc.cli import main as cli_main
 from saradc.engine import convert_waveform, ideal_quantizer_code, noise_budget
-from textbook import conventional_energy, conversion_energy
+from textbook import conventional_energy, conversion_energy, monotonic_energy_oracle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -10,10 +10,11 @@ import pytest
 import saradc as sa
 from saradc import cli
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
-                           inl_from_steps, monotonic_energy_oracle, transfer_thresholds)
+                           inl_from_steps, transfer_thresholds)
 from saradc.config import kt_over_c, validate
 from code_density import inl_dnl
-from textbook import conventional_energy, conversion_energy, splitcap_energy
+from textbook import (conventional_energy, conversion_energy, monotonic_energy_oracle,
+                      splitcap_energy)
 import reference_ladder
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import saradc as sa
 from saradc import analysis, engine
-from saradc.cli import _codes_csv, _json_text, main
+from saradc.cli import _codes_csv, _json_text, _load, main
 from saradc.config import REFERENCE_CONFIG_DOC
 
 
@@ -264,6 +264,19 @@ def test_unreadable_config_exit_code(tmp_path, capsys):
         assert err.startswith("configuration error: ") and str(path) in err
 
 
+def test_config_document_with_a_byte_order_mark(tmp_path):
+    # a document saved with a UTF-8 byte-order mark, as Notepad writes it,
+    # reads as the same document without one, in either format
+    shipped = sa.reference_defaults()
+    for name, text in (("doc.cfg", REFERENCE_CONFIG_DOC),
+                       ("doc.json", json.dumps(dataclasses.asdict(shipped)))):
+        for mark in ("", "\ufeff"):
+            doc = tmp_path / name
+            doc.write_text(mark + text, encoding="utf-8")
+            assert _load(str(doc)) == shipped, (name, mark)
+            assert run(["timing", str(doc), "--out", str(tmp_path / "x")]) == 0
+
+
 def test_out_naming_a_file_exit_code(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -339,6 +352,18 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("runtime error: ")
     assert not (out / "manifest.json").exists()
     assert {p.name for p in out.iterdir()} == {"timing.csv", "timing.json"}
+
+
+@pytest.mark.parametrize("out", [["--out", ""], []], ids=["--out", "SARADC_OUT"])
+def test_empty_out_is_the_current_directory(tmp_path, monkeypatch, out):
+    # an empty --out, or an empty SARADC_OUT, names the current directory:
+    # the second run there replaces the first one's manifest
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SARADC_OUT", "")
+    assert run(["timing", *out]) == 0
+    assert run(["power", "--n", "64", "--bin", "3", *out]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["command"] == "power"
+    assert (tmp_path / "timing.json").exists() and (tmp_path / "power.json").exists()
 
 
 @pytest.mark.parametrize("amplitude", ["inf", "nan"])

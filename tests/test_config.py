@@ -208,18 +208,21 @@ def test_public_names_resolve():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
-    # the per-code textbook walk, the per-sample engine walk and the
-    # code-density estimator live in the tests; nothing reads the rest
+    # the per-code textbook walk, the per-event energy oracle, the per-sample
+    # engine walk and the code-density estimator live in the tests; nothing
+    # reads the rest
     walk = ("sample", "decide", "decision_latency")
     deleted = {capdac: ("conventional_energy", "splitcap_energy", "_trial_sequence_energy",
-                        "_transition_energy", "_per_code", "conversion_energy"),
+                        "_transition_energy", "_per_code", "conversion_energy",
+                        "monotonic_energy_oracle"),
                config: ("t_easy_of",),
                engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk,
                         "_stream_states", "_pool_state", "_hashmix", "_mix", "_hash_consts",
                         "_Preseeded", "_stream", "ISeedSequence"),
                cli: ("_fresh",), track_hold: walk, comparator: (*walk, "comparator_power"),
                analysis: ("inl_dnl", "InsufficientDataError"),
-               sa: (*walk, "comparator_power", "inl_dnl", "InsufficientDataError"),
+               sa: (*walk, "comparator_power", "inl_dnl", "InsufficientDataError",
+                    "monotonic_energy_oracle"),
                analysis.Tone: ("v_p", "v_n"), engine.NoiseBudget: ("allowed", "slack")}
     for owner, names in deleted.items():
         for name in names:

@@ -1,10 +1,11 @@
-"""Per-code energy walks that the program never runs.
+"""Per-code and per-event energy walks that the program never runs.
 
 The trade study reads only the closed-form totals of its two textbook
 disciplines (``capdac._textbook_totals``) and of the converter discipline
 (half the ladder's event table); these walks give every code's energy, and
 the tests check those totals and the engine's energy bookkeeping against
-them.
+them.  ``monotonic_energy_oracle`` prices one decision sequence event by
+event from the ladder's capacitances alone, without its event table.
 
 For a textbook discipline one row per code holds one side's bottom-plate
 states; every decision sets its caps and adds the reference charge energy
@@ -78,3 +79,26 @@ def conversion_energy(ladder):
     for k in range(ladder.bits - 1):
         total = np.repeat(total, 2) + np.tile(ladder.e_event[k], 2 ** k)
     return np.repeat(total, 2)
+
+
+def monotonic_energy_oracle(decisions, array) -> float:
+    """Independent per-event CV accounting for a full decision sequence [J].
+
+    Walks the closed form
+      E_i = (v_ref^2 / 4) * (C_r*(N_r - C_r)/N_r + M_f*C_f/N_f)
+    tracking the fired capacitance per side; cross-checks the ladder's
+    event-energy table without reading it.
+    """
+    q = 0.25 * array.v_ref ** 2
+    mid_p = mid_n = 0.0
+    total = 0.0
+    for k, d in enumerate(decisions[: array.bits - 1]):
+        cp, cn = array.c_bits[:, k]
+        np_, nn_ = array.node
+        if d > 0:
+            total += q * (cn * (nn_ - cn) / nn_ + mid_p * cp / np_)
+        else:
+            total += q * (cp * (np_ - cp) / np_ + mid_n * cn / nn_)
+        mid_p += cp
+        mid_n += cn
+    return total
