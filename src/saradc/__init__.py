@@ -4,13 +4,11 @@ successive-approximation ADC."""
 __version__ = "0.1.0"
 
 from .config import (AdcConfig, ConfigError, DerivedConstants, derived_constants,
-                     ideal_config, load_config, net_full_scale, reference_defaults,
-                     serialize)
+                     ideal_config, load_config, reference_defaults, serialize)
 from .track_hold import ktc_sigma, ron_of_input
 from .capdac import (Ladder, TradeReport, build_cap_array, compare_topologies,
                      inl_from_steps, transfer_thresholds)
-from .timing import (TimingBudget, build_budget, max_sampling_rate,
-                     metastability_mc, t_hard)
+from .timing import TimingBudget, build_budget, metastability_mc, t_hard
 from .engine import (NoiseBudget, PowerReport, WaveformResult, convert_waveform,
                      ideal_quantizer_code, noise_budget, power_report)
 from .analysis import (SpectrumMetrics, Tone, gen_coherent_tone, metrics, spectrum,
@@ -18,13 +16,11 @@ from .analysis import (SpectrumMetrics, Tone, gen_coherent_tone, metrics, spectr
 
 __all__ = [
     "AdcConfig", "ConfigError", "DerivedConstants", "derived_constants",
-    "ideal_config", "load_config", "net_full_scale", "reference_defaults",
-    "serialize",
+    "ideal_config", "load_config", "reference_defaults", "serialize",
     "ktc_sigma", "ron_of_input",
     "Ladder", "TradeReport", "build_cap_array", "compare_topologies",
     "inl_from_steps", "transfer_thresholds",
-    "TimingBudget", "build_budget", "max_sampling_rate", "metastability_mc",
-    "t_hard",
+    "TimingBudget", "build_budget", "metastability_mc", "t_hard",
     "NoiseBudget", "PowerReport", "WaveformResult", "convert_waveform",
     "ideal_quantizer_code", "noise_budget", "power_report",
     "SpectrumMetrics", "Tone", "gen_coherent_tone", "metrics", "spectrum",

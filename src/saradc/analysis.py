@@ -81,10 +81,10 @@ class SpectrumMetrics:
     fom_literal_unit: str
 
 
-def _harmonic_bins(signal_bin: int, n: int, count: int = 5):
-    """Aliased harmonic bin locations (2nd..(count+1)th)."""
+def _harmonic_bins(signal_bin: int, n: int):
+    """Aliased harmonic bin locations (2nd..6th)."""
     out = []
-    for m in range(2, count + 2):
+    for m in range(2, 7):
         b = (m * signal_bin) % n
         if b > n // 2:
             b = n - b

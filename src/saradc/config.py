@@ -260,15 +260,8 @@ def derived_constants(cfg: AdcConfig) -> DerivedConstants:
     The net full scale is the gross full scale attenuated by the parasitic
     capacitive divider at the comparator node; the LSB divides it by 2^bits.
     """
-    v_fs_net = net_full_scale(cfg.v_fs, cfg.c_dac, cfg.c_p)
+    v_fs_net = cfg.v_fs * cfg.c_dac / (cfg.c_dac + cfg.c_p)
     return DerivedConstants(delta=v_fs_net / 2 ** cfg.bits, v_fs_net=v_fs_net)
-
-
-def net_full_scale(v_fs: float, c_dac: float, c_p: float) -> float:
-    """Differential input range after parasitic attenuation [V]."""
-    if c_dac <= 0 or c_p < 0:
-        raise ConfigError("net_full_scale: capacitances must be positive")
-    return v_fs * c_dac / (c_dac + c_p)
 
 
 def kt_over_c(c: float, t_kelvin: float) -> float:

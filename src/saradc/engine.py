@@ -405,41 +405,44 @@ class NoiseBudget:
         return 10.0 * math.log10(self.signal_power / self.total)
 
 
-def measure_distortion_power(cfg: AdcConfig, amplitude: float,
-                             n: int = 64, tone_bin: int = 3,
-                             seeds: int = 64) -> float:
-    """Deterministic front-end distortion power at a tone condition [V^2].
+# the budget's one tone condition, 64 seeds of 64-sample records at bin 3:
+# that of the runs whose mean SNDR acceptance criterion 4 checks it against
+_BUDGET_N, _BUDGET_BIN, _BUDGET_SEEDS = 64, 3, 64
+
+
+def measure_distortion_power(cfg: AdcConfig, amplitude: float) -> float:
+    """Deterministic front-end distortion power at the budget's tone
+    condition [V^2].
 
     Runs the full chain with every random noise source disabled but all
     static imperfections kept (tracking nonlinearity, finite DAC settling,
-    the drawn capacitor mismatch), averaged over the given seed count, then
-    subtracts the ideal quantization power from the non-signal power, the
-    sum of ``analysis.non_signal_bins`` that SNDR's noise also is.  Clamped
-    at zero.
+    the drawn capacitor mismatch), averaged over the condition's seeds,
+    then subtracts the ideal quantization power from the non-signal power,
+    the sum of ``analysis.non_signal_bins`` that SNDR's noise also is.
+    Clamped at zero.
     """
     quiet = replace(cfg, sigma_n_comp=0.0, t_kelvin=0.0)
     d = derived_constants(cfg)
-    tone = analysis.gen_coherent_tone(n, tone_bin, amplitude, cfg.v_cm, cfg.f_s)
+    tone = analysis.gen_coherent_tone(_BUDGET_N, _BUDGET_BIN, amplitude, cfg.v_cm, cfg.f_s)
     acc = 0.0
-    for s in range(seeds):
+    for s in range(_BUDGET_SEEDS):
         res = convert_waveform(tone.v_diff, quiet, seed=s)
         power = analysis.spectrum(res.codes, cfg.bits)
-        acc += float(np.add.reduce(analysis.non_signal_bins(power, tone_bin)))
-    non_signal = acc / seeds * d.v_fs_net ** 2
+        acc += float(np.add.reduce(analysis.non_signal_bins(power, _BUDGET_BIN)))
+    non_signal = acc / _BUDGET_SEEDS * d.v_fs_net ** 2
     return max(non_signal - d.delta ** 2 / 12.0, 0.0)
 
 
-def noise_budget(cfg: AdcConfig, target_sndr: float, signal_power: float,
-                 n: int = 64, tone_bin: int = 3, seeds: int = 64) -> NoiseBudget:
+def noise_budget(cfg: AdcConfig, target_sndr: float, signal_power: float) -> NoiseBudget:
     """Term-by-term error budget against an SNDR target.
 
     The first three terms are analytic; the distortion term is measured by
-    a dedicated noiseless simulation at the stated tone condition (same
-    record length, bin and seed set as the run being budgeted), so the
-    budget checks that the random noise terms add orthogonally on top of
-    the deterministic error floor.  The tone amplitude sqrt(2*signal_power)
-    must lie within the net half scale, so that clipping is never booked as
-    distortion.
+    a dedicated noiseless simulation at the budget's tone condition (the
+    record length, bin and seed set of the runs it is checked against), so
+    the budget checks that the random noise terms add orthogonally on top
+    of the deterministic error floor.  The tone amplitude
+    sqrt(2*signal_power) must lie within the net half scale, so that
+    clipping is never booked as distortion.
     """
     if target_sndr <= 0:
         raise ValueError("noise_budget: target_sndr must be positive")
@@ -456,8 +459,7 @@ def noise_budget(cfg: AdcConfig, target_sndr: float, signal_power: float,
         comparator=cfg.sigma_n_comp ** 2,
         sampling=2.0 * ktc_sigma(cfg) ** 2,
         quantization=d.delta ** 2 / 12.0,
-        distortion=measure_distortion_power(cfg, amplitude, n=n,
-                                            tone_bin=tone_bin, seeds=seeds),
+        distortion=measure_distortion_power(cfg, amplitude),
         signal_power=signal_power,
         target_sndr=target_sndr,
     )

@@ -15,8 +15,8 @@ import numpy as np
 from .comparator import decision_latencies
 from .config import AdcConfig, derived_constants
 
-__all__ = ["MC_BLOCK", "TimingBudget", "t_hard", "t_easy_of", "max_sampling_rate",
-           "build_budget", "metastability_mc"]
+__all__ = ["MC_BLOCK", "TimingBudget", "t_hard", "t_easy_of", "build_budget",
+           "metastability_mc"]
 
 MC_BLOCK = 2 ** 16   # candidates drawn per block by metastability_mc
 
@@ -69,19 +69,12 @@ def t_easy_of(bits: int, tau_reg: float) -> float:
     return 39.0 * tau_reg * (bits * (bits - 1) / 2.0) / 45.0
 
 
-def max_sampling_rate(t_easy: float, t_hard_: float, bits: int, t_fix: float,
-                      t_delay: float, t_track: float) -> float:
-    """Asynchronous rate limit: the budget terms fill one period [Hz]."""
-    if min(t_easy, t_hard_, t_fix, t_delay, t_track) < 0:
-        raise ValueError("max_sampling_rate: time components must be nonnegative")
-    period = t_easy + t_hard_ + (bits - 1) * t_fix + bits * t_delay + t_track
-    return 1.0 / period
-
-
 def build_budget(cfg: AdcConfig) -> TimingBudget:
     th = t_hard(cfg.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, derived_constants(cfg).delta)
     te = t_easy_of(cfg.bits, cfg.tau_reg)
-    f_async = max_sampling_rate(te, th, cfg.bits, cfg.t_fix, cfg.t_delay, cfg.t_track)
+    # the asynchronous limit: the budget terms fill one period
+    f_async = 1.0 / (te + th + (cfg.bits - 1) * cfg.t_fix + cfg.bits * cfg.t_delay
+                     + cfg.t_track)
     slot = th + cfg.t_fix + cfg.t_delay
     f_sync = 1.0 / (cfg.bits * slot + cfg.t_track)
     return TimingBudget(t_hard=th, t_easy=te, f_s_max=f_async, f_s_max_sync=f_sync,

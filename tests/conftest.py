@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,15 @@ def ref_cfg():
 @pytest.fixture(scope="session")
 def ideal_cfg(ref_cfg):
     return sa.ideal_config(ref_cfg)
+
+
+@pytest.fixture(scope="session")
+def fresh_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    saradc: ``src/`` ahead of the inherited PYTHONPATH."""
+    src = str(Path(sa.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture()

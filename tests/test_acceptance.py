@@ -113,7 +113,7 @@ def test_criterion_06_enob_identity(frozen_cfg):
 
 
 def test_criterion_07_net_full_scale(frozen_cfg):
-    half = sa.net_full_scale(1.6, 1.3e-12, 20e-15) / 2
+    half = sa.derived_constants(frozen_cfg).v_fs_net / 2
     err = abs(half - 0.785) / 0.785
     ok = abs(half - 0.7879) < 5e-4 and err < 0.005
     _report(7, ok, f"half range = {half * 1e3:.1f} mV (787.9 mV), "

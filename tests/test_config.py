@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import saradc as sa
 from saradc import analysis, capdac, cli, comparator, config, engine, timing, track_hold
-from saradc.config import _SCHEMA, REFERENCE_CONFIG_DOC, ConfigError
+from saradc.config import _SCHEMA, REFERENCE_CONFIG_DOC, ConfigError, validate
 from saradc.timing import t_easy_of
 
 
@@ -56,13 +56,13 @@ def test_delta_decreases_with_parasitic(ref_cfg):
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
-def test_net_full_scale_examples():
-    assert sa.net_full_scale(1.6, 1.3e-12, 0.0) == 1.6
-    assert math.isclose(sa.net_full_scale(1.6, 1.3e-12, 20e-15), 1.57576, rel_tol=1e-4)
-    assert math.isclose(sa.net_full_scale(1.6, 1.0e-12, 1.0e-12), 0.8, rel_tol=1e-12)
-    for c_dac, c_p in ((0.0, 20e-15), (-1e-12, 20e-15), (1.3e-12, -1e-15)):
-        with pytest.raises(ConfigError, match="capacitances must be positive"):
-            sa.net_full_scale(1.6, c_dac, c_p)
+def test_net_full_scale_examples(ref_cfg):
+    def v_fs_net(c_dac, c_p):
+        return sa.derived_constants(validate(replace(ref_cfg, c_dac=c_dac, c_p=c_p))).v_fs_net
+
+    assert v_fs_net(1.3e-12, 0.0) == 1.6
+    assert math.isclose(v_fs_net(1.3e-12, 20e-15), 1.57576, rel_tol=1e-4)
+    assert math.isclose(v_fs_net(1.3e-12, 1.3e-12), 0.8, rel_tol=1e-12)
 
 
 def test_round_trip_serialize(ref_cfg):
@@ -215,14 +215,14 @@ def test_public_names_resolve():
     deleted = {capdac: ("conventional_energy", "splitcap_energy", "_trial_sequence_energy",
                         "_transition_energy", "_per_code", "conversion_energy",
                         "monotonic_energy_oracle"),
-               config: ("t_easy_of",),
+               config: ("t_easy_of", "net_full_scale"), timing: ("max_sampling_rate",),
                engine: ("ideal_config", "_sample_streams", "_bit_cycle", "_live_draws", *walk,
                         "_stream_states", "_pool_state", "_hashmix", "_mix", "_hash_consts",
                         "_Preseeded", "_stream", "ISeedSequence"),
                cli: ("_fresh",), track_hold: walk, comparator: (*walk, "comparator_power"),
                analysis: ("inl_dnl", "InsufficientDataError"),
                sa: (*walk, "comparator_power", "inl_dnl", "InsufficientDataError",
-                    "monotonic_energy_oracle"),
+                    "monotonic_energy_oracle", "net_full_scale", "max_sampling_rate"),
                analysis.Tone: ("v_p", "v_n"), engine.NoiseBudget: ("allowed", "slack")}
     for owner, names in deleted.items():
         for name in names:

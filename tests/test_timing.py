@@ -9,8 +9,8 @@ import saradc as sa
 from saradc import timing
 from saradc.cli import main
 from saradc.comparator import decision_latencies
-from saradc.timing import (MC_BLOCK, _window, build_budget, max_sampling_rate,
-                           metastability_mc, t_hard)
+from saradc.config import validate
+from saradc.timing import MC_BLOCK, _window, build_budget, metastability_mc, t_hard
 from reference_engine import decision_latency
 
 
@@ -48,34 +48,33 @@ def test_t_hard_monotonicities(ref_cfg):
     assert t_hard(ref_cfg.tau_reg, 1.2, 10.0, 1e-7, d.delta) < base
 
 
-def test_max_sampling_rate_reference_budget():
+def test_max_sampling_rate_reference_budget(ref_cfg):
     # 507 + 284.2 + 9*150 + 10*100 + 2000 ps = 5141.2 ps
-    f = max_sampling_rate(507e-12, 284.2e-12, 10, 150e-12, 100e-12, 2e-9)
+    f = build_budget(ref_cfg).f_s_max
     assert math.isclose(1.0 / f, 5.1412e-9, rel_tol=1e-4)
     assert math.isclose(f, 194.5e6, rel_tol=1e-3)
 
 
-def test_max_sampling_rate_degenerate_budgets():
-    assert math.isclose(max_sampling_rate(0, 0, 10, 0, 0, 1e-8), 1e8, rel_tol=1e-12)
-    # a single-bit converter has no fixed-overhead term
-    f = max_sampling_rate(1e-9, 1e-9, 1, 123e-12, 1e-9, 1e-9)
-    assert math.isclose(1.0 / f, 4e-9, rel_tol=1e-12)
-    # a negative component is refused, wherever it sits
-    for k in range(5):
-        times = [1e-10] * 5
-        times[k] = -1e-12
-        with pytest.raises(ValueError, match="nonnegative"):
-            max_sampling_rate(*times[:2], 10, *times[2:])
+def test_max_sampling_rate_degenerate_budgets(ref_cfg):
+    # with no per-bit overheads the period is the comparisons and tracking
+    b = build_budget(validate(replace(ref_cfg, t_fix=0.0, t_delay=0.0)))
+    assert math.isclose(1.0 / b.f_s_max, b.t_easy + b.t_hard + ref_cfg.t_track, rel_tol=1e-12)
+    # a target met at once leaves the hardest comparison no time
+    cfg = validate(replace(ref_cfg, bits=3, p_meta=0.999, a_v=1e3))
+    b = build_budget(cfg)
+    assert b.t_hard == 0.0
+    assert math.isclose(1.0 / b.f_s_max, b.t_easy + 2 * cfg.t_fix + 3 * cfg.t_delay
+                        + cfg.t_track, rel_tol=1e-12)
 
 
-def test_max_rate_decreases_in_every_component():
-    args = dict(t_easy=5e-10, t_hard_=3e-10, bits=10, t_fix=1.5e-10,
-                t_delay=1e-10, t_track=2e-9)
-    base = max_sampling_rate(**args)
-    for key in ("t_easy", "t_hard_", "t_fix", "t_delay", "t_track"):
-        bumped = dict(args)
-        bumped[key] = args[key] * 1.5
-        assert max_sampling_rate(**bumped) < base
+def test_max_rate_decreases_in_every_component(ref_cfg):
+    # t_easy and t_hard grow with tau_reg, t_hard also with a lower rate
+    # target or gain
+    base = build_budget(ref_cfg).f_s_max
+    for key, value in (("tau_reg", 1.5 * ref_cfg.tau_reg), ("p_meta", ref_cfg.p_meta / 1.5),
+                       ("a_v", ref_cfg.a_v / 1.5), ("t_fix", 1.5 * ref_cfg.t_fix),
+                       ("t_delay", 1.5 * ref_cfg.t_delay), ("t_track", 1.5 * ref_cfg.t_track)):
+        assert build_budget(validate(replace(ref_cfg, **{key: value}))).f_s_max < base, key
 
 
 def test_budget_margin_positive_at_operating_point(ref_cfg):
@@ -87,15 +86,15 @@ def test_budget_margin_positive_at_operating_point(ref_cfg):
 
 
 def test_async_boost_vanishes_for_uniform_slots(ref_cfg):
-    # with no fixed overhead and every easy comparison given the hard
-    # comparison's time, the asynchronous period is the synchronous one
-    cfg = replace(ref_cfg, t_fix=0.0)
-    d = sa.derived_constants(cfg)
-    th = t_hard(cfg.tau_reg, cfg.v_dd, cfg.a_v, cfg.p_meta, d.delta)
-    f = max_sampling_rate((cfg.bits - 1) * th, th, cfg.bits, cfg.t_fix,
-                          cfg.t_delay, cfg.t_track)
-    f_sync = 1.0 / (cfg.bits * (th + cfg.t_delay) + cfg.t_track)
-    assert abs(f / f_sync - 1.0) < 1e-12
+    # with no fixed overhead the synchronous period spends the hard
+    # comparison's time on every easy one: the asynchronous period is
+    # shorter by exactly what the easy comparisons save, so the boost
+    # vanishes when they take the hard comparison's time
+    cfg = validate(replace(ref_cfg, t_fix=0.0))
+    b = build_budget(cfg)
+    saved = (cfg.bits - 1) * b.t_hard - b.t_easy
+    assert saved > 0
+    assert math.isclose(1.0 / b.f_s_max_sync - 1.0 / b.f_s_max, saved, rel_tol=1e-9)
 
 
 def test_metastability_rate_matches_target(ref_cfg):
