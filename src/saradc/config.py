@@ -214,7 +214,7 @@ def load_config(text: str) -> AdcConfig:
 
         try:
             json.loads(text, object_pairs_hook=keep)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:     # past the depth or digit limits too
             raise ConfigError(f"JSON parse failure: {err}") from err
         items = objects[-1]
     else:

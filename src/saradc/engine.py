@@ -147,11 +147,13 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
 
     The record is converted in blocks of up to ``_STREAM_BLOCK`` samples,
     all carved from one workspace; a call keeps nothing record-wide but its
-    input and its three outputs.  A block forms its two sides, refused if
-    one leaves the rails, and takes its rows in one call, regrouped in the
-    workspace into one contiguous row per normal; ``track_hold.hold``
-    solves its held pairs into the workspace from the pair the previous
-    block left.  Then two passes convert the block.
+    input and its three outputs.  A block forms its two sides in its first
+    two sign rows, refused if one leaves the rails, and takes its rows in
+    one call, which one multiply regroups into one contiguous row per
+    normal and scales to its source's rms: ``ktc_sigma``, ``sigma_n_comp``,
+    and 1.0 for the latch row.  ``track_hold.hold`` adds the kT/C rows to
+    the held pairs it solves from the pair the previous block left.  Then
+    two passes convert the block.
 
     The block's workspace holds, in order, one row per normal, the held
     pairs, each conversion's latency sum, one sign row per bit, and the
@@ -176,11 +178,12 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
         raise ValueError("convert_waveform: samples must be a one-dimensional sequence")
     if diff.size == 0:
         raise ValueError("convert_waveform: empty sample sequence")
-    n, bits_n, sigma = diff.size, cfg.bits, cfg.sigma_n_comp
+    n, bits_n, sigma_ktc, sigma = diff.size, cfg.bits, ktc_sigma(cfg), cfg.sigma_n_comp
     h_up, settle, e_flat, fall_at, weights = _plan(cfg, seed)
     switch = tuple(zip(h_up, settle))
-    n_hold = 2 if ktc_sigma(cfg) > 0 else 0
-    n_noise = bits_n if sigma > 0 else 0
+    n_hold, n_noise = (2 if sigma_ktc > 0 else 0), (bits_n if sigma > 0 else 0)
+    # each normal row's rms; the latch normal's sign alone is read
+    scale = np.array([sigma_ktc] * n_hold + [sigma] * n_noise + [1.0])[:, None]
     # an overbooked window offers every comparison no time, as an empty one does
     slack0 = max((1.0 / cfg.f_s - cfg.t_track)
                  - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix), 0.0)
@@ -197,14 +200,15 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     # one workspace, carved anew for each block: the normal rows, the held
     # pairs, each conversion's latency sum, one sign row per bit, then the
-    # lean pass's rows (seven and one per bit), which first stage the
-    # stream's sample-major draw.  A block's peak transient must stay well
-    # under twice the workspace: glibc sets its heap-trim point at twice the
-    # largest block it has freed, returns the heap top once the free space
-    # exceeds it, and each returned page then costs a fault on the next
-    # record (a 4,096-sample call peaks at 1.30x its 1,376 KiB workspace at
-    # 130 MHz and 1.51x at 225 MHz, traced).  So the blocks share it: one per
-    # block would live beside its predecessor's while it is made
+    # lean pass's rows (seven and one per bit); the sign rows first hold the
+    # input sides and the lean rows the stream's sample-major draw.  A block's
+    # peak transient must stay well under twice the workspace: glibc sets its
+    # heap-trim point at twice the largest block it has freed, returns the
+    # heap top once the free space exceeds it, and each returned page then
+    # costs a fault on the next record (a 4,096-sample call peaks at 1.17x
+    # its 1,376 KiB workspace at 130 MHz and 1.44x at 225 MHz, traced).  So
+    # the blocks share it: one per block would live beside its predecessor's
+    # while it is made
     n_rows = n_hold + n_noise + 1
     n_work = n_rows + 3 + bits_n + 7 + bits_n
     block_n = min(n, _STREAM_BLOCK)
@@ -212,23 +216,22 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     for start in range(0, n, _STREAM_BLOCK):
         block = slice(start, min(start + _STREAM_BLOCK, n))
         size = block.stop - start
-        v_in = cfg.v_cm + _SIDES * diff[block]
+        work = workspace[:n_work * size].reshape(n_work, size)
+        rows, held, consumed = work[:n_rows], work[n_rows:n_rows + 2], work[n_rows + 2]
+        signs = work[n_rows + 3:n_rows + 3 + bits_n]
+        v_in = np.add(cfg.v_cm, _SIDES * diff[block], out=signs[:2])
         inside = (0.0 <= v_in) & (v_in <= cfg.v_dd)
         if np.count_nonzero(inside) != inside.size:
             first = start + np.argmin(inside.all(axis=0))
             raise ValueError(f"convert_waveform: sample {first} leaves [0, v_dd]")
-        work = workspace[:n_work * size].reshape(n_work, size)
-        rows, held, consumed = work[:n_rows], work[n_rows:n_rows + 2], work[n_rows + 2]
-        signs = work[n_rows + 3:n_rows + 3 + bits_n]
         passes = work[n_rows + 3 + bits_n:]
         stage = passes.reshape(-1)[:size * n_rows].reshape(size, n_rows)
         stream.standard_normal(out=stage)
-        # one contiguous row per normal: hold's sweeps and each bit read rows,
-        # not strided columns
-        np.copyto(rows, stage.T)
-        hold(v_in, cfg, rows[:n_hold], prev, held)
+        # one contiguous row per normal, scaled to its source's rms: hold's
+        # sweeps and each bit read rows, not strided columns
+        np.multiply(stage.T, scale, out=rows)
+        hold(v_in, cfg, rows[:n_hold] if n_hold else 0.0, prev, held)
         prev = held[:, -1].copy()
-        rows[n_hold:-1] *= sigma    # the comparator's normals, scaled in place
         noise = rows[n_hold:-1] if n_noise else None
         _lean_pass(held, noise, passes, signs, switch, cfg, consumed)
 

@@ -45,7 +45,7 @@ def ron_of_input(v, cfg: AdcConfig) -> np.ndarray:
     return r
 
 
-def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
+def hold(v_in: np.ndarray, cfg: AdcConfig, noise, prev: np.ndarray,
          out: np.ndarray) -> np.ndarray:
     """Held pairs of consecutive conversions of a differential input.
 
@@ -54,9 +54,8 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
     layout into ``out``, a C-contiguous array that is required and returned.
     ``prev`` is the pair held before the first of them (the settling start).
     Each side settles with its own time constant r_on(v_in_side) * c_side
-    and then receives a Gaussian draw of rms ``ktc_sigma``: ``normals``
-    holds one standard normal per side and conversion, also (2, n), and is
-    read only when that rms is nonzero.
+    and then adds the noise it is given: ``noise`` holds each side's
+    sampled kT/C draw per conversion [V], also (2, n), or is 0.0.
 
     Conversion k holds h_k = target_k - (target_k - h_{k-1}) * g_k + noise_k.
     Jacobi sweeps over the whole run solve it: after j sweeps the first j
@@ -69,8 +68,6 @@ def hold(v_in: np.ndarray, cfg: AdcConfig, normals, prev: np.ndarray,
     g = ron_of_input(v_in.T, cfg).T
     g *= cfg.c_dac + cfg.c_p
     target = cfg.v_cm + _SIDES * (v_in[0] - v_in[1])
-    sigma = ktc_sigma(cfg)
-    noise = sigma * normals if sigma > 0 else 0.0
     if not out.flags.c_contiguous:
         raise ValueError("hold: out must be C-contiguous")
     # a side that settles below the smallest double has settled: no error

@@ -243,14 +243,20 @@ def test_timing_warns_above_the_asynchronous_limit(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
+    # a JSON document whose bits is an array nested 100,000 deep, or an
+    # integer of 5,000 digits, is a configuration error, not a traceback
     bits_null = json.dumps({**dataclasses.asdict(sa.reference_defaults()), "bits": None})
-    for text in (REFERENCE_CONFIG_DOC + "\nnot_a_key = 3\n",
-                 REFERENCE_CONFIG_DOC.replace("bits         = 10", "bits = nan"),
-                 bits_null):
+    texts = (REFERENCE_CONFIG_DOC + "\nnot_a_key = 3\n",
+             REFERENCE_CONFIG_DOC.replace("bits         = 10", "bits = nan"),
+             bits_null, bits_null.replace("null", "[" * 100_000 + "]" * 100_000),
+             bits_null.replace("null", "7" * 5000))
+    for text in texts:
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         assert run(["simulate", str(bad), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err.count("configuration error") == 3
+    err = capsys.readouterr().err
+    assert err.count("configuration error: ") == len(texts)
+    assert err.count("configuration error: JSON parse failure: ") == 2
 
 
 def test_unreadable_config_exit_code(tmp_path, capsys):

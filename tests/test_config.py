@@ -285,6 +285,13 @@ def _kv_with(key, text):
                  ConfigError, id="kv-topology-ternary"),
     pytest.param("JSON parse failure", _json_with("bits", "10,"),
                  ConfigError, id="json-broken"),
+    # a nesting past the decoder's recursion limit and an integer past
+    # Python's digit limit are parse failures too
+    pytest.param("JSON parse failure: maximum recursion depth",
+                 _json_with("bits", "[" * 100_000 + "]" * 100_000),
+                 ConfigError, id="json-bits-nested-100000-deep"),
+    pytest.param("JSON parse failure: Exceeds the limit", _json_with("bits", "1" * 5000),
+                 ConfigError, id="json-bits-5000-digits"),
     pytest.param(f"line {len(REFERENCE_CONFIG_DOC.splitlines()) + 1}: "
                  f"expected 'key = value', got 'c_p 30 fF'",
                  REFERENCE_CONFIG_DOC + "c_p 30 fF\n", ConfigError, id="kv-no-equals"),

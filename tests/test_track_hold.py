@@ -38,38 +38,45 @@ def test_ron_names_first_nonphysical_input(ref_cfg):
     # the held pairs are side-first, yet sample 0's negative side comes
     # before sample 1's positive side
     with pytest.raises(ConfigError, match=r"on-resistance -40 Ohm at v = 0\.6 V"):
-        hold(np.array([[0.1, 0.7], [0.6, 0.2]]), cfg, None, np.array([0.4, 0.4]),
+        hold(np.array([[0.1, 0.7], [0.6, 0.2]]), cfg, 0.0, np.array([0.4, 0.4]),
              np.empty((2, 2)))
 
 
 @pytest.mark.parametrize("r_on0", [None, 1e5])
 def test_hold_matches_sequential_sampler(ref_cfg, r_on0):
     # the Jacobi sweeps reach the sequential values exactly, also when each
-    # conversion keeps most of the previous one (g near 0.985 at 100 kOhm)
-    cfg = ref_cfg if r_on0 is None else replace(ref_cfg, r_on0=r_on0)
+    # conversion keeps most of the previous one (g near 0.985 at 100 kOhm),
+    # and at a 1 ms track, where every settle factor underflows to 0 and the
+    # first sweep already confirms the fixed point.  hold adds the noise it
+    # is given, here the kT/C draws
+    base = ref_cfg if r_on0 is None else replace(ref_cfg, r_on0=r_on0)
     v = 0.7 * np.sin(0.9 * np.arange(50))
-    v_in_p, v_in_n = cfg.v_cm + 0.5 * v, cfg.v_cm - 0.5 * v
+    v_in = np.stack([base.v_cm + 0.5 * v, base.v_cm - 0.5 * v])
     normals = np.random.default_rng(3).standard_normal((50, 2))
-    args = (np.stack([v_in_p, v_in_n]), cfg, normals.T, np.array([cfg.v_cm, cfg.v_cm]))
+    for cfg in (base, replace(base, t_track=1e-3)):
+        def walk(n, prev):
+            rng, pairs = np.random.default_rng(3), []
+            for p, m in zip(*v_in[:, :n].tolist()):
+                prev = sample(p, m, cfg, rng, prev=prev)
+                pairs.append(prev)
+            return np.array(pairs).T
 
-    def walk(n, prev):
-        rng, pairs = np.random.default_rng(3), []
-        for p, m in zip(v_in_p[:n].tolist(), v_in_n[:n].tolist()):
-            prev = sample(p, m, cfg, rng, prev=prev)
-            pairs.append(prev)
-        return np.array(pairs).T
-
-    out = np.empty((2, 50))
-    assert hold(*args, out) is out
-    assert np.array_equal(out, walk(50, None))
-    # also from a run too short for a sweep to confirm the fixed point:
-    # three pairs settling from another start
-    short = (args[0][:, :3], cfg, normals.T[:, :3], np.array([0.3, 0.6]))
-    out = np.empty((2, 3))
-    assert hold(*short, out) is out
-    assert np.array_equal(out, walk(3, (0.3, 0.6)))
+        noise = ktc_sigma(cfg) * normals.T
+        out = np.empty((2, 50))
+        assert hold(v_in, cfg, noise, np.array([cfg.v_cm, cfg.v_cm]), out) is out
+        assert np.array_equal(out, walk(50, None))
+        c_side = cfg.c_dac + cfg.c_p
+        settled = np.exp(-cfg.t_track / (ron_of_input(v_in, cfg) * c_side)) == 0.0
+        assert settled.all() == (cfg is not base)
+        # also from runs too short for a sweep to confirm the fixed point,
+        # which end through the sweep loop's copy: one, two and three pairs
+        # settling from another start
+        for k in (1, 2, 3):
+            out = np.empty((2, k))
+            assert hold(v_in[:, :k], cfg, noise[:, :k], np.array([0.3, 0.6]), out) is out
+            assert np.array_equal(out, walk(k, (0.3, 0.6))), k
     with pytest.raises(ValueError, match="C-contiguous"):
-        hold(*args, np.empty((50, 2)).T)
+        hold(v_in, cfg, noise, np.array([0.3, 0.6]), np.empty((50, 2)).T)
 
 
 def test_full_settling_reproduces_input(ref_cfg, rng):
