@@ -10,7 +10,7 @@ bin defines SFDR.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ __all__ = ["Tone", "gen_coherent_tone", "spectrum", "SpectrumMetrics", "non_sign
            "metrics", "spectrum_csv"]
 
 
-@dataclass(frozen=True)
-class Tone:
+class Tone(NamedTuple):
     """Coherent differential test tone."""
     v_diff: np.ndarray     # differential samples [V]
     v_cm: float            # common mode both sides ride on [V]
@@ -68,8 +67,7 @@ def spectrum(codes, bits: int) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class SpectrumMetrics:
+class SpectrumMetrics(NamedTuple):
     n: int
     signal_bin: int
     sndr: float                # [dB]

@@ -66,7 +66,7 @@ at its physical size.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the compiled ladder
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(NamedTuple):
     """A realized differential array, compiled once (both sides).
 
     Per-side fields lead with the side axis, row 0 the positive side and
@@ -286,8 +285,7 @@ def _textbook_totals(bits: int) -> tuple:
 # ---------------------------------------------------------------------------
 # topology trade study
 
-@dataclass(frozen=True)
-class TopologyRow:
+class TopologyRow(NamedTuple):
     topology: str
     c_total_side: float        # physical per-side capacitance [F]
     sigma_ktc: float           # differential sampled-noise rms [V]
@@ -296,8 +294,7 @@ class TopologyRow:
     inl_max: float             # worst static nonlinearity of the ladder [LSB]
 
 
-@dataclass(frozen=True)
-class TradeReport:
+class TradeReport(NamedTuple):
     binary: TopologyRow
     split: TopologyRow
     energy_saving: float       # 1 - split/binary under ideal accounting

@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
+from typing import NamedTuple
 
 K_BOLTZMANN = 1.380649e-23  # [J/K]
 
@@ -92,8 +93,7 @@ class AdcConfig:
         return 2.0 * self.v_ref
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Constants derived from a validated config, shared by every module."""
     delta: float       # LSB after parasitic attenuation [V]
     v_fs_net: float    # net differential full scale [V]

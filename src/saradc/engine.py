@@ -58,7 +58,8 @@ the bit it latches.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ from .config import AdcConfig, derived_constants
 from .track_hold import _SIDES, hold, ktc_sigma
 
 
-@dataclass
-class WaveformResult:
+class WaveformResult(NamedTuple):
     """Per-sample results of one record, plus energy per block."""
     codes: np.ndarray       # output code, int32
     metastable: np.ndarray  # number of metastable comparisons, uint8
@@ -389,8 +389,7 @@ def ideal_quantizer_code(v_diff: float, cfg: AdcConfig) -> int:
 # ---------------------------------------------------------------------------
 # noise budget
 
-@dataclass(frozen=True)
-class NoiseBudget:
+class NoiseBudget(NamedTuple):
     """Input-referred error powers against an SNDR target [V^2]."""
     comparator: float
     sampling: float        # 2kT / (c_dac + c_p), both sides' sampled noise
@@ -471,8 +470,7 @@ def noise_budget(cfg: AdcConfig, target_sndr: float, signal_power: float) -> Noi
 # ---------------------------------------------------------------------------
 # power bookkeeping
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     blocks: dict           # block name -> power [W]
     total: float
 

@@ -8,7 +8,7 @@ metastability bound inverts correctly.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ __all__ = ["MC_BLOCK", "TimingBudget", "t_hard", "t_easy_of", "build_budget",
 MC_BLOCK = 2 ** 16   # candidates drawn per block by metastability_mc
 
 
-@dataclass(frozen=True)
-class TimingBudget:
+class TimingBudget(NamedTuple):
     t_hard: float         # hardest comparison, bounded at p_meta [s]
     t_easy: float         # settling of the other comparisons [s]
     f_s_max: float        # asynchronous limit [Hz]

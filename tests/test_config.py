@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ def test_unit_prefix_parsing_is_exact():
 
 
 def test_derived_constants(ref_cfg):
-    assert [f.name for f in fields(sa.DerivedConstants)] == ["delta", "v_fs_net"]
+    assert list(sa.DerivedConstants._fields) == ["delta", "v_fs_net"]
     assert math.isclose(ref_cfg.tau_reg, 13e-12, rel_tol=1e-12)
     d = sa.derived_constants(ref_cfg)
     assert math.isclose(d.v_fs_net, 1.6 * 1.3e-12 / 1.32e-12, rel_tol=1e-12)
@@ -123,10 +125,10 @@ def _smooth_outputs(cfg):
     the topology trade and the per-block power of a 130 MHz record in which
     no conversion is cut short."""
     b = timing.build_budget(cfg)
-    out = [getattr(b, f.name) for f in fields(b)]
+    out = list(b)
     trade = capdac.compare_topologies(cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
     for row in (trade.binary, trade.split):
-        out += [getattr(row, f.name) for f in fields(row) if f.name != "topology"]
+        out += [getattr(row, name) for name in row._fields if name != "topology"]
     out += [trade.energy_saving, trade.c_reduction]
     tone = sa.gen_coherent_tone(4096, 189, 0.75, cfg.v_cm, cfg.f_s)
     res = engine.convert_waveform(tone.v_diff, cfg, seed=0)
@@ -228,19 +230,41 @@ def test_public_names_resolve():
         for name in names:
             assert not hasattr(owner, name), name
             assert name not in getattr(owner, "__all__", ()), name
-    assert "power" not in {f.name for f in fields(analysis.SpectrumMetrics)}
+    assert "power" not in analysis.SpectrumMetrics._fields
     # a tone keeps no copy of its arguments, and a budget none of the config
     # but the rate its margin is taken against
-    assert [f.name for f in fields(analysis.Tone)] == ["v_diff", "v_cm", "f_in"]
-    assert [f.name for f in fields(timing.TimingBudget)] == [
+    assert list(analysis.Tone._fields) == ["v_diff", "v_cm", "f_in"]
+    assert list(timing.TimingBudget._fields) == [
         "t_hard", "t_easy", "f_s_max", "f_s_max_sync", "f_s"]
     # a result keeps what the commands read, and no conversion time
-    assert [f.name for f in fields(engine.WaveformResult)] == [
+    assert list(engine.WaveformResult._fields) == [
         "codes", "metastable", "violation", "e_blocks", "f_s"]
     # the ladder's per-side fields lead with one side axis
-    assert [f.name for f in fields(capdac.Ladder)] == [
+    assert list(capdac.Ladder._fields) == [
         "bits", "v_ref", "c_bits", "node", "step", "corrections", "c_total", "c_nom",
         "settle", "e_event"]
+
+
+def test_config_is_the_only_dataclass():
+    # a dataclass compiles and execs its generated methods when its module
+    # loads, 0.7-2.8 ms each: the config pays that for its field metadata,
+    # the schema, while the result records are named tuples, which compile
+    # one small constructor each
+    decorated = []
+    for path in sorted(Path(sa.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for d in node.decorator_list:
+                    target = d.func if isinstance(d, ast.Call) else d
+                    if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                        decorated.append(node.name)
+            assert getattr(node, "id", getattr(node, "attr", None)) != "make_dataclass", path.name
+    assert decorated == ["AdcConfig"]
+    for record in (sa.DerivedConstants, capdac.Ladder, capdac.TopologyRow,
+                   capdac.TradeReport, timing.TimingBudget, analysis.Tone,
+                   analysis.SpectrumMetrics, engine.WaveformResult, engine.NoiseBudget,
+                   engine.PowerReport):
+        assert issubclass(record, tuple), record.__name__
 
 
 def _json_with(key, literal):

@@ -203,6 +203,10 @@ def test_steady_records_take_no_page_faults(fresh_env):
             f"t_kelvin={t_kelvin} n={n} padding={padding}: {faults} faults per call"
 
 
+# a 4,096-sample call's workspace: 43 rows of 4,096 doubles, 1,376 KiB
+_WORKSPACE = 43 * 4096 * 8
+
+
 def _traced_peak(v_diff, cfg):
     """Traced peak of one call [bytes], after a warm-up call."""
     convert_waveform(v_diff, cfg, seed=1)
@@ -231,32 +235,31 @@ def _flagged_sizes(patch):
 def test_careful_pass_reads_the_block_rows_in_place(ref_cfg, monkeypatch):
     # at 225 MHz the careful pass takes every conversion of a 4,096-sample
     # block; reading one noise row per bit and zeroing only the stopped
-    # conversions' events, its transient stays under 396.8 KiB above the
-    # same tone's peak at the shipped rate, 29 % of the call's workspace
-    # (43 rows of 4,096 doubles, 1,376 KiB).  The bound sits between the
-    # +362 KiB measured (1,977 against 1,615 KiB) and the +511 KiB that
-    # whole-block gathers of the flagged noise and event columns cost
+    # conversions' events, it keeps the call's traced peak under 1.46x the
+    # workspace: 1.437x is measured (1,977 KiB), and a whole-block gather of
+    # the flagged noise rows alone reads 1.669x (2,297 KiB).  The peak is
+    # bounded against the workspace, not against the shipped-rate peak, so
+    # that a saving at the shipped rate does not read as careful-pass growth
     fast = replace(ref_cfg, f_s=225e6)
     tone = sa.gen_coherent_tone(4096, 189, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
     with monkeypatch.context() as patch:
         taken = _flagged_sizes(patch)
         convert_waveform(tone.v_diff, fast, seed=1)
     assert taken == [tone.v_diff.size]
-    extra = _traced_peak(tone.v_diff, fast) - _traced_peak(tone.v_diff, ref_cfg)
-    assert extra < 396.8 * 1024, f"+{extra // 1024} KiB at 225 MHz"
+    peak = _traced_peak(tone.v_diff, fast)
+    assert peak < 1.46 * _WORKSPACE, f"{peak / _WORKSPACE:.3f}x the workspace at 225 MHz"
 
 
 def test_shipped_rate_peak_stays_near_the_workspace(ref_cfg):
     # at the shipped rate the screen flags nothing, and a 4,096-sample
-    # call's traced peak is its 43-row workspace (1,376 KiB) plus the
-    # block's transients: 1.174x, with the input sides formed in the sign
-    # rows and the noise scaled into the normal rows.  A (2, n) temporary
-    # more, as a separately scaled kT/C pair or input sides kept beside the
-    # workspace, costs 64 KiB each (1.267x with both)
+    # call's traced peak is its workspace plus the block's transients:
+    # 1.174x, with the input sides formed in the sign rows and the noise
+    # scaled into the normal rows.  A (2, n) temporary more, as a separately
+    # scaled kT/C pair or input sides kept beside the workspace, costs
+    # 64 KiB each (1.267x with both)
     tone = sa.gen_coherent_tone(4096, 189, 0.75, ref_cfg.v_cm, ref_cfg.f_s)
-    workspace = 43 * 4096 * 8
     peak = _traced_peak(tone.v_diff, ref_cfg)
-    assert peak < 1.22 * workspace, f"{peak / workspace:.3f}x the workspace"
+    assert peak < 1.22 * _WORKSPACE, f"{peak / _WORKSPACE:.3f}x the workspace"
 
 
 def test_screen_flags_no_noisy_shipped_conversion(ref_cfg, monkeypatch):
@@ -493,12 +496,12 @@ def test_waveform_seed_changes_results(ref_cfg):
 
 def _assert_identical(res, ref):
     # every WaveformResult field, dtypes included
-    for f in fields(engine.WaveformResult):
-        a, b = getattr(res, f.name), getattr(ref, f.name)
+    for name in engine.WaveformResult._fields:
+        a, b = getattr(res, name), getattr(ref, name)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 @pytest.mark.parametrize("topology", ["binary", "split"])
