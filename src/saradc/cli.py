@@ -13,7 +13,10 @@ verification failed.
 The default output directory is ./saradc_out, overridable with the
 SARADC_OUT environment variable or --out.  ``main`` may be called any number
 of times in one process: the parser is built once, and SARADC_OUT is read on
-every call.
+every call.  A command line whose first argument names a command is parsed by
+that command's parser; help, a missing or unknown command and unrecognized
+arguments go through the full parser, so their messages and exit statuses
+are the full parser's.
 """
 
 import argparse
@@ -363,7 +366,8 @@ def _cmd_print_defaults(_args, _cfg) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; ``--out`` defaults to
-    None so that ``main`` resolves it from the environment on every call."""
+    None so that ``main`` resolves it from the environment on every call.
+    Its ``commands`` maps each command's name to that command's parser."""
     p = argparse.ArgumentParser(prog="saradc",
                                 description="SAR ADC behavioral simulator")
 
@@ -382,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="differential amplitude [V]")
 
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     sp = sub.add_parser("simulate", help="tone -> conversion -> spectrum + metrics")
     common(sp)
@@ -428,8 +433,23 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``; a line that names a command skips
+    the top-level parser's pass, unless the command's parser leaves some of it
+    unrecognized."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, unrecognized = command.parse_known_args(argv[1:])
+        if not unrecognized:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     if getattr(args, "out", None) is None:
         args.out = _default_out()
     try:

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import saradc as sa
 from saradc import analysis, engine
-from saradc.cli import _codes_csv, _json_text, _load, main
+from saradc.cli import _codes_csv, _json_text, _load, _parse_args, build_parser, main
 from saradc.config import REFERENCE_CONFIG_DOC
 
 
@@ -816,7 +818,13 @@ def test_every_config_key_changes_a_result(tmp_path):
     (["print-defaults"], 0),
     (["simulate", "missing.cfg"], 1),
     (["simulate", "--amplitude", "5"], 2),
-    (["simulate", "--n", "3", "--bin", "1", "--check"], 3)])
+    (["simulate", "--n", "3", "--bin", "1", "--check"], 3),
+    # these take the full parser
+    ([], 2),
+    (["bogus"], 2),
+    (["simulate", "--bogus"], 2),
+    (["--help"], 0),
+    (["simulate", "-h"], 0)])
 def test_exit_status_of_the_module(tmp_path, argv, status):
     # the status the shell sees, through the module's __main__ line
     src = str(Path(sa.__file__).resolve().parents[1])
@@ -824,3 +832,46 @@ def test_exit_status_of_the_module(tmp_path, argv, status):
     done = subprocess.run([sys.executable, "-m", "saradc.cli", *argv], cwd=tmp_path, env=env,
                           capture_output=True, timeout=120)
     assert done.returncode == status, done.stderr
+
+
+_COMMANDS = ["simulate", "timing", "power", "dac-compare", "metastability", "sweep",
+             "print-defaults"]
+_OPTIONS = ["--out", "--seed", "--n", "--bin", "--amplitude", "--ideal", "--check", "--pmeta",
+            "--trials", "--param", "--range", "--sndr", "-h", "--help"]
+_VALUES = ["0", "3", "64", "1e-3", "inf", "-1", "-1:1:3", "0:20e-15:3", "c_p", "x", ""]
+# an option cut to a prefix of at least one letter, which may name one option,
+# several or none
+_ABBREVIATED = st.sampled_from([o for o in _OPTIONS if o.startswith("--")]).flatmap(
+    lambda option: st.integers(3, len(option)).map(lambda cut: option[:cut]))
+_TOKENS = (st.sampled_from(_COMMANDS + ["bogus"] + _OPTIONS + _VALUES + ["--"])
+           | _ABBREVIATED
+           | st.tuples(st.sampled_from(_OPTIONS) | _ABBREVIATED, st.sampled_from(_VALUES)).map(
+               "=".join))
+# any tokens; a command and any tokens; a command and options with values,
+# which mostly parse
+_LINES = (st.lists(_TOKENS, max_size=7)
+          | st.tuples(st.sampled_from(_COMMANDS), st.lists(_TOKENS, max_size=6)).map(
+              lambda t: [t[0], *t[1]])
+          | st.tuples(st.sampled_from(_COMMANDS), st.lists(st.tuples(
+              st.sampled_from(_OPTIONS[:5]) | _ABBREVIATED, st.sampled_from(_VALUES)),
+              max_size=3)).map(lambda t: [t[0], *(token for pair in t[1] for token in pair)]))
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` gives: the namespace's dict or the exit code,
+    with what it printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parse(argv))
+        except SystemExit as stop:
+            got = stop.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(argv=_LINES)
+def test_dispatch_parses_as_the_full_parser(argv):
+    # a command line that names a command skips the top-level parser; the
+    # namespace, or the exit code, usage and error text, must not show it
+    assert _outcome(_parse_args, argv) == _outcome(build_parser().parse_args, argv)
