@@ -45,11 +45,14 @@ Ladder
 ------
 A realized array of either topology is compiled once into a ``Ladder``:
 per-side steps, equivalent single-node bit capacitances, node
-capacitances, physical totals and per-bit settling fractions, each with a
-leading side axis (row 0 positive, row 1 negative); the differential
-correction of each decision, the mismatch-free nominal caps and the
-event-energy table.  The engine's bit cycle, energy accounting, the static
-transfer and the trade study all read it.
+capacitances and physical totals, each with a leading side axis (row 0
+positive, row 1 negative); the differential correction of each decision
+and the event-energy table.  The engine's bit cycle, energy accounting,
+the static transfer and the trade study all read it.
+
+The ladder holds the realized network alone: ``settle_fractions`` sizes
+the switches against the topology's mismatch-free network for the
+engine's plan, their one reader, so the trade study builds no nominal one.
 
 Topology trade study
 --------------------
@@ -74,7 +77,7 @@ from .config import AdcConfig, derived_constants, kt_over_c
 
 __all__ = [
     "Ladder", "TradeReport", "TopologyRow",
-    "build_cap_array", "build_binary_array", "build_split_array",
+    "build_cap_array", "build_binary_array", "build_split_array", "settle_fractions",
     "transfer_thresholds", "inl_from_steps",
     "compare_topologies",
 ]
@@ -89,7 +92,8 @@ class Ladder(NamedTuple):
     row 1 the negative one.  Bits are indexed 1..bits-1 MSB-first (array
     index i-1).  The bit capacitances are the single-node equivalents that
     reproduce the realized comparator-node steps; for the binary array they
-    are the physical bit capacitors.
+    are the physical bit capacitors.  The switches' settling is not part
+    of it: ``settle_fractions`` sizes them against the nominal network.
     """
     bits: int
     v_ref: float
@@ -98,8 +102,6 @@ class Ladder(NamedTuple):
     step: np.ndarray             # (2, bits-1) step when bit i swings by v_ref [V]
     corrections: np.ndarray      # differential correction applied after decision i [V]
     c_total: np.ndarray          # (2,) physical capacitor total [F]
-    c_nom: np.ndarray            # mismatch-free equivalent bit caps [F]
-    settle: np.ndarray           # (2, bits-1) unsettled fraction of bit i's step
     e_event: np.ndarray          # [i-1, (d+1)//2]: bit-i event energy for decision d [J]
 
 
@@ -129,12 +131,9 @@ def _segment(counts: list, u: float, sigma_u: float,
 
 
 def _compile(cfg: AdcConfig, c: np.ndarray, node: np.ndarray, step: np.ndarray,
-             total: np.ndarray, c_nom: np.ndarray) -> Ladder:
+             total: np.ndarray) -> Ladder:
     """Ladder from (2, .) bit caps, node caps, steps and physical totals.
 
-    Each bit's switch is sized for its nominal cap c_nom alone (constant
-    tau), so a bit settles n_settle * c_nom / c time constants and leaves
-    exp(-n_settle) of its step when its cap is nominal, in either topology.
     A bit event costs the rising side's own term plus the falling side's
     fired bystanders (``cross``); a -1 decision raises the positive side.
     """
@@ -147,8 +146,7 @@ def _compile(cfg: AdcConfig, c: np.ndarray, node: np.ndarray, step: np.ndarray,
     # event row d is the one in which side d rises: a -1 decision, then a +1
     return Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits=c, node=node, step=step,
-        corrections=(step[0] + step[1]) / 2, c_total=total, c_nom=c_nom,
-        settle=np.exp(-cfg.n_settle * (c_nom / c)),
+        corrections=(step[0] + step[1]) / 2, c_total=total,
         e_event=(q * (own + cross[::-1])).T.copy(),
     )
 
@@ -160,22 +158,26 @@ def build_cap_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
     return build_binary_array(cfg, rng)
 
 
-def build_binary_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
-    """Draw and compile a realized binary-weighted array.
+def _binary_units(cfg: AdcConfig) -> tuple:
+    """The binary array's construction quantum and unit counts.
 
-    Bit i holds 2^(bits-1-i) construction quanta and each side ends in a
-    one-quantum terminator.  The quantum is c_dac / 2^(bits-1), which makes
-    the mismatch-free step ladder exactly binary in the net full scale; the
+    Bit i holds 2^(bits-1-i) quanta and each side ends in a one-quantum
+    terminator.  The quantum is c_dac / 2^(bits-1), which makes the
+    mismatch-free step ladder exactly binary in the net full scale; the
     configured physical c_unit only bounds realizability.
     """
-    u_eff = cfg.c_dac / 2 ** (cfg.bits - 1)
     counts = [2 ** (cfg.bits - 1 - i) for i in range(1, cfg.bits)] + [1]
+    return cfg.c_dac / 2 ** (cfg.bits - 1), counts
+
+
+def build_binary_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
+    """Draw and compile a realized binary-weighted array (``_binary_units``)."""
+    u_eff, counts = _binary_units(cfg)
     caps = _segment(counts, u_eff, cfg.sigma_u, rng)
     c = caps[:, :-1].copy()
     total = np.add.reduce(c, axis=1) + caps[:, -1]
     node = total + cfg.c_p
-    return _compile(cfg, c, node, cfg.v_ref * c / node[:, None], total,
-                    u_eff * np.asarray(counts[:-1], dtype=float))
+    return _compile(cfg, c, node, cfg.v_ref * c / node[:, None], total)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,9 @@ def _split_sides(main: np.ndarray, sub: np.ndarray, c_att: float,
     return step * node / cfg.v_ref, node[..., 0], step, total[..., 0]
 
 
-def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
-    """Draw and compile a realized split array in the physical unit.
+def _split_units(cfg: AdcConfig) -> tuple:
+    """The split array's unit, its main and sub unit counts (the sub
+    terminator last) and c_att.
 
     Per side the switched ladder is divided into a main segment (bits
     1..m_bits, binary-weighted in the physical unit) and a sub segment
@@ -219,12 +222,39 @@ def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
     u = cfg.c_unit
     main_counts = [2 ** (m_bits - i) for i in range(1, m_bits + 1)]
     sub_counts = [2 ** (l_bits - j) for j in range(1, l_bits + 1)] + [1]
+    return u, main_counts, sub_counts, u * 2 ** l_bits / (2 ** l_bits - 1)
+
+
+def build_split_array(cfg: AdcConfig, rng: np.random.Generator) -> Ladder:
+    """Draw and compile a realized split array in the physical unit
+    (``_split_units``)."""
+    u, main_counts, sub_counts, c_att = _split_units(cfg)
     main = _segment(main_counts, u, cfg.sigma_u, rng)
     sub = _segment(sub_counts, u, cfg.sigma_u, rng)
-    c_att = u * 2 ** l_bits / (2 ** l_bits - 1)
-    nominal = [u * np.asarray(c, dtype=float) for c in (main_counts, sub_counts)]
-    return _compile(cfg, *_split_sides(main, sub, c_att, cfg),
-                    _split_sides(*nominal, c_att, cfg)[0])
+    return _compile(cfg, *_split_sides(main, sub, c_att, cfg))
+
+
+# ---------------------------------------------------------------------------
+# switch sizing against the nominal network
+
+def settle_fractions(cfg: AdcConfig, ladder: Ladder) -> np.ndarray:
+    """(2, bits-1) unsettled fraction of each bit's step on a realized ladder
+    of the configured topology.
+
+    Each bit's switch is sized for its nominal cap alone (constant tau): the
+    equivalent bit cap of the mismatch-free network, the binary array's
+    quanta or the split array's nominal sides.  So a bit settles
+    n_settle * nominal / c time constants and leaves exp(-n_settle) of its
+    step when its cap is nominal, in either topology.
+    """
+    if cfg.topology == "split":
+        u, main_counts, sub_counts, c_att = _split_units(cfg)
+        nominal = _split_sides(u * np.asarray(main_counts, dtype=float),
+                               u * np.asarray(sub_counts, dtype=float), c_att, cfg)[0]
+    else:
+        u_eff, counts = _binary_units(cfg)
+        nominal = u_eff * np.asarray(counts[:-1], dtype=float)
+    return np.exp(-cfg.n_settle * (nominal / ladder.c_bits))
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ weights, and each conversion's switch energy from one gather of the
 events its signs select, added in bit order.
 
 The per-bit constants that the bit loop reads off a seed's capacitor ladder
-(half swings, settle fractions, event energies) are kept in one
-engine-private memo, ``_plan``, with the code weights, keyed by the
-(frozen, hashable) config and the seed and bounded at ``_PLAN_MEMO``
-entries, so a seed ensemble converted again at another tone condition
-draws and compiles no ladder.  Its arrays are read-only, because every
-call that hits an entry shares them.
+(half swings, event energies) and the settle fractions of its switches are
+kept in one engine-private memo, ``_plan``, with the code weights, keyed
+by the (frozen, hashable) config and the seed and bounded at
+``_PLAN_MEMO`` entries, so a seed ensemble converted again at another
+tone condition draws and compiles no ladder.  Its arrays are read-only,
+because every call that hits an entry shares them.
 
 Scheduling model: the conversion window is one sample period minus the
 tracking phase.  Logic delay (every bit) and the fixed DAC-settle overhead
@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .capdac import build_cap_array
+from .capdac import build_cap_array, settle_fractions
 from .comparator import compare, decision_latencies
 from .config import AdcConfig, derived_constants
 from .track_hold import _SIDES, hold, ktc_sigma
@@ -110,7 +110,10 @@ def _plan(cfg: AdcConfig, seed: int) -> tuple:
     Returns (h_up, settle, e_flat, fall_at, weights).  Row i-1 of ``h_up``
     and of ``settle`` belongs to switched bit i: the half swing of a rising
     decision (it lowers the positive side) and the unsettled fraction, each
-    a (2, 1) side column.  ``e_flat`` holds a zero and then bit i's event
+    a (2, 1) side column.  The fractions are ``capdac.settle_fractions`` of
+    the ladder, which sizes each switch against the topology's nominal
+    network: the bit loop is their one reader, so the plan, not the
+    ladder, holds them.  ``e_flat`` holds a zero and then bit i's event
     energies, the falling decision's first, at 2i - 1 and 2i; row i-1 of
     the column ``fall_at`` is 2i - 1.  ``weights`` are half the code
     weights, MSB first, so that w . s + (2^bits - 1) / 2 is the code of the
@@ -119,7 +122,7 @@ def _plan(cfg: AdcConfig, seed: int) -> tuple:
     """
     ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
     plan = (np.array((ladder.step * _SIDES).T[:, :, None], order="C"),
-            np.array(ladder.settle.T[:, :, None], order="C"),
+            np.array(settle_fractions(cfg, ladder).T[:, :, None], order="C"),
             np.concatenate(([0.0], ladder.e_event.ravel())),
             np.arange(1, 2 * cfg.bits - 2, 2)[:, None],
             np.ldexp(1.0, np.arange(cfg.bits - 2, -2, -1)))
@@ -167,7 +170,7 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     Bit i's switch moves each side's target by a quarter of the bit's
     ladder weight, equal and opposite, so the differential correction is
     the ladder's ``corrections[i-1]``; each plate settles toward its
-    target, leaving the ladder's ``settle`` fraction of the step.  Row 0
+    target, leaving the plan's ``settle`` fraction of the step.  Row 0
     of every (2, .) array is the positive side.  Only the screen reads the
     latency sums.  Switch energies add per sample in bit order until a
     conversion stops, and the block totals add in sample order, as a

@@ -10,17 +10,19 @@ element the same value on any call shape (``test_numpy_exp_log_shape_free``).
 It takes every sample's row of normals from the record stream,
 ``SeedSequence((seed, 0))``, one scalar ``standard_normal()`` call at a
 time: the track-and-hold pair, every comparison's normal and last the latch
-normal, whose sign a metastable comparison latches.
+normal, whose sign a metastable comparison latches.  Its ladder and the
+settle fractions of its switches come from the per-side reference build
+(``reference_ladder.build_ladder``), not from the program's.
 """
 
 import math
 
 import numpy as np
 
-from saradc.capdac import build_cap_array
 from saradc.config import AdcConfig, ConfigError
 from saradc.engine import WaveformResult
 from saradc.track_hold import ktc_sigma
+from reference_ladder import build_ladder
 
 
 def _ron(v: float, cfg: AdcConfig) -> float:
@@ -89,9 +91,9 @@ def convert_waveform(samples, cfg: AdcConfig, seed: int = 0) -> WaveformResult:
     """The engine's result for the same record, one sample at a time."""
     diff = np.asarray(samples, dtype=float)
     n = diff.size
-    ladder = build_cap_array(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
+    ladder, settle = build_ladder(cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
     dp, dn = ladder.step[0].tolist(), ladder.step[1].tolist()
-    settle_p, settle_n = ladder.settle[0].tolist(), ladder.settle[1].tolist()
+    settle_p, settle_n = settle[0].tolist(), settle[1].tolist()
     e_event = ladder.e_event.tolist()
     bits_n = cfg.bits
     slack0 = (1.0 / cfg.f_s - cfg.t_track) - (bits_n * cfg.t_delay + (bits_n - 1) * cfg.t_fix)

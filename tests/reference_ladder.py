@@ -6,7 +6,10 @@ This builder draws, sums and sizes one side at a time, the positive side
 first: each capacitor is a 1-D ``np.add.reduce`` over its own units, each
 side's node, steps and totals come from that side alone, and only then are
 the two sides set side by side.  The tests check that every field of the
-two builds is equal, bit for bit and in the same memory layout.
+two builds is equal, bit for bit and in the same memory layout.  It also
+sizes each side's switches against its own nominal (mismatch-free) caps,
+exp(-n_settle * c_nom / c) per side, which the tests check the engine's
+plan (``capdac.settle_fractions``) against.
 
 ``transfer_thresholds`` is the breadth-first walk of the static transfer:
 each depth's DAC positions are the previous depth's, each minus and plus
@@ -58,7 +61,7 @@ def _split_side(main: np.ndarray, sub: np.ndarray, c_att: float, cfg: AdcConfig)
     return step * node / cfg.v_ref, node, step, total
 
 
-def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple, c_nom: np.ndarray) -> Ladder:
+def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple, c_nom: np.ndarray) -> tuple:
     q = 0.25 * cfg.v_ref ** 2
     own, cross = [], []
     for c, node, _, _ in (side_p, side_n):
@@ -68,17 +71,19 @@ def _compile(cfg: AdcConfig, side_p: tuple, side_n: tuple, c_nom: np.ndarray) ->
     # a -1 decision raises the positive side, a +1 decision the negative one
     e_down, e_up = q * (own[0] + cross[1]), q * (own[1] + cross[0])
     c, node, step, total = (np.array(f) for f in zip(side_p, side_n))
-    return Ladder(
+    ladder = Ladder(
         bits=cfg.bits, v_ref=cfg.v_ref, c_bits=c, node=node, step=step,
-        corrections=(side_p[2] + side_n[2]) / 2, c_total=total, c_nom=c_nom,
-        settle=np.array([np.exp(-cfg.n_settle * (c_nom / side[0])) for side in (side_p, side_n)]),
+        corrections=(side_p[2] + side_n[2]) / 2, c_total=total,
         e_event=np.stack([e_down, e_up], axis=1),
     )
+    return ladder, np.array([np.exp(-cfg.n_settle * (c_nom / side[0]))
+                             for side in (side_p, side_n)])
 
 
-def build_cap_array(cfg: AdcConfig, rng, redraws: list | None = None) -> Ladder:
-    """The realized ladder of ``capdac.build_cap_array``, side by side; the
-    size of every redraw round is appended to ``redraws``."""
+def build_ladder(cfg: AdcConfig, rng, redraws: list | None = None) -> tuple:
+    """The realized ladder of ``capdac.build_cap_array``, side by side, and
+    its (2, bits-1) settle fractions; the size of every redraw round is
+    appended to ``redraws``."""
     redraws = [] if redraws is None else redraws
     if cfg.topology == "split":
         l_bits = (cfg.bits - 1) // 2

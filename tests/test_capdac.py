@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import saradc as sa
-from saradc import cli
+from saradc import capdac, cli, engine
 from saradc.capdac import (build_cap_array, build_split_array, compare_topologies,
-                           inl_from_steps, transfer_thresholds)
+                           inl_from_steps, settle_fractions, transfer_thresholds)
 from saradc.config import kt_over_c, validate
 from code_density import inl_dnl
 from textbook import (conventional_energy, conversion_energy, monotonic_energy_oracle,
@@ -25,6 +25,11 @@ def _decisions(code, bits):
 # ---------------------------------------------------------------------------
 # array construction
 
+def _binary_nominal(cfg):
+    """The mismatch-free binary bit caps: bit i holds 2^(bits-1-i) quanta."""
+    return cfg.c_dac / 2 ** (cfg.bits - 1) * 2.0 ** np.arange(cfg.bits - 2, -1, -1)
+
+
 def test_no_mismatch_binary_weights(ideal_cfg):
     arr = build_cap_array(ideal_cfg, np.random.default_rng(0))
     u = ideal_cfg.c_dac / 512
@@ -32,12 +37,13 @@ def test_no_mismatch_binary_weights(ideal_cfg):
         assert math.isclose(arr.c_bits[0, i - 1], 2 ** (9 - i) * u, rel_tol=1e-12)
     assert math.isclose(arr.c_total[0], ideal_cfg.c_dac, rel_tol=1e-12)
     assert math.isclose(arr.c_total[1], ideal_cfg.c_dac, rel_tol=1e-12)
-    assert np.array_equal(arr.c_bits[0], arr.c_nom)
+    assert np.array_equal(arr.c_bits[0], _binary_nominal(ideal_cfg))
+    assert np.array_equal(arr.c_bits[1], _binary_nominal(ideal_cfg))
 
 
 def test_construction_quantum_close_to_physical_unit(ideal_cfg):
     arr = build_cap_array(ideal_cfg, np.random.default_rng(0))
-    quantum = arr.c_nom[-1]          # the LSB bit is one construction quantum
+    quantum = arr.c_bits[0, -1]      # the LSB bit is one construction quantum
     assert abs(quantum - ideal_cfg.c_unit) / ideal_cfg.c_unit < 0.02
 
 
@@ -47,7 +53,8 @@ def test_mismatch_sqrt_unit_count_scaling(ref_cfg):
     cfg = replace(ref_cfg, sigma_u=0.01)
     rng = np.random.default_rng(5)
     ladders = [build_cap_array(cfg, rng) for _ in range(4000)]
-    devs = np.array([a.c_bits[0, 0] / a.c_nom[0] - 1.0 for a in ladders])
+    msb = _binary_nominal(cfg)[0]
+    devs = np.array([a.c_bits[0, 0] / msb - 1.0 for a in ladders])
     expect = 0.01 / math.sqrt(256)
     assert abs(devs.std() / expect - 1.0) < 0.05
     assert abs(devs.mean()) < 3 * expect / math.sqrt(len(devs))
@@ -88,8 +95,7 @@ def test_sides_are_drawn_in_turn(ref_cfg, topology, sigma_u, seed, units, digest
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-_LADDER_FIELDS = ("c_bits", "node", "step", "corrections", "c_total", "c_nom", "settle",
-                  "e_event")
+_LADDER_FIELDS = ("c_bits", "node", "step", "corrections", "c_total", "e_event")
 
 
 @pytest.mark.parametrize("topology", ["binary", "split"])
@@ -100,19 +106,25 @@ def test_ladder_equals_per_side_build(ref_cfg, topology, sigma_u):
     # (1-D sums, one side at a time), bit for bit and in the same layout,
     # also where a dead unit is redrawn; at sigma_u = 1e3, past validation,
     # about half the units die in every round, and at sigma_u = 0 the
-    # reference draws nothing, so the program's draws must be exact zeros
+    # reference draws nothing, so the program's draws must be exact zeros.
+    # The engine's plan sizes the switches: its settle rows are the reference
+    # build's own per-side exp(-n_settle * c_nom / c), for the ladder the plan
+    # draws from SeedSequence((seed, 1))
     redraws = []
     for bits in range(3, 15):
         cfg = replace(ref_cfg, topology=topology, sigma_u=sigma_u, bits=bits)
         for seed in (0, 7, 2 ** 32 + 3):
             ladder = build_cap_array(cfg, np.random.default_rng(seed))
-            ref = reference_ladder.build_cap_array(cfg, np.random.default_rng(seed), redraws)
+            ref, _ = reference_ladder.build_ladder(cfg, np.random.default_rng(seed), redraws)
             assert (ladder.bits, ladder.v_ref) == (ref.bits, ref.v_ref)
             for name in _LADDER_FIELDS:
                 got, want = getattr(ladder, name), getattr(ref, name)
                 assert got.dtype == want.dtype and got.shape == want.shape, (bits, seed, name)
                 assert got.flags.c_contiguous, (bits, seed, name)
                 assert np.array_equal(got, want), (bits, seed, name)
+            _, settle = reference_ladder.build_ladder(
+                cfg, np.random.default_rng(np.random.SeedSequence((seed, 1))))
+            assert np.array_equal(engine._plan(cfg, seed)[1], settle.T[:, :, None]), (bits, seed)
     assert (len(redraws) > 0) == (sigma_u >= 0.3)
 
 
@@ -138,17 +150,14 @@ def test_applied_corrections_telescope_to_one_lsb(ideal_cfg, ideal_array):
 
 def test_settling_depth_is_exact(ref_cfg):
     # constant tau: every bit of a mismatch-free array of either topology
-    # leaves exactly exp(-n_settle) of its step unsettled, to the last ulp
+    # leaves exactly exp(-n_settle) of its step unsettled, to the last ulp,
+    # in the plan the engine's bit loop reads
     for n_settle in (ref_cfg.n_settle, 10.0):
         nominal = replace(ref_cfg, sigma_u=0.0, n_settle=n_settle)
         for topology in ("binary", "split"):
-            ladder = build_cap_array(replace(nominal, topology=topology),
-                                     np.random.default_rng(0))
-            assert np.array_equal(ladder.c_bits[0], ladder.c_nom)
-            assert np.array_equal(ladder.c_bits[1], ladder.c_nom)
-            for settle in ladder.settle:
-                assert settle.shape == (ref_cfg.bits - 1,)
-                assert np.array_equal(settle, np.full_like(settle, np.exp(-n_settle)))
+            settle = engine._plan(replace(nominal, topology=topology), 0)[1]
+            assert settle.shape == (ref_cfg.bits - 1, 2, 1)
+            assert np.array_equal(settle, np.full_like(settle, np.exp(-n_settle)))
 
 
 def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
@@ -162,11 +171,12 @@ def test_ron_schedule_settling_below_lsb_bound(ref_cfg):
 # ---------------------------------------------------------------------------
 # switching
 
-def test_switch_preserves_common_mode_exactly(ideal_array):
+def test_switch_preserves_common_mode_exactly(ideal_cfg, ideal_array):
     # mismatch-free sides step and settle alike, so every event moves the
     # two plates by equal and opposite amounts
     assert np.array_equal(ideal_array.step[0], ideal_array.step[1])
-    assert np.array_equal(ideal_array.settle[0], ideal_array.settle[1])
+    settle = settle_fractions(ideal_cfg, ideal_array)
+    assert np.array_equal(settle[0], settle[1])
 
 
 def test_switch_applies_half_ladder_weight(ideal_cfg, ideal_array, comparator_calls):
@@ -180,8 +190,7 @@ def test_switch_settling_residual(ref_cfg, comparator_calls):
     # a settling depth of ten time constants leaves exp(-10) of the step
     cfg = replace(sa.ideal_config(ref_cfg), n_settle=10.0)
     arr = build_cap_array(cfg, np.random.default_rng(0))
-    assert np.allclose(arr.settle[0], math.exp(-10.0), rtol=1e-12, atol=0)
-    assert np.allclose(arr.settle[1], math.exp(-10.0), rtol=1e-12, atol=0)
+    assert np.allclose(settle_fractions(cfg, arr), math.exp(-10.0), rtol=1e-12, atol=0)
     sa.convert_waveform([0.3], cfg)
     (v1, _), (v2, _) = comparator_calls[:2]
     applied = arr.corrections[0]
@@ -397,6 +406,21 @@ def test_trade_ignores_the_configured_topology(ref_cfg):
         a = compare_topologies(ref_cfg, np.random.default_rng(seed))
         b = compare_topologies(split_cfg, np.random.default_rng(seed))
         assert a.binary == b.binary and a.split == b.split
+
+
+def test_trade_builds_only_the_realized_split_network(ref_cfg, monkeypatch):
+    # the study reads no switch settling, so it evaluates the split network
+    # once, for the drawn array, and never its mismatch-free twin
+    calls = []
+    sides = capdac._split_sides
+
+    def counted(*args):
+        calls.append(args)
+        return sides(*args)
+
+    monkeypatch.setattr(capdac, "_split_sides", counted)
+    compare_topologies(ref_cfg, np.random.default_rng(np.random.SeedSequence((0, 1))))
+    assert len(calls) == 1
 
 
 def test_trade_split_reduces_capacitance(trade):

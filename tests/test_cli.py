@@ -18,6 +18,7 @@ import saradc as sa
 from saradc import analysis, engine
 from saradc.cli import _codes_csv, _json_text, _load, _parse_args, build_parser, main
 from saradc.config import REFERENCE_CONFIG_DOC
+import reference_ladder
 
 
 def run(args):
@@ -60,9 +61,12 @@ def test_engine_output_pinned(tmp_path):
     # the layout of any CSV or JSON shows here
     record = ["--n", "256", "--bin", "19", "--seed", "42"]
     fast, split = tmp_path / "fast.cfg", tmp_path / "split.cfg"
+    mismatch = tmp_path / "mismatch.cfg"
     fast.write_text(sa.serialize(dataclasses.replace(sa.reference_defaults(), f_s=225e6)))
     split.write_text(sa.serialize(dataclasses.replace(sa.reference_defaults(),
                                                       topology="split")))
+    mismatch.write_text(sa.serialize(dataclasses.replace(sa.reference_defaults(),
+                                                         sigma_u=0.3)))
     pins = [(["simulate", *record], {
                 "codes.csv": "d11e0698624444e32fc79d4a1f1326d0e70765423851cd459770dc4456b238a2",
                 "metrics.json": "39cd166ace27074288d7520130b4b20d4907fed1129d67574760826f924cd67a",
@@ -119,7 +123,27 @@ def test_engine_output_pinned(tmp_path):
                 "power.json": "a280ebdf3e7f7f87aa000ad50a6c1af6522b98834a3640a7900a7c864b25f3ca"}),
             # the split ladder: a main and a sub segment, each drawn side by side
             (["simulate", str(split), "--n", "256", "--bin", "19"], {
-                "codes.csv": "441e8c71a5b7d82d65e214c53110208a8949571d2d189fcf4f2e2e469c74cd94"})]
+                "codes.csv": "441e8c71a5b7d82d65e214c53110208a8949571d2d189fcf4f2e2e469c74cd94"}),
+            # the trade study at a seed of two 32-bit words
+            (["dac-compare", "--seed", "4294967299"], {
+                "dac_compare.csv":
+                    "5c8f2e04972420385cb19298029924fec7a4da16d0e8e9920b3703127e23143a",
+                "dac_compare.json":
+                    "bfded155ab454d6e0ca253c8665c7dff8e63b3410398eda7aab2266d6d997222"}),
+            # and at sigma_u = 0.3, where this seed's split array redraws a
+            # dead unit
+            (["dac-compare", str(mismatch), "--seed", "6"], {
+                "dac_compare.csv":
+                    "e4dcba94a6266912ddeb7c96ab57697cbc0bc1ccff018454295d830b303ef24b",
+                "dac_compare.json":
+                    "50589690f0754aef7612a85131ad63a9f344e8b9518a629883b93b9758fd7f29"})]
+    # the mismatch row's seed redraws a dead unit; the study draws the binary
+    # array and then the split one from one stream
+    rng, redraws = np.random.default_rng(np.random.SeedSequence((6, 1))), []
+    for topology in ("binary", "split"):
+        cfg = dataclasses.replace(sa.reference_defaults(), sigma_u=0.3, topology=topology)
+        reference_ladder.build_ladder(cfg, rng, redraws)
+    assert redraws
     for k, (argv, digests) in enumerate(pins):
         out = tmp_path / f"{k}_{argv[0]}"
         assert run([*argv, "--out", str(out)]) == 0

@@ -241,8 +241,7 @@ def test_public_names_resolve():
         "codes", "metastable", "violation", "e_blocks", "f_s"]
     # the ladder's per-side fields lead with one side axis
     assert list(capdac.Ladder._fields) == [
-        "bits", "v_ref", "c_bits", "node", "step", "corrections", "c_total", "c_nom",
-        "settle", "e_event"]
+        "bits", "v_ref", "c_bits", "node", "step", "corrections", "c_total", "e_event"]
 
 
 def test_config_is_the_only_dataclass():
